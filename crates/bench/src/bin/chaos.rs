@@ -36,7 +36,7 @@ use pc_bench::chaos::{
     chaos_strategy_label, execute_chaos_costed, ChaosCellReport, ChaosCellSpec,
 };
 use pc_bench::exp::{save_json, Protocol};
-use pc_bench::oracle::{self, CellMeta, TraceLine};
+use pc_bench::oracle::{self, CellMeta};
 use pc_bench::replay;
 use pc_bench::sweep::CellTiming;
 use serde::Serialize;
@@ -262,12 +262,8 @@ fn main() {
                 dropped: log.dropped,
                 digest: log.digest(),
             };
-            writeln!(out, "{}", oracle::line_to_json(&TraceLine::Cell(meta)))
+            oracle::write_cell(out, &meta, &log.events)
                 .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
-            for ev in &log.events {
-                writeln!(out, "{}", oracle::line_to_json(&TraceLine::Ev(ev.clone())))
-                    .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
-            }
         }
         reports.push(row);
     }

@@ -36,7 +36,7 @@
 //! `PC_THREADS`.
 
 use pc_bench::exp::{save_json, Protocol};
-use pc_bench::oracle::{self, CellMeta, TraceLine};
+use pc_bench::oracle::{self, CellMeta};
 use pc_bench::overload::{
     execute_overload_costed, overload_cell_name, overload_cell_report, overload_cells,
     overload_oracle, overload_strategy_label, OverloadCellReport, OverloadCellSpec, OverloadPoint,
@@ -268,12 +268,8 @@ fn main() {
                 dropped: log.dropped,
                 digest: log.digest(),
             };
-            writeln!(out, "{}", oracle::line_to_json(&TraceLine::Cell(meta)))
+            oracle::write_cell(out, &meta, &log.events)
                 .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
-            for ev in &log.events {
-                writeln!(out, "{}", oracle::line_to_json(&TraceLine::Ev(ev.clone())))
-                    .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
-            }
         }
         reports.push(row);
     }

@@ -30,7 +30,7 @@
 //! `--shards` override the env.
 
 use pc_bench::exp::{print_header, print_row, save_json, Row};
-use pc_bench::oracle::{self, CellMeta, TraceLine};
+use pc_bench::oracle::{self, CellMeta};
 use pc_bench::replay;
 use pc_bench::scale::{
     cell_report, cells_for, execute_costed_with, execute_traced_costed_with, fleets, scale_points,
@@ -272,12 +272,8 @@ fn main() {
                     digest: log.digest(),
                 };
                 let label = meta.label();
-                writeln!(out, "{}", oracle::line_to_json(&TraceLine::Cell(meta)))
+                oracle::write_cell(out, &meta, &log.events)
                     .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
-                for ev in &log.events {
-                    writeln!(out, "{}", oracle::line_to_json(&TraceLine::Ev(ev.clone())))
-                        .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
-                }
                 traced_events += log.events.len() as u64;
                 let report = oracle::check(log);
                 for violation in report.violations {

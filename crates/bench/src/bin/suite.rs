@@ -33,7 +33,7 @@
 use pc_bench::exp::{
     evaluated_strategies, print_header, print_row, save_json, single_pc_strategies, Protocol, Row,
 };
-use pc_bench::oracle::{self, CellMeta, TraceLine};
+use pc_bench::oracle::{self, CellMeta};
 use pc_bench::replay;
 use pc_bench::sweep::{
     execute_costed, execute_traced_costed, CellSpec, CellTiming, GridPoint, SweepSpec,
@@ -391,12 +391,8 @@ fn main() {
                     "{} {} M={} B={} seed={}",
                     def.name, meta.strategy, meta.pairs, meta.buffer, meta.seed
                 );
-                writeln!(out, "{}", oracle::line_to_json(&TraceLine::Cell(meta)))
+                oracle::write_cell(out, &meta, &log.events)
                     .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
-                for ev in &log.events {
-                    writeln!(out, "{}", oracle::line_to_json(&TraceLine::Ev(ev.clone())))
-                        .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
-                }
                 traced_events += log.events.len() as u64;
                 let report = oracle::check(log);
                 for violation in report.violations {

@@ -45,6 +45,7 @@
 use pc_trace_events::{Event, TraceEvent, TraceLog, TRACE_SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::io;
 
 /// Outcome of one oracle pass over a trace.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -582,9 +583,30 @@ pub enum TraceLine {
     Ev(Event),
 }
 
-/// Serialises one export line as compact JSON.
-pub fn line_to_json(line: &TraceLine) -> String {
-    serde_json::to_string(line).expect("trace line serialisation is infallible")
+/// Streams one cell of a JSONL trace export into `out`: the
+/// [`TraceLine::Cell`] header line, then one [`TraceLine::Ev`] line per
+/// event. `meta`'s `events`/`dropped`/`digest` fields describe `events`.
+///
+/// Each line carries exactly the bytes `serde_json` prints for the
+/// `TraceLine` (externally tagged, `{"Cell":…}` / `{"Ev":…}`), but the
+/// payload streams through `serde_json::to_writer`: no `TraceLine` is
+/// built and no per-line `String` allocated.
+pub fn write_cell(out: &mut impl io::Write, meta: &CellMeta, events: &[Event]) -> io::Result<()> {
+    write_line(out, b"{\"Cell\":", meta)?;
+    for ev in events {
+        write_line(out, b"{\"Ev\":", ev)?;
+    }
+    Ok(())
+}
+
+fn write_line(
+    out: &mut impl io::Write,
+    open_tag: &[u8],
+    payload: &impl Serialize,
+) -> io::Result<()> {
+    out.write_all(open_tag)?;
+    serde_json::to_writer(&mut *out, payload).map_err(io::Error::other)?;
+    out.write_all(b"}\n")
 }
 
 /// Parses one export line.
@@ -1009,32 +1031,37 @@ mod tests {
 
     #[test]
     fn trace_lines_roundtrip() {
-        let lines = vec![
-            TraceLine::Cell(CellMeta {
-                experiment: "fig4_wakeups".into(),
-                strategy: "PBPL".into(),
-                pairs: 8,
-                cores: 4,
-                buffer: 25,
-                seed: 42,
-                duration_ns: 50_000_000,
-                workload: "worldcup_quick".into(),
-                scenario: String::new(),
-                period_ns: 0,
-                events: 2,
-                dropped: 0,
-                digest: 0xdead_beef_dead_beef,
-            }),
-            TraceLine::Ev(Event {
-                seq: 0,
-                t_ns: 99,
-                kind: TraceEvent::Wakeup { pair: 3 },
-            }),
-        ];
-        for line in lines {
-            let text = line_to_json(&line);
-            let back = line_from_json(&text).expect("parses");
-            assert_eq!(back, line, "roundtrip mismatch for {text}");
+        let meta = CellMeta {
+            experiment: "fig4_wakeups".into(),
+            strategy: "PBPL".into(),
+            pairs: 8,
+            cores: 4,
+            buffer: 25,
+            seed: 42,
+            duration_ns: 50_000_000,
+            workload: "worldcup_quick".into(),
+            scenario: String::new(),
+            period_ns: 0,
+            events: 1,
+            dropped: 0,
+            digest: 0xdead_beef_dead_beef,
+        };
+        let ev = Event {
+            seq: 0,
+            t_ns: 99,
+            kind: TraceEvent::Wakeup { pair: 3 },
+        };
+        let mut out = Vec::new();
+        write_cell(&mut out, &meta, std::slice::from_ref(&ev)).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines = [TraceLine::Cell(meta), TraceLine::Ev(ev)];
+        assert_eq!(text.lines().count(), lines.len());
+        assert!(text.ends_with('\n'));
+        for (line, text) in lines.iter().zip(text.lines()) {
+            // The streamed line is the derived `TraceLine` form, byte for byte.
+            assert_eq!(text, serde_json::to_string(line).unwrap());
+            let back = line_from_json(text).expect("parses");
+            assert_eq!(&back, line, "roundtrip mismatch for {text}");
         }
     }
 }

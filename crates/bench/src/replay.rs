@@ -525,14 +525,9 @@ pub fn render_fixture(proto: &CellMeta) -> Result<String, String> {
     meta.events = log.events.len() as u64;
     meta.dropped = log.dropped;
     meta.digest = log.digest();
-    let mut out = String::new();
-    out.push_str(&oracle::line_to_json(&TraceLine::Cell(meta)));
-    out.push('\n');
-    for ev in &log.events {
-        out.push_str(&oracle::line_to_json(&TraceLine::Ev(ev.clone())));
-        out.push('\n');
-    }
-    Ok(out)
+    let mut out = Vec::new();
+    oracle::write_cell(&mut out, &meta, &log.events).map_err(|e| e.to_string())?;
+    Ok(String::from_utf8(out).expect("trace JSON is UTF-8"))
 }
 
 #[cfg(test)]

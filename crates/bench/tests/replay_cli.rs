@@ -4,7 +4,7 @@
 //! I/O/parse errors *with a line number* so a corrupted artifact can be
 //! found by eye.
 
-use pc_bench::oracle::{self, TraceLine};
+use pc_bench::oracle;
 use pc_bench::replay::{fixture_dir, parse_export_file};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -110,15 +110,10 @@ fn single_retimed_event_diverges_replay_but_not_trace_report_parsing() {
     let expected_seq = cell.events[idx].seq;
     cell.meta.digest = pc_trace_events::digest(&cell.events);
 
-    let mut content = String::new();
-    content.push_str(&oracle::line_to_json(&TraceLine::Cell(cell.meta.clone())));
-    content.push('\n');
-    for ev in &cell.events {
-        content.push_str(&oracle::line_to_json(&TraceLine::Ev(ev.clone())));
-        content.push('\n');
-    }
+    let mut content = Vec::new();
+    oracle::write_cell(&mut content, &cell.meta, &cell.events).unwrap();
     let path = tmp("retimed.jsonl");
-    write(&path, &content);
+    std::fs::write(&path, content).unwrap();
     let arg = path.display().to_string();
 
     for extra in [None, Some("--digest-only")] {

@@ -27,6 +27,7 @@
 //!   unverifiable rather than silently passing.
 
 use serde::{Deserialize, Serialize};
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -259,7 +260,7 @@ impl TraceEvent {
     /// Compact human-readable form for diagnostics (replay divergence
     /// messages): variant name plus the discriminating fields, e.g.
     /// `Invoke(pair=3, trigger=Overflow, batch=25)`. Not part of the
-    /// canonical serialisation — digests use [`event_to_json`].
+    /// canonical serialisation, which is [`event_to_json`]'s.
     pub fn summary(&self) -> String {
         match self {
             TraceEvent::Produce { pair } => format!("Produce(pair={pair})"),
@@ -535,28 +536,61 @@ impl TraceHandle {
     }
 }
 
-/// FNV-1a (64-bit) over the canonical single-line JSON of each event,
-/// newline-separated — exactly the bytes a JSONL export of the stream
-/// contains, so an exported file and an in-memory log always agree.
+/// FNV-1a (64-bit) over each event's canonical compact JSON followed by
+/// `\n` — the payload of an export's `{"Ev":…}` line, not the line
+/// itself (JSONL exports wrap every event in that tag).
+///
+/// Each event streams through `serde_json::to_writer` straight into the
+/// hash: no per-event `String`, no allocation. The streamed bytes are
+/// pinned by the golden fixtures and the golden digests in
+/// `tests/sim_invariants.rs`.
 ///
 /// Payloads are integers/bools/strings only (module contract), so the
 /// digest is platform-stable and bit-deterministic per seed.
 pub fn digest(events: &[Event]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x1_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    let mut step = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut hash = Fnv1a::new();
     for ev in events {
-        let line = event_to_json(ev);
-        step(line.as_bytes());
-        step(b"\n");
+        serde_json::to_writer(&mut hash, ev).expect("hashing event JSON is infallible");
+        hash.update(b"\n");
     }
-    hash
+    hash.0
+}
+
+/// 64-bit FNV-1a as an [`io::Write`] sink.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x1_0000_01b3;
+
+    fn new() -> Self {
+        Fnv1a(Self::OFFSET)
+    }
+
+    #[inline]
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Self::PRIME);
+        }
+    }
+}
+
+impl io::Write for Fnv1a {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        self.update(bytes);
+        Ok(bytes.len())
+    }
+
+    #[inline]
+    fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.update(bytes);
+        Ok(())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Canonical single-line JSON for one event (insertion-ordered keys, no

@@ -6,9 +6,19 @@
 //! `derive` feature) over an ordered JSON [`Value`] tree. Object keys
 //! keep insertion order, so serialisation is deterministic — a property
 //! the suite determinism CI gate depends on.
+//!
+//! Serialisation streams: every impl drives the one [`Writer`], so the
+//! `Value` tree is only built by [`Serialize::to_value`] and by parsing.
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
+
+mod writer;
+
+#[doc(hidden)]
+pub use writer::{Compound, Writer};
+
+use std::io;
 
 /// An ordered JSON value. Objects preserve insertion order (no hashing),
 /// keeping output byte-deterministic.
@@ -74,10 +84,17 @@ impl std::fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Types serialisable into a [`Value`].
+/// Types serialisable into a [`Value`] or straight into JSON text.
 pub trait Serialize {
     /// Converts `self` into a JSON value.
     fn to_value(&self) -> Value;
+
+    /// Streams `self` as JSON through `w`, printing exactly what
+    /// printing [`to_value`](Self::to_value) would. Shim-internal: the
+    /// derive implements it and `serde_json` calls it; nothing outside
+    /// `shims/` should do either.
+    #[doc(hidden)]
+    fn write_json<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()>;
 }
 
 /// Types reconstructable from a [`Value`].
@@ -125,6 +142,10 @@ macro_rules! ser_de_uint {
             fn to_value(&self) -> Value {
                 Value::UInt(*self as u64)
             }
+            #[inline]
+            fn write_json<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+                w.u64(*self as u64)
+            }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -151,6 +172,10 @@ macro_rules! ser_de_int {
                     Value::Int(n)
                 }
             }
+            #[inline]
+            fn write_json<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+                w.i64(*self as i64)
+            }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -175,6 +200,9 @@ macro_rules! ser_de_float {
             fn to_value(&self) -> Value {
                 Value::Float(*self as f64)
             }
+            fn write_json<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+                w.f64(*self as f64)
+            }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -196,6 +224,10 @@ impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
+    #[inline]
+    fn write_json<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.bool(*self)
+    }
 }
 
 impl Deserialize for bool {
@@ -210,6 +242,9 @@ impl Deserialize for bool {
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
+    }
+    fn write_json<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.str(self)
     }
 }
 
@@ -226,11 +261,17 @@ impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
     }
+    fn write_json<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.str(self)
+    }
 }
 
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
+    }
+    fn write_json<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.str(self.encode_utf8(&mut [0; 4]))
     }
 }
 
@@ -238,17 +279,33 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+    #[inline]
+    fn write_json<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        (**self).write_json(w)
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
+    #[inline]
+    fn write_json<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        self.as_slice().write_json(w)
+    }
 }
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+    fn write_json<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        let mut c = w.begin_array()?;
+        for item in self {
+            w.element(&mut c)?;
+            item.write_json(w)?;
+        }
+        w.end_array(c)
     }
 }
 
@@ -268,6 +325,13 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Value::Null,
         }
     }
+    #[inline]
+    fn write_json<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        match self {
+            Some(x) => x.write_json(w),
+            None => w.null(),
+        }
+    }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
@@ -283,6 +347,9 @@ impl<T: Serialize> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+    fn write_json<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        (**self).write_json(w)
+    }
 }
 
 macro_rules! ser_de_tuple {
@@ -290,6 +357,14 @@ macro_rules! ser_de_tuple {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn to_value(&self) -> Value {
                 Value::Array(vec![$(self.$i.to_value()),+])
+            }
+            fn write_json<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+                let mut c = w.begin_array()?;
+                $(
+                    w.element(&mut c)?;
+                    self.$i.write_json(w)?;
+                )+
+                w.end_array(c)
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -316,6 +391,25 @@ ser_de_tuple! {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+    fn write_json<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::UInt(n) => w.u64(*n),
+            Value::Int(n) => w.i64(*n),
+            Value::Float(x) => w.f64(*x),
+            Value::Str(s) => w.str(s),
+            Value::Array(items) => items.write_json(w),
+            Value::Object(entries) => {
+                let mut c = w.begin_object()?;
+                for (key, item) in entries {
+                    w.key(&mut c, key)?;
+                    item.write_json(w)?;
+                }
+                w.end_object(c)
+            }
+        }
     }
 }
 

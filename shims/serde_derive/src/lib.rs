@@ -1,7 +1,8 @@
 //! Offline stand-in for the real `serde_derive` (see `shims/README.md`).
 //!
 //! Generates `serde::Serialize` / `serde::Deserialize` impls against the
-//! shim's `Value` tree. Supports exactly the shapes this workspace
+//! shim's `Value` tree, plus a streaming `write_json` that drives the
+//! shim's `Writer` directly. Supports exactly the shapes this workspace
 //! derives on: non-generic named-field structs, tuple structs, unit
 //! structs, and enums with unit / named-field / tuple variants. No
 //! `#[serde(...)]` attributes (none are used in-tree).
@@ -25,16 +26,20 @@ enum Shape {
     },
 }
 
-/// Derives `serde::Serialize`.
+/// Derives `serde::Serialize`: `to_value` builds the `Value` tree, and
+/// the hidden `write_json` streams the same JSON through the shim's
+/// `Writer` without building it.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let shape = parse_shape(input);
     let body = match &shape {
         Shape::Struct { name, fields } => {
             let expr = ser_fields_expr(fields, &SelfAccess);
+            let write = write_fields(fields, |f| format!("&self.{f}"));
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
                  fn to_value(&self) -> ::serde::Value {{ {expr} }}\n\
+                 {WRITE_JSON_SIG} {{ {write} }}\n\
                  }}"
             )
         }
@@ -43,9 +48,14 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                 .iter()
                 .map(|(v, fields)| ser_variant_arm(name, v, fields))
                 .collect();
+            let write_arms: String = variants
+                .iter()
+                .map(|(v, fields)| write_variant_arm(name, v, fields))
+                .collect();
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
                  fn to_value(&self) -> ::serde::Value {{ match self {{ {arms} }} }}\n\
+                 {WRITE_JSON_SIG} {{ match self {{ {write_arms} }} }}\n\
                  }}"
             )
         }
@@ -193,6 +203,61 @@ fn ser_variant_arm(enum_name: &str, variant: &str, fields: &Fields) -> String {
                 "{enum_name}::{variant}({}) => {},\n",
                 binds.join(", "),
                 tag(inner)
+            )
+        }
+    }
+}
+
+/// Signature of the generated streaming method. The writer binding is
+/// `__w` so it cannot collide with a variant's field bindings.
+const WRITE_JSON_SIG: &str = "#[inline] fn write_json<__W: ::std::io::Write>(&self, \
+     __w: &mut ::serde::Writer<__W>) -> ::std::io::Result<()>";
+
+/// Statements streaming `fields` through `__w`; `access` maps a field
+/// name (or tuple index) to an expression borrowing it.
+fn write_fields(fields: &Fields, access: impl Fn(&str) -> String) -> String {
+    let value = |f: &str| format!("::serde::Serialize::write_json({}, __w)", access(f));
+    match fields {
+        Fields::Unit => "__w.null()".to_string(),
+        Fields::Named(names) => {
+            let entries: String = names
+                .iter()
+                .map(|f| format!("__w.key(&mut __c, {f:?})?; {}?;", value(f)))
+                .collect();
+            format!("let mut __c = __w.begin_object()?; {entries} __w.end_object(__c)")
+        }
+        Fields::Tuple(1) => value("0"),
+        Fields::Tuple(n) => {
+            let items: String = (0..*n)
+                .map(|i| format!("__w.element(&mut __c)?; {}?;", value(&i.to_string())))
+                .collect();
+            format!("let mut __c = __w.begin_array()?; {items} __w.end_array(__c)")
+        }
+    }
+}
+
+/// One match arm streaming an enum variant: unit variants as their name,
+/// the rest externally tagged as `{"Variant": payload}`.
+fn write_variant_arm(enum_name: &str, variant: &str, fields: &Fields) -> String {
+    let tagged = |payload: String| {
+        format!(
+            "{{ let mut __t = __w.begin_object()?; __w.key(&mut __t, {variant:?})?; \
+             {{ {payload} }}?; __w.end_object(__t) }}"
+        )
+    };
+    match fields {
+        Fields::Unit => format!("{enum_name}::{variant} => __w.str({variant:?}),\n"),
+        Fields::Named(names) => format!(
+            "{enum_name}::{variant} {{ {} }} => {},\n",
+            names.join(", "),
+            tagged(write_fields(fields, str::to_string))
+        ),
+        Fields::Tuple(n) => {
+            let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
+            format!(
+                "{enum_name}::{variant}({}) => {},\n",
+                binds.join(", "),
+                tagged(write_fields(fields, |i| format!("f{i}")))
             )
         }
     }

@@ -1,14 +1,15 @@
 //! Offline stand-in for `serde_json` (see `shims/README.md`).
 //!
-//! Deterministic JSON writer and a recursive-descent parser over the
-//! serde shim's ordered [`Value`]. Output formatting mirrors
+//! Deterministic JSON output and a recursive-descent parser over the
+//! serde shim's ordered [`Value`]. Output streams through the serde
+//! shim's one `Writer` — no `Value` tree is built — and mirrors
 //! `serde_json`'s conventions (2-space pretty indent, non-finite floats
-//! as `null`) and depends only on the value — identical values always
+//! as `null`). It depends only on the value: identical values always
 //! print identical bytes, which the suite determinism gate relies on.
 
 pub use serde::Value;
-use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
+use serde::{Deserialize, Serialize, Writer};
+use std::io;
 
 /// Serialisation/deserialisation error: a plain message.
 #[derive(Debug, Clone)]
@@ -22,122 +23,43 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+impl From<io::Error> for Error {
+    fn from(e: io::Error) -> Self {
+        Error(e.to_string())
+    }
+}
+
+/// Serialises `value` as compact JSON into `writer`.
+pub fn to_writer<W, T>(writer: W, value: &T) -> Result<(), Error>
+where
+    W: io::Write,
+    T: ?Sized + Serialize,
+{
+    Ok(value.write_json(&mut Writer::compact(writer))?)
+}
+
 /// Serialises `value` to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None);
-    Ok(out)
+    let mut out = Vec::new();
+    to_writer(&mut out, value)?;
+    Ok(into_string(out))
 }
 
 /// Serialises `value` to pretty JSON (2-space indent).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(0));
-    Ok(out)
+    let mut out = Vec::new();
+    value.write_json(&mut Writer::pretty(&mut out))?;
+    Ok(into_string(out))
+}
+
+fn into_string(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("the writer emits only UTF-8")
 }
 
 /// Parses JSON text into a `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let value = parse_value(s)?;
     T::from_value(&value).map_err(|e| Error(e.0))
-}
-
-// -- writer ------------------------------------------------------------
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::UInt(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::Int(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::Float(x) => {
-            if x.is_finite() {
-                // `{:?}` keeps a trailing `.0` on integral floats and
-                // round-trips exactly, like serde_json's ryu output.
-                let _ = write!(out, "{x:?}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(level) = indent {
-                    newline_indent(out, level + 1);
-                }
-                write_value(out, item, indent.map(|l| l + 1));
-            }
-            if let Some(level) = indent {
-                newline_indent(out, level);
-            }
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(level) = indent {
-                    newline_indent(out, level + 1);
-                }
-                write_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent.map(|l| l + 1));
-            }
-            if let Some(level) = indent {
-                newline_indent(out, level);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, level: usize) {
-    out.push('\n');
-    for _ in 0..level {
-        out.push_str("  ");
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // -- parser ------------------------------------------------------------
@@ -383,6 +305,15 @@ mod tests {
     fn non_finite_floats_print_null() {
         assert_eq!(to_string(&f64::NAN).unwrap(), "null");
         assert_eq!(to_string(&f64::INFINITY).unwrap(), "null");
+    }
+
+    #[test]
+    fn to_writer_streams_the_to_string_bytes() {
+        let v = Value::Array(vec![Value::Int(-7), Value::Str("é\u{1}".into())]);
+        let mut out = Vec::new();
+        to_writer(&mut out, &v).unwrap();
+        assert_eq!(out, to_string(&v).unwrap().into_bytes());
+        assert_eq!(to_string(&v).unwrap(), "[-7,\"é\\u0001\"]");
     }
 
     #[test]
