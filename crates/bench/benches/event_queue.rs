@@ -17,13 +17,16 @@
 //! A third scenario races the *arrival* path specifically (DESIGN.md
 //! §14): M pre-sorted per-source streams merged to exhaustion, with
 //! each popped arrival immediately replaced by its source's next — the
-//! exact access pattern of `System::schedule_next_produce`. `wheel_` is
-//! the retired route (every arrival a wheel event); `calendar_` is the
-//! `ArrivalCalendar` tournament-tree merge the engine now uses, at
-//! M ∈ {10, 100, 1000} matching the scale sweep's fleet sizes.
+//! exact access pattern of `System::schedule_next_produce`. `winner_`
+//! is the retired winner tree (every pop and every refill replays the
+//! source's leaf-to-root path, comparing keys read through an index);
+//! `calendar_` is the loser-tree `ArrivalCalendar` the engine now uses
+//! (one branch-free replay per pop-and-refill), at M ∈ {10, 100, 1000}
+//! matching the scale sweep's fleet sizes.
 //!
-//! The heap model mirrors `crates/sim/tests/wheel_model.rs` — the
-//! retired implementation reduced to its semantics.
+//! The heap model mirrors `crates/sim/tests/wheel_model.rs`, and the
+//! winner tree the pre-loser-tree calendar — each a retired
+//! implementation reduced to its semantics.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pc_sim::{ArrivalCalendar, EventQueue, SimTime};
@@ -181,9 +184,118 @@ fn bench_event_queue(c: &mut Criterion) {
     group.finish();
 }
 
+/// The pre-loser-tree arrival calendar: a winner tree whose internal
+/// nodes hold the winning source of their subtree, keys kept per
+/// source. Sized for `m` sources up front (the merge never grows).
+struct WinnerTree {
+    keys: Vec<(u64, u64)>,
+    tree: Vec<u32>,
+    cap: usize,
+}
+
+impl WinnerTree {
+    const EMPTY: (u64, u64) = (u64::MAX, u64::MAX);
+    const NONE: u32 = u32::MAX;
+
+    fn new(m: usize) -> Self {
+        let cap = m.next_power_of_two().max(2);
+        let mut tree = vec![Self::NONE; 2 * cap];
+        for (s, leaf) in tree[cap..cap + m].iter_mut().enumerate() {
+            *leaf = s as u32;
+        }
+        WinnerTree {
+            keys: vec![Self::EMPTY; m],
+            tree,
+            cap,
+        }
+    }
+
+    fn key(&self, s: u32) -> (u64, u64) {
+        if s == Self::NONE {
+            Self::EMPTY
+        } else {
+            self.keys[s as usize]
+        }
+    }
+
+    fn reseed(&mut self, s: usize) {
+        let mut node = (self.cap + s) >> 1;
+        while node >= 1 {
+            let left = self.tree[node << 1];
+            let right = self.tree[(node << 1) | 1];
+            self.tree[node] = if self.key(right) < self.key(left) {
+                right
+            } else {
+                left
+            };
+            node >>= 1;
+        }
+    }
+}
+
+/// The two calendars behind one merge driver.
+trait Merge {
+    fn set(&mut self, source: usize, at: u64, seq: u64);
+    fn pop(&mut self) -> Option<usize>;
+}
+
+impl Merge for WinnerTree {
+    fn set(&mut self, source: usize, at: u64, seq: u64) {
+        self.keys[source] = (at, seq);
+        self.reseed(source);
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        let winner = self.tree[1];
+        if self.key(winner) == Self::EMPTY {
+            return None;
+        }
+        let s = winner as usize;
+        self.keys[s] = Self::EMPTY;
+        self.reseed(s);
+        Some(s)
+    }
+}
+
+impl Merge for ArrivalCalendar {
+    fn set(&mut self, source: usize, at: u64, seq: u64) {
+        ArrivalCalendar::set(self, source, at, seq);
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        ArrivalCalendar::pop(self).map(|(_, _, s)| s as usize)
+    }
+}
+
 /// Arrivals consumed per source in the merge scenario; total items per
 /// iteration are `M × ARRIVALS_PER_SOURCE`.
 const ARRIVALS_PER_SOURCE: u64 = 100;
+
+/// Merges `m` deterministic sorted streams to exhaustion through `cal`:
+/// popping an arrival arms that source's next, like the sim's produce
+/// path does. Returns the arrivals popped.
+fn merge_streams(mut cal: impl Merge, m: usize) -> u64 {
+    let mut rng = 42u64;
+    let mut cursor = vec![0u64; m];
+    let mut remaining = vec![ARRIVALS_PER_SOURCE; m];
+    let mut seq = 0u64;
+    for (s, c) in cursor.iter_mut().enumerate() {
+        *c = mix(&mut rng) % 4096;
+        cal.set(s, *c, seq);
+        seq += 1;
+    }
+    let mut popped = 0u64;
+    while let Some(s) = cal.pop() {
+        popped += 1;
+        remaining[s] -= 1;
+        if remaining[s] > 0 {
+            cursor[s] += 1 + mix(&mut rng) % 4096;
+            cal.set(s, cursor[s], seq);
+            seq += 1;
+        }
+    }
+    popped
+}
 
 fn bench_arrival_merge(c: &mut Criterion) {
     let mut group = c.benchmark_group("arrival_merge");
@@ -191,64 +303,15 @@ fn bench_arrival_merge(c: &mut Criterion) {
     for &sources in &[10usize, 100, 1000] {
         let total = sources as u64 * ARRIVALS_PER_SOURCE;
         group.throughput(Throughput::Elements(total));
-        // Per-source cursors over deterministic sorted streams: popping
-        // an arrival arms that source's next, like the sim's produce
-        // path does.
         group.bench_with_input(
-            BenchmarkId::new("wheel_merge", sources),
+            BenchmarkId::new("winner_merge", sources),
             &sources,
-            |b, &m| {
-                b.iter(|| {
-                    let mut q = EventQueue::new();
-                    let mut rng = 42u64;
-                    let mut cursor = vec![0u64; m];
-                    let mut remaining = vec![ARRIVALS_PER_SOURCE; m];
-                    for (s, c) in cursor.iter_mut().enumerate() {
-                        *c = mix(&mut rng) % 4096;
-                        q.schedule(SimTime::from_nanos(*c), s);
-                    }
-                    let mut popped = 0u64;
-                    while let Some((_, s)) = q.pop() {
-                        popped += 1;
-                        remaining[s] -= 1;
-                        if remaining[s] > 0 {
-                            cursor[s] += 1 + mix(&mut rng) % 4096;
-                            q.schedule(SimTime::from_nanos(cursor[s]), s);
-                        }
-                    }
-                    assert_eq!(popped, total);
-                });
-            },
+            |b, &m| b.iter(|| assert_eq!(merge_streams(WinnerTree::new(m), m), total)),
         );
         group.bench_with_input(
             BenchmarkId::new("calendar_merge", sources),
             &sources,
-            |b, &m| {
-                b.iter(|| {
-                    let mut cal = ArrivalCalendar::new();
-                    let mut rng = 42u64;
-                    let mut cursor = vec![0u64; m];
-                    let mut remaining = vec![ARRIVALS_PER_SOURCE; m];
-                    let mut seq = 0u64;
-                    for (s, c) in cursor.iter_mut().enumerate() {
-                        *c = mix(&mut rng) % 4096;
-                        cal.set(s, *c, seq);
-                        seq += 1;
-                    }
-                    let mut popped = 0u64;
-                    while let Some((_, _, s)) = cal.pop() {
-                        popped += 1;
-                        let s = s as usize;
-                        remaining[s] -= 1;
-                        if remaining[s] > 0 {
-                            cursor[s] += 1 + mix(&mut rng) % 4096;
-                            cal.set(s, cursor[s], seq);
-                            seq += 1;
-                        }
-                    }
-                    assert_eq!(popped, total);
-                });
-            },
+            |b, &m| b.iter(|| assert_eq!(merge_streams(ArrivalCalendar::new(), m), total)),
         );
     }
     group.finish();

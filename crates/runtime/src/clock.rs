@@ -123,9 +123,18 @@ mod tests {
 
     #[test]
     fn precise_sleep_hits_deadline() {
-        let deadline = Instant::now() + Duration::from_millis(5);
-        precise_sleep_until(deadline);
-        let late = Instant::now().duration_since(deadline);
+        // Best of five: preemption by the other tests running in
+        // parallel only ever adds lateness, so the minimum measures the
+        // sleeper rather than the host's scheduler. A sleeper that
+        // overshoots by design overshoots on every attempt.
+        let late = (0..5)
+            .map(|_| {
+                let deadline = Instant::now() + Duration::from_millis(5);
+                precise_sleep_until(deadline);
+                Instant::now().duration_since(deadline)
+            })
+            .min()
+            .expect("five attempts");
         assert!(late < Duration::from_millis(2), "overshoot {late:?}");
     }
 

@@ -11,12 +11,13 @@
 //! nothing uses.
 //!
 //! [`ArrivalCalendar`] instead keeps one `(time, seq)` key per source
-//! in a tournament (winner) tree: replacing a source's pending arrival
-//! and re-seeding the winner is O(log M) with zero allocation, and
-//! peeking the fleet-wide minimum is O(1) — a k-way merge over M
-//! sorted streams, which is exactly what the workload is. The engine
-//! pops `min(calendar.peek(), wheel.peek())` under the wheel's own
-//! `(time, seq)` total order; because arrivals draw their sequence
+//! in a loser tree — a k-way merge over M sorted streams, which is
+//! exactly what the workload is. A pop hands out the winner and leaves
+//! its source as the pending *hole*; the refill that the produce path
+//! files next for that same source replays the hole's leaf-to-root path
+//! once, with one compare and two branch-free selects per level. The
+//! engine pops `min(calendar.peek(), wheel.peek())` under the wheel's
+//! own `(time, seq)` total order; because arrivals draw their sequence
 //! numbers from the *same* counter as wheel events (see
 //! [`crate::engine::Engine::schedule_arrival`]), the merged pop stream
 //! is bit-identical to scheduling every arrival through the wheel.
@@ -25,30 +26,59 @@
 //! facts of the workload. Dynamic events (timers, drain completions,
 //! slot wakes, fault edges) stay on the wheel, which is built for them.
 
-/// Key of a pending arrival: `(time_ns, seq)`. The sentinel marks an
-/// empty source slot and loses every tournament match (no real event
-/// carries `u64::MAX` for both fields — sequence numbers are shared
-/// with the wheel and bounded by total events scheduled).
-const EMPTY: (u64, u64) = (u64::MAX, u64::MAX);
+use std::hint::select_unpredictable;
 
-/// No-source marker in the tournament tree.
+/// Packed key of an empty source slot. It loses every match: no real
+/// event carries `u64::MAX` for both time and seq (sequence numbers are
+/// shared with the wheel and bounded by total events scheduled).
+const EMPTY: u128 = u128::MAX;
+
+/// No-hole marker.
 const NONE: u32 = u32::MAX;
 
+/// Packs `(time_ns, seq)` into one key whose integer order is the
+/// lexicographic `(time, seq)` order.
+#[inline]
+fn pack(at: u64, seq: u64) -> u128 {
+    (u128::from(at) << 64) | u128::from(seq)
+}
+
+/// One loser-tree slot: a source and its pending key, stored inline so
+/// a match reads one slot instead of chasing an index into a key table.
+#[derive(Clone, Copy)]
+struct Node {
+    key: u128,
+    source: u32,
+}
+
 /// An M-way merge structure holding at most one pending `(time, seq)`
-/// arrival per source, with O(1) peek-min and O(log M) replace/pop.
+/// arrival per source, with O(log M) pop-and-refill.
 ///
-/// Sources are dense small integers (pair indices). The tree grows on
-/// demand; growth rebuilds in O(M) and happens O(log M) times total.
+/// `peek` is O(1) only when no hole is pending and the tree is clean: a
+/// peek between a pop and that source's refill settles the hole as
+/// exhausted (O(log M)), and the refill that follows then files a
+/// non-hole source.
+///
+/// Sources are dense small integers (pair indices). The leaf row grows
+/// on demand; any change the hole protocol does not cover marks the
+/// tree dirty, and the next `peek` rebuilds it bottom-up in O(M).
 pub struct ArrivalCalendar {
-    /// `keys[s]` = the pending arrival of source `s`, or [`EMPTY`].
-    keys: Vec<(u64, u64)>,
-    /// Winner tree over `cap` leaves: `tree[1]` is the overall winner,
-    /// node `i`'s children are `2i` and `2i + 1`, leaf `cap + s` maps
-    /// to source `s`. Each internal node holds the winning source index
-    /// of its subtree (or [`NONE`] if the subtree is empty).
-    tree: Vec<u32>,
+    /// `keys[s]` = the pending arrival of source `s`, or [`EMPTY`]; the
+    /// input the tree is rebuilt from.
+    keys: Vec<u128>,
+    /// Loser tree over `cap` leaves: node `n ∈ 1..cap` holds the loser
+    /// of the match played there (its children are `2n` and `2n + 1`;
+    /// leaf `cap + s` is source `s`), and `tree[0]` holds the winner.
+    /// Valid unless `dirty` or a hole is pending.
+    tree: Vec<Node>,
     /// Leaf count; a power of two ≥ `keys.len()` (0 before first use).
     cap: usize,
+    /// Source popped last whose path still holds its old key; the next
+    /// `set` for it replays that path, any `peek` first replays it with
+    /// [`EMPTY`]. [`NONE`] when no hole is pending.
+    hole: u32,
+    /// Whether `tree` must be rebuilt from `keys` before the next peek.
+    dirty: bool,
     /// Sources currently holding a pending arrival.
     pending: usize,
     /// Arrivals accepted since construction.
@@ -70,6 +100,8 @@ impl ArrivalCalendar {
             keys: Vec::new(),
             tree: Vec::new(),
             cap: 0,
+            hole: NONE,
+            dirty: false,
             pending: 0,
             scheduled: 0,
             popped: 0,
@@ -103,6 +135,11 @@ impl ArrivalCalendar {
     /// Files source `source`'s next arrival. The source must not
     /// already hold a pending arrival — arrivals are never replaced or
     /// cancelled, only popped (checked in debug builds).
+    ///
+    /// Refilling the source popped last costs one leaf-to-root replay;
+    /// filing any other source defers to one O(M) rebuild at the next
+    /// peek, which amortises arming many sources at once.
+    #[inline]
     pub fn set(&mut self, source: usize, at: u64, seq: u64) {
         if source >= self.keys.len() {
             self.grow(source + 1);
@@ -111,88 +148,115 @@ impl ArrivalCalendar {
             self.keys[source], EMPTY,
             "source {source} already holds a pending arrival"
         );
-        self.keys[source] = (at, seq);
+        let key = pack(at, seq);
+        self.keys[source] = key;
         self.pending += 1;
         self.scheduled += 1;
-        self.reseed(source);
+        if source as u32 == self.hole {
+            self.replay(source, key);
+        } else {
+            // The hole (if any) stays EMPTY in `keys`; the rebuild
+            // settles it together with this source.
+            self.dirty = true;
+        }
+        self.hole = NONE;
     }
 
     /// The earliest pending arrival as `(time_ns, seq, source)`.
+    ///
+    /// Takes `&mut self` because it first settles deferred work: a
+    /// pending hole is replayed as exhausted, a dirty tree is rebuilt.
     #[inline]
-    pub fn peek(&self) -> Option<(u64, u64, u32)> {
+    pub fn peek(&mut self) -> Option<(u64, u64, u32)> {
         if self.pending == 0 {
             return None;
         }
-        let winner = self.tree[1];
-        debug_assert_ne!(winner, NONE);
-        let (at, seq) = self.keys[winner as usize];
-        Some((at, seq, winner))
+        if self.dirty {
+            self.rebuild();
+        } else if self.hole != NONE {
+            // The popped source filed no refill: its stream is exhausted.
+            self.replay(self.hole as usize, EMPTY);
+            self.hole = NONE;
+        }
+        let winner = self.tree[0];
+        debug_assert_ne!(winner.key, EMPTY);
+        Some(((winner.key >> 64) as u64, winner.key as u64, winner.source))
     }
 
-    /// Removes and returns the earliest pending arrival.
+    /// Removes and returns the earliest pending arrival. The tree is
+    /// left untouched: the popped source becomes the hole, replayed by
+    /// its refill or by the next peek.
+    #[inline]
     pub fn pop(&mut self) -> Option<(u64, u64, u32)> {
-        let (at, seq, source) = self.peek()?;
+        let head = self.peek()?;
+        let source = head.2;
         self.keys[source as usize] = EMPTY;
         self.pending -= 1;
         self.popped += 1;
-        self.reseed(source as usize);
-        Some((at, seq, source))
+        self.hole = source;
+        Some(head)
     }
 
-    /// Key of a leaf position (sources past `keys.len()` are padding).
+    /// Replays the matches on source `s`'s leaf-to-root path with `s`
+    /// now holding `key`. Valid only for the current winner's source:
+    /// every other match on its path was lost to it, so the slots there
+    /// hold exactly the opponents it must now face again.
     #[inline]
-    fn leaf_key(&self, s: u32) -> (u64, u64) {
-        if s == NONE {
-            EMPTY
-        } else {
-            self.keys[s as usize]
-        }
-    }
-
-    /// Replays the tournament along the path from source `s`'s leaf to
-    /// the root.
-    fn reseed(&mut self, s: usize) {
+    fn replay(&mut self, s: usize, key: u128) {
+        let mut winner = Node {
+            key,
+            source: s as u32,
+        };
         let mut node = (self.cap + s) >> 1;
-        while node >= 1 {
-            let left = self.tree[node << 1];
-            let right = self.tree[(node << 1) | 1];
-            self.tree[node] = if self.leaf_key(right) < self.leaf_key(left) {
-                right
-            } else {
-                left
-            };
+        while node > 0 {
+            let stored = self.tree[node];
+            let stored_wins = stored.key < winner.key;
+            self.tree[node] = select_unpredictable(stored_wins, winner, stored);
+            winner = select_unpredictable(stored_wins, stored, winner);
             node >>= 1;
         }
+        self.tree[0] = winner;
     }
 
-    /// Grows the source table to hold at least `want` sources,
-    /// rebuilding the tournament tree if the leaf capacity doubles.
-    fn grow(&mut self, want: usize) {
-        let old_len = self.keys.len();
-        self.keys.resize(want, EMPTY);
-        if want <= self.cap {
-            // New sources fit the existing leaf row; their keys are
-            // EMPTY so no internal node can change yet.
-            for s in old_len..want {
-                self.tree[self.cap + s] = s as u32;
-            }
-            return;
-        }
-        let cap = want.next_power_of_two().max(2);
-        self.cap = cap;
-        self.tree = vec![NONE; 2 * cap];
-        for s in 0..self.keys.len() {
-            self.tree[cap + s] = s as u32;
-        }
-        for node in (1..cap).rev() {
-            let left = self.tree[node << 1];
-            let right = self.tree[(node << 1) | 1];
-            self.tree[node] = if self.leaf_key(right) < self.leaf_key(left) {
-                right
-            } else {
-                left
+    /// Rebuilds the whole tree from `keys`, bottom-up.
+    fn rebuild(&mut self) {
+        // Sized for the current leaf row; `play` overwrites every slot.
+        let placeholder = Node {
+            key: EMPTY,
+            source: NONE,
+        };
+        self.tree.resize(self.cap, placeholder);
+        self.tree[0] = self.play(1);
+        self.dirty = false;
+    }
+
+    /// Plays every match in the subtree under `node`, storing each
+    /// match's loser in its slot, and returns the subtree's winner.
+    fn play(&mut self, node: usize) -> Node {
+        if node >= self.cap {
+            let s = node - self.cap;
+            return Node {
+                key: self.keys.get(s).copied().unwrap_or(EMPTY),
+                source: s as u32,
             };
         }
+        let left = self.play(node << 1);
+        let right = self.play((node << 1) | 1);
+        let (winner, loser) = if right.key < left.key {
+            (right, left)
+        } else {
+            (left, right)
+        };
+        self.tree[node] = loser;
+        winner
+    }
+
+    /// Grows the source table to hold at least `want` sources, doubling
+    /// the leaf row when it no longer fits. The caller's `set` marks the
+    /// tree dirty, so the next peek rebuilds it at the new size.
+    fn grow(&mut self, want: usize) {
+        self.keys.resize(want, EMPTY);
+        self.cap = self.cap.max(want.next_power_of_two());
     }
 }
 
@@ -243,7 +307,7 @@ mod tests {
 
     #[test]
     fn empty_calendar_peeks_none() {
-        let cal = ArrivalCalendar::new();
+        let mut cal = ArrivalCalendar::new();
         assert_eq!(cal.peek(), None);
         assert!(cal.is_empty());
     }

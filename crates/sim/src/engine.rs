@@ -142,21 +142,21 @@ impl<E> Engine<E> {
     }
 
     /// Pops the earliest of `min(arrivals.peek(), wheel.peek())` — the
-    /// global `(time, seq)` minimum across both backends — if it fires
-    /// at or before `deadline`, advancing the clock to its timestamp.
+    /// global `(time, seq)` minimum across both backends, each peeked
+    /// once — if it fires at or before `deadline`, advancing the clock
+    /// to its timestamp.
     /// Deadline misses pop nothing and leave the clock untouched,
     /// exactly like [`Engine::next_before`].
     pub fn next_merged_before(&mut self, deadline: SimTime) -> Option<(SimTime, Popped<E>)> {
         // Sequence numbers are globally unique across both backends, so
         // a strict key comparison is a total order; equal times resolve
         // by schedule order, exactly as the wheel alone would.
-        let take_arrival = match (self.arrivals.peek(), self.queue.peek_key()) {
-            (Some((aa, aseq, _)), Some((wa, wseq))) => (aa, aseq) < (wa, wseq),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if take_arrival {
-            let (at, _seq, source) = self.arrivals.peek().expect("checked above");
+        let wheel = self.queue.peek_key();
+        let arrival = self
+            .arrivals
+            .peek()
+            .filter(|&(at, seq, _)| wheel.is_none_or(|w| (at, seq) < w));
+        if let Some((at, _seq, source)) = arrival {
             let t = SimTime::from_nanos(at);
             if t > deadline {
                 return None;
@@ -185,9 +185,13 @@ impl<E> Engine<E> {
         Some((t, ev))
     }
 
-    /// Timestamp of the earliest pending event.
+    /// Timestamp of the earliest pending event: the earlier of the
+    /// arrival calendar's head and the wheel's head.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
+        let arrival = self.arrivals.peek().map(|(at, _, _)| at);
+        let timer = self.queue.peek_key().map(|(at, _)| at);
+        let earliest = [arrival, timer].into_iter().flatten().min();
+        earliest.map(SimTime::from_nanos)
     }
 
     /// Number of pending events (wheel and arrival calendar).
@@ -308,6 +312,17 @@ mod tests {
         assert_eq!(stats.pending_at_teardown, 1);
         assert!(stats.ledger_balanced());
         assert!(eng.next_merged_before(SimTime::from_secs(2)).is_some());
+    }
+
+    #[test]
+    fn peek_time_sees_arrivals_and_timers() {
+        let mut eng = Engine::new(1);
+        assert_eq!(eng.peek_time(), None);
+        eng.schedule_at(SimTime::from_nanos(5), "timer@5");
+        eng.schedule_arrival(SimTime::from_nanos(3), 0);
+        assert_eq!(eng.peek_time(), Some(SimTime::from_nanos(3)));
+        eng.next_merged_before(SimTime::from_secs(1)).unwrap();
+        assert_eq!(eng.peek_time(), Some(SimTime::from_nanos(5)));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! A working property-test runner covering the surface this workspace
 //! uses: the `proptest!` macro over `ident in strategy` arguments,
 //! integer/float range strategies, `prop_map`, `Just`, tuple and
-//! `prop::collection::vec` composition, `prop_oneof!`, `any::<bool>()`
+//! `prop::collection::vec` composition, `prop_oneof!` (uniform or
+//! `weight => strategy`), `any::<bool>()`
 //! and the `prop_assert*` macros. Differences from upstream: failing
 //! cases are not shrunk, and generation is deterministic per test name
 //! and case index, so re-running a failed test replays the exact same
@@ -155,24 +156,38 @@ tuple_strategy! {
 /// Boxed generator closure for one `prop_oneof!` alternative.
 pub type UnionArm<V> = Box<dyn Fn(&mut TestRng) -> V>;
 
-/// Uniform choice between boxed alternatives (`prop_oneof!` backend).
+/// Weighted choice between boxed alternatives (`prop_oneof!` backend).
 pub struct Union<V> {
-    options: Vec<UnionArm<V>>,
+    options: Vec<(u32, UnionArm<V>)>,
+    total: u64,
 }
 
 impl<V> Union<V> {
-    /// Builds from the alternatives' generator closures.
+    /// Builds a uniform choice from the alternatives' generator closures.
     pub fn new(options: Vec<UnionArm<V>>) -> Self {
-        assert!(!options.is_empty(), "prop_oneof! needs at least one arm");
-        Union { options }
+        Self::new_weighted(options.into_iter().map(|arm| (1, arm)).collect())
+    }
+
+    /// Builds from `(weight, generator)` pairs; an arm is picked with
+    /// probability weight / total.
+    pub fn new_weighted(options: Vec<(u32, UnionArm<V>)>) -> Self {
+        let total = options.iter().map(|&(w, _)| u64::from(w)).sum();
+        assert!(total > 0, "prop_oneof! needs an arm with non-zero weight");
+        Union { options, total }
     }
 }
 
 impl<V> Strategy for Union<V> {
     type Value = V;
     fn generate(&self, rng: &mut TestRng) -> V {
-        let idx = rng.below(self.options.len() as u64) as usize;
-        (self.options[idx])(rng)
+        let mut pick = rng.below(self.total);
+        for (weight, arm) in &self.options {
+            if pick < u64::from(*weight) {
+                return arm(rng);
+            }
+            pick -= u64::from(*weight);
+        }
+        unreachable!("pick < total")
     }
 }
 
@@ -299,9 +314,25 @@ macro_rules! prop_assert_ne {
     ($($args:tt)*) => { assert_ne!($($args)*) };
 }
 
-/// Uniformly picks one of several strategies with the same value type.
+/// Picks one of several strategies with the same value type: uniformly,
+/// or in proportion to `weight => strategy` weights.
 #[macro_export]
 macro_rules! prop_oneof {
+    ($($weight:expr => $strategy:expr),+ $(,)?) => {
+        $crate::Union::new_weighted(::std::vec![
+            $(
+                {
+                    let s = $strategy;
+                    (
+                        $weight,
+                        ::std::boxed::Box::new(move |rng: &mut $crate::TestRng| {
+                            $crate::Strategy::generate(&s, rng)
+                        }) as ::std::boxed::Box<dyn Fn(&mut $crate::TestRng) -> _>,
+                    )
+                }
+            ),+
+        ])
+    };
     ($($strategy:expr),+ $(,)?) => {
         $crate::Union::new(::std::vec![
             $(
