@@ -41,6 +41,18 @@
 //! A truncated trace (`dropped > 0`) is reported as a violation: a
 //! partial stream cannot prove conservation, and silently passing would
 //! defeat the point.
+//!
+//! **Cost.** [`check`] makes one sweep over the stream and feeds every
+//! event to the replays that need it. Each replay keeps its own
+//! violation buffer, so the report still lists the invariants in the
+//! order above, each in stream order. The per-arrival events index
+//! dense tables by pair, core or owner id instead of ordered maps; an
+//! id at or above [`DENSE_ID_BOUND`] is itself a violation, so a forged
+//! file cannot make a table grow to gigabytes. Pool conservation keeps
+//! running Σ capacity and Σ squeezed totals, so each pool event costs
+//! O(1). No ledger wraps: item sums are checked (an overflow is its own
+//! violation) and the pool sums are `u128`, which no run of `u64`
+//! updates can overflow.
 
 use pc_trace_events::{Event, TraceEvent, TraceLog, TRACE_SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
@@ -66,13 +78,12 @@ impl OracleReport {
     }
 }
 
-/// Per-pair item ledger replayed from the stream.
-#[derive(Default)]
-struct PairLedger {
-    produced: u64,
-    consumed: u64,
-    shed: u64,
-}
+/// Ids at or above this bound get no row in the dense ledgers: a pair,
+/// core or owner id that large is reported as a violation naming its
+/// seq and id instead of growing a table to fit it. The largest fleet
+/// any sweep runs is M = 1000, so real traces sit far below it, and a
+/// full table of 2^20 rows stays in the tens of megabytes.
+pub const DENSE_ID_BOUND: u32 = 1 << 20;
 
 /// Replays `log` and reports every invariant violation found.
 pub fn check(log: &TraceLog) -> OracleReport {
@@ -95,12 +106,11 @@ pub fn check(log: &TraceLog) -> OracleReport {
         ));
     }
 
-    check_items(&log.events, &mut violations);
-    check_pool(&log.events, &mut violations);
-    check_core_spans(&log.events, &mut violations);
-    check_reservations(&log.events, &mut violations);
-    check_faults(&log.events, &mut violations);
-    check_overload(&log.events, &mut violations);
+    let mut replay = Replay::default();
+    for ev in &log.events {
+        replay.step(ev);
+    }
+    replay.finish(&mut violations);
 
     OracleReport {
         events: log.events.len() as u64,
@@ -109,33 +119,204 @@ pub fn check(log: &TraceLog) -> OracleReport {
     }
 }
 
-/// Invariant 1: per pair, Σ Produce == Σ Invoke.batch + Σ Flush.drained
-/// + Σ ItemShed.
-fn check_items(events: &[Event], violations: &mut Vec<String>) {
-    let mut pairs: BTreeMap<u32, PairLedger> = BTreeMap::new();
-    for ev in events {
+/// The six invariant replays, fed by one sweep over the stream.
+#[derive(Default)]
+struct Replay<'a> {
+    items: Items,
+    pool: Pool,
+    spans: Spans,
+    reservations: Reservations,
+    faults: Faults<'a>,
+    overload: Overload,
+}
+
+impl<'a> Replay<'a> {
+    fn step(&mut self, ev: &'a Event) {
+        let seq = ev.seq;
         match &ev.kind {
-            TraceEvent::Produce { pair } => {
-                pairs.entry(*pair).or_default().produced += 1;
-            }
-            TraceEvent::Invoke { pair, batch, .. } => {
-                pairs.entry(*pair).or_default().consumed += batch;
-            }
-            TraceEvent::Flush { pair, drained } => {
-                pairs.entry(*pair).or_default().consumed += drained;
-            }
+            TraceEvent::Produce { pair } => self.items.produce(seq, *pair),
+            TraceEvent::Invoke { pair, batch, .. } => self.items.consume(seq, *pair, *batch),
+            TraceEvent::Flush { pair, drained } => self.items.consume(seq, *pair, *drained),
             TraceEvent::ItemShed { pair } => {
-                pairs.entry(*pair).or_default().shed += 1;
+                self.items.shed(seq, *pair);
+                self.overload.shed(seq, *pair);
             }
-            _ => {}
+            TraceEvent::CoreSpan {
+                core,
+                start_ns,
+                end_ns,
+                wakeup,
+            } => self.spans.span(seq, *core, *start_ns, *end_ns, *wakeup),
+            TraceEvent::BufferCreate {
+                owner,
+                capacity,
+                pool_available,
+                pool_total,
+            } => self
+                .pool
+                .create(seq, *owner, *capacity, *pool_available, *pool_total),
+            TraceEvent::BufferGrow {
+                owner,
+                from,
+                to,
+                want,
+                pool_available,
+            } => self
+                .pool
+                .grow(seq, *owner, *from, *to, *want, *pool_available),
+            TraceEvent::BufferShrink {
+                owner,
+                from,
+                to,
+                pool_available,
+            } => self.pool.shrink(seq, *owner, *from, *to, *pool_available),
+            TraceEvent::BufferDestroy {
+                owner,
+                released,
+                pool_available,
+            } => self.pool.destroy(seq, *owner, *released, *pool_available),
+            TraceEvent::SlotReserve {
+                core,
+                consumer,
+                slot,
+                prev,
+            } => self
+                .reservations
+                .reserve(seq, *core, *consumer, *slot, *prev),
+            TraceEvent::SlotRelease {
+                core,
+                consumer,
+                slot,
+            } => self.reservations.release(seq, *core, *consumer, *slot),
+            TraceEvent::SlotDispatch {
+                core,
+                slot,
+                consumers,
+            } => self.reservations.dispatch(seq, *core, *slot, consumers),
+            TraceEvent::FaultInjected {
+                id,
+                kind,
+                param,
+                pool_available,
+                ..
+            } => {
+                self.pool.inject(seq, *id, kind, *param, *pool_available);
+                self.faults.inject(seq, *id, kind);
+            }
+            TraceEvent::FaultRecovered {
+                id,
+                kind,
+                param,
+                pool_available,
+                ..
+            } => {
+                self.pool.recover(seq, *id, kind, *param, *pool_available);
+                self.faults.recover(seq, *id, kind);
+            }
+            TraceEvent::OverloadEntered { pair, .. } => self.overload.enter(seq, *pair),
+            TraceEvent::OverloadCleared { pair, shed } => self.overload.clear(seq, *pair, *shed),
+            TraceEvent::Wakeup { .. } | TraceEvent::SlotSelect { .. } => {}
         }
     }
-    for (pair, ledger) in &pairs {
-        if ledger.produced != ledger.consumed + ledger.shed {
+
+    /// Appends every replay's violations, invariant by invariant.
+    fn finish(self, out: &mut Vec<String>) {
+        self.items.finish(out);
+        self.pool.finish(out);
+        out.extend(self.spans.violations);
+        out.extend(self.reservations.violations);
+        self.faults.finish(out);
+        self.overload.finish(out);
+    }
+}
+
+/// Names a dense ledger's id in violations: (invariant, id field).
+type Label = (&'static str, &'static str);
+const ITEMS_PAIR: Label = ("item conservation", "pair");
+const POOL_OWNER: Label = ("pool", "owner");
+const SPANS_CORE: Label = ("core spans", "core");
+const OVERLOAD_PAIR: Label = ("overload", "pair");
+
+/// The row of `id` in a dense ledger, grown on first use. An id at or
+/// above [`DENSE_ID_BOUND`] gets no row; `violations` records it under
+/// `label` instead.
+fn row<'t, T: Clone + Default>(
+    table: &'t mut Vec<T>,
+    id: u32,
+    seq: u64,
+    (invariant, field): Label,
+    violations: &mut Vec<String>,
+) -> Option<&'t mut T> {
+    let i = id as usize;
+    if i >= table.len() {
+        if id >= DENSE_ID_BOUND {
             violations.push(format!(
-                "item conservation: pair {pair} produced {} but invocations+flush account for {} and sheds for {}",
-                ledger.produced, ledger.consumed, ledger.shed
+                "{invariant}: seq {seq} {field} {id} is at or above the dense-id bound {DENSE_ID_BOUND} — not replayed"
             ));
+            return None;
+        }
+        table.resize(i + 1, T::default());
+    }
+    Some(&mut table[i])
+}
+
+/// Per-pair item ledger replayed from the stream.
+#[derive(Clone, Default)]
+struct PairLedger {
+    produced: u64,
+    consumed: u64,
+    shed: u64,
+}
+
+/// Invariant 1: per pair, Σ Produce == Σ Invoke.batch + Σ Flush.drained
+/// + Σ ItemShed.
+///
+/// `produced` and `shed` count events, so they cannot overflow;
+/// `consumed` sums recorded batches and is checked.
+#[derive(Default)]
+struct Items {
+    pairs: Vec<PairLedger>,
+    violations: Vec<String>,
+}
+
+impl Items {
+    fn produce(&mut self, seq: u64, pair: u32) {
+        if let Some(l) = row(&mut self.pairs, pair, seq, ITEMS_PAIR, &mut self.violations) {
+            l.produced += 1;
+        }
+    }
+
+    fn shed(&mut self, seq: u64, pair: u32) {
+        if let Some(l) = row(&mut self.pairs, pair, seq, ITEMS_PAIR, &mut self.violations) {
+            l.shed += 1;
+        }
+    }
+
+    fn consume(&mut self, seq: u64, pair: u32, items: u64) {
+        let Some(l) = row(&mut self.pairs, pair, seq, ITEMS_PAIR, &mut self.violations) else {
+            return;
+        };
+        match l.consumed.checked_add(items) {
+            Some(sum) => l.consumed = sum,
+            None => {
+                self.violations.push(format!(
+                    "item conservation: seq {seq} pair {pair} consumes {items} more items after {}, overflowing u64",
+                    l.consumed
+                ));
+                l.consumed = u64::MAX;
+            }
+        }
+    }
+
+    fn finish(self, out: &mut Vec<String>) {
+        out.extend(self.violations);
+        for (pair, ledger) in self.pairs.iter().enumerate() {
+            if ledger.consumed.checked_add(ledger.shed) != Some(ledger.produced) {
+                out.push(format!(
+                    "item conservation: pair {pair} produced {} but invocations+flush account for {} and sheds for {}",
+                    ledger.produced, ledger.consumed, ledger.shed
+                ));
+            }
         }
     }
 }
@@ -145,221 +326,221 @@ fn check_items(events: &[Event], violations: &mut Vec<String>) {
 /// `pool_squeeze` fault windows reserve units out of the pool without a
 /// buffer owning them; a ledger of active squeezes keeps the
 /// conservation sum balanced through each window.
-fn check_pool(events: &[Event], violations: &mut Vec<String>) {
-    // owner -> held capacity. Owners are unique per run (one elastic
-    // buffer per PBPL pair).
-    let mut held: BTreeMap<u32, u64> = BTreeMap::new();
-    // fault id -> units an active pool_squeeze holds hostage.
-    let mut squeezes: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut total: Option<u64> = None;
-    for ev in events {
-        let seq = ev.seq;
-        match &ev.kind {
-            TraceEvent::BufferCreate {
-                owner,
-                capacity,
-                pool_available,
-                pool_total,
-            } => {
-                match total {
-                    None => total = Some(*pool_total),
-                    Some(t) if t != *pool_total => {
-                        violations.push(format!(
-                            "pool: seq {seq} BufferCreate reports total {pool_total}, earlier events said {t}"
+#[derive(Default)]
+struct Pool {
+    /// owner -> held capacity. Owners are unique per run (one elastic
+    /// buffer per PBPL pair).
+    held: Vec<Option<u64>>,
+    /// fault id -> units an active pool_squeeze holds hostage.
+    squeezes: BTreeMap<u32, u64>,
+    /// Running Σ `held` and Σ `squeezes`.
+    in_buffers: u128,
+    squeezed: u128,
+    total: Option<u64>,
+    violations: Vec<String>,
+}
+
+impl Pool {
+    fn create(&mut self, seq: u64, owner: u32, capacity: u64, available: u64, pool_total: u64) {
+        match self.total {
+            None => self.total = Some(pool_total),
+            Some(t) if t != pool_total => {
+                self.violations.push(format!(
+                    "pool: seq {seq} BufferCreate reports total {pool_total}, earlier events said {t}"
+                ));
+            }
+            Some(_) => {}
+        }
+        if let Some(held) = row(&mut self.held, owner, seq, POOL_OWNER, &mut self.violations) {
+            if let Some(old) = held.replace(capacity) {
+                self.in_buffers -= u128::from(old);
+                self.violations.push(format!(
+                    "pool: seq {seq} BufferCreate for owner {owner} which already holds capacity"
+                ));
+            }
+            self.in_buffers += u128::from(capacity);
+        }
+        self.expect_conserved(seq, available);
+    }
+
+    fn grow(&mut self, seq: u64, owner: u32, from: u64, to: u64, want: u64, available: u64) {
+        if to < from || to > want {
+            self.violations.push(format!(
+                "pool: seq {seq} BufferGrow owner {owner} from {from} to {to} want {want} — grant out of range"
+            ));
+        }
+        self.resize(seq, "BufferGrow", owner, from, to, available);
+    }
+
+    fn shrink(&mut self, seq: u64, owner: u32, from: u64, to: u64, available: u64) {
+        if to > from {
+            self.violations.push(format!(
+                "pool: seq {seq} BufferShrink owner {owner} from {from} to {to} — shrink grew"
+            ));
+        }
+        self.resize(seq, "BufferShrink", owner, from, to, available);
+    }
+
+    /// Moves `owner` from `from` to `to` if the replay agrees it holds
+    /// `from`.
+    fn resize(&mut self, seq: u64, event: &str, owner: u32, from: u64, to: u64, available: u64) {
+        match self.held.get_mut(owner as usize).and_then(Option::as_mut) {
+            Some(cap) if *cap == from => {
+                *cap = to;
+                self.in_buffers = self.in_buffers - u128::from(from) + u128::from(to);
+            }
+            Some(cap) => self.violations.push(format!(
+                "pool: seq {seq} {event} owner {owner} claims from {from}, replay holds {cap}"
+            )),
+            None => self.violations.push(format!(
+                "pool: seq {seq} {event} for owner {owner} with no live buffer"
+            )),
+        }
+        self.expect_conserved(seq, available);
+    }
+
+    fn destroy(&mut self, seq: u64, owner: u32, released: u64, available: u64) {
+        match self.held.get_mut(owner as usize).and_then(Option::take) {
+            Some(cap) => {
+                self.in_buffers -= u128::from(cap);
+                if cap != released {
+                    self.violations.push(format!(
+                        "pool: seq {seq} BufferDestroy owner {owner} released {released}, replay held {cap} — double free or leak"
+                    ));
+                }
+            }
+            None => self.violations.push(format!(
+                "pool: seq {seq} BufferDestroy for owner {owner} with no live buffer"
+            )),
+        }
+        self.expect_conserved(seq, available);
+    }
+
+    fn inject(&mut self, seq: u64, id: u32, kind: &str, param: u64, available: u64) {
+        // `u64::MAX` is the no-pool sentinel: nothing to replay.
+        if available == u64::MAX {
+            return;
+        }
+        if is_squeeze(kind) {
+            if let Some(old) = self.squeezes.insert(id, param) {
+                self.squeezed -= u128::from(old);
+                self.violations.push(format!(
+                    "pool: seq {seq} {kind} fault {id} injected while already active"
+                ));
+            }
+            self.squeezed += u128::from(param);
+        }
+        self.expect_conserved(seq, available);
+    }
+
+    fn recover(&mut self, seq: u64, id: u32, kind: &str, param: u64, available: u64) {
+        if available == u64::MAX {
+            return;
+        }
+        if is_squeeze(kind) {
+            match self.squeezes.remove(&id) {
+                Some(units) => {
+                    self.squeezed -= u128::from(units);
+                    if units != param {
+                        self.violations.push(format!(
+                            "pool: seq {seq} {kind} fault {id} returned {param} units but squeezed {units}"
                         ));
                     }
-                    Some(_) => {}
                 }
-                if held.insert(*owner, *capacity).is_some() {
-                    violations.push(format!(
-                        "pool: seq {seq} BufferCreate for owner {owner} which already holds capacity"
-                    ));
-                }
-                expect_conserved(seq, &held, &squeezes, *pool_available, total, violations);
+                None => self.violations.push(format!(
+                    "pool: seq {seq} {kind} fault {id} recovered without an active squeeze"
+                )),
             }
-            TraceEvent::BufferGrow {
-                owner,
-                from,
-                to,
-                want,
-                pool_available,
-            } => {
-                if to < from || to > want {
-                    violations.push(format!(
-                        "pool: seq {seq} BufferGrow owner {owner} from {from} to {to} want {want} — grant out of range"
-                    ));
-                }
-                match held.get_mut(owner) {
-                    Some(cap) if *cap == *from => *cap = *to,
-                    Some(cap) => violations.push(format!(
-                        "pool: seq {seq} BufferGrow owner {owner} claims from {from}, replay holds {cap}"
-                    )),
-                    None => violations.push(format!(
-                        "pool: seq {seq} BufferGrow for owner {owner} with no live buffer"
-                    )),
-                }
-                expect_conserved(seq, &held, &squeezes, *pool_available, total, violations);
-            }
-            TraceEvent::BufferShrink {
-                owner,
-                from,
-                to,
-                pool_available,
-            } => {
-                if to > from {
-                    violations.push(format!(
-                        "pool: seq {seq} BufferShrink owner {owner} from {from} to {to} — shrink grew"
-                    ));
-                }
-                match held.get_mut(owner) {
-                    Some(cap) if *cap == *from => *cap = *to,
-                    Some(cap) => violations.push(format!(
-                        "pool: seq {seq} BufferShrink owner {owner} claims from {from}, replay holds {cap}"
-                    )),
-                    None => violations.push(format!(
-                        "pool: seq {seq} BufferShrink for owner {owner} with no live buffer"
-                    )),
-                }
-                expect_conserved(seq, &held, &squeezes, *pool_available, total, violations);
-            }
-            TraceEvent::BufferDestroy {
-                owner,
-                released,
-                pool_available,
-            } => {
-                match held.remove(owner) {
-                    Some(cap) if cap == *released => {}
-                    Some(cap) => violations.push(format!(
-                        "pool: seq {seq} BufferDestroy owner {owner} released {released}, replay held {cap} — double free or leak"
-                    )),
-                    None => violations.push(format!(
-                        "pool: seq {seq} BufferDestroy for owner {owner} with no live buffer"
-                    )),
-                }
-                expect_conserved(seq, &held, &squeezes, *pool_available, total, violations);
-            }
-            TraceEvent::FaultInjected {
-                id,
-                kind,
-                param,
-                pool_available,
-                ..
-            } => {
-                // `u64::MAX` is the no-pool sentinel: nothing to replay.
-                if *pool_available == u64::MAX {
-                    continue;
-                }
-                if (kind == "pool_squeeze" || kind == "pool_squeeze_shard")
-                    && squeezes.insert(*id, *param).is_some()
-                {
-                    violations.push(format!(
-                        "pool: seq {seq} {kind} fault {id} injected while already active"
-                    ));
-                }
-                expect_conserved(seq, &held, &squeezes, *pool_available, total, violations);
-            }
-            TraceEvent::FaultRecovered {
-                id,
-                kind,
-                param,
-                pool_available,
-                ..
-            } => {
-                if *pool_available == u64::MAX {
-                    continue;
-                }
-                if kind == "pool_squeeze" || kind == "pool_squeeze_shard" {
-                    match squeezes.remove(id) {
-                        Some(units) if units == *param => {}
-                        Some(units) => violations.push(format!(
-                            "pool: seq {seq} {kind} fault {id} returned {param} units but squeezed {units}"
-                        )),
-                        None => violations.push(format!(
-                            "pool: seq {seq} {kind} fault {id} recovered without an active squeeze"
-                        )),
-                    }
-                }
-                expect_conserved(seq, &held, &squeezes, *pool_available, total, violations);
-            }
-            _ => {}
+        }
+        self.expect_conserved(seq, available);
+    }
+
+    /// After every pool transaction: Σ held capacities + Σ active
+    /// squeezes + available == total.
+    fn expect_conserved(&mut self, seq: u64, available: u64) {
+        let Some(total) = self.total else { return };
+        let (in_buffers, squeezed) = (self.in_buffers, self.squeezed);
+        if in_buffers + squeezed + u128::from(available) != u128::from(total) {
+            self.violations.push(format!(
+                "pool conservation: seq {seq}: Σ capacities {in_buffers} + squeezed {squeezed} + available {available} != total {total}"
+            ));
         }
     }
-    for (id, units) in &squeezes {
-        violations.push(format!(
-            "pool: pool_squeeze fault {id} still holds {units} units at end of trace"
-        ));
+
+    fn finish(self, out: &mut Vec<String>) {
+        out.extend(self.violations);
+        for (id, units) in &self.squeezes {
+            out.push(format!(
+                "pool: pool_squeeze fault {id} still holds {units} units at end of trace"
+            ));
+        }
     }
 }
 
-/// After every pool transaction: Σ held capacities + Σ active squeezes
-/// + available == total.
-fn expect_conserved(
-    seq: u64,
-    held: &BTreeMap<u32, u64>,
-    squeezes: &BTreeMap<u32, u64>,
-    pool_available: u64,
-    total: Option<u64>,
-    violations: &mut Vec<String>,
-) {
-    let Some(total) = total else { return };
-    let in_buffers: u64 = held.values().sum();
-    let squeezed: u64 = squeezes.values().sum();
-    if in_buffers + squeezed + pool_available != total {
-        violations.push(format!(
-            "pool conservation: seq {seq}: Σ capacities {in_buffers} + squeezed {squeezed} + available {pool_available} != total {total}"
-        ));
-    }
+fn is_squeeze(kind: &str) -> bool {
+    kind == "pool_squeeze" || kind == "pool_squeeze_shard"
+}
+
+/// A core's replayed span state: the last start and the end of the
+/// open merged span.
+#[derive(Clone, Copy)]
+struct OpenSpan {
+    last_start: u64,
+    open_end: u64,
 }
 
 /// Invariant 3: per-core span ordering plus the wakeup/merge rule.
-fn check_core_spans(events: &[Event], violations: &mut Vec<String>) {
-    // core -> (last start, end of the open merged span).
-    let mut cores: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
-    for ev in events {
-        let TraceEvent::CoreSpan {
-            core,
-            start_ns,
-            end_ns,
-            wakeup,
-        } = &ev.kind
-        else {
-            continue;
-        };
-        let seq = ev.seq;
+#[derive(Default)]
+struct Spans {
+    cores: Vec<Option<OpenSpan>>,
+    violations: Vec<String>,
+}
+
+impl Spans {
+    fn span(&mut self, seq: u64, core: u32, start_ns: u64, end_ns: u64, wakeup: bool) {
         if end_ns <= start_ns {
-            violations.push(format!(
+            self.violations.push(format!(
                 "core {core}: seq {seq} empty or inverted span [{start_ns}, {end_ns})"
             ));
-            continue;
+            return;
         }
-        match cores.get_mut(core) {
+        let Some(state) = row(&mut self.cores, core, seq, SPANS_CORE, &mut self.violations) else {
+            return;
+        };
+        match state {
             None => {
                 if !wakeup {
-                    violations.push(format!(
+                    self.violations.push(format!(
                         "core {core}: seq {seq} first span did not count a wakeup"
                     ));
                 }
-                cores.insert(*core, (*start_ns, *end_ns));
+                *state = Some(OpenSpan {
+                    last_start: start_ns,
+                    open_end: end_ns,
+                });
             }
-            Some((last_start, open_end)) => {
-                if start_ns < last_start {
-                    violations.push(format!(
+            Some(OpenSpan {
+                last_start,
+                open_end,
+            }) => {
+                if start_ns < *last_start {
+                    self.violations.push(format!(
                         "core {core}: seq {seq} span starts at {start_ns}, before previous start {last_start}"
                     ));
                 }
                 // Replay Core::add_active_span: a span at or before the
                 // open end latches (no wakeup); a gap wakes the core.
-                let expect_wakeup = *start_ns > *open_end;
-                if *wakeup != expect_wakeup {
-                    violations.push(format!(
+                let expect_wakeup = start_ns > *open_end;
+                if wakeup != expect_wakeup {
+                    self.violations.push(format!(
                         "core {core}: seq {seq} wakeup flag {wakeup} but replay (open span ends {open_end}, next starts {start_ns}) expects {expect_wakeup}"
                     ));
                 }
-                *last_start = (*last_start).max(*start_ns);
+                *last_start = (*last_start).max(start_ns);
                 *open_end = if expect_wakeup {
-                    *end_ns
+                    end_ns
                 } else {
-                    (*open_end).max(*end_ns)
+                    (*open_end).max(end_ns)
                 };
             }
         }
@@ -367,59 +548,50 @@ fn check_core_spans(events: &[Event], violations: &mut Vec<String>) {
 }
 
 /// Invariant 4: replay the reservation book of every core manager.
-fn check_reservations(events: &[Event], violations: &mut Vec<String>) {
-    // (core, consumer) -> reserved slot.
-    let mut book: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-    for ev in events {
-        let seq = ev.seq;
-        match &ev.kind {
-            TraceEvent::SlotReserve {
-                core,
-                consumer,
-                slot,
-                prev,
-            } => {
-                let replayed = book.insert((*core, *consumer), *slot);
-                if replayed != *prev {
-                    violations.push(format!(
-                        "reservations: seq {seq} core {core} consumer {consumer} reports prev {prev:?}, replay says {replayed:?}"
-                    ));
-                }
-            }
-            TraceEvent::SlotRelease {
-                core,
-                consumer,
-                slot,
-            } => match book.remove(&(*core, *consumer)) {
-                Some(held) if held == *slot => {}
-                Some(held) => violations.push(format!(
-                    "reservations: seq {seq} core {core} consumer {consumer} released slot {slot} but held {held}"
+/// `Slot*` events are rare, so the book stays an ordered map.
+#[derive(Default)]
+struct Reservations {
+    /// (core, consumer) -> reserved slot.
+    book: BTreeMap<(u32, u32), u64>,
+    violations: Vec<String>,
+}
+
+impl Reservations {
+    fn reserve(&mut self, seq: u64, core: u32, consumer: u32, slot: u64, prev: Option<u64>) {
+        let replayed = self.book.insert((core, consumer), slot);
+        if replayed != prev {
+            self.violations.push(format!(
+                "reservations: seq {seq} core {core} consumer {consumer} reports prev {prev:?}, replay says {replayed:?}"
+            ));
+        }
+    }
+
+    fn release(&mut self, seq: u64, core: u32, consumer: u32, slot: u64) {
+        match self.book.remove(&(core, consumer)) {
+            Some(held) if held == slot => {}
+            Some(held) => self.violations.push(format!(
+                "reservations: seq {seq} core {core} consumer {consumer} released slot {slot} but held {held}"
+            )),
+            None => self.violations.push(format!(
+                "reservations: seq {seq} core {core} consumer {consumer} released slot {slot} without a reservation"
+            )),
+        }
+    }
+
+    /// A dispatch *consumes* the reservations it serves (`take_due`
+    /// clears the held map), so it removes them from the replay book as
+    /// well.
+    fn dispatch(&mut self, seq: u64, core: u32, slot: u64, consumers: &[u32]) {
+        for consumer in consumers {
+            match self.book.remove(&(core, *consumer)) {
+                Some(held) if held == slot => {}
+                Some(held) => self.violations.push(format!(
+                    "reservations: seq {seq} core {core} dispatched slot {slot} to consumer {consumer} who reserved {held}"
                 )),
-                None => violations.push(format!(
-                    "reservations: seq {seq} core {core} consumer {consumer} released slot {slot} without a reservation"
+                None => self.violations.push(format!(
+                    "reservations: seq {seq} core {core} dispatched slot {slot} to consumer {consumer} with no reservation"
                 )),
-            },
-            TraceEvent::SlotDispatch {
-                core,
-                slot,
-                consumers,
-            } => {
-                // A dispatch *consumes* the reservations it serves
-                // (`take_due` clears the held map), so remove them from
-                // the replay book as well.
-                for consumer in consumers {
-                    match book.remove(&(*core, *consumer)) {
-                        Some(held) if held == *slot => {}
-                        Some(held) => violations.push(format!(
-                            "reservations: seq {seq} core {core} dispatched slot {slot} to consumer {consumer} who reserved {held}"
-                        )),
-                        None => violations.push(format!(
-                            "reservations: seq {seq} core {core} dispatched slot {slot} to consumer {consumer} with no reservation"
-                        )),
-                    }
-                }
             }
-            _ => {}
         }
     }
 }
@@ -428,35 +600,41 @@ fn check_reservations(events: &[Event], violations: &mut Vec<String>) {
 /// recoveries name an active id with the same kind, and nothing stays
 /// open past the end of the trace (the sim recovers still-active faults
 /// before teardown, so a dangling window means lost rollback).
-fn check_faults(events: &[Event], violations: &mut Vec<String>) {
-    // fault id -> kind of the active window.
-    let mut active: BTreeMap<u32, String> = BTreeMap::new();
-    for ev in events {
-        let seq = ev.seq;
-        match &ev.kind {
-            TraceEvent::FaultInjected { id, kind, .. } => {
-                if let Some(prev) = active.insert(*id, kind.clone()) {
-                    violations.push(format!(
-                        "faults: seq {seq} fault {id} ({kind}) injected while {prev} window with the same id is open"
-                    ));
-                }
-            }
-            TraceEvent::FaultRecovered { id, kind, .. } => match active.remove(id) {
-                Some(injected) if injected == *kind => {}
-                Some(injected) => violations.push(format!(
-                    "faults: seq {seq} fault {id} recovered as {kind} but was injected as {injected}"
-                )),
-                None => violations.push(format!(
-                    "faults: seq {seq} fault {id} ({kind}) recovered without an open window"
-                )),
-            },
-            _ => {}
+#[derive(Default)]
+struct Faults<'a> {
+    /// fault id -> kind of the active window, borrowed from the trace.
+    active: BTreeMap<u32, &'a str>,
+    violations: Vec<String>,
+}
+
+impl<'a> Faults<'a> {
+    fn inject(&mut self, seq: u64, id: u32, kind: &'a str) {
+        if let Some(prev) = self.active.insert(id, kind) {
+            self.violations.push(format!(
+                "faults: seq {seq} fault {id} ({kind}) injected while {prev} window with the same id is open"
+            ));
         }
     }
-    for (id, kind) in &active {
-        violations.push(format!(
-            "faults: fault {id} ({kind}) still open at end of trace — rollback never ran"
-        ));
+
+    fn recover(&mut self, seq: u64, id: u32, kind: &str) {
+        match self.active.remove(&id) {
+            Some(injected) if injected == kind => {}
+            Some(injected) => self.violations.push(format!(
+                "faults: seq {seq} fault {id} recovered as {kind} but was injected as {injected}"
+            )),
+            None => self.violations.push(format!(
+                "faults: seq {seq} fault {id} ({kind}) recovered without an open window"
+            )),
+        }
+    }
+
+    fn finish(self, out: &mut Vec<String>) {
+        out.extend(self.violations);
+        for (id, kind) in &self.active {
+            out.push(format!(
+                "faults: fault {id} ({kind}) still open at end of trace — rollback never ran"
+            ));
+        }
     }
 }
 
@@ -464,42 +642,61 @@ fn check_faults(events: &[Event], violations: &mut Vec<String>) {
 /// per-window check subsumes the per-pair sum: if every window's
 /// `OverloadCleared.shed` matches the sheds replayed inside it, the
 /// per-pair totals match too.
-fn check_overload(events: &[Event], violations: &mut Vec<String>) {
-    // pair -> sheds replayed inside the currently-open window.
-    let mut open: BTreeMap<u32, u64> = BTreeMap::new();
-    for ev in events {
-        let seq = ev.seq;
-        match &ev.kind {
-            TraceEvent::OverloadEntered { pair, .. } => {
-                let already_open = open.insert(*pair, 0).is_some();
-                if already_open {
-                    violations.push(format!(
-                        "overload: seq {seq} pair {pair} entered overload while its window is already open"
-                    ));
-                }
-            }
-            TraceEvent::ItemShed { pair } => match open.get_mut(pair) {
-                Some(n) => *n += 1,
-                None => violations.push(format!(
-                    "overload: seq {seq} pair {pair} shed an item outside an overload window"
-                )),
-            },
-            TraceEvent::OverloadCleared { pair, shed } => match open.remove(pair) {
-                Some(n) if n == *shed => {}
-                Some(n) => violations.push(format!(
-                    "overload: seq {seq} pair {pair} cleared reporting {shed} sheds, replay counted {n}"
-                )),
-                None => violations.push(format!(
-                    "overload: seq {seq} pair {pair} cleared without an open window"
-                )),
-            },
-            _ => {}
+#[derive(Default)]
+struct Overload {
+    /// pair -> sheds replayed inside the currently-open window.
+    open: Vec<Option<u64>>,
+    violations: Vec<String>,
+}
+
+impl Overload {
+    fn enter(&mut self, seq: u64, pair: u32) {
+        let Some(window) = row(
+            &mut self.open,
+            pair,
+            seq,
+            OVERLOAD_PAIR,
+            &mut self.violations,
+        ) else {
+            return;
+        };
+        if window.replace(0).is_some() {
+            self.violations.push(format!(
+                "overload: seq {seq} pair {pair} entered overload while its window is already open"
+            ));
         }
     }
-    for (pair, n) in &open {
-        violations.push(format!(
-            "overload: pair {pair} window still open at end of trace ({n} sheds unledgered)"
-        ));
+
+    fn shed(&mut self, seq: u64, pair: u32) {
+        match self.open.get_mut(pair as usize).and_then(Option::as_mut) {
+            Some(n) => *n += 1,
+            None => self.violations.push(format!(
+                "overload: seq {seq} pair {pair} shed an item outside an overload window"
+            )),
+        }
+    }
+
+    fn clear(&mut self, seq: u64, pair: u32, shed: u64) {
+        match self.open.get_mut(pair as usize).and_then(Option::take) {
+            Some(n) if n == shed => {}
+            Some(n) => self.violations.push(format!(
+                "overload: seq {seq} pair {pair} cleared reporting {shed} sheds, replay counted {n}"
+            )),
+            None => self.violations.push(format!(
+                "overload: seq {seq} pair {pair} cleared without an open window"
+            )),
+        }
+    }
+
+    fn finish(self, out: &mut Vec<String>) {
+        out.extend(self.violations);
+        for (pair, window) in self.open.iter().enumerate() {
+            if let Some(n) = window {
+                out.push(format!(
+                    "overload: pair {pair} window still open at end of trace ({n} sheds unledgered)"
+                ));
+            }
+        }
     }
 }
 
@@ -1027,6 +1224,108 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.contains("item conservation")));
+    }
+
+    #[test]
+    fn consumed_overflow_is_a_violation_not_a_wrap() {
+        // Unchecked, u64::MAX + 2 wraps to 1 == produced and a forged
+        // trace passes (or panics in a debug build).
+        let report = check(&log(vec![
+            TraceEvent::Produce { pair: 0 },
+            TraceEvent::Invoke {
+                pair: 0,
+                trigger: Trigger::Item,
+                batch: u64::MAX,
+                capacity: 0,
+            },
+            TraceEvent::Invoke {
+                pair: 0,
+                trigger: Trigger::Item,
+                batch: 2,
+                capacity: 0,
+            },
+        ]));
+        assert!(
+            report.violations[0].contains("seq 2 pair 0 consumes 2 more items"),
+            "{:?}",
+            report.violations
+        );
+        assert!(report.violations[0].contains("overflowing u64"));
+        assert!(report.violations[1].contains("pair 0 produced 1"));
+    }
+
+    #[test]
+    fn pool_sums_do_not_wrap() {
+        // Two 2^63-unit buffers: a wrapping Σ capacities would read 0
+        // and balance against available == total.
+        let half = 1u64 << 63;
+        let report = check(&log(vec![
+            TraceEvent::BufferCreate {
+                owner: 0,
+                capacity: half,
+                pool_available: 0,
+                pool_total: half,
+            },
+            TraceEvent::BufferCreate {
+                owner: 1,
+                capacity: half,
+                pool_available: half,
+                pool_total: half,
+            },
+        ]));
+        assert_eq!(
+            report.violations,
+            [format!(
+                "pool conservation: seq 1: Σ capacities {} + squeezed 0 + available {half} != total {half}",
+                1u128 << 64
+            )]
+        );
+    }
+
+    #[test]
+    fn ids_at_the_dense_bound_are_violations_not_table_growth() {
+        let big = 4_000_000_000u32;
+        let report = check(&log(vec![
+            TraceEvent::Produce { pair: big },
+            TraceEvent::CoreSpan {
+                core: DENSE_ID_BOUND,
+                start_ns: 0,
+                end_ns: 1,
+                wakeup: true,
+            },
+            TraceEvent::BufferCreate {
+                owner: big,
+                capacity: 0,
+                pool_available: 0,
+                pool_total: 0,
+            },
+            TraceEvent::OverloadEntered {
+                pair: big,
+                occupancy: 0,
+                escalated: false,
+            },
+        ]));
+        let bound = DENSE_ID_BOUND;
+        assert_eq!(
+            report.violations,
+            [
+                format!("item conservation: seq 0 pair {big} is at or above the dense-id bound {bound} — not replayed"),
+                format!("pool: seq 2 owner {big} is at or above the dense-id bound {bound} — not replayed"),
+                format!("core spans: seq 1 core {bound} is at or above the dense-id bound {bound} — not replayed"),
+                format!("overload: seq 3 pair {big} is at or above the dense-id bound {bound} — not replayed"),
+            ]
+        );
+        // One below the bound is an ordinary id.
+        let edge = check(&log(vec![
+            TraceEvent::Produce {
+                pair: DENSE_ID_BOUND - 1,
+            },
+            TraceEvent::Flush {
+                pair: DENSE_ID_BOUND - 1,
+                drained: 1,
+            },
+        ]));
+        assert!(edge.is_clean(), "{:?}", edge.violations);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use pc_bench::oracle;
 use pc_bench::replay::{fixture_dir, parse_export_file};
+use pc_trace_events::TraceEvent;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -134,6 +135,43 @@ fn single_retimed_event_diverges_replay_but_not_trace_report_parsing() {
             assert!(stdout.contains("replayed"), "{stdout}");
         }
     }
+
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn hostile_pair_id_is_a_violation_not_an_allocation() {
+    // Forge one Produce to name pair 4000000000 and re-seal the header
+    // digest: only the oracle can object, and it must do so with a
+    // violation instead of sizing a dense table to the id.
+    let mut cells = parse_export_file(&suite_fixture()).unwrap();
+    let cell = &mut cells[0];
+    let ev = cell
+        .events
+        .iter_mut()
+        .find(|e| matches!(e.kind, TraceEvent::Produce { .. }))
+        .expect("fixture produces");
+    ev.kind = TraceEvent::Produce {
+        pair: 4_000_000_000,
+    };
+    let seq = ev.seq;
+    cell.meta.digest = pc_trace_events::digest(&cell.events);
+
+    let mut content = Vec::new();
+    oracle::write_cell(&mut content, &cell.meta, &cell.events).unwrap();
+    let path = tmp("hostile_id.jsonl");
+    std::fs::write(&path, content).unwrap();
+
+    let out = run(TRACE_REPORT, &[&path.display().to_string()]);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&format!(
+            "item conservation: seq {seq} pair 4000000000 is at or above the dense-id bound"
+        )),
+        "{stdout}"
+    );
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
 
     std::fs::remove_file(&path).ok();
 }
