@@ -27,7 +27,7 @@ use pc_core::{Experiment, OverloadConfig, PbplConfig, StrategyKind};
 use pc_faults::{ExpandEnv, FaultPlan, FaultScenario};
 use pc_sim::{SimDuration, SimTime};
 use pc_trace::{PlanetConfig, WorldCupConfig};
-use pc_trace_events::{Event, Recorder, TraceLog};
+use pc_trace_events::{event_to_json, Event, Recorder, TraceLog};
 use std::io::BufRead;
 use std::path::PathBuf;
 
@@ -332,13 +332,15 @@ fn side(label: &str, events: &[Event], index: usize, out: &mut String) {
     }
 }
 
-/// Renders a divergence wasm-rr-style: the mismatching pair, then a
-/// ±[`CONTEXT_WINDOW`]-event window of both streams with the divergent
-/// index marked.
+/// Renders a divergence wasm-rr-style: the mismatching pair as
+/// canonical JSON (every field, so two events that differ only where
+/// [`Event::summary`] is silent still print differently), then a
+/// ±[`CONTEXT_WINDOW`]-event window of both streams in terse summaries
+/// with the divergent index marked.
 pub fn divergence_message(recorded: &[Event], regenerated: &[Event], d: &Divergence) -> String {
     let mut out = String::new();
     let describe = |ev: &Option<Event>, ended: &str| match ev {
-        Some(ev) => ev.summary(),
+        Some(ev) => event_to_json(ev),
         None => ended.to_string(),
     };
     out.push_str(&format!(
@@ -703,6 +705,31 @@ mod tests {
         assert_eq!(d.index, base.len() - 3);
         assert!(d.expected.is_none());
         assert!(divergence_message(shorter, &base, &d).contains("end of recording"));
+    }
+
+    #[test]
+    fn divergence_headline_shows_fields_the_summary_omits() {
+        let grow = |pool_available| Event {
+            seq: 4,
+            t_ns: 100,
+            kind: TraceEvent::BufferGrow {
+                owner: 1,
+                from: 25,
+                to: 30,
+                want: 40,
+                pool_available,
+            },
+        };
+        let (recorded, replayed) = ([grow(20)], [grow(21)]);
+        assert_eq!(recorded[0].summary(), replayed[0].summary());
+        let d = first_divergence(&recorded, &replayed).expect("diverges");
+        let msg = divergence_message(&recorded, &replayed, &d);
+        let headline = msg.lines().next().unwrap();
+        let (_, pair) = headline.split_once(": expected ").expect("headline shape");
+        let (expected, got) = pair.split_once(", got ").expect("headline shape");
+        assert_ne!(expected, got, "{headline}");
+        assert_eq!(expected, event_to_json(&recorded[0]));
+        assert_eq!(got, event_to_json(&replayed[0]));
     }
 
     #[test]

@@ -177,6 +177,38 @@ fn hostile_pair_id_is_a_violation_not_an_allocation() {
 }
 
 #[test]
+fn trace_report_checks_every_file_it_is_given() {
+    let fixtures: Vec<String> = ["suite", "chaos", "scale", "overload"]
+        .iter()
+        .map(|name| {
+            fixture_dir()
+                .join(format!("{name}_cell.jsonl"))
+                .display()
+                .to_string()
+        })
+        .collect();
+    let args: Vec<&str> = fixtures.iter().map(String::as_str).collect();
+    let out = run(TRACE_REPORT, &args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let clean = stdout.lines().filter(|l| l.starts_with("ok   ")).count();
+    assert_eq!(clean, 4, "{stdout}");
+    assert!(
+        stdout.contains("4 file(s), 4 cell(s)") && stdout.contains(" 0 failure(s)"),
+        "{stdout}"
+    );
+
+    // A bad file after a clean one still fails the run.
+    let path = tmp("multi_empty.jsonl");
+    write(&path, "\n");
+    let empty = path.display().to_string();
+    let out = run(TRACE_REPORT, &[&fixtures[0], &empty]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("no cells in"));
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn missing_file_and_unknown_flag_exit_two() {
     let out = run(REPLAY, &["/nonexistent/nowhere.jsonl"]);
     assert_eq!(out.status.code(), Some(2));
@@ -186,6 +218,9 @@ fn missing_file_and_unknown_flag_exit_two() {
     assert_eq!(out.status.code(), Some(2));
 
     let out = run(TRACE_REPORT, &["/nonexistent/nowhere.jsonl"]);
+    assert_eq!(out.status.code(), Some(2));
+
+    let out = run(TRACE_REPORT, &["--frobnicate"]);
     assert_eq!(out.status.code(), Some(2));
 }
 

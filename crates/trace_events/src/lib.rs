@@ -26,7 +26,7 @@
 //!   [`TraceLog::dropped`]; the oracle treats a truncated trace as
 //!   unverifiable rather than silently passing.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Writer};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -540,38 +540,77 @@ impl TraceHandle {
 /// `\n` — the payload of an export's `{"Ev":…}` line, not the line
 /// itself (JSONL exports wrap every event in that tag).
 ///
-/// Each event streams through `serde_json::to_writer` straight into the
-/// hash: no per-event `String`, no allocation. The streamed bytes are
-/// pinned by the golden fixtures and the golden digests in
-/// `tests/sim_invariants.rs`.
+/// The bytes hashed are exactly `event_to_json(ev)` plus `\n`, pinned by
+/// the golden fixtures and the golden digests in
+/// `tests/sim_invariants.rs`, but most of them are never visited one at
+/// a time. About 70% of a line is constant JSON text (`{"seq":`,
+/// `,"kind":{"Produce":{"pair":`, `}}}\n`, …), and FNV-1a can jump over
+/// a known run in O(1):
+///
+/// * XOR with a byte touches only bits 0–7 of the state, and the FNV
+///   prime `P` is odd, so the state's low byte evolves on its own and
+///   alone fixes every XOR delta `(h ^ b) - h` along a run.
+/// * Hence for a constant run `c` of `n` bytes, hashing `c` from state
+///   `h` is exactly `h·Pⁿ + T_c[h & 0xff]` (wrapping), where `T_c[l]`
+///   is the hash of `c` from state `l` minus `l·Pⁿ`.
+///
+/// Each constant run is one `Run`: `Pⁿ` and its 256-entry `T_c`
+/// (2 KiB), built at compile time by a `const fn` into a `static`
+/// beside the code that uses it (`run!`). Variable tokens — integers,
+/// `null`, strings, the `consumers` array — stay byte-serial through the
+/// serde shim's one formatter ([`serde::Writer`]); bools and [`Trigger`]
+/// values are constant runs of their own.
+///
+/// The per-variant template is one `event_template!` invocation. Key
+/// literals come from the field identifiers, the match has no `_` arm
+/// and every pattern names every field, so a new variant or field fails
+/// to compile until it is listed there, in declaration order (the
+/// derive's order, which `tests/json_streaming.rs` holds it to).
 ///
 /// Payloads are integers/bools/strings only (module contract), so the
 /// digest is platform-stable and bit-deterministic per seed.
 pub fn digest(events: &[Event]) -> u64 {
     let mut hash = Fnv1a::new();
     for ev in events {
-        serde_json::to_writer(&mut hash, ev).expect("hashing event JSON is infallible");
-        hash.update(b"\n");
+        hash.event(ev);
     }
     hash.0
 }
 
-/// 64-bit FNV-1a as an [`io::Write`] sink.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x1_0000_01b3;
+
+/// 64-bit FNV-1a state. As an [`io::Write`] sink it is the byte-serial
+/// step for variable tokens; [`Fnv1a::jump`] crosses constant runs.
 struct Fnv1a(u64);
 
 impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x1_0000_01b3;
-
     fn new() -> Self {
-        Fnv1a(Self::OFFSET)
+        Fnv1a(FNV_OFFSET)
     }
 
     #[inline]
     fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Self::PRIME);
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         }
+    }
+
+    /// Hashes a constant run in O(1).
+    #[inline]
+    fn jump(&mut self, run: &Run) {
+        self.0 = run.apply(self.0);
+    }
+
+    /// Hashes a variable token byte by byte through the shim formatter.
+    #[inline]
+    fn serial(&mut self, write: impl FnOnce(&mut Writer<&mut Self>) -> io::Result<()>) {
+        write(&mut Writer::compact(self)).expect("hashing is infallible");
+    }
+
+    #[inline]
+    fn token(&mut self, value: &impl Token) {
+        value.hash(self);
     }
 }
 
@@ -591,6 +630,215 @@ impl io::Write for Fnv1a {
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
     }
+}
+
+/// FNV-1a over one constant byte run, as a jump: `h ↦ h·mul +
+/// add[h & 0xff]` (see [`digest`] for why this is exact).
+struct Run {
+    /// `Pⁿ` for a run of `n` bytes.
+    mul: u64,
+    /// Per entry low byte `l`: the run hashed from state `l`, minus `l·Pⁿ`.
+    add: [u64; 256],
+}
+
+impl Run {
+    const fn new(text: &str) -> Run {
+        let text = text.as_bytes();
+        let mut mul = 1u64;
+        let mut i = 0;
+        while i < text.len() {
+            mul = mul.wrapping_mul(FNV_PRIME);
+            i += 1;
+        }
+        let mut add = [0u64; 256];
+        let mut low = 0;
+        while low < 256 {
+            let mut h = low as u64;
+            let mut i = 0;
+            while i < text.len() {
+                h = (h ^ text[i] as u64).wrapping_mul(FNV_PRIME);
+                i += 1;
+            }
+            add[low] = h.wrapping_sub((low as u64).wrapping_mul(mul));
+            low += 1;
+        }
+        Run { mul, add }
+    }
+
+    #[inline]
+    fn apply(&self, h: u64) -> u64 {
+        h.wrapping_mul(self.mul)
+            .wrapping_add(self.add[(h & 0xff) as usize])
+    }
+}
+
+/// A `&'static Run` for a constant text, built at compile time.
+macro_rules! run {
+    ($text:expr) => {{
+        static RUN: Run = Run::new($text);
+        &RUN
+    }};
+}
+
+/// `,"name":` — a field key with its separating comma.
+macro_rules! key {
+    ($name:ident) => {
+        concat!(",\"", stringify!($name), "\":")
+    };
+}
+
+/// `,"kind":{"Variant":{"first":` — a variant's tag and first key.
+macro_rules! head {
+    ($variant:ident, $first:ident) => {
+        concat!(
+            key!(kind),
+            "{\"",
+            stringify!($variant),
+            "\":{\"",
+            stringify!($first),
+            "\":"
+        )
+    };
+}
+
+/// `{"seq":` — opens every line.
+const OPEN: &str = concat!("{\"", stringify!(seq), "\":");
+
+/// `}}}\n` — closes the fields, the variant tag, the event and the line.
+const CLOSE: &str = "}}}\n";
+
+/// `"Name"` — a unit variant's JSON string.
+macro_rules! unit {
+    ($name:ident) => {
+        concat!("\"", stringify!($name), "\"")
+    };
+}
+
+/// One field value inside the event template.
+trait Token {
+    fn hash(&self, h: &mut Fnv1a);
+}
+
+impl Token for u32 {
+    #[inline]
+    fn hash(&self, h: &mut Fnv1a) {
+        h.serial(|w| w.u64(u64::from(*self)));
+    }
+}
+
+impl Token for u64 {
+    #[inline]
+    fn hash(&self, h: &mut Fnv1a) {
+        h.serial(|w| w.u64(*self));
+    }
+}
+
+impl Token for Option<u64> {
+    #[inline]
+    fn hash(&self, h: &mut Fnv1a) {
+        h.serial(|w| match self {
+            Some(n) => w.u64(*n),
+            None => w.null(),
+        });
+    }
+}
+
+impl Token for String {
+    #[inline]
+    fn hash(&self, h: &mut Fnv1a) {
+        h.serial(|w| w.str(self));
+    }
+}
+
+impl Token for Vec<u32> {
+    #[inline]
+    fn hash(&self, h: &mut Fnv1a) {
+        h.serial(|w| {
+            let mut c = w.begin_array()?;
+            for &n in self {
+                w.element(&mut c)?;
+                w.u64(u64::from(n))?;
+            }
+            w.end_array(c)
+        });
+    }
+}
+
+impl Token for bool {
+    #[inline]
+    fn hash(&self, h: &mut Fnv1a) {
+        h.jump(if *self { run!("true") } else { run!("false") });
+    }
+}
+
+impl Token for Trigger {
+    #[inline]
+    fn hash(&self, h: &mut Fnv1a) {
+        h.jump(match self {
+            Trigger::Scheduled => run!(unit!(Scheduled)),
+            Trigger::Overflow => run!(unit!(Overflow)),
+            Trigger::Item => run!(unit!(Item)),
+        });
+    }
+}
+
+/// The canonical line of every event as constant runs and tokens:
+/// `{"seq":N,"t_ns":N,"kind":{"Variant":{"first":V,"next":V…}}}\n`,
+/// with fields listed in declaration order (the derive's order). Emits
+/// `Fnv1a::event` and, for the table test, every constant text it jumps.
+macro_rules! event_template {
+    ($($variant:ident { $first:ident $(, $field:ident)* }),+ $(,)?) => {
+        impl Fnv1a {
+            #[inline]
+            fn event(&mut self, ev: &Event) {
+                let Event { seq, t_ns, kind } = ev;
+                self.jump(run!(OPEN));
+                self.token(seq);
+                self.jump(run!(key!(t_ns)));
+                self.token(t_ns);
+                match kind {
+                    $(TraceEvent::$variant { $first $(, $field)* } => {
+                        self.jump(run!(head!($variant, $first)));
+                        self.token($first);
+                        $(
+                            self.jump(run!(key!($field)));
+                            self.token($field);
+                        )*
+                    })+
+                }
+                self.jump(run!(CLOSE));
+            }
+        }
+
+        #[cfg(test)]
+        const TEMPLATE_TEXTS: &[&str] = &[
+            OPEN,
+            key!(t_ns),
+            $(head!($variant, $first), $(key!($field),)*)+
+            CLOSE,
+        ];
+    };
+}
+
+event_template! {
+    Produce { pair },
+    Invoke { pair, trigger, batch, capacity },
+    Flush { pair, drained },
+    Wakeup { pair },
+    CoreSpan { core, start_ns, end_ns, wakeup },
+    SlotSelect { pair, core, slot, latched, rate_overrun },
+    SlotReserve { core, consumer, slot, prev },
+    SlotRelease { core, consumer, slot },
+    SlotDispatch { core, slot, consumers },
+    BufferCreate { owner, capacity, pool_available, pool_total },
+    BufferGrow { owner, from, to, want, pool_available },
+    BufferShrink { owner, from, to, pool_available },
+    BufferDestroy { owner, released, pool_available },
+    FaultInjected { id, kind, pair, core, param, pool_available },
+    ItemShed { pair },
+    OverloadEntered { pair, occupancy, escalated },
+    OverloadCleared { pair, shed },
+    FaultRecovered { id, kind, pair, core, param, pool_available },
 }
 
 /// Canonical single-line JSON for one event (insertion-ordered keys, no
@@ -653,9 +901,10 @@ mod tests {
         assert_eq!(log.dropped, 3);
     }
 
-    #[test]
-    fn json_roundtrip_all_variants() {
-        let variants = vec![
+    /// Every variant, with both bools, every trigger and `prev` as
+    /// `None` and `Some`.
+    fn all_variants() -> Vec<TraceEvent> {
+        vec![
             TraceEvent::Produce { pair: 3 },
             TraceEvent::Invoke {
                 pair: 1,
@@ -755,17 +1004,82 @@ mod tests {
                 escalated: true,
             },
             TraceEvent::OverloadCleared { pair: 3, shed: 12 },
-        ];
-        for (i, kind) in variants.into_iter().enumerate() {
-            let event = Event {
+        ]
+    }
+
+    fn all_events() -> Vec<Event> {
+        all_variants()
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| Event {
                 seq: i as u64,
                 t_ns: 1_000 + i as u64,
                 kind,
-            };
+            })
+            .collect()
+    }
+
+    #[test]
+    fn json_roundtrip_all_variants() {
+        for event in all_events() {
             let line = event_to_json(&event);
             let back = event_from_json(&line).expect("roundtrip parses");
             assert_eq!(back, event, "roundtrip mismatch for {line}");
         }
+    }
+
+    /// Byte-serial FNV-1a from state `h`: the reference for every jump.
+    fn serial(h: u64, bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+    }
+
+    #[test]
+    fn every_constant_run_jumps_like_the_serial_hash() {
+        let values = [
+            "true",
+            "false",
+            unit!(Scheduled),
+            unit!(Overflow),
+            unit!(Item),
+        ];
+        // splitmix64: deterministic pseudo-random high words.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut highs = vec![0, u64::MAX, FNV_OFFSET];
+        highs.extend((0..5).map(|_| next()));
+        assert!(TEMPLATE_TEXTS.len() > 18, "one head per variant at least");
+        for text in TEMPLATE_TEXTS.iter().chain(&values) {
+            let run = Run::new(text);
+            for &high in &highs {
+                for low in 0..256u64 {
+                    let h = (high & !0xff) | low;
+                    assert_eq!(
+                        run.apply(h),
+                        serial(h, text.as_bytes()),
+                        "{text:?} from {h:#018x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn digest_is_the_serial_hash_of_every_canonical_line() {
+        let events = all_events();
+        let mut bytes = Vec::new();
+        for ev in &events {
+            bytes.extend_from_slice(event_to_json(ev).as_bytes());
+            bytes.push(b'\n');
+        }
+        assert_eq!(digest(&events), serial(FNV_OFFSET, &bytes));
+        assert_eq!(digest(&[]), FNV_OFFSET);
     }
 
     #[test]

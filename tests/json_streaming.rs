@@ -281,6 +281,151 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// Every variant with `n` (truncated for `u32` fields) in every numeric
+/// field and `b` in every bool; `pick` (0..3) chooses the trigger, the
+/// `kind` string, the `consumers` list and whether `prev` is `Some`.
+fn every_variant_at(n: u64, b: bool, pick: usize) -> Vec<TraceEvent> {
+    let u = n as u32;
+    let kind = || ["", "pool_squeeze", NASTY_KIND][pick].to_string();
+    vec![
+        TraceEvent::Produce { pair: u },
+        TraceEvent::Invoke {
+            pair: u,
+            trigger: [Trigger::Scheduled, Trigger::Overflow, Trigger::Item][pick],
+            batch: n,
+            capacity: n,
+        },
+        TraceEvent::Flush {
+            pair: u,
+            drained: n,
+        },
+        TraceEvent::Wakeup { pair: u },
+        TraceEvent::CoreSpan {
+            core: u,
+            start_ns: n,
+            end_ns: n,
+            wakeup: b,
+        },
+        TraceEvent::SlotSelect {
+            pair: u,
+            core: u,
+            slot: n,
+            latched: b,
+            rate_overrun: !b,
+        },
+        TraceEvent::SlotReserve {
+            core: u,
+            consumer: u,
+            slot: n,
+            prev: (pick != 0).then_some(n),
+        },
+        TraceEvent::SlotRelease {
+            core: u,
+            consumer: u,
+            slot: n,
+        },
+        TraceEvent::SlotDispatch {
+            core: u,
+            slot: n,
+            consumers: [vec![], vec![u], vec![0, u, 7, u]][pick].clone(),
+        },
+        TraceEvent::BufferCreate {
+            owner: u,
+            capacity: n,
+            pool_available: n,
+            pool_total: n,
+        },
+        TraceEvent::BufferGrow {
+            owner: u,
+            from: n,
+            to: n,
+            want: n,
+            pool_available: n,
+        },
+        TraceEvent::BufferShrink {
+            owner: u,
+            from: n,
+            to: n,
+            pool_available: n,
+        },
+        TraceEvent::BufferDestroy {
+            owner: u,
+            released: n,
+            pool_available: n,
+        },
+        TraceEvent::FaultInjected {
+            id: u,
+            kind: kind(),
+            pair: u,
+            core: u,
+            param: n,
+            pool_available: n,
+        },
+        TraceEvent::ItemShed { pair: u },
+        TraceEvent::OverloadEntered {
+            pair: u,
+            occupancy: n,
+            escalated: b,
+        },
+        TraceEvent::OverloadCleared { pair: u, shed: n },
+        TraceEvent::FaultRecovered {
+            id: u,
+            kind: kind(),
+            pair: u,
+            core: u,
+            param: n,
+            pool_available: n,
+        },
+    ]
+}
+
+#[test]
+fn digest_of_every_variant_at_the_edges_is_fnv1a_of_its_line() {
+    let line = |ev: &Event| serde_json::to_string(ev).unwrap() + "\n";
+    let prefix = Event {
+        seq: 0,
+        t_ns: 0,
+        kind: TraceEvent::FaultInjected {
+            id: 1,
+            kind: NASTY_KIND.to_string(),
+            pair: 2,
+            core: 3,
+            param: 4,
+            pool_available: 5,
+        },
+    };
+    let mut checked = 0;
+    for n in [0, u64::from(u32::MAX), u64::MAX] {
+        for b in [false, true] {
+            for pick in 0..3 {
+                let kinds = every_variant_at(n, b, pick);
+                assert_eq!(kinds.len(), 18, "one event per TraceEvent variant");
+                for kind in kinds {
+                    let ev = Event {
+                        seq: n,
+                        t_ns: n,
+                        kind,
+                    };
+                    assert_eq!(
+                        digest(std::slice::from_ref(&ev)),
+                        fnv1a(line(&ev).as_bytes()),
+                        "alone: {ev:?}"
+                    );
+                    let both = [prefix.clone(), ev];
+                    assert_eq!(
+                        digest(&both),
+                        fnv1a((line(&both[0]) + &line(&both[1])).as_bytes()),
+                        "after a prefix: {:?}",
+                        both[1]
+                    );
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 3 * 2 * 3 * 18);
+}
+
 /// A wide `u64`: small, large, or one of the extremes.
 fn wide() -> impl Strategy<Value = u64> {
     prop_oneof![0u64..1_000, 0u64..u64::MAX, Just(u64::MAX), Just(0u64)]
@@ -402,7 +547,7 @@ fn arbitrary_event() -> impl Strategy<Value = Event> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
     fn digest_hashes_each_events_tree_json_and_a_newline(
