@@ -1,22 +1,27 @@
 //! `replay` — executable trace replay (DESIGN.md §12).
 //!
-//! Reads one or more JSONL trace exports (`suite_trace.jsonl`,
-//! `chaos_trace.jsonl`, `scale_trace.jsonl`, or a checked-in golden
-//! fixture), reconstructs each cell's configuration from its
-//! [`CellMeta`] header, re-runs the simulation, and compares the
-//! regenerated event stream against the recording event-by-event.
-//! The first divergence fails the run loudly with a ±8-event context
-//! window from both streams; `--digest-only` compares the FNV
-//! canonical-JSON digests instead (fast path). `--regen-fixtures`
-//! rewrites the golden fixtures under `tests/fixtures/`.
+//! Reads one or more JSONL trace exports (`results/<family>_trace.jsonl`
+//! as `sweep FAMILY --trace` writes them, or a checked-in golden
+//! fixture). Each cell is first checked against itself — its event
+//! count and FNV digest against the [`CellMeta`] header, then the
+//! replay oracle over the recording — and then re-executed: the header
+//! is the cell's recipe, so the simulation re-runs and the regenerated
+//! event stream is compared against the recording event-by-event. A
+//! failed header check does not skip the re-execution, so a tampered
+//! event reports both the bad digest and the divergence. The first
+//! divergence fails the run loudly with a ±8-event context window from
+//! both streams; `--digest-only` compares the FNV canonical-JSON
+//! digests instead (fast path). `--regen-fixtures` rewrites the golden
+//! fixtures under `tests/fixtures/`.
 //!
-//! Exit codes: `0` every cell replayed clean, `1` divergence /
-//! unreplayable cell / empty export, `2` usage or I/O / parse error
+//! Exit codes: `0` every cell clean, `1` a failed check, divergence,
+//! unreplayable cell or empty export, `2` usage or I/O / parse error
 //! (reported as `path:line: message`).
 
 use pc_bench::oracle::CellMeta;
 use pc_bench::replay::{
-    fixture_defs, fixture_dir, parse_export_file, render_fixture, replay_cell, CellReplay,
+    check_recording, fixture_defs, fixture_dir, parse_export_file, render_fixture, replay_cell,
+    CellReplay,
 };
 
 struct Args {
@@ -70,18 +75,23 @@ fn regen_fixtures() -> Result<(), String> {
 fn replay_file(path: &str, digest_only: bool) -> Result<(u64, u64), String> {
     let cells = parse_export_file(path)?;
     if cells.is_empty() {
-        println!("{path}: no cells");
+        eprintln!("replay: no cells in {path}");
         return Ok((0, 1));
     }
     let mut ok = 0u64;
     let mut failed = 0u64;
     for cell in &cells {
         let label = cell.meta.label();
+        let problems = check_recording(cell);
+        for problem in &problems {
+            println!("  FAIL {label}: {problem}");
+        }
         match replay_cell(cell, digest_only) {
-            CellReplay::Match { events } => {
+            CellReplay::Match { events } if problems.is_empty() => {
                 println!("  OK   {label} ({events} events)");
                 ok += 1;
             }
+            CellReplay::Match { .. } => failed += 1,
             CellReplay::Diverged { seq, report } => {
                 println!("  FAIL {label}: diverged at seq {seq}");
                 for line in report.lines() {

@@ -1,8 +1,8 @@
 //! Chaos sweep: every fault scenario crossed with a strategy panel,
 //! recovery metrics re-derived from the event trace.
 //!
-//! A chaos cell is a normal sweep cell plus a [`FaultPlan`] expanded
-//! from `(scenario, seed)` — bit-deterministic like everything else, so
+//! A chaos cell is a normal sweep cell plus a fault plan expanded from
+//! `(scenario, seed)` (`replay::fault_plan`) — bit-deterministic like everything else, so
 //! `results/chaos.json` is byte-identical for any `--threads` value and
 //! CI gates it exactly like `suite.json`. Every cell records its event
 //! stream (the recovery metrics come from the trace, not the sim's own
@@ -10,11 +10,11 @@
 //! conservation must hold *through* every injected fault.
 
 use crate::exp::Protocol;
-use crate::oracle::{self, OracleReport};
-use crate::sweep::{parallel_map_costed, trace_capacity_from_env, DispatchStats, GridPoint};
-use pc_core::{Experiment, RunMetrics, StrategyKind};
-use pc_faults::{ExpandEnv, FaultPlan, FaultScenario};
-use pc_trace_events::{Recorder, TraceEvent, TraceLog, Trigger};
+use crate::replay::fault_plan;
+use crate::sweep::{Block, CellRun, GridPoint};
+use pc_core::StrategyKind;
+use pc_faults::FaultScenario;
+use pc_trace_events::{TraceEvent, TraceLog, Trigger};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -30,117 +30,27 @@ pub fn chaos_strategies() -> Vec<StrategyKind> {
     ]
 }
 
-/// Display label; the degraded PBPL variant is tagged so both rows of
-/// the comparison are distinguishable in reports and filters.
-pub fn chaos_strategy_label(strategy: &StrategyKind) -> String {
-    match strategy {
-        StrategyKind::Pbpl(cfg) if cfg.degrade.enabled => "PBPL(degraded)".to_string(),
-        other => other.name().to_string(),
-    }
-}
-
-/// One chaos cell: a strategy under a fault scenario at one replicate.
-#[derive(Debug, Clone)]
-pub struct ChaosCellSpec {
-    /// Strategy under test.
-    pub strategy: StrategyKind,
-    /// Fault scenario the plan expands from.
-    pub scenario: FaultScenario,
-    /// Replicate index; the seed is `base_seed + replicate`.
-    pub replicate: usize,
-}
-
-/// Expands the chaos grid in canonical order: scenario-major, then
-/// strategy, then replicate — the same contract as `SweepSpec::cells`.
-pub fn chaos_cells(strategies: &[StrategyKind], replicates: usize) -> Vec<ChaosCellSpec> {
-    let mut cells = Vec::new();
-    for scenario in FaultScenario::all() {
-        for strategy in strategies {
-            for replicate in 0..replicates {
-                cells.push(ChaosCellSpec {
-                    strategy: strategy.clone(),
-                    scenario,
-                    replicate,
-                });
-            }
-        }
-    }
-    cells
-}
-
 /// The single grid point every chaos cell runs at (the paper's five
 /// consumers on two cores, B₀ = 25 — Fig. 9's configuration).
-pub fn chaos_point() -> GridPoint {
-    GridPoint {
-        pairs: 5,
-        cores: 2,
-        buffer: 25,
-    }
-}
+pub const CHAOS_POINT: GridPoint = GridPoint {
+    pairs: 5,
+    cores: 2,
+    buffer: 25,
+};
 
-/// Expands the cell's fault plan from `(scenario, seed)` and the run
-/// geometry. The pool total mirrors the sim's own construction
-/// (`B₀ · M` for batching strategies, zero otherwise).
-pub fn chaos_plan(protocol: &Protocol, cell: &ChaosCellSpec) -> FaultPlan {
-    let point = chaos_point();
-    let env = ExpandEnv {
-        horizon_ns: protocol.duration.as_nanos(),
-        pairs: point.pairs as u32,
-        cores: point.cores as u32,
-        pool_total: if cell.strategy.is_batching() {
-            (point.buffer * point.pairs) as u64
-        } else {
-            0
-        },
-    };
-    FaultPlan::expand(
-        cell.scenario,
-        protocol.base_seed + cell.replicate as u64,
-        &env,
-    )
-}
-
-/// Runs one chaos cell, always traced — the recovery metrics below are
-/// derived from the event stream.
-pub fn run_chaos_cell(protocol: &Protocol, cell: &ChaosCellSpec) -> (RunMetrics, TraceLog) {
-    let point = chaos_point();
-    let recorder = Recorder::bounded(trace_capacity_from_env());
-    let metrics = Experiment::builder()
-        .pairs(point.pairs)
-        .cores(point.cores)
-        .duration(protocol.duration)
-        .strategy(cell.strategy.clone())
-        .trace(protocol.trace.clone())
-        .seed(protocol.base_seed + cell.replicate as u64)
-        .buffer_capacity(point.buffer)
-        .faults(chaos_plan(protocol, cell))
-        .record_events(recorder.handle())
-        .run();
-    (metrics, recorder.take())
-}
-
-/// Runs `cells` on `threads` workers; results in cell order.
-pub fn execute_chaos(
-    protocol: &Protocol,
-    cells: &[ChaosCellSpec],
-    threads: usize,
-) -> Vec<(RunMetrics, TraceLog)> {
-    execute_chaos_costed(protocol, cells, threads).0
-}
-
-/// [`execute_chaos`] with dispatch telemetry. Every chaos cell runs the
-/// same geometry (M = 5, B₀ = 25), so costs are uniform and the claim
-/// order stays canonical — this variant exists for the per-cell timings
-/// and worker-utilization numbers in `BENCH_chaos.json`.
-pub fn execute_chaos_costed(
-    protocol: &Protocol,
-    cells: &[ChaosCellSpec],
-    threads: usize,
-) -> (Vec<(RunMetrics, TraceLog)>, DispatchStats) {
-    let costs = vec![0u64; cells.len()];
-    parallel_map_costed(cells, threads, &costs, |cell| {
-        run_chaos_cell(protocol, cell)
-    })
+/// The chaos grid: one block per fault scenario (`chaos_{scenario}`),
+/// each running the whole panel at [`CHAOS_POINT`].
+pub fn blocks(protocol: &Protocol) -> Vec<Block> {
+    FaultScenario::all()
+        .into_iter()
+        .map(|scenario| Block {
+            experiment: format!("chaos_{}", scenario.name()),
+            point: CHAOS_POINT,
+            workload: protocol.worldcup_workload(),
+            scenario: scenario.name(),
+            strategies: chaos_strategies().into_iter().map(|s| (s, false)).collect(),
+        })
+        .collect()
 }
 
 /// Recovery metrics of one chaos cell, re-derived from its event trace.
@@ -253,115 +163,130 @@ pub struct ChaosCellReport {
     pub recovery: RecoveryMetrics,
 }
 
-/// Builds the report row for one executed cell (oracle result handled
-/// separately — violations fail the run rather than ride in the JSON).
-pub fn chaos_cell_report(
-    protocol: &Protocol,
-    cell: &ChaosCellSpec,
-    metrics: &RunMetrics,
-    log: &TraceLog,
-) -> ChaosCellReport {
-    ChaosCellReport {
-        strategy: chaos_strategy_label(&cell.strategy),
-        scenario: cell.scenario.name().to_string(),
-        seed: protocol.base_seed + cell.replicate as u64,
-        plan_faults: chaos_plan(protocol, cell).len(),
-        energy_j_bits: metrics.energy.energy_j.to_bits(),
-        energy_j: metrics.energy.energy_j,
-        items_produced: metrics.items_produced,
-        items_consumed: metrics.items_consumed,
-        wakeups: metrics.energy.wakeups,
-        trace_events: log.events.len() as u64,
-        trace_digest: log.digest(),
-        recovery: recovery_metrics(log),
+impl ChaosCellReport {
+    /// The row of one executed (always recorded) cell.
+    pub fn of(run: &CellRun) -> ChaosCellReport {
+        let (meta, metrics) = (&run.meta, &run.metrics);
+        ChaosCellReport {
+            strategy: meta.strategy.clone(),
+            scenario: meta.scenario.clone(),
+            seed: meta.seed,
+            plan_faults: fault_plan(meta).expect("chaos cells replay").len(),
+            energy_j_bits: metrics.energy.energy_j.to_bits(),
+            energy_j: metrics.energy.energy_j,
+            items_produced: metrics.items_produced,
+            items_consumed: metrics.items_consumed,
+            wakeups: metrics.energy.wakeups,
+            trace_events: meta.events,
+            trace_digest: meta.digest,
+            recovery: recovery_metrics(run.log.as_ref().expect("chaos cells record")),
+        }
     }
 }
 
-/// Replays the extended oracle over one cell's trace.
-pub fn chaos_oracle(log: &TraceLog) -> OracleReport {
-    oracle::check(log)
+/// `results/chaos.json`.
+#[derive(Serialize)]
+pub struct ChaosReport {
+    /// Bump on any change to this file's structure.
+    schema_version: u32,
+    duration_ms: u64,
+    replicates: usize,
+    base_seed: u64,
+    trace_mean_rate: f64,
+    pairs: usize,
+    cores: usize,
+    buffer: usize,
+    cells: Vec<ChaosCellReport>,
+}
+
+/// Prints the recovery table and builds `results/chaos.json`.
+pub fn report(protocol: &Protocol, runs: &[CellRun]) -> ChaosReport {
+    let cells: Vec<ChaosCellReport> = runs.iter().map(ChaosCellReport::of).collect();
+    println!(
+        "{:<16} {:<16} {:>8} {:>8} {:>7} {:>7} {:>7} {:>6} {:>12}",
+        "scenario", "strategy", "items", "wakeups", "ovf", "consec", "sched", "burst", "rec_lag_us"
+    );
+    for row in &cells {
+        println!(
+            "{:<16} {:<16} {:>8} {:>8} {:>7} {:>7} {:>7} {:>6} {:>12.1}",
+            row.scenario,
+            row.strategy,
+            row.items_consumed,
+            row.wakeups,
+            row.recovery.overflow_wakes,
+            row.recovery.consec_overflow_wakes,
+            row.recovery.scheduled_wakes,
+            row.recovery.max_overflow_burst,
+            row.recovery.max_recovery_lag_ns as f64 / 1_000.0
+        );
+    }
+    ChaosReport {
+        schema_version: 1,
+        duration_ms: protocol.duration.as_nanos() / 1_000_000,
+        replicates: protocol.replicates,
+        base_seed: protocol.base_seed,
+        trace_mean_rate: protocol.trace.mean_rate,
+        pairs: CHAOS_POINT.pairs,
+        cores: CHAOS_POINT.cores,
+        buffer: CHAOS_POINT.buffer,
+        cells,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pc_sim::SimDuration;
-    use pc_trace::WorldCupConfig;
-
-    fn tiny_protocol() -> Protocol {
-        Protocol {
-            duration: SimDuration::from_millis(60),
-            replicates: 1,
-            base_seed: 11,
-            trace: WorldCupConfig::quick_test(),
-            threads: 2,
-        }
-    }
+    use crate::exp::quick_protocol;
+    use crate::sweep::{execute, Family};
 
     #[test]
     fn grid_is_scenarios_by_strategies_by_replicates() {
-        let cells = chaos_cells(&chaos_strategies(), 2);
+        let cells = Family::Chaos.cells(&quick_protocol(60, 2, 1));
         assert_eq!(cells.len(), 8 * 5 * 2);
-        assert_eq!(cells[0].scenario, FaultScenario::Baseline);
-        assert_eq!(cells[0].replicate, 0);
-        assert_eq!(cells[1].replicate, 1);
+        assert_eq!(cells[0].scenario, "baseline");
+        assert_eq!((cells[0].seed, cells[1].seed), (11, 12));
+        assert!(cells
+            .iter()
+            .all(|c| c.experiment == format!("chaos_{}", c.scenario)));
     }
 
     #[test]
     fn baseline_plan_is_empty_and_faulty_scenarios_are_not() {
-        let p = tiny_protocol();
-        for cell in chaos_cells(&chaos_strategies(), 1) {
-            let plan = chaos_plan(&p, &cell);
-            if cell.scenario == FaultScenario::Baseline {
-                assert!(plan.is_empty());
-            } else {
-                assert!(!plan.is_empty(), "{} plan empty", cell.scenario.name());
-            }
+        for cell in Family::Chaos.cells(&quick_protocol(60, 1, 1)) {
+            let plan = fault_plan(&cell).unwrap();
+            assert_eq!(
+                plan.is_empty(),
+                cell.scenario == "baseline",
+                "{}",
+                cell.scenario
+            );
         }
     }
 
     #[test]
     fn chaos_cells_run_clean_through_the_oracle() {
-        let p = tiny_protocol();
         // One representative faulty scenario per strategy class keeps
-        // the test fast; the chaos binary covers the full cross.
-        for (strategy, scenario) in [
-            (StrategyKind::Mutex, FaultScenario::RateShock),
-            (StrategyKind::Bp, FaultScenario::ConsumerSlowdown),
-            (StrategyKind::pbpl_default(), FaultScenario::DroppedWakeup),
-            (StrategyKind::pbpl_degraded(), FaultScenario::PoolSqueeze),
-            (StrategyKind::pbpl_degraded(), FaultScenario::Chaos),
-        ] {
-            let cell = ChaosCellSpec {
-                strategy,
-                scenario,
-                replicate: 0,
-            };
-            let (metrics, log) = run_chaos_cell(&p, &cell);
-            assert_eq!(metrics.items_produced, metrics.items_consumed);
-            let report = chaos_oracle(&log);
-            assert!(
-                report.is_clean(),
-                "{} under {}: {:?}",
-                chaos_strategy_label(&cell.strategy),
-                scenario.name(),
-                report.violations
-            );
-            let rec = recovery_metrics(&log);
+        // the test fast; the sweep covers the full cross.
+        let picks = [
+            "rate_shock/Mutex",
+            "consumer_slowdown/BP",
+            "dropped_wakeup/PBPL",
+            "pool_squeeze/PBPL(degraded)",
+            "chaos/PBPL(degraded)",
+        ];
+        let p = quick_protocol(60, 1, 2);
+        let cells: Vec<_> = Family::Chaos
+            .cells(&p)
+            .into_iter()
+            .filter(|c| picks.contains(&Family::Chaos.cell_name(c).as_str()))
+            .collect();
+        assert_eq!(cells.len(), picks.len());
+        for run in execute(&p, &cells, true).0 {
+            assert_eq!(run.metrics.items_produced, run.metrics.items_consumed);
+            assert_eq!(run.gate_failures(), Vec::<String>::new());
+            let rec = ChaosCellReport::of(&run).recovery;
             assert_eq!(rec.faults_injected, rec.faults_recovered);
-            assert!(rec.faults_injected > 0, "{}", scenario.name());
-        }
-    }
-
-    #[test]
-    fn thread_count_does_not_change_chaos_bits() {
-        let p = tiny_protocol();
-        let cells = chaos_cells(&[StrategyKind::Bp, StrategyKind::pbpl_degraded()], 1);
-        let serial = execute_chaos(&p, &cells, 1);
-        let parallel = execute_chaos(&p, &cells, 4);
-        for ((ms, ls), (mp, lp)) in serial.iter().zip(&parallel) {
-            assert_eq!(ms.energy.energy_j.to_bits(), mp.energy.energy_j.to_bits());
-            assert_eq!(ls.digest(), lp.digest());
+            assert!(rec.faults_injected > 0, "{}", run.meta.scenario);
         }
     }
 

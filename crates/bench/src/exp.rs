@@ -3,14 +3,31 @@
 //!
 //! Every experiment executes for a fixed horizon (50 s in the paper),
 //! runs three replicates with distinct seeds, and reports mean ± 95% CI
-//! for each metric. `PC_DURATION_MS`, `PC_REPLICATES` and `PC_SEED`
-//! override the defaults so the full suite can be smoke-tested quickly.
+//! for each metric. The `PC_*` environment knobs override the defaults
+//! so the full suite can be smoke-tested quickly; they all go through
+//! one parser ([`env_knob`]), and a malformed value is an error that
+//! names the variable, never a silent fallback.
 
+use crate::replay::{planet_workload_label, worldcup_workload_label};
+use crate::sweep::{execute, expand, Block, GridPoint};
 use pc_core::{RunMetrics, StrategyKind};
 use pc_sim::SimDuration;
 use pc_stats::Summary;
-use pc_trace::WorldCupConfig;
+use pc_trace::{PlanetConfig, WorldCupConfig};
+use pc_trace_events::DEFAULT_RECORDER_CAPACITY;
 use serde::Serialize;
+use std::io::Write;
+use std::path::PathBuf;
+
+/// Default coordination shard count (`PC_SHARDS`). Shards are a locking
+/// layout, never a semantics change, so this only moves wall time; at
+/// the full horizons on a 2-core host `sweep suite` and `sweep scale`
+/// took the same wall time within noise at 1, 4 and 8 shards, so the
+/// default is the simplest layout.
+pub const DEFAULT_SHARDS: usize = 1;
+
+/// The paper's horizon (ms) and replicate count (§III-B).
+pub const PAPER_PROTOCOL: (u64, usize) = (50_000, 3);
 
 /// Protocol parameters shared by all experiment runners.
 #[derive(Debug, Clone)]
@@ -21,37 +38,88 @@ pub struct Protocol {
     pub replicates: usize,
     /// Base seed; replicate k runs with `base_seed + k`.
     pub base_seed: u64,
-    /// Workload configuration.
+    /// World-Cup workload of the paper-scale cells.
     pub trace: WorldCupConfig,
+    /// Planet-fleet workload of the large-M cells.
+    pub planet: PlanetConfig,
     /// Worker threads for the sweep engine. Thread count never affects
     /// results (see `sweep`) — only wall-clock time.
     pub threads: usize,
+    /// Coordination shards per manager and in the global pool; like
+    /// `threads`, it never affects results.
+    pub shards: usize,
+    /// Per-cell recorder bound of recorded runs.
+    pub trace_cap: usize,
+}
+
+/// Reads one `PC_*` knob through `vars`: unset takes `default`; a set
+/// value that is not an integer `>= min` is an error naming the
+/// variable.
+pub fn env_knob(
+    vars: &impl Fn(&str) -> Option<String>,
+    name: &str,
+    default: u64,
+    min: u64,
+) -> Result<u64, String> {
+    let Some(value) = vars(name) else {
+        return Ok(default);
+    };
+    match value.trim().parse::<u64>() {
+        Ok(n) if n >= min => Ok(n),
+        _ if min == 0 => Err(format!("{name}={value:?} is not an unsigned integer")),
+        _ => Err(format!("{name}={value:?} is not a positive integer")),
+    }
 }
 
 impl Protocol {
-    /// The paper's protocol, with environment overrides:
-    /// `PC_DURATION_MS`, `PC_REPLICATES`, `PC_SEED`, `PC_THREADS`.
+    /// The paper's protocol (50 s, 3 replicates) under the environment
+    /// knobs; exits 2 on a malformed knob.
     pub fn from_env() -> Self {
-        let duration_ms = std::env::var("PC_DURATION_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&ms: &u64| ms > 0)
-            .unwrap_or(50_000u64);
-        let replicates = std::env::var("PC_REPLICATES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3usize);
-        let base_seed = std::env::var("PC_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1u64);
-        Protocol {
-            duration: SimDuration::from_millis(duration_ms),
-            replicates: replicates.max(1),
-            base_seed,
+        let (duration_ms, replicates) = PAPER_PROTOCOL;
+        Self::from_env_with(duration_ms, replicates)
+    }
+
+    /// [`Protocol::from_vars`] over the process environment; exits 2 on
+    /// a malformed knob.
+    pub fn from_env_with(duration_ms: u64, replicates: usize) -> Self {
+        Self::from_vars(&|name| std::env::var(name).ok(), duration_ms, replicates)
+            .unwrap_or_else(|e| die(&e))
+    }
+
+    /// The protocol with defaults `duration_ms` and `replicates`,
+    /// overridden by `PC_DURATION_MS`, `PC_REPLICATES`, `PC_SEED`,
+    /// `PC_THREADS` (default: the machine's parallelism), `PC_SHARDS`
+    /// (default [`DEFAULT_SHARDS`]) and `PC_TRACE_CAP` (default
+    /// [`DEFAULT_RECORDER_CAPACITY`]) as `vars` reports them.
+    pub fn from_vars(
+        vars: &impl Fn(&str) -> Option<String>,
+        duration_ms: u64,
+        replicates: usize,
+    ) -> Result<Self, String> {
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let knob =
+            |name, default: usize| env_knob(vars, name, default as u64, 1).map(|n| n as usize);
+        Ok(Protocol {
+            duration: SimDuration::from_millis(env_knob(vars, "PC_DURATION_MS", duration_ms, 1)?),
+            replicates: knob("PC_REPLICATES", replicates)?,
+            base_seed: env_knob(vars, "PC_SEED", 1, 0)?,
             trace: WorldCupConfig::paper_default(),
-            threads: crate::sweep::threads_from_env(),
-        }
+            planet: PlanetConfig::scale_default(),
+            threads: knob("PC_THREADS", nproc)?,
+            shards: knob("PC_SHARDS", DEFAULT_SHARDS)?,
+            trace_cap: knob("PC_TRACE_CAP", DEFAULT_RECORDER_CAPACITY)?,
+        })
+    }
+
+    /// Registered name of [`Protocol::trace`]: every cell names a
+    /// workload `replay` can rebuild, so an unregistered one is a bug.
+    pub fn worldcup_workload(&self) -> &'static str {
+        worldcup_workload_label(&self.trace).expect("trace config is a registered workload")
+    }
+
+    /// Registered name of [`Protocol::planet`].
+    pub fn planet_workload(&self) -> &'static str {
+        planet_workload_label(&self.planet).expect("planet config is a registered workload")
     }
 
     /// Runs one strategy configuration across the replicates — a
@@ -64,16 +132,23 @@ impl Protocol {
         cores: usize,
         buffer: usize,
     ) -> Vec<RunMetrics> {
-        let spec = crate::sweep::SweepSpec {
-            strategies: vec![strategy],
-            points: vec![crate::sweep::GridPoint {
+        let block = Block {
+            experiment: "run".to_string(),
+            point: GridPoint {
                 pairs,
                 cores,
                 buffer,
-            }],
+            },
+            workload: self.worldcup_workload(),
+            scenario: "",
+            strategies: vec![(strategy, false)],
         };
-        let cells = spec.cells(self.replicates);
-        crate::sweep::execute(self, &cells, self.threads)
+        let cells = expand(self, vec![block]);
+        execute(self, &cells, false)
+            .0
+            .into_iter()
+            .map(|run| run.metrics)
+            .collect()
     }
 }
 
@@ -184,33 +259,42 @@ pub fn print_row(r: &Row) {
     );
 }
 
-/// Prints the latency tail line for a row (mean and p99).
-pub fn print_latency_tail(r: &Row) {
-    println!(
-        "{:>6} latency: mean {:>8.0} us, p99 {:>8.0} us",
-        r.name, r.latency_us.mean, r.latency_p99_us.mean
-    );
+/// Prints `msg` prefixed with the program name and exits 2 — the one
+/// exit path for usage errors, malformed knobs and failed writes.
+pub fn die(msg: &str) -> ! {
+    let program = std::env::args()
+        .next()
+        .and_then(|arg0| {
+            std::path::Path::new(&arg0)
+                .file_stem()
+                .map(|s| s.to_string_lossy().into_owned())
+        })
+        .unwrap_or_else(|| "pc-bench".to_string());
+    eprintln!("{program}: {msg}");
+    std::process::exit(2);
 }
 
-/// Serialises experiment output under `results/<name>.json` (best
-/// effort — failures only warn, measurements still print).
+/// Creates `results/<file>` for writing; exits 2 naming the path when
+/// it cannot.
+pub fn create_result_file(file: &str) -> (PathBuf, std::io::BufWriter<std::fs::File>) {
+    let path = PathBuf::from("results").join(file);
+    std::fs::create_dir_all("results")
+        .and_then(|()| std::fs::File::create(&path))
+        .map(|f| (path.clone(), std::io::BufWriter::new(f)))
+        .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())))
+}
+
+/// Serialises experiment output under `results/<name>.json`; exits 2
+/// naming the path when the write fails, so a stale file from an
+/// earlier run can never stand in for this one.
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create results dir: {e}");
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                println!("[saved {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: serialisation failed: {e}"),
-    }
+    let (path, mut out) = create_result_file(&format!("{name}.json"));
+    let json = serde_json::to_string_pretty(value)
+        .unwrap_or_else(|e| die(&format!("cannot serialise {}: {e}", path.display())));
+    out.write_all(json.as_bytes())
+        .and_then(|()| out.flush())
+        .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
+    println!("[saved {}]", path.display());
 }
 
 /// The four implementations §VI evaluates.
@@ -239,61 +323,109 @@ pub fn single_pc_strategies(buffer: usize, mean_rate: f64) -> Vec<StrategyKind> 
     ]
 }
 
+/// A small protocol on the quick workloads for unit tests.
+#[cfg(test)]
+pub(crate) fn quick_protocol(duration_ms: u64, replicates: usize, threads: usize) -> Protocol {
+    Protocol {
+        duration: SimDuration::from_millis(duration_ms),
+        replicates,
+        base_seed: 11,
+        trace: WorldCupConfig::quick_test(),
+        planet: PlanetConfig::quick_test(),
+        threads,
+        shards: 1,
+        trace_cap: DEFAULT_RECORDER_CAPACITY,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn tiny_protocol() -> Protocol {
-        Protocol {
-            duration: SimDuration::from_millis(50),
-            replicates: 2,
-            base_seed: 5,
-            trace: WorldCupConfig::quick_test(),
-            threads: 1,
+        quick_protocol(50, 2, 1)
+    }
+
+    /// The protocol under exactly one knob set to `value`.
+    fn with(name: &str, value: &str) -> Result<Protocol, String> {
+        let (name, value) = (name.to_string(), value.to_string());
+        Protocol::from_vars(
+            &move |var: &str| (var == name).then(|| value.clone()),
+            50_000,
+            3,
+        )
+    }
+
+    /// A malformed value is an error naming the variable, never the
+    /// default in disguise.
+    fn rejects(name: &str, value: &str) {
+        let err = with(name, value).expect_err(value);
+        assert!(err.contains(name), "{err}");
+    }
+
+    #[test]
+    fn unset_knobs_take_the_defaults() {
+        let p = Protocol::from_vars(&|_: &str| None, 10_000, 1).unwrap();
+        assert_eq!(p.duration, SimDuration::from_millis(10_000));
+        assert_eq!(p.replicates, 1);
+        assert_eq!(p.base_seed, 1);
+        assert!(p.threads >= 1);
+        assert_eq!(p.shards, DEFAULT_SHARDS);
+        assert_eq!(p.trace_cap, DEFAULT_RECORDER_CAPACITY);
+    }
+
+    #[test]
+    fn pc_duration_ms_parses_or_names_itself() {
+        assert_eq!(
+            with("PC_DURATION_MS", "1234").unwrap().duration,
+            SimDuration::from_millis(1234)
+        );
+        for bad in ["2s", "0", "-5", ""] {
+            rejects("PC_DURATION_MS", bad);
         }
     }
 
-    /// `from_env` must fall back to the paper defaults on unparsable or
-    /// out-of-range values rather than panic or silently zero out.
-    /// Env mutation is process-global, so every case lives in this one
-    /// test; the other tests here construct `Protocol` directly.
     #[test]
-    fn from_env_falls_back_on_bad_values() {
-        let vars = ["PC_DURATION_MS", "PC_REPLICATES", "PC_SEED", "PC_THREADS"];
-        let saved: Vec<Option<String>> = vars.iter().map(|v| std::env::var(v).ok()).collect();
+    fn pc_replicates_parses_or_names_itself() {
+        assert_eq!(with("PC_REPLICATES", "5").unwrap().replicates, 5);
+        for bad in ["0", "three", "1.5"] {
+            rejects("PC_REPLICATES", bad);
+        }
+    }
 
-        std::env::set_var("PC_DURATION_MS", "not-a-number");
-        std::env::set_var("PC_REPLICATES", "0");
-        std::env::set_var("PC_SEED", "-3");
-        std::env::set_var("PC_THREADS", "0");
-        let p = Protocol::from_env();
-        assert_eq!(p.duration, SimDuration::from_millis(50_000));
-        assert_eq!(p.replicates, 1, "replicates clamp to at least 1");
-        assert_eq!(p.base_seed, 1, "negative seed falls back to default");
-        assert!(p.threads >= 1, "threads fall back to machine parallelism");
-
-        std::env::set_var("PC_DURATION_MS", "0");
+    #[test]
+    fn pc_seed_takes_any_u64_or_names_itself() {
+        assert_eq!(with("PC_SEED", "0").unwrap().base_seed, 0);
         assert_eq!(
-            Protocol::from_env().duration,
-            SimDuration::from_millis(50_000),
-            "zero duration rejected"
+            with("PC_SEED", "18446744073709551615").unwrap().base_seed,
+            u64::MAX
         );
+        for bad in ["x", "-3", "18446744073709551616"] {
+            rejects("PC_SEED", bad);
+        }
+    }
 
-        std::env::set_var("PC_DURATION_MS", "1234");
-        std::env::set_var("PC_REPLICATES", "5");
-        std::env::set_var("PC_SEED", "99");
-        std::env::set_var("PC_THREADS", "3");
-        let p = Protocol::from_env();
-        assert_eq!(p.duration, SimDuration::from_millis(1234));
-        assert_eq!(p.replicates, 5);
-        assert_eq!(p.base_seed, 99);
-        assert_eq!(p.threads, 3);
+    #[test]
+    fn pc_threads_parses_or_names_itself() {
+        assert_eq!(with("PC_THREADS", "3").unwrap().threads, 3);
+        for bad in ["0", "all"] {
+            rejects("PC_THREADS", bad);
+        }
+    }
 
-        for (var, value) in vars.iter().zip(saved) {
-            match value {
-                Some(v) => std::env::set_var(var, v),
-                None => std::env::remove_var(var),
-            }
+    #[test]
+    fn pc_shards_parses_or_names_itself() {
+        assert_eq!(with("PC_SHARDS", "3").unwrap().shards, 3);
+        for bad in ["0", "eight"] {
+            rejects("PC_SHARDS", bad);
+        }
+    }
+
+    #[test]
+    fn pc_trace_cap_parses_or_names_itself() {
+        assert_eq!(with("PC_TRACE_CAP", "1000").unwrap().trace_cap, 1000);
+        for bad in ["0", "2M"] {
+            rejects("PC_TRACE_CAP", bad);
         }
     }
 

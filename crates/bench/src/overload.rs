@@ -12,7 +12,7 @@
 //! workload, where the supervisor's fleet-wide escalation actually has
 //! a fleet to escalate over.
 //!
-//! `PBPL(overload)` is vanilla PBPL plus [`OverloadConfig::standard`] —
+//! `PBPL(overload)` is vanilla PBPL plus [`pc_core::OverloadConfig::standard`] —
 //! overload control is an experiment knob orthogonal to the strategy,
 //! and the label alone is the complete recipe (`replay` rebuilds such
 //! cells from it; see `replay::label_overloaded`). Every cell is traced
@@ -20,57 +20,16 @@
 //! (`produced == consumed + shed`, every `ItemShed` inside a paired
 //! overload window whose `OverloadCleared.shed` matches) must hold for
 //! every cell, and shed must be exactly zero on the three rows that run
-//! without overload control.
+//! without overload control — the sweep runner's gates, which every
+//! family's cells pass.
 
-use crate::chaos::chaos_strategy_label;
+use crate::chaos::CHAOS_POINT;
 use crate::exp::Protocol;
-use crate::oracle::{self, OracleReport};
-use crate::sweep::{parallel_map_costed, trace_capacity_from_env, DispatchStats, GridPoint};
-use pc_core::{Experiment, OverloadConfig, RunMetrics, StrategyKind};
-use pc_faults::{ExpandEnv, FaultPlan, FaultScenario};
-use pc_trace::PlanetConfig;
-use pc_trace_events::{Recorder, TraceLog};
+use crate::replay::fault_plan;
+use crate::sweep::{Block, CellRun, Family, GridPoint};
+use pc_core::StrategyKind;
+use pc_faults::FaultScenario;
 use serde::Serialize;
-
-/// Geometry of an overload cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverloadPoint {
-    /// The chaos point — the paper's five consumers on two cores,
-    /// B₀ = 25, World-Cup workload.
-    Chaos,
-    /// The scaling sweep's m100 point — 100 pairs on 10 cores, B₀ = 25,
-    /// planet fleet workload.
-    PlanetM100,
-}
-
-impl OverloadPoint {
-    /// The (pairs, cores, buffer) configuration.
-    pub fn grid(self) -> GridPoint {
-        match self {
-            OverloadPoint::Chaos => crate::chaos::chaos_point(),
-            OverloadPoint::PlanetM100 => GridPoint {
-                pairs: 100,
-                cores: 10,
-                buffer: 25,
-            },
-        }
-    }
-}
-
-/// One overload cell: a panel row under a scenario at a geometry.
-#[derive(Debug, Clone)]
-pub struct OverloadCellSpec {
-    /// Strategy under test.
-    pub strategy: StrategyKind,
-    /// Whether the cell runs under [`OverloadConfig::standard`].
-    pub overload: bool,
-    /// Fault scenario the plan expands from.
-    pub scenario: FaultScenario,
-    /// Geometry the cell runs at.
-    pub point: OverloadPoint,
-    /// Replicate index; the seed is `base_seed + replicate`.
-    pub replicate: usize,
-}
 
 /// The four-row panel: plain batching, vanilla PBPL, PBPL with the
 /// degradation watchdog, and PBPL under overload control.
@@ -83,154 +42,34 @@ pub fn overload_panel() -> Vec<(StrategyKind, bool)> {
     ]
 }
 
-/// The scenario list: the two correlated scenarios first, then the
-/// chaos sweep's full eight (baseline included — the control rows).
-pub fn overload_scenarios() -> Vec<FaultScenario> {
-    FaultScenario::correlated()
+/// The overload grid: the chaos point under the two correlated
+/// scenarios then the chaos sweep's full eight (baseline included — the
+/// control rows), one block each (`overload_{scenario}`); then the
+/// flash crowd at the scaling sweep's m100 geometry (100 pairs on 10
+/// cores) on the planet workload (`overload_flash_crowd_m100`).
+pub fn blocks(protocol: &Protocol) -> Vec<Block> {
+    let chaos_point = FaultScenario::correlated()
         .into_iter()
         .chain(FaultScenario::all())
-        .collect()
-}
-
-/// Display label of a panel row; the `(overload)` suffix marks the
-/// overload-control knob and is the complete replay recipe (the cell
-/// ran under exactly [`OverloadConfig::standard`]).
-pub fn overload_strategy_label(strategy: &StrategyKind, overload: bool) -> String {
-    let base = chaos_strategy_label(strategy);
-    if overload {
-        format!("{base}(overload)")
-    } else {
-        base
-    }
-}
-
-/// Stable cell name used for exact-match filtering:
-/// `{scenario}/{strategy}`, with the planet-scale point tagged
-/// `{scenario}@m100` so the two flash-crowd geometries stay distinct.
-pub fn overload_cell_name(cell: &OverloadCellSpec) -> String {
-    let scenario = match cell.point {
-        OverloadPoint::Chaos => cell.scenario.name().to_string(),
-        OverloadPoint::PlanetM100 => format!("{}@m100", cell.scenario.name()),
-    };
-    format!(
-        "{}/{}",
-        scenario,
-        overload_strategy_label(&cell.strategy, cell.overload)
-    )
-}
-
-/// Expands the grid in canonical order: the chaos point first
-/// (scenario-major, then panel row, then replicate), then the planet
-/// m100 flash-crowd block.
-pub fn overload_cells(replicates: usize) -> Vec<OverloadCellSpec> {
-    let mut cells = Vec::new();
-    for scenario in overload_scenarios() {
-        for (strategy, overload) in overload_panel() {
-            for replicate in 0..replicates {
-                cells.push(OverloadCellSpec {
-                    strategy: strategy.clone(),
-                    overload,
-                    scenario,
-                    point: OverloadPoint::Chaos,
-                    replicate,
-                });
-            }
-        }
-    }
-    for (strategy, overload) in overload_panel() {
-        for replicate in 0..replicates {
-            cells.push(OverloadCellSpec {
-                strategy: strategy.clone(),
-                overload,
-                scenario: FaultScenario::FlashCrowd,
-                point: OverloadPoint::PlanetM100,
-                replicate,
-            });
-        }
-    }
-    cells
-}
-
-/// Expands the cell's fault plan from `(scenario, seed)` and the cell's
-/// own geometry — the same contract as `chaos::chaos_plan`, just
-/// point-parametric.
-pub fn overload_plan(protocol: &Protocol, cell: &OverloadCellSpec) -> FaultPlan {
-    let point = cell.point.grid();
-    let env = ExpandEnv {
-        horizon_ns: protocol.duration.as_nanos(),
-        pairs: point.pairs as u32,
-        cores: point.cores as u32,
-        pool_total: if cell.strategy.is_batching() {
-            (point.buffer * point.pairs) as u64
-        } else {
-            0
+        .map(|scenario| Block {
+            experiment: format!("overload_{}", scenario.name()),
+            point: CHAOS_POINT,
+            workload: protocol.worldcup_workload(),
+            scenario: scenario.name(),
+            strategies: overload_panel(),
+        });
+    let planet_m100 = Block {
+        experiment: "overload_flash_crowd_m100".to_string(),
+        point: GridPoint {
+            pairs: 100,
+            cores: 10,
+            buffer: 25,
         },
+        workload: protocol.planet_workload(),
+        scenario: FaultScenario::FlashCrowd.name(),
+        strategies: overload_panel(),
     };
-    FaultPlan::expand(
-        cell.scenario,
-        protocol.base_seed + cell.replicate as u64,
-        &env,
-    )
-}
-
-/// The planet workload the m100 cells run: `scale_default` with the
-/// horizon stretched to the protocol duration — exactly the
-/// reconstruction `replay::rerun_cell` performs for the
-/// `"planet_scale"` workload name, which keeps the export replayable.
-pub fn planet_workload(protocol: &Protocol) -> PlanetConfig {
-    let mut cfg = PlanetConfig::scale_default();
-    cfg.base.horizon = pc_sim::SimTime::ZERO + protocol.duration;
-    cfg
-}
-
-/// Runs one overload cell, always traced — the oracle replay and the
-/// shed accounting both come from the event stream.
-pub fn run_overload_cell(protocol: &Protocol, cell: &OverloadCellSpec) -> (RunMetrics, TraceLog) {
-    let point = cell.point.grid();
-    let seed = protocol.base_seed + cell.replicate as u64;
-    let recorder = Recorder::bounded(trace_capacity_from_env());
-    let mut builder = Experiment::builder()
-        .pairs(point.pairs)
-        .cores(point.cores)
-        .duration(protocol.duration)
-        .strategy(cell.strategy.clone())
-        .seed(seed)
-        .buffer_capacity(point.buffer)
-        .faults(overload_plan(protocol, cell))
-        .record_events(recorder.handle());
-    if cell.overload {
-        builder = builder.overload(OverloadConfig::standard());
-    }
-    builder = match cell.point {
-        OverloadPoint::Chaos => builder.trace(protocol.trace.clone()),
-        OverloadPoint::PlanetM100 => {
-            builder.traces(planet_workload(protocol).traces(seed, point.pairs))
-        }
-    };
-    let metrics = builder.run();
-    (metrics, recorder.take())
-}
-
-/// Runs `cells` on the engine with cost-aware (LPT) dispatch — the m100
-/// cells are 20× an M = 5 cell, so they are claimed first. Results are
-/// in cell order for any thread count; the stats are sidecar-only.
-pub fn execute_overload_costed(
-    protocol: &Protocol,
-    cells: &[OverloadCellSpec],
-    threads: usize,
-) -> (Vec<(RunMetrics, TraceLog)>, DispatchStats) {
-    let costs: Vec<u64> = cells
-        .iter()
-        .map(|cell| {
-            protocol
-                .duration
-                .as_nanos()
-                .saturating_mul(cell.point.grid().pairs as u64)
-        })
-        .collect();
-    parallel_map_costed(cells, threads, &costs, |cell| {
-        run_overload_cell(protocol, cell)
-    })
+    chaos_point.chain([planet_m100]).collect()
 }
 
 /// One row of `results/overload.json`: cell identity, the determinism
@@ -244,11 +83,11 @@ pub struct OverloadCellReport {
     /// Scenario name (the pure name — `@m100` lives in `cell` only).
     pub scenario: String,
     /// Pairs (the paper's M).
-    pub pairs: usize,
+    pub pairs: u64,
     /// Cores.
-    pub cores: usize,
+    pub cores: u64,
     /// Per-consumer base buffer capacity.
-    pub buffer: usize,
+    pub buffer: u64,
     /// Seed the cell ran under.
     pub seed: u64,
     /// Faults in the expanded plan.
@@ -284,173 +123,161 @@ pub struct OverloadCellReport {
     pub trace_digest: u64,
 }
 
-/// Builds the report row for one executed cell (oracle result handled
-/// separately — violations fail the run rather than ride in the JSON).
-pub fn overload_cell_report(
-    protocol: &Protocol,
-    cell: &OverloadCellSpec,
-    metrics: &RunMetrics,
-    log: &TraceLog,
-) -> OverloadCellReport {
-    let point = cell.point.grid();
-    let shed_pct = if metrics.items_produced == 0 {
-        0.0
-    } else {
-        metrics.items_shed as f64 / metrics.items_produced as f64 * 100.0
-    };
-    OverloadCellReport {
-        cell: overload_cell_name(cell),
-        strategy: overload_strategy_label(&cell.strategy, cell.overload),
-        scenario: cell.scenario.name().to_string(),
-        pairs: point.pairs,
-        cores: point.cores,
-        buffer: point.buffer,
-        seed: protocol.base_seed + cell.replicate as u64,
-        plan_faults: overload_plan(protocol, cell).len(),
-        energy_j_bits: metrics.energy.energy_j.to_bits(),
-        energy_j: metrics.energy.energy_j,
-        items_produced: metrics.items_produced,
-        items_consumed: metrics.items_consumed,
-        items_shed: metrics.items_shed,
-        shed_pct,
-        overload_windows: metrics.pairs.iter().map(|p| p.overload_windows).sum(),
-        deadline_misses: metrics.deadline_misses(),
-        wakeups: metrics.energy.wakeups,
-        scheduled_wakeups: metrics.scheduled_wakeups(),
-        overflow_wakeups: metrics.overflow_wakeups(),
-        trace_events: log.events.len() as u64,
-        trace_digest: log.digest(),
+impl OverloadCellReport {
+    /// The row of one executed (always recorded) cell.
+    pub fn of(run: &CellRun) -> OverloadCellReport {
+        let (meta, metrics) = (&run.meta, &run.metrics);
+        let shed_pct = if metrics.items_produced == 0 {
+            0.0
+        } else {
+            metrics.items_shed as f64 / metrics.items_produced as f64 * 100.0
+        };
+        OverloadCellReport {
+            cell: Family::Overload.cell_name(meta),
+            strategy: meta.strategy.clone(),
+            scenario: meta.scenario.clone(),
+            pairs: meta.pairs,
+            cores: meta.cores,
+            buffer: meta.buffer,
+            seed: meta.seed,
+            plan_faults: fault_plan(meta).expect("overload cells replay").len(),
+            energy_j_bits: metrics.energy.energy_j.to_bits(),
+            energy_j: metrics.energy.energy_j,
+            items_produced: metrics.items_produced,
+            items_consumed: metrics.items_consumed,
+            items_shed: metrics.items_shed,
+            shed_pct,
+            overload_windows: metrics.pairs.iter().map(|p| p.overload_windows).sum(),
+            deadline_misses: metrics.deadline_misses(),
+            wakeups: metrics.energy.wakeups,
+            scheduled_wakeups: metrics.scheduled_wakeups(),
+            overflow_wakeups: metrics.overflow_wakeups(),
+            trace_events: meta.events,
+            trace_digest: meta.digest,
+        }
     }
 }
 
-/// Replays the extended oracle (shed-ledger invariants included) over
-/// one cell's trace.
-pub fn overload_oracle(log: &TraceLog) -> OracleReport {
-    oracle::check(log)
+/// `results/overload.json`.
+#[derive(Serialize)]
+pub struct OverloadReport {
+    /// Bump on any change to this file's structure.
+    schema_version: u32,
+    duration_ms: u64,
+    replicates: usize,
+    base_seed: u64,
+    trace_mean_rate: f64,
+    cells: Vec<OverloadCellReport>,
+}
+
+/// Prints the shed table and builds `results/overload.json`.
+pub fn report(protocol: &Protocol, runs: &[CellRun]) -> OverloadReport {
+    let cells: Vec<OverloadCellReport> = runs.iter().map(OverloadCellReport::of).collect();
+    println!(
+        "{:<40} {:>9} {:>8} {:>7} {:>8} {:>7} {:>8}",
+        "cell", "items", "shed", "shed%", "windows", "misses", "wakeups"
+    );
+    for row in &cells {
+        println!(
+            "{:<40} {:>9} {:>8} {:>6.2}% {:>8} {:>7} {:>8}",
+            row.cell,
+            row.items_consumed,
+            row.items_shed,
+            row.shed_pct,
+            row.overload_windows,
+            row.deadline_misses,
+            row.wakeups
+        );
+    }
+    OverloadReport {
+        schema_version: 1,
+        duration_ms: protocol.duration.as_nanos() / 1_000_000,
+        replicates: protocol.replicates,
+        base_seed: protocol.base_seed,
+        trace_mean_rate: protocol.trace.mean_rate,
+        cells,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pc_sim::SimDuration;
-    use pc_trace::WorldCupConfig;
+    use crate::exp::quick_protocol;
+    use crate::sweep::{execute, CellRun};
     use pc_trace_events::TraceEvent;
 
-    fn tiny_protocol() -> Protocol {
-        Protocol {
-            // Long enough for a flash-crowd window (~30–55% of the
-            // horizon) to build service lag past the 50 ms standard
-            // deadline on a saturated core.
-            duration: SimDuration::from_millis(400),
-            replicates: 1,
-            base_seed: 11,
-            trace: WorldCupConfig::quick_test(),
-            threads: 2,
-        }
+    /// Long enough for a flash-crowd window (~30–55% of the horizon) to
+    /// build service lag past the 50 ms standard deadline on a
+    /// saturated core.
+    const HORIZON_MS: u64 = 400;
+
+    fn run(names: &[&str]) -> Vec<CellRun> {
+        let p = quick_protocol(HORIZON_MS, 1, 2);
+        let cells: Vec<_> = Family::Overload
+            .cells(&p)
+            .into_iter()
+            .filter(|c| names.contains(&Family::Overload.cell_name(c).as_str()))
+            .collect();
+        assert_eq!(cells.len(), names.len());
+        execute(&p, &cells, true).0
     }
 
     #[test]
     fn grid_is_ten_scenarios_by_four_rows_plus_the_m100_block() {
-        let cells = overload_cells(1);
+        let cells = Family::Overload.cells(&quick_protocol(HORIZON_MS, 1, 1));
         assert_eq!(cells.len(), 10 * 4 + 4);
-        assert_eq!(cells[0].scenario, FaultScenario::FlashCrowd);
-        assert_eq!(cells[0].point, OverloadPoint::Chaos);
-        assert!(cells[40..].iter().all(
-            |c| c.point == OverloadPoint::PlanetM100 && c.scenario == FaultScenario::FlashCrowd
-        ));
-        // Cell names are unique per replicate — the exact-match filter
-        // contract depends on it.
-        let names: std::collections::BTreeSet<String> =
-            cells.iter().map(overload_cell_name).collect();
-        assert_eq!(names.len(), cells.len());
-        assert!(names.contains("flash_crowd/PBPL(overload)"));
-        assert!(names.contains("flash_crowd@m100/PBPL(overload)"));
-        assert!(names.contains("baseline/BP"));
+        assert_eq!(cells[0].scenario, "flash_crowd");
+        assert_eq!(cells[0].pairs, 5);
+        assert!(cells[40..].iter().all(|c| c.pairs == 100
+            && c.scenario == "flash_crowd"
+            && c.workload == "planet_quick"));
     }
 
     #[test]
     fn flash_crowd_sheds_under_overload_control_only() {
-        let p = tiny_protocol();
-        let overloaded = OverloadCellSpec {
-            strategy: StrategyKind::pbpl_default(),
-            overload: true,
-            scenario: FaultScenario::FlashCrowd,
-            point: OverloadPoint::Chaos,
-            replicate: 0,
-        };
-        let (metrics, log) = run_overload_cell(&p, &overloaded);
-        assert!(metrics.items_shed > 0, "flash crowd must trip admission");
-        assert_eq!(
-            metrics.items_produced,
-            metrics.items_consumed + metrics.items_shed
-        );
+        let runs = run(&["flash_crowd/PBPL(overload)", "flash_crowd/PBPL"]);
+        let (overloaded, vanilla) = (&runs[1], &runs[0]);
+        let m = &overloaded.metrics;
+        assert!(m.items_shed > 0, "flash crowd must trip admission");
+        assert_eq!(m.items_produced, m.items_consumed + m.items_shed);
+        let log = overloaded.log.as_ref().unwrap();
         assert!(log
             .events
             .iter()
             .any(|e| matches!(e.kind, TraceEvent::ItemShed { .. })));
-        let report = overload_oracle(&log);
-        assert!(report.is_clean(), "{:?}", report.violations);
-        // Seed-deterministic: the same cell re-run sheds the same count.
-        let (again, log2) = run_overload_cell(&p, &overloaded);
-        assert_eq!(metrics.items_shed, again.items_shed);
-        assert_eq!(log.digest(), log2.digest());
-
         // The same cell without the knob sheds nothing.
-        let vanilla = OverloadCellSpec {
-            overload: false,
-            ..overloaded
-        };
-        let (base, base_log) = run_overload_cell(&p, &vanilla);
-        assert_eq!(base.items_shed, 0);
-        assert_eq!(base.items_produced, base.items_consumed);
-        assert!(overload_oracle(&base_log).is_clean());
-    }
-
-    #[test]
-    fn every_panel_row_runs_clean_under_the_correlated_scenarios() {
-        let p = tiny_protocol();
-        for scenario in FaultScenario::correlated() {
-            for (strategy, overload) in overload_panel() {
-                let cell = OverloadCellSpec {
-                    strategy,
-                    overload,
-                    scenario,
-                    point: OverloadPoint::Chaos,
-                    replicate: 0,
-                };
-                let (metrics, log) = run_overload_cell(&p, &cell);
-                assert_eq!(
-                    metrics.items_produced,
-                    metrics.items_consumed + metrics.items_shed,
-                    "{}",
-                    overload_cell_name(&cell)
-                );
-                assert!(metrics.scheduler.ledger_balanced());
-                let report = overload_oracle(&log);
-                assert!(
-                    report.is_clean(),
-                    "{}: {:?}",
-                    overload_cell_name(&cell),
-                    report.violations
-                );
-            }
+        assert_eq!(vanilla.metrics.items_shed, 0);
+        assert_eq!(
+            vanilla.metrics.items_produced,
+            vanilla.metrics.items_consumed
+        );
+        for run in &runs {
+            assert_eq!(run.gate_failures(), Vec::<String>::new());
         }
     }
 
     #[test]
-    fn thread_count_does_not_change_overload_bits() {
-        let p = tiny_protocol();
-        let cells: Vec<OverloadCellSpec> = overload_cells(1)
-            .into_iter()
-            .filter(|c| c.point == OverloadPoint::Chaos && c.scenario == FaultScenario::FlashCrowd)
-            .collect();
-        assert_eq!(cells.len(), 4);
-        let (serial, _) = execute_overload_costed(&p, &cells, 1);
-        let (parallel, _) = execute_overload_costed(&p, &cells, 4);
-        for ((ms, ls), (mp, lp)) in serial.iter().zip(&parallel) {
-            assert_eq!(ms.energy.energy_j.to_bits(), mp.energy.energy_j.to_bits());
-            assert_eq!(ms.items_shed, mp.items_shed);
-            assert_eq!(ls.digest(), lp.digest());
+    fn every_panel_row_runs_clean_under_the_correlated_scenarios() {
+        let mut names = Vec::new();
+        for scenario in FaultScenario::correlated() {
+            for (strategy, overload) in overload_panel() {
+                names.push(format!(
+                    "{}/{}",
+                    scenario.name(),
+                    crate::replay::label(&strategy, overload)
+                ));
+            }
+        }
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        for run in run(&names) {
+            let m = &run.metrics;
+            assert_eq!(
+                m.items_produced,
+                m.items_consumed + m.items_shed,
+                "{}",
+                run.meta.label()
+            );
+            assert_eq!(run.gate_failures(), Vec::<String>::new());
         }
     }
 }

@@ -7,7 +7,7 @@
 //! complete replay recipe — strategy (label + exact `period_ns`),
 //! named workload, horizon, geometry, seed, and the fault scenario
 //! whose plan re-expands deterministically from `(scenario, seed,
-//! env)` — so [`rerun_cell`] reconstructs the experiment, runs it with
+//! env)` — so [`run_cell`] reconstructs the experiment, runs it with
 //! a recorder attached, and [`first_divergence`] compares the
 //! regenerated event stream against the recording event-by-event
 //! (sequence number, sim time and payload all must match). The first
@@ -15,21 +15,26 @@
 //! context window; `replay --digest-only` skips the per-event diff and
 //! compares the FNV canonical-JSON digests instead.
 //!
-//! The same parser ([`parse_export`]) backs the `trace_report` and
-//! `replay` binaries, and the golden fixtures under `tests/fixtures/`
-//! are rendered by [`render_fixture`] from the [`fixture_defs`] table —
+//! The header is the *only* cell type: the `sweep` runner expands
+//! every family into headers and runs live cells through the same
+//! [`run_cell`], so every exported cell replays by construction.
+//! [`parse_export`] backs the `replay` binary, and the golden fixtures
+//! under `tests/fixtures/` are rendered by [`render_fixture`] from the
+//! [`fixture_defs`] table —
 //! regeneration is `cargo run -p pc-bench --bin replay --
 //! --regen-fixtures` (see DESIGN.md §12).
 
 use crate::oracle::{self, CellMeta, TraceLine};
-use crate::sweep::trace_capacity_from_env;
-use pc_core::{Experiment, OverloadConfig, PbplConfig, StrategyKind};
+use pc_core::{Experiment, OverloadConfig, PbplConfig, RunMetrics, StrategyKind};
 use pc_faults::{ExpandEnv, FaultPlan, FaultScenario};
 use pc_sim::{SimDuration, SimTime};
-use pc_trace::{PlanetConfig, WorldCupConfig};
-use pc_trace_events::{event_to_json, Event, Recorder, TraceLog};
+use pc_trace::{PlanetConfig, Trace, WorldCupConfig};
+use pc_trace_events::{
+    event_to_json, Event, Recorder, TraceHandle, TraceLog, DEFAULT_RECORDER_CAPACITY,
+};
 use std::io::BufRead;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// One cell reassembled from a JSONL export: its header plus the event
 /// lines that followed it.
@@ -119,10 +124,11 @@ pub fn parse_export_file(path: &str) -> Result<Vec<CellTrace>, String> {
 /// (the experiment builder stretches the horizon to the run duration).
 #[derive(Debug, Clone)]
 pub enum Workload {
-    /// Single shared World-Cup trace config (suite/chaos cells).
+    /// Single shared World-Cup trace config (suite, chaos and overload
+    /// cells).
     WorldCup(WorldCupConfig),
-    /// Planet-fleet config; replay regenerates the per-pair fleet from
-    /// `(config, seed, pairs)` (scale cells).
+    /// Planet-fleet config; the per-pair fleet regenerates from
+    /// `(config, seed, pairs)` (scale and overload m100 cells).
     Planet(PlanetConfig),
 }
 
@@ -178,10 +184,30 @@ pub fn label_overloaded(label: &str) -> bool {
     label.ends_with("(overload)")
 }
 
+/// Display label of a strategy, the `strategy` field of a [`CellMeta`]:
+/// periods in µs, the fixed-capacity and degraded PBPL variants tagged,
+/// and an `(overload)` suffix when the cell runs under
+/// [`OverloadConfig::standard`]. [`rebuild_strategy`] inverts it.
+pub fn label(strategy: &StrategyKind, overload: bool) -> String {
+    let base = match strategy {
+        StrategyKind::Pbp { period } => format!("PBP@{}us", period.as_nanos() / 1_000),
+        StrategyKind::Spbp { period } => format!("SPBP@{}us", period.as_nanos() / 1_000),
+        StrategyKind::Pbpl(cfg) if !cfg.resizing => "PBPL(fixed)".to_string(),
+        StrategyKind::Pbpl(cfg) if cfg.degrade.enabled => "PBPL(degraded)".to_string(),
+        other => other.name().to_string(),
+    };
+    if overload {
+        format!("{base}(overload)")
+    } else {
+        base
+    }
+}
+
 /// Inverts the strategy display label (plus the exact `period_ns` for
 /// the periodic strategies — the label's microseconds are truncated).
 /// An `(overload)` suffix names the *base* strategy; the overload knob
-/// is applied separately by [`rerun_cell`] via [`label_overloaded`].
+/// is applied separately by [`run_cell`] via [`label_overloaded`].
+/// The inverse of [`label`].
 pub fn rebuild_strategy(meta: &CellMeta) -> Result<StrategyKind, String> {
     let label = meta.strategy.as_str();
     let label = label.strip_suffix("(overload)").unwrap_or(label);
@@ -211,65 +237,110 @@ pub fn rebuild_strategy(meta: &CellMeta) -> Result<StrategyKind, String> {
     }
 }
 
-/// Re-runs the cell `meta` describes and returns the regenerated event
-/// stream. The reconstruction mirrors the exporters exactly: the suite
-/// builder path for World-Cup workloads, the scale builder path
-/// (pre-generated fleet) for planet workloads, and the chaos fault
-/// plan re-expanded from `(scenario, seed, env)` when a scenario is
-/// named. The recorder bound follows `PC_TRACE_CAP` like the
-/// exporters, so even a truncated recording replays bit-identically.
-pub fn rerun_cell(meta: &CellMeta) -> Result<TraceLog, String> {
-    let strategy = rebuild_strategy(meta)?;
+/// The cell's fault plan, re-expanded from `(scenario, seed)` and its
+/// geometry — empty for a fault-free cell. The pool total mirrors the
+/// sim's own construction (`B₀ · M` for batching strategies, zero
+/// otherwise).
+pub fn fault_plan(meta: &CellMeta) -> Result<FaultPlan, String> {
+    if meta.scenario.is_empty() {
+        return Ok(FaultPlan::empty());
+    }
+    let scenario = FaultScenario::from_name(&meta.scenario)
+        .ok_or_else(|| format!("unknown fault scenario {:?}", meta.scenario))?;
+    let env = ExpandEnv {
+        horizon_ns: meta.duration_ns,
+        pairs: meta.pairs as u32,
+        cores: meta.cores as u32,
+        pool_total: if rebuild_strategy(meta)?.is_batching() {
+            meta.buffer * meta.pairs
+        } else {
+            0
+        },
+    };
+    Ok(FaultPlan::expand(scenario, meta.seed, &env))
+}
+
+/// The per-pair fleet of a planet-workload cell, generated from
+/// `(config, seed, pairs)` with the config's horizon stretched to the
+/// run so the diurnal cycle spans it; `None` for a World-Cup cell.
+/// Cells that differ only in strategy share one fleet.
+pub fn fleet(meta: &CellMeta) -> Result<Option<Vec<Trace>>, String> {
+    match workload_by_name(&meta.workload) {
+        Some(Workload::WorldCup(_)) => Ok(None),
+        Some(Workload::Planet(mut cfg)) => {
+            cfg.base.horizon = SimTime::ZERO + SimDuration::from_nanos(meta.duration_ns);
+            Ok(Some(cfg.traces(meta.seed, meta.pairs as usize)))
+        }
+        None => Err(format!("unknown workload {:?}", meta.workload)),
+    }
+}
+
+/// Runs the cell `meta` describes — the one path every live and
+/// replayed cell takes. `shards` is a locking layout that never changes
+/// a result; `fleet` is a pre-generated [`fleet`] to share (generated
+/// here when `None`); `record` is the recorder bound, or `None` for an
+/// unrecorded run. A closed scheduler ledger (DESIGN.md §14) is part of
+/// the contract: a drift is an error, not a result.
+pub fn run_cell(
+    meta: &CellMeta,
+    shards: usize,
+    fleet: Option<&Arc<Vec<Trace>>>,
+    record: Option<usize>,
+) -> Result<(RunMetrics, Option<TraceLog>), String> {
     if meta.duration_ns == 0 {
         return Err("header duration_ns is 0".to_string());
     }
-    let duration = SimDuration::from_nanos(meta.duration_ns);
-    let recorder = Recorder::bounded(trace_capacity_from_env());
-    let mut builder = Experiment::builder()
+    let overload = if label_overloaded(&meta.strategy) {
+        OverloadConfig::standard()
+    } else {
+        OverloadConfig::default()
+    };
+    let recorder = record.map(Recorder::bounded);
+    let builder = Experiment::builder()
         .pairs(meta.pairs as usize)
         .cores(meta.cores as usize)
-        .duration(duration)
-        .strategy(strategy.clone())
+        .duration(SimDuration::from_nanos(meta.duration_ns))
+        .strategy(rebuild_strategy(meta)?)
         .seed(meta.seed)
         .buffer_capacity(meta.buffer as usize)
-        .record_events(recorder.handle());
-    if label_overloaded(&meta.strategy) {
-        builder = builder.overload(OverloadConfig::standard());
-    }
-    match workload_by_name(&meta.workload) {
-        Some(Workload::WorldCup(cfg)) => builder = builder.trace(cfg),
-        Some(Workload::Planet(mut cfg)) => {
-            cfg.base.horizon = SimTime::ZERO + duration;
-            builder = builder.traces(cfg.traces(meta.seed, meta.pairs as usize));
+        .shards(shards)
+        .overload(overload)
+        .faults(fault_plan(meta)?)
+        .record_events(
+            recorder
+                .as_ref()
+                .map_or_else(TraceHandle::disabled, |r| r.handle()),
+        );
+    let builder = match (workload_by_name(&meta.workload), fleet) {
+        (None, _) => return Err(format!("unknown workload {:?}", meta.workload)),
+        (Some(Workload::WorldCup(cfg)), _) => builder.trace(cfg),
+        (Some(Workload::Planet(_)), Some(fleet)) => builder.shared_traces(Arc::clone(fleet)),
+        (Some(Workload::Planet(_)), None) => {
+            builder.shared_traces(Arc::new(self::fleet(meta)?.expect("planet workload")))
         }
-        None => return Err(format!("unknown workload {:?}", meta.workload)),
-    }
-    if !meta.scenario.is_empty() {
-        let scenario = FaultScenario::from_name(&meta.scenario)
-            .ok_or_else(|| format!("unknown fault scenario {:?}", meta.scenario))?;
-        let env = ExpandEnv {
-            horizon_ns: meta.duration_ns,
-            pairs: meta.pairs as u32,
-            cores: meta.cores as u32,
-            pool_total: if strategy.is_batching() {
-                meta.buffer * meta.pairs
-            } else {
-                0
-            },
-        };
-        builder = builder.faults(FaultPlan::expand(scenario, meta.seed, &env));
-    }
+    };
     let metrics = builder.run();
-    // Re-executions must satisfy the same closed scheduler ledger as
-    // live runs (DESIGN.md §14); a drift here means the rebuilt cell
-    // diverged from the recorded one in more than its event stream.
     if !metrics.scheduler.ledger_balanced() {
         return Err(format!(
-            "scheduler ledger out of balance on re-execution: {:?}",
+            "scheduler ledger out of balance: {:?}",
             metrics.scheduler
         ));
     }
-    Ok(recorder.take())
+    Ok((metrics, recorder.map(|r| r.take())))
+}
+
+/// Runs `meta` recorded under the bound its header implies: a truncated
+/// recording (`dropped > 0`) was cut at exactly `events`; a complete
+/// one needs room for at least one event more than it holds, so a
+/// longer regenerated stream shows as a divergence rather than a drop.
+pub fn rerecord(meta: &CellMeta) -> Result<TraceLog, String> {
+    let bound = if meta.dropped > 0 {
+        meta.events as usize
+    } else {
+        DEFAULT_RECORDER_CAPACITY.max(meta.events as usize + 1)
+    };
+    let (_, log) = run_cell(meta, 1, None, Some(bound))?;
+    Ok(log.expect("recorded run"))
 }
 
 /// Events shown on each side of a divergence.
@@ -374,11 +445,43 @@ pub enum CellReplay {
     Unreplayable(String),
 }
 
+/// Completes a header from its cell's recording: event count, drop
+/// count and digest.
+pub fn seal(meta: &mut CellMeta, log: &TraceLog) {
+    meta.events = log.events.len() as u64;
+    meta.dropped = log.dropped;
+    meta.digest = log.digest();
+}
+
+/// Checks a recording against itself before any re-execution: the
+/// event count and digest against the header (drift or tampering
+/// between export and replay is caught, not assumed away), then the
+/// replay oracle. Returns one line per problem.
+pub fn check_recording(cell: &CellTrace) -> Vec<String> {
+    let mut problems = Vec::new();
+    if cell.events.len() as u64 != cell.meta.events {
+        problems.push(format!(
+            "event count {} != header {}",
+            cell.events.len(),
+            cell.meta.events
+        ));
+    }
+    let recomputed = pc_trace_events::digest(&cell.events);
+    if recomputed != cell.meta.digest {
+        problems.push(format!(
+            "digest {recomputed:016x} != header {:016x}",
+            cell.meta.digest
+        ));
+    }
+    problems.extend(oracle::check(&cell.log()).violations);
+    problems
+}
+
 /// Replays one cell end-to-end. With `digest_only`, the event streams
 /// are compared through their FNV canonical-JSON digests instead of
 /// event-by-event — same verdict on match, coarser report on mismatch.
 pub fn replay_cell(cell: &CellTrace, digest_only: bool) -> CellReplay {
-    let regenerated = match rerun_cell(&cell.meta) {
+    let regenerated = match rerecord(&cell.meta) {
         Ok(log) => log,
         Err(e) => return CellReplay::Unreplayable(e),
     };
@@ -522,11 +625,9 @@ pub fn fixture_defs() -> Vec<(&'static str, CellMeta)> {
 /// header from the recording, and returns the exact JSONL bytes the
 /// checked-in file must contain.
 pub fn render_fixture(proto: &CellMeta) -> Result<String, String> {
-    let log = rerun_cell(proto)?;
+    let log = rerecord(proto)?;
     let mut meta = proto.clone();
-    meta.events = log.events.len() as u64;
-    meta.dropped = log.dropped;
-    meta.digest = log.digest();
+    seal(&mut meta, &log);
     let mut out = Vec::new();
     oracle::write_cell(&mut out, &meta, &log.events).map_err(|e| e.to_string())?;
     Ok(String::from_utf8(out).expect("trace JSON is UTF-8"))
@@ -555,37 +656,33 @@ mod tests {
         }
     }
 
+    /// Every label any family emits (and so every `--list` name's
+    /// strategy) rebuilds a strategy that labels back to it, with the
+    /// exact period.
     #[test]
     fn strategy_labels_roundtrip() {
-        for (label, period_ns, expect) in [
-            ("BW", 0, StrategyKind::BusyWait),
-            ("Yield", 0, StrategyKind::Yield),
-            ("Mutex", 0, StrategyKind::Mutex),
-            ("Sem", 0, StrategyKind::Sem),
-            ("BP", 0, StrategyKind::Bp),
-            ("PBPL", 0, StrategyKind::pbpl_default()),
-            ("PBPL(degraded)", 0, StrategyKind::pbpl_degraded()),
-            (
-                "PBP@26881us",
-                26_881_720,
-                StrategyKind::Pbp {
-                    period: SimDuration::from_nanos(26_881_720),
-                },
-            ),
-            (
-                "SPBP@3000us",
-                3_000_000,
-                StrategyKind::Spbp {
-                    period: SimDuration::from_nanos(3_000_000),
-                },
-            ),
-        ] {
-            let mut m = meta(label, "");
-            m.period_ns = period_ns;
-            assert_eq!(rebuild_strategy(&m).unwrap(), expect, "{label}");
+        let p = crate::exp::quick_protocol(20, 1, 1);
+        let mut seen = std::collections::BTreeSet::new();
+        for family in crate::sweep::Family::ALL {
+            for cell in family.cells(&p) {
+                let strategy = rebuild_strategy(&cell).unwrap();
+                let overloaded = label_overloaded(&cell.strategy);
+                assert_eq!(label(&strategy, overloaded), cell.strategy);
+                assert_eq!(oracle::strategy_period_ns(&strategy), cell.period_ns);
+                seen.insert(cell.strategy);
+            }
         }
-        let fixed = rebuild_strategy(&meta("PBPL(fixed)", "")).unwrap();
-        match fixed {
+        for label in [
+            "BW",
+            "Yield",
+            "PBP@27000us",
+            "PBPL(fixed)",
+            "PBPL(degraded)",
+            "PBPL(overload)",
+        ] {
+            assert!(seen.contains(label), "{label} missing from {seen:?}");
+        }
+        match rebuild_strategy(&meta("PBPL(fixed)", "")).unwrap() {
             StrategyKind::Pbpl(cfg) => assert!(!cfg.resizing),
             other => panic!("unexpected {other:?}"),
         }
@@ -621,8 +718,8 @@ mod tests {
     #[test]
     fn rerun_is_bit_identical_and_comparator_sees_it() {
         let m = meta("PBPL", "");
-        let a = rerun_cell(&m).unwrap();
-        let b = rerun_cell(&m).unwrap();
+        let a = rerecord(&m).unwrap();
+        let b = rerecord(&m).unwrap();
         assert!(!a.events.is_empty());
         assert_eq!(a.digest(), b.digest());
         assert!(first_divergence(&a.events, &b.events).is_none());
@@ -631,14 +728,14 @@ mod tests {
     #[test]
     fn chaos_rerun_reexpands_the_fault_plan() {
         let m = meta("PBPL(degraded)", "rate_shock");
-        let log = rerun_cell(&m).unwrap();
+        let log = rerecord(&m).unwrap();
         assert!(
             log.events
                 .iter()
                 .any(|e| matches!(e.kind, TraceEvent::FaultInjected { .. })),
             "re-expanded plan must fire"
         );
-        assert_eq!(log.digest(), rerun_cell(&m).unwrap().digest());
+        assert_eq!(log.digest(), rerecord(&m).unwrap().digest());
     }
 
     #[test]
@@ -663,19 +760,19 @@ mod tests {
         // geometry (one dedicated core per pair).
         let mut m = meta("PBPL(overload)", "flash_crowd");
         m.duration_ns = 800_000_000;
-        let log = rerun_cell(&m).unwrap();
+        let log = rerecord(&m).unwrap();
         assert!(
             log.events
                 .iter()
                 .any(|e| matches!(e.kind, TraceEvent::ItemShed { .. })),
             "flash crowd under overload control must shed"
         );
-        assert_eq!(log.digest(), rerun_cell(&m).unwrap().digest());
+        assert_eq!(log.digest(), rerecord(&m).unwrap().digest());
 
         // Same cell without the suffix must not shed (overload stays off).
         let mut vanilla = meta("PBPL", "flash_crowd");
         vanilla.duration_ns = 800_000_000;
-        let base = rerun_cell(&vanilla).unwrap();
+        let base = rerecord(&vanilla).unwrap();
         assert!(!base
             .events
             .iter()
@@ -685,7 +782,7 @@ mod tests {
     #[test]
     fn divergence_reports_first_mismatching_seq() {
         let m = meta("BP", "");
-        let base = rerun_cell(&m).unwrap().events;
+        let base = rerecord(&m).unwrap().events;
         assert!(base.len() > 20);
 
         // Retime one event mid-stream.
@@ -751,7 +848,7 @@ mod tests {
     #[test]
     fn replay_cell_matches_its_own_recording() {
         let m = meta("Mutex", "");
-        let log = rerun_cell(&m).unwrap();
+        let log = rerecord(&m).unwrap();
         let mut full = m.clone();
         full.events = log.events.len() as u64;
         full.dropped = log.dropped;

@@ -1,404 +1,69 @@
-//! Large-M scaling experiment (DESIGN.md §11).
+//! The scale family: large-M scaling on the sharded coordination layer
+//! (DESIGN.md §11).
 //!
-//! The paper's evaluation stops at M = 5 pairs; this experiment drives
-//! the sharded coordination layer (ShardedCoreManager + sharded
-//! GlobalPool) with the planet-scale workload from `pc_trace::planet` at
-//! M ∈ {10, 100, 1000} and checks that the deterministic results are a
-//! pure function of `(seed, config)` — **never** of the worker-thread
-//! count *or the shard count*. The CI `scale` job byte-compares
-//! `results/scale.json` across `--threads {4, 1}` and across two shard
-//! counts; sharding is a locking layout, not a semantics change, and
-//! this file is where that contract is enforced.
-//!
-//! Timings (which *do* depend on threads and shards) go to
-//! `results/BENCH_scale.json` only.
+//! The paper's evaluation stops at M = 5 pairs; this family drives the
+//! sharded coordination layer (ShardedCoreManager + sharded GlobalPool)
+//! with the planet-scale workload from `pc_trace::planet` at
+//! M ∈ {10, 100, 1000}, and `results/scale.json` must be a pure function
+//! of `(seed, config)` — **never** of the worker-thread count *or the
+//! shard count*. Sharding is a locking layout, not a semantics change;
+//! the CI family matrix byte-compares the file across both.
 
-use crate::sweep::{
-    cell_cost, parallel_map, parallel_map_costed, CellSpec, DispatchStats, GridPoint, SweepSpec,
-};
-use pc_core::{Experiment, RunMetrics, StrategyKind};
-use pc_sim::SimDuration;
-use pc_trace::{PlanetConfig, Trace};
+use crate::exp::{evaluated_strategies, print_header, Protocol};
+use crate::sweep::{print_rows, Block, CellReport, CellRun, GridPoint};
 use serde::Serialize;
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// Protocol of the scaling sweep: like `exp::Protocol` but carrying the
-/// planet-fleet workload and the shard-count knob.
-#[derive(Debug, Clone)]
-pub struct ScaleProtocol {
-    /// Run length. The planet workload's horizon is stretched to match,
-    /// so the diurnal cycle always spans the whole run.
-    pub duration: SimDuration,
-    /// Replicates per configuration; replicate k runs with
-    /// `base_seed + k` (the whole fleet is regenerated per seed).
-    pub replicates: usize,
-    /// Base seed.
-    pub base_seed: u64,
-    /// Fleet workload template (per-pair rates, flash pairs, phases).
-    pub workload: PlanetConfig,
-    /// Worker threads for the sweep engine; never affects results.
-    pub threads: usize,
-    /// Coordination shards per manager and in the global pool; a pure
-    /// locking-layout knob that never affects results (the CI scale job
-    /// byte-compares `scale.json` across shard counts).
-    pub shards: usize,
-}
-
-impl ScaleProtocol {
-    /// Defaults with environment overrides: `PC_DURATION_MS` (default
-    /// 10 000 — the scaling grid is ~90× the suite's item volume, so it
-    /// gets a shorter horizon and a single replicate), `PC_REPLICATES`
-    /// (default 1), `PC_SEED`, `PC_THREADS`, `PC_SHARDS` (default 8).
-    pub fn from_env() -> Self {
-        let duration_ms = std::env::var("PC_DURATION_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&ms: &u64| ms > 0)
-            .unwrap_or(10_000u64);
-        let replicates = std::env::var("PC_REPLICATES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n: &usize| n > 0)
-            .unwrap_or(1usize);
-        let base_seed = std::env::var("PC_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1u64);
-        let shards = std::env::var("PC_SHARDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n: &usize| n > 0)
-            .unwrap_or(8usize);
-        let duration = SimDuration::from_millis(duration_ms);
-        let mut workload = PlanetConfig::scale_default();
-        workload.base.horizon = pc_sim::SimTime::ZERO + duration;
-        ScaleProtocol {
-            duration,
-            replicates,
-            base_seed,
-            workload,
-            threads: crate::sweep::threads_from_env(),
-            shards,
-        }
-    }
-}
-
-/// One named grid point of the scaling experiment.
-pub struct ScalePoint {
-    /// Display/filter name (`m10`, `m100`, `m1000`).
-    pub name: &'static str,
-    /// The (pairs, cores, buffer) configuration.
-    pub point: GridPoint,
-}
 
 /// The scaling grid: cores grow with M (10 pairs per core, as in the
 /// paper's 5-pairs-on-2-cores ratio), buffer fixed at the paper's
-/// B₀ = 25.
-pub fn scale_points() -> Vec<ScalePoint> {
-    vec![
-        ScalePoint {
-            name: "m10",
-            point: GridPoint {
-                pairs: 10,
-                cores: 2,
-                buffer: 25,
-            },
-        },
-        ScalePoint {
-            name: "m100",
-            point: GridPoint {
-                pairs: 100,
-                cores: 10,
-                buffer: 25,
-            },
-        },
-        ScalePoint {
-            name: "m1000",
-            point: GridPoint {
-                pairs: 1000,
-                cores: 100,
-                buffer: 25,
-            },
-        },
-    ]
-}
-
-/// The four §VI implementations, evaluated at every scale point.
-pub fn scale_strategies() -> Vec<StrategyKind> {
-    crate::exp::evaluated_strategies()
-}
-
-/// Shared pre-generated fleets, keyed by `(pairs, replicate)`.
-pub type FleetMap = BTreeMap<(usize, usize), Arc<Vec<Trace>>>;
-
-/// Pre-generates the planet fleets a cell list needs, keyed by
-/// `(pairs, replicate)` — cells that differ only in strategy share the
-/// identical fleet (and the generation cost is paid once, in parallel).
-///
-/// Call this *outside* any timed region: fleet generation is workload
-/// synthesis, not simulation, and letting it leak into a point's wall
-/// clock misattributes ~100 ms to whichever cell runs first (the
-/// `fleet_gen_ms` sidecar field records the real cost).
-pub fn fleets(protocol: &ScaleProtocol, cells: &[CellSpec]) -> FleetMap {
-    let mut keys: Vec<(usize, usize)> =
-        cells.iter().map(|c| (c.point.pairs, c.replicate)).collect();
-    keys.sort_unstable();
-    keys.dedup();
-    let generated = parallel_map(&keys, protocol.threads, |&(pairs, replicate)| {
-        let seed = protocol.base_seed + replicate as u64;
-        Arc::new(protocol.workload.traces(seed, pairs))
-    });
-    keys.into_iter().zip(generated).collect()
-}
-
-/// Runs one scaling cell: a pure function of `(protocol, cell, fleet)`.
-/// The shard count is passed to the builder but is semantically inert —
-/// energy bits, item counts and event streams are identical for any
-/// value (see `tests/shard_invariance.rs`).
-pub fn run_cell(protocol: &ScaleProtocol, cell: &CellSpec, fleet: &Arc<Vec<Trace>>) -> RunMetrics {
-    Experiment::builder()
-        .pairs(cell.point.pairs)
-        .cores(cell.point.cores)
-        .duration(protocol.duration)
-        .strategy(cell.strategy.clone())
-        .shared_traces(Arc::clone(fleet))
-        .seed(protocol.base_seed + cell.replicate as u64)
-        .buffer_capacity(cell.point.buffer)
-        .shards(protocol.shards)
-        .run()
-}
-
-/// Traced variant of [`run_cell`]: records the cell's event stream into
-/// a bounded recorder. Recording is purely observational — the metrics
-/// are bit-identical to [`run_cell`]'s, so `results/scale.json` stays
-/// byte-stable under `--trace`.
-pub fn run_cell_traced(
-    protocol: &ScaleProtocol,
-    cell: &CellSpec,
-    fleet: &Arc<Vec<Trace>>,
-) -> (RunMetrics, pc_trace_events::TraceLog) {
-    let recorder = pc_trace_events::Recorder::bounded(crate::sweep::trace_capacity_from_env());
-    let metrics = Experiment::builder()
-        .pairs(cell.point.pairs)
-        .cores(cell.point.cores)
-        .duration(protocol.duration)
-        .strategy(cell.strategy.clone())
-        .shared_traces(Arc::clone(fleet))
-        .seed(protocol.base_seed + cell.replicate as u64)
-        .buffer_capacity(cell.point.buffer)
-        .shards(protocol.shards)
-        .record_events(recorder.handle())
-        .run();
-    (metrics, recorder.take())
-}
-
-/// Traced variant of [`execute`]: per-cell bounded recorders, results in
-/// cell order whatever the thread count.
-pub fn execute_traced(
-    protocol: &ScaleProtocol,
-    cells: &[CellSpec],
-) -> Vec<(RunMetrics, pc_trace_events::TraceLog)> {
-    execute_traced_costed(protocol, cells).0
-}
-
-/// [`execute_traced`] with cost-aware (LPT) dispatch: the m1000 cells
-/// are claimed first so they never straggle behind a queue of cheap
-/// cells. Results are byte-identical; the stats are sidecar-only.
-pub fn execute_traced_costed(
-    protocol: &ScaleProtocol,
-    cells: &[CellSpec],
-) -> (Vec<(RunMetrics, pc_trace_events::TraceLog)>, DispatchStats) {
-    let fleets = fleets(protocol, cells);
-    execute_traced_costed_with(protocol, cells, &fleets)
-}
-
-/// [`execute_traced_costed`] over fleets the caller already generated,
-/// so harnesses can hoist generation out of their timed regions.
-pub fn execute_traced_costed_with(
-    protocol: &ScaleProtocol,
-    cells: &[CellSpec],
-    fleets: &FleetMap,
-) -> (Vec<(RunMetrics, pc_trace_events::TraceLog)>, DispatchStats) {
-    let costs: Vec<u64> = cells
-        .iter()
-        .map(|cell| cell_cost(cell, protocol.duration))
+/// B₀ = 25; the four §VI implementations at every point. Blocks are
+/// named `scale_m{M}`, and `m{M}` is the `--filter` name.
+pub fn blocks(protocol: &Protocol) -> Vec<Block> {
+    let strategies: Vec<_> = evaluated_strategies()
+        .into_iter()
+        .map(|s| (s, false))
         .collect();
-    parallel_map_costed(cells, protocol.threads, &costs, |cell| {
-        let fleet = &fleets[&(cell.point.pairs, cell.replicate)];
-        run_cell_traced(protocol, cell, fleet)
-    })
+    [(10, 2), (100, 10), (1000, 100)]
+        .into_iter()
+        .map(|(pairs, cores)| Block {
+            experiment: format!("scale_m{pairs}"),
+            point: GridPoint {
+                pairs,
+                cores,
+                buffer: 25,
+            },
+            workload: protocol.planet_workload(),
+            scenario: "",
+            strategies: strategies.clone(),
+        })
+        .collect()
 }
 
-/// Expands the scaling grid for the selected points into the sweep
-/// engine's canonical cell order.
-pub fn cells_for(points: &[&ScalePoint], replicates: usize) -> Vec<CellSpec> {
-    let spec = SweepSpec {
-        strategies: scale_strategies(),
-        points: points.iter().map(|p| p.point).collect(),
-    };
-    spec.cells(replicates)
-}
-
-/// Runs `cells` on the engine with shared pre-generated fleets; results
-/// in cell order regardless of thread count.
-pub fn execute(protocol: &ScaleProtocol, cells: &[CellSpec]) -> Vec<RunMetrics> {
-    execute_costed(protocol, cells).0
-}
-
-/// [`execute`] with cost-aware (LPT) dispatch and timing telemetry.
-pub fn execute_costed(
-    protocol: &ScaleProtocol,
-    cells: &[CellSpec],
-) -> (Vec<RunMetrics>, DispatchStats) {
-    let fleets = fleets(protocol, cells);
-    execute_costed_with(protocol, cells, &fleets)
-}
-
-/// [`execute_costed`] over fleets the caller already generated, so
-/// harnesses can hoist generation out of their timed regions.
-pub fn execute_costed_with(
-    protocol: &ScaleProtocol,
-    cells: &[CellSpec],
-    fleets: &FleetMap,
-) -> (Vec<RunMetrics>, DispatchStats) {
-    let costs: Vec<u64> = cells
-        .iter()
-        .map(|cell| cell_cost(cell, protocol.duration))
-        .collect();
-    parallel_map_costed(cells, protocol.threads, &costs, |cell| {
-        let fleet = &fleets[&(cell.point.pairs, cell.replicate)];
-        run_cell(protocol, cell, fleet)
-    })
-}
-
-/// Per-cell deterministic report row of `results/scale.json`.
-///
-/// Deliberately mirrors the suite's cell schema; **no thread or shard
-/// field may ever appear here** — those live in `BENCH_scale.json`.
+/// `results/scale.json`.
 #[derive(Serialize)]
-pub struct ScaleCellReport {
-    /// Strategy display name.
-    pub strategy: String,
-    /// Pairs (the paper's M).
-    pub pairs: usize,
-    /// Cores.
-    pub cores: usize,
-    /// Per-consumer base buffer capacity.
-    pub buffer: usize,
-    /// Seed of this replicate.
-    pub seed: u64,
-    /// Raw bits of the energy reading — the exact-equality currency of
-    /// the determinism contract.
-    pub energy_j_bits: u64,
-    /// Energy, joules (for humans; compare the bits).
-    pub energy_j: f64,
-    /// Items produced across the fleet.
-    pub items_produced: u64,
-    /// Items consumed (must equal produced after flush).
-    pub items_consumed: u64,
-    /// Core wakeups.
-    pub wakeups: u64,
-    /// Scheduled (timer) wakeups.
-    pub scheduled_wakeups: u64,
-    /// Overflow-forced wakeups.
-    pub overflow_wakeups: u64,
-    /// PBPL slot fires.
-    pub slot_fires: u64,
-    /// Mean allocated buffer capacity.
-    pub mean_capacity: f64,
-    /// Mean item latency, microseconds.
-    pub mean_latency_us: f64,
+pub struct ScaleReport {
+    /// Bump on any change to this file's structure.
+    schema_version: u32,
+    duration_ms: u64,
+    replicates: usize,
+    base_seed: u64,
+    workload_mean_rate: f64,
+    workload_rate_spread: f64,
+    cells: Vec<CellReport>,
 }
 
-/// Builds the deterministic report row for one cell.
-pub fn cell_report(protocol: &ScaleProtocol, cell: &CellSpec, m: &RunMetrics) -> ScaleCellReport {
-    ScaleCellReport {
-        strategy: cell.strategy.name().to_string(),
-        pairs: cell.point.pairs,
-        cores: cell.point.cores,
-        buffer: cell.point.buffer,
-        seed: protocol.base_seed + cell.replicate as u64,
-        energy_j_bits: m.energy.energy_j.to_bits(),
-        energy_j: m.energy.energy_j,
-        items_produced: m.items_produced,
-        items_consumed: m.items_consumed,
-        wakeups: m.energy.wakeups,
-        scheduled_wakeups: m.scheduled_wakeups(),
-        overflow_wakeups: m.overflow_wakeups(),
-        slot_fires: m.slot_fires,
-        mean_capacity: m.mean_capacity(),
-        mean_latency_us: m.mean_latency().as_secs_f64() * 1e6,
+/// Prints one table per point and builds `results/scale.json`.
+pub fn report(protocol: &Protocol, runs: &[CellRun]) -> ScaleReport {
+    for point in runs.chunk_by(|a, b| a.meta.pairs == b.meta.pairs) {
+        print_header(&format!("scale m{0} (M={0})", point[0].meta.pairs));
+        print_rows(point);
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny_protocol(threads: usize, shards: usize) -> ScaleProtocol {
-        let duration = SimDuration::from_millis(60);
-        let mut workload = PlanetConfig::quick_test();
-        workload.base.horizon = pc_sim::SimTime::ZERO + duration;
-        ScaleProtocol {
-            duration,
-            replicates: 1,
-            base_seed: 11,
-            workload,
-            threads,
-            shards,
-        }
-    }
-
-    fn tiny_cells() -> Vec<CellSpec> {
-        let spec = SweepSpec {
-            strategies: scale_strategies(),
-            points: vec![GridPoint {
-                pairs: 6,
-                cores: 2,
-                buffer: 25,
-            }],
-        };
-        spec.cells(1)
-    }
-
-    #[test]
-    fn grid_is_three_points_of_four_strategies() {
-        let points = scale_points();
-        assert_eq!(points.len(), 3);
-        assert_eq!(points[2].point.pairs, 1000);
-        let refs: Vec<&ScalePoint> = points.iter().collect();
-        assert_eq!(cells_for(&refs, 2).len(), 3 * 4 * 2);
-    }
-
-    #[test]
-    fn neither_threads_nor_shards_change_energy_bits() {
-        let cells = tiny_cells();
-        let base = execute(&tiny_protocol(1, 1), &cells);
-        for (threads, shards) in [(4, 1), (1, 4), (4, 3)] {
-            let other = execute(&tiny_protocol(threads, shards), &cells);
-            for (a, b) in base.iter().zip(&other) {
-                assert_eq!(a.energy.energy_j.to_bits(), b.energy.energy_j.to_bits());
-                assert_eq!(a.items_consumed, b.items_consumed);
-                assert_eq!(a.energy.wakeups, b.energy.wakeups);
-            }
-        }
-    }
-
-    #[test]
-    fn fleet_is_generated_once_per_point_and_replicate() {
-        let protocol = tiny_protocol(2, 1);
-        let cells = tiny_cells();
-        let fleets = fleets(&protocol, &cells);
-        assert_eq!(fleets.len(), 1, "4 strategies share one fleet");
-        assert_eq!(fleets[&(6, 0)].len(), 6);
-    }
-
-    #[test]
-    fn conservation_holds_at_scale_cells() {
-        let protocol = tiny_protocol(4, 2);
-        for m in execute(&protocol, &tiny_cells()) {
-            assert_eq!(m.items_produced, m.items_consumed, "{}", m.strategy);
-        }
+    ScaleReport {
+        schema_version: 1,
+        duration_ms: protocol.duration.as_nanos() / 1_000_000,
+        replicates: protocol.replicates,
+        base_seed: protocol.base_seed,
+        workload_mean_rate: protocol.planet.mean_rate,
+        workload_rate_spread: protocol.planet.rate_spread,
+        cells: runs.iter().map(CellReport::of).collect(),
     }
 }

@@ -1,30 +1,37 @@
-//! Parallel deterministic sweep engine.
+//! Parallel deterministic sweep engine: one runner for every family.
 //!
-//! Every experiment in this crate is a *sweep*: a grid of
-//! (pairs, cores, buffer) points crossed with a strategy list, each
-//! configuration replicated over consecutive seeds. The cells of that
-//! grid are mutually independent simulations, so they can run on any
-//! number of worker threads — but the *output must not depend on the
-//! thread count*. The engine guarantees that by construction:
+//! Every experiment in this crate is a *sweep*: a family expands its
+//! protocol into [`CellMeta`] headers — the same headers a trace export
+//! carries and `replay` rebuilds from — and every cell, live or
+//! replayed, runs through [`replay::run_cell`]. The cells are mutually
+//! independent simulations, so they can run on any number of worker
+//! threads — but the *output must not depend on the thread count*. The
+//! engine guarantees that by construction:
 //!
-//! * [`SweepSpec::cells`] expands the grid in a fixed, documented order
-//!   (point-major, then strategy, then replicate);
-//! * [`parallel_map`] hands cells to workers through an atomic cursor
-//!   but stores every result in the slot of its *input* index, so the
-//!   collected vector is identical whatever the completion order;
-//! * each cell is a pure function of `(protocol, cell)` — the
-//!   simulation itself is bit-deterministic per seed (see CLAUDE.md).
+//! * [`expand`] lays the grid out in a fixed, documented order
+//!   (block-major, then strategy, then replicate);
+//! * [`parallel_map_costed`] hands cells to workers through an atomic
+//!   cursor but stores every result in the slot of its *input* index, so
+//!   the collected vector is identical whatever the completion order;
+//! * each cell is a pure function of its header — the simulation itself
+//!   is bit-deterministic per seed (see CLAUDE.md).
 //!
-//! The CI determinism gate runs the full suite with `--threads 4` and
-//! `--threads 1` and byte-compares the JSON output; any wall-clock or
-//! thread-count leakage into results is a build failure, not a footnote.
+//! The CI determinism gate runs every family with `--threads 4` and
+//! `--threads 1` (and `--shards 3`) and byte-compares the JSON output;
+//! any wall-clock, thread- or shard-count leakage into results is a
+//! build failure, not a footnote.
 
-use crate::exp::Protocol;
-use pc_core::{Experiment, RunMetrics, StrategyKind};
-use pc_trace_events::{Recorder, TraceLog, DEFAULT_RECORDER_CAPACITY};
+use crate::exp::{print_row, save_json, Protocol, Row, PAPER_PROTOCOL};
+use crate::oracle::{self, CellMeta};
+use crate::replay::{self, label, label_overloaded};
+use crate::{chaos, overload, scale, suite};
+use pc_core::{RunMetrics, StrategyKind};
+use pc_trace::Trace;
+use pc_trace_events::TraceLog;
 use serde::Serialize;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// One (pairs, cores, buffer) grid point of a sweep.
@@ -38,85 +45,202 @@ pub struct GridPoint {
     pub buffer: usize,
 }
 
-/// A sweep: every strategy at every grid point, replicated.
+/// One block of a family's grid: every listed strategy at one point,
+/// under one workload and fault scenario.
 #[derive(Debug, Clone)]
-pub struct SweepSpec {
-    /// Strategies to evaluate (inner loop of the expansion).
-    pub strategies: Vec<StrategyKind>,
-    /// Grid points to evaluate them at (outer loop).
-    pub points: Vec<GridPoint>,
-}
-
-/// One independent unit of simulation work: a single replicate of a
-/// single strategy at a single grid point.
-#[derive(Debug, Clone)]
-pub struct CellSpec {
-    /// Strategy under test.
-    pub strategy: StrategyKind,
-    /// Grid point it runs at.
+pub struct Block {
+    /// Experiment name every cell of the block carries.
+    pub experiment: String,
+    /// Geometry.
     pub point: GridPoint,
-    /// Replicate index; the seed is `base_seed + replicate`.
-    pub replicate: usize,
+    /// Registered workload name (`replay::workload_by_name`).
+    pub workload: &'static str,
+    /// Fault scenario name; empty for fault-free cells.
+    pub scenario: &'static str,
+    /// Strategies, each with whether it runs under overload control.
+    pub strategies: Vec<(StrategyKind, bool)>,
 }
 
-impl SweepSpec {
-    /// Expands the grid into cells in the engine's canonical order:
-    /// point-major, then strategy, then replicate. Consumers regroup by
-    /// walking the same loops (see [`run_grouped`]), so this order is a
-    /// contract, not an implementation detail.
-    pub fn cells(&self, replicates: usize) -> Vec<CellSpec> {
-        let mut cells = Vec::with_capacity(self.points.len() * self.strategies.len() * replicates);
-        for &point in &self.points {
-            for strategy in &self.strategies {
-                for replicate in 0..replicates {
-                    cells.push(CellSpec {
-                        strategy: strategy.clone(),
-                        point,
-                        replicate,
-                    });
-                }
+/// Expands blocks into cell headers in the engine's canonical order:
+/// block-major, then strategy, then replicate (seed `base_seed + k`).
+/// Reports regroup by walking the same order, so it is a contract, not
+/// an implementation detail. `events`, `dropped` and `digest` are
+/// filled in by [`execute`].
+pub fn expand(protocol: &Protocol, blocks: Vec<Block>) -> Vec<CellMeta> {
+    let mut cells = Vec::new();
+    for block in blocks {
+        for (strategy, overload) in &block.strategies {
+            for replicate in 0..protocol.replicates {
+                cells.push(CellMeta {
+                    experiment: block.experiment.clone(),
+                    strategy: label(strategy, *overload),
+                    pairs: block.point.pairs as u64,
+                    cores: block.point.cores as u64,
+                    buffer: block.point.buffer as u64,
+                    seed: protocol.base_seed + replicate as u64,
+                    duration_ns: protocol.duration.as_nanos(),
+                    workload: block.workload.to_string(),
+                    scenario: block.scenario.to_string(),
+                    period_ns: oracle::strategy_period_ns(strategy),
+                    events: 0,
+                    dropped: 0,
+                    digest: 0,
+                });
             }
         }
-        cells
+    }
+    cells
+}
+
+/// A sweep family: a grid, a report, and its default protocol.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// Every paper figure and table (§III, §VI).
+    Suite,
+    /// Every fault scenario against the strategy panel.
+    Chaos,
+    /// The large-M scaling grid on the planet fleet.
+    Scale,
+    /// The overload panel under correlated overload scenarios.
+    Overload,
+}
+
+impl Family {
+    /// All families, in CLI order.
+    pub const ALL: [Family; 4] = [
+        Family::Suite,
+        Family::Chaos,
+        Family::Scale,
+        Family::Overload,
+    ];
+
+    /// CLI name, also the stem of the family's result files.
+    pub fn name(self) -> &'static str {
+        match self {
+            Family::Suite => "suite",
+            Family::Chaos => "chaos",
+            Family::Scale => "scale",
+            Family::Overload => "overload",
+        }
+    }
+
+    /// Inverse of [`Family::name`].
+    pub fn from_name(name: &str) -> Option<Family> {
+        Family::ALL.into_iter().find(|f| f.name() == name)
+    }
+
+    /// Default horizon (ms) and replicate count. The scaling grid is
+    /// ~90× the suite's item volume, so it runs shorter and once.
+    pub fn defaults(self) -> (u64, usize) {
+        match self {
+            Family::Scale => (10_000, 1),
+            _ => PAPER_PROTOCOL,
+        }
+    }
+
+    /// Whether every cell records: chaos and overload rows are derived
+    /// from the trace, so `--trace` only adds the export for them.
+    pub fn records(self) -> bool {
+        matches!(self, Family::Chaos | Family::Overload)
+    }
+
+    /// The family's cells, in canonical order.
+    pub fn cells(self, protocol: &Protocol) -> Vec<CellMeta> {
+        let blocks = match self {
+            Family::Suite => suite::blocks(protocol),
+            Family::Chaos => chaos::blocks(protocol),
+            Family::Scale => scale::blocks(protocol),
+            Family::Overload => overload::blocks(protocol),
+        };
+        expand(protocol, blocks)
+    }
+
+    /// The exact name `--filter` matches and `--list` prints; every
+    /// replicate of a point shares it. Names are exact because one can
+    /// be a prefix of another (`m10`/`m100`, `PBPL`/`PBPL(degraded)`).
+    pub fn cell_name(self, meta: &CellMeta) -> String {
+        match self {
+            Family::Suite => meta.experiment.clone(),
+            Family::Scale => format!("m{}", meta.pairs),
+            Family::Chaos | Family::Overload if meta.workload.starts_with("planet") => {
+                format!("{}@m{}/{}", meta.scenario, meta.pairs, meta.strategy)
+            }
+            Family::Chaos | Family::Overload => format!("{}/{}", meta.scenario, meta.strategy),
+        }
+    }
+
+    /// Prints the family's tables and writes `results/<family>.json`.
+    pub fn report(self, protocol: &Protocol, runs: &[CellRun]) {
+        match self {
+            Family::Suite => save_json(self.name(), &suite::report(protocol, runs)),
+            Family::Chaos => save_json(self.name(), &chaos::report(protocol, runs)),
+            Family::Scale => save_json(self.name(), &scale::report(protocol, runs)),
+            Family::Overload => save_json(self.name(), &overload::report(protocol, runs)),
+        }
     }
 }
 
-/// Worker-thread count: `PC_THREADS` if set to a positive integer,
-/// otherwise the machine's available parallelism.
-pub fn threads_from_env() -> usize {
-    std::env::var("PC_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+/// Prints one summary row per configuration of `runs` (replicates
+/// grouped in canonical order), named `{label} M={pairs} B={buffer}`.
+pub fn print_rows(runs: &[CellRun]) {
+    for (first, group) in configurations(runs) {
+        let mut row = Row::from_runs(&group);
+        row.name = format!("{} M={} B={}", first.strategy, first.pairs, first.buffer);
+        print_row(&row);
+    }
 }
 
-/// Maps `f` over `items` on up to `threads` scoped worker threads,
-/// returning results in *input* order regardless of completion order.
-///
-/// Workers claim items through an atomic cursor (dynamic load balance —
-/// sim cells vary widely in cost) and write each result into the slot
-/// of the item that produced it. With `threads <= 1` the loop runs on
-/// the calling thread; either way the output is identical as long as
-/// `f` is pure.
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let costs = vec![0u64; items.len()];
-    parallel_map_costed(items, threads, &costs, f).0
+/// Groups `runs` into configurations — consecutive cells that differ
+/// only in seed — each with its first header and replicate metrics.
+pub fn configurations(runs: &[CellRun]) -> Vec<(&CellMeta, Vec<RunMetrics>)> {
+    fn config(run: &CellRun) -> (&str, &str, u64, u64) {
+        let m = &run.meta;
+        (&m.experiment, &m.strategy, m.pairs, m.buffer)
+    }
+    runs.chunk_by(|a, b| config(a) == config(b))
+        .map(|g| (&g[0].meta, g.iter().map(|r| r.metrics.clone()).collect()))
+        .collect()
+}
+
+/// One executed cell: its sealed header (`events`, `dropped`, `digest`
+/// filled in when recorded), metrics and recording.
+#[derive(Debug, Clone)]
+pub struct CellRun {
+    /// The header — for a recorded cell, exactly the export's.
+    pub meta: CellMeta,
+    /// The run's metrics.
+    pub metrics: RunMetrics,
+    /// The recording, when the cell was recorded.
+    pub log: Option<TraceLog>,
+}
+
+impl CellRun {
+    /// The gates every cell of every family passes, one line per
+    /// failure: the replay oracle over its recording, and zero shed
+    /// items unless the label carries `(overload)`. (The scheduler
+    /// ledger is checked by [`replay::run_cell`] itself.)
+    pub fn gate_failures(&self) -> Vec<String> {
+        let label = self.meta.label();
+        let mut failures: Vec<String> = self
+            .log
+            .iter()
+            .flat_map(|log| oracle::check(log).violations)
+            .map(|v| format!("{label}: {v}"))
+            .collect();
+        if !label_overloaded(&self.meta.strategy) && self.metrics.items_shed != 0 {
+            failures.push(format!(
+                "{label}: shed {} items with overload control disabled",
+                self.metrics.items_shed
+            ));
+        }
+        failures
+    }
 }
 
 /// Host-dependent telemetry from one [`parallel_map_costed`] dispatch.
 /// Strictly `BENCH_*.json` sidecar material — wall-clock lives here and
 /// must never reach a deterministic results file.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DispatchStats {
     /// Worker threads actually used (after clamping to the item count).
     pub threads: usize,
@@ -139,14 +263,15 @@ impl DispatchStats {
     }
 }
 
-/// [`parallel_map`] with cost-aware dispatch: items are claimed in
-/// descending `costs[i]` order (LPT — longest processing time first), so
-/// an expensive cell starts immediately instead of being picked up last
-/// and straggling the whole dispatch. Ties keep input order; results are
-/// still written to input-index slots, so the output vector — and every
-/// deterministic artifact downstream of it — is byte-identical to the
-/// unweighted dispatch for any thread count. Cost estimates only shape
-/// the *claim order* (and therefore wall-clock), never results.
+/// Maps `f` over `items` on up to `threads` scoped worker threads with
+/// cost-aware dispatch: items are claimed in descending `costs[i]` order
+/// (LPT — longest processing time first), so an expensive cell starts
+/// immediately instead of being picked up last and straggling the whole
+/// dispatch. Ties keep input order, and every result is written to the
+/// slot of its *input* index, so the output vector — and every
+/// deterministic artifact downstream of it — is identical for any
+/// thread count as long as `f` is pure. Costs only shape the claim
+/// order (and therefore wall-clock), never results.
 pub fn parallel_map_costed<T, R, F>(
     items: &[T],
     threads: usize,
@@ -163,72 +288,43 @@ where
     let mut order: Vec<usize> = (0..items.len()).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
 
-    if threads == 1 {
-        let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
-        let mut cell_wall_ms = vec![0u64; items.len()];
-        let mut busy_ns = 0u64;
-        for &i in &order {
-            let t0 = Instant::now();
-            results[i] = Some(f(&items[i]));
-            let elapsed = t0.elapsed();
-            busy_ns += elapsed.as_nanos() as u64;
-            cell_wall_ms[i] = elapsed.as_millis() as u64;
-        }
-        let stats = DispatchStats {
-            threads: 1,
-            worker_busy_ms: vec![busy_ns / 1_000_000],
-            cell_wall_ms,
-        };
-        return (
-            results
-                .into_iter()
-                .map(|r| r.expect("serial loop filled every slot"))
-                .collect(),
-            stats,
-        );
-    }
-
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<(R, u64)>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let mut worker_busy_ms = vec![0u64; threads];
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut busy_ns = 0u64;
-                    loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        if k >= order.len() {
-                            break busy_ns;
-                        }
-                        let i = order[k];
-                        let t0 = Instant::now();
-                        let result = f(&items[i]);
-                        let elapsed = t0.elapsed();
-                        busy_ns += elapsed.as_nanos() as u64;
-                        *slots[i].lock().expect("result slot poisoned") =
-                            Some((result, elapsed.as_millis() as u64));
-                    }
-                })
-            })
-            .collect();
-        for (w, handle) in workers.into_iter().enumerate() {
-            worker_busy_ms[w] = handle.join().expect("worker panicked") / 1_000_000;
+    let work = || {
+        let mut busy_ns = 0u64;
+        loop {
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            if k >= order.len() {
+                break busy_ns / 1_000_000;
+            }
+            let i = order[k];
+            let t0 = Instant::now();
+            let result = f(&items[i]);
+            let elapsed = t0.elapsed();
+            busy_ns += elapsed.as_nanos() as u64;
+            *slots[i].lock().expect("result slot poisoned") =
+                Some((result, elapsed.as_millis() as u64));
         }
-    });
-    let mut cell_wall_ms = vec![0u64; items.len()];
-    let results = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            let (result, wall) = slot
-                .into_inner()
-                .expect("result slot poisoned")
-                .expect("worker filled every claimed slot");
-            cell_wall_ms[i] = wall;
-            result
+    };
+    let worker_busy_ms = if threads == 1 {
+        vec![work()]
+    } else {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker panicked"))
+                .collect()
         })
-        .collect();
+    };
+    let (results, cell_wall_ms) = slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot poisoned")
+                .expect("a worker filled every slot")
+        })
+        .unzip();
     (
         results,
         DispatchStats {
@@ -239,15 +335,99 @@ where
     )
 }
 
-/// One cell's `BENCH_*` sidecar row: host wall time plus the
-/// *deterministic* scheduler operation counters from the run (the
-/// counters are a pure function of `(seed, config)`; only `wall_ms` is
-/// host-dependent). `compactions` staying 0 across every cell is the
-/// recorded proof that the timer wheel retired the old heap's
-/// tombstone-compaction path.
+/// [`parallel_map_costed`] with uniform costs (input-order claims).
+pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    parallel_map_costed(items, threads, &vec![0; items.len()], f).0
+}
+
+/// Timing of one [`execute`] call — sidecar material only.
+#[derive(Debug, Clone)]
+pub struct Timing {
+    /// The dispatch's per-worker and per-cell times.
+    pub dispatch: DispatchStats,
+    /// Wall time of the dispatch alone, milliseconds.
+    pub wall_ms: u64,
+    /// Wall time spent pre-generating planet fleets, milliseconds.
+    pub fleet_gen_ms: u64,
+}
+
+/// Which fleet a planet cell runs: cells that differ only in strategy
+/// share one.
+type FleetKey = (String, u64, u64, u64);
+
+fn fleet_key(meta: &CellMeta) -> FleetKey {
+    (
+        meta.workload.clone(),
+        meta.seed,
+        meta.pairs,
+        meta.duration_ns,
+    )
+}
+
+/// Generates, on `threads` workers, the planet fleets `cells` need —
+/// once per (workload, seed, M, horizon), however many strategies share
+/// it.
+fn fleets(cells: &[CellMeta], threads: usize) -> BTreeMap<FleetKey, Arc<Vec<Trace>>> {
+    let mut firsts: BTreeMap<FleetKey, &CellMeta> = BTreeMap::new();
+    for meta in cells.iter().filter(|m| m.workload.starts_with("planet")) {
+        firsts.entry(fleet_key(meta)).or_insert(meta);
+    }
+    let metas: Vec<&CellMeta> = firsts.values().copied().collect();
+    let generated = parallel_map(&metas, threads, |meta| {
+        let fleet = replay::fleet(meta).unwrap_or_else(|e| panic!("{}: {e}", meta.label()));
+        Arc::new(fleet.expect("planet workload"))
+    });
+    firsts.into_keys().zip(generated).collect()
+}
+
+/// Runs `cells` on `protocol.threads` workers with LPT dispatch (cost =
+/// horizon × M), recording each cell when `record` holds; results in
+/// cell order. Planet fleets are generated first, outside the timed
+/// dispatch: fleet generation is workload synthesis, not simulation,
+/// and letting it leak into the first cell's wall clock would
+/// misattribute it.
+pub fn execute(protocol: &Protocol, cells: &[CellMeta], record: bool) -> (Vec<CellRun>, Timing) {
+    let gen_started = Instant::now();
+    let fleets = fleets(cells, protocol.threads);
+    let fleet_gen_ms = gen_started.elapsed().as_millis() as u64;
+
+    let costs: Vec<u64> = cells
+        .iter()
+        .map(|m| m.duration_ns.saturating_mul(m.pairs))
+        .collect();
+    let started = Instant::now();
+    let (runs, dispatch) = parallel_map_costed(cells, protocol.threads, &costs, |meta| {
+        let record = record.then_some(protocol.trace_cap);
+        let (metrics, log) =
+            replay::run_cell(meta, protocol.shards, fleets.get(&fleet_key(meta)), record)
+                .unwrap_or_else(|e| panic!("{}: {e}", meta.label()));
+        let mut meta = meta.clone();
+        if let Some(log) = &log {
+            replay::seal(&mut meta, log);
+        }
+        CellRun { meta, metrics, log }
+    });
+    let timing = Timing {
+        dispatch,
+        wall_ms: started.elapsed().as_millis() as u64,
+        fleet_gen_ms,
+    };
+    (runs, timing)
+}
+
+/// One cell's sidecar row: host wall time plus the *deterministic*
+/// scheduler operation counters of the run (a pure function of the
+/// header; only `wall_ms` is host-dependent).
 #[derive(Debug, Clone, Serialize)]
 pub struct CellTiming {
-    /// Cell label (strategy, geometry, seed).
+    /// The cell's experiment.
+    pub experiment: String,
+    /// Cell label (`CellMeta::label`).
     pub cell: String,
     /// Host wall time of this cell, milliseconds.
     pub wall_ms: u64,
@@ -255,236 +435,276 @@ pub struct CellTiming {
     pub scheduler: pc_sim::QueueStats,
 }
 
-/// Relative cost estimate of one sweep cell: simulated duration × M.
-/// Event volume scales with both, so this ranks an m1000 cell far above
-/// an m10 cell and equal-M cells equally — exactly the granularity the
-/// LPT dispatch needs.
-pub fn cell_cost(cell: &CellSpec, duration: pc_sim::SimDuration) -> u64 {
-    duration.as_nanos().saturating_mul(cell.point.pairs as u64)
+/// The `results/BENCH_<family>.json` sidecar: everything
+/// host-dependent about a sweep, so none of it reaches the result file.
+#[derive(Debug, Clone, Serialize)]
+pub struct Sidecar {
+    /// v5: one struct for every family — a flat, experiment-tagged
+    /// `cells` list replaces the per-family nesting; `fleet_gen_ms`
+    /// and `shards` on every family.
+    pub schema_version: u32,
+    /// Per-cell timings in canonical cell order.
+    pub cells: Vec<CellTiming>,
+    /// Whole-run wall time, milliseconds.
+    pub total_wall_ms: u64,
+    /// Worker busy share over the dispatch interval.
+    pub utilization: f64,
+    /// Per-worker busy milliseconds.
+    pub worker_busy_ms: Vec<u64>,
+    /// Fleet pre-generation wall time (outside the dispatch).
+    pub fleet_gen_ms: u64,
+    /// Worker threads used.
+    pub threads: usize,
+    /// Coordination shards per cell.
+    pub shards: usize,
+    /// Active `--filter` values (empty = the whole family), so a
+    /// checked-in sidecar can never masquerade as a full run.
+    pub filters: Vec<String>,
 }
 
-/// Runs one cell: a pure function of the protocol and the cell spec.
-pub fn run_cell(protocol: &Protocol, cell: &CellSpec) -> RunMetrics {
-    Experiment::builder()
-        .pairs(cell.point.pairs)
-        .cores(cell.point.cores)
-        .duration(protocol.duration)
-        .strategy(cell.strategy.clone())
-        .trace(protocol.trace.clone())
-        .seed(protocol.base_seed + cell.replicate as u64)
-        .buffer_capacity(cell.point.buffer)
-        .run()
-}
-
-/// Runs `cells` on `threads` workers; results in cell order.
-pub fn execute(protocol: &Protocol, cells: &[CellSpec], threads: usize) -> Vec<RunMetrics> {
-    execute_costed(protocol, cells, threads).0
-}
-
-/// [`execute`] with cost-aware (LPT) dispatch and timing telemetry.
-/// Results are byte-identical to [`execute`]'s; the [`DispatchStats`]
-/// are sidecar-only.
-pub fn execute_costed(
-    protocol: &Protocol,
-    cells: &[CellSpec],
-    threads: usize,
-) -> (Vec<RunMetrics>, DispatchStats) {
-    let costs: Vec<u64> = cells
-        .iter()
-        .map(|cell| cell_cost(cell, protocol.duration))
-        .collect();
-    parallel_map_costed(cells, threads, &costs, |cell| run_cell(protocol, cell))
-}
-
-/// Per-cell recorder bound for traced runs: `PC_TRACE_CAP` if set to a
-/// positive integer, else [`DEFAULT_RECORDER_CAPACITY`].
-pub fn trace_capacity_from_env() -> usize {
-    std::env::var("PC_TRACE_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or(DEFAULT_RECORDER_CAPACITY)
-}
-
-/// Runs one cell with an event recorder attached and returns the metrics
-/// together with the recording. Recording is purely observational: the
-/// metrics are bit-identical to [`run_cell`]'s, which is what lets the
-/// suite keep `results/suite.json` byte-stable under `--trace`.
-pub fn run_cell_traced(protocol: &Protocol, cell: &CellSpec) -> (RunMetrics, TraceLog) {
-    let recorder = Recorder::bounded(trace_capacity_from_env());
-    let metrics = Experiment::builder()
-        .pairs(cell.point.pairs)
-        .cores(cell.point.cores)
-        .duration(protocol.duration)
-        .strategy(cell.strategy.clone())
-        .trace(protocol.trace.clone())
-        .seed(protocol.base_seed + cell.replicate as u64)
-        .buffer_capacity(cell.point.buffer)
-        .record_events(recorder.handle())
-        .run();
-    (metrics, recorder.take())
-}
-
-/// Traced variant of [`execute`]: each cell records into its own bounded
-/// recorder, so traces are per-cell deterministic whatever the thread
-/// count.
-pub fn execute_traced(
-    protocol: &Protocol,
-    cells: &[CellSpec],
-    threads: usize,
-) -> Vec<(RunMetrics, TraceLog)> {
-    execute_traced_costed(protocol, cells, threads).0
-}
-
-/// [`execute_traced`] with cost-aware (LPT) dispatch and timing
-/// telemetry.
-pub fn execute_traced_costed(
-    protocol: &Protocol,
-    cells: &[CellSpec],
-    threads: usize,
-) -> (Vec<(RunMetrics, TraceLog)>, DispatchStats) {
-    let costs: Vec<u64> = cells
-        .iter()
-        .map(|cell| cell_cost(cell, protocol.duration))
-        .collect();
-    parallel_map_costed(cells, threads, &costs, |cell| {
-        run_cell_traced(protocol, cell)
-    })
-}
-
-/// Runs a whole spec and regroups the flat cell results back into
-/// `[point][strategy] -> replicate runs`, mirroring [`SweepSpec::cells`].
-pub fn run_grouped(protocol: &Protocol, spec: &SweepSpec) -> Vec<Vec<Vec<RunMetrics>>> {
-    let cells = spec.cells(protocol.replicates);
-    let mut flat = execute(protocol, &cells, protocol.threads).into_iter();
-    spec.points
-        .iter()
-        .map(|_| {
-            spec.strategies
+impl Sidecar {
+    /// Assembles the sidecar of one sweep.
+    pub fn new(
+        protocol: &Protocol,
+        runs: &[CellRun],
+        timing: &Timing,
+        total_wall_ms: u64,
+        filters: &[String],
+    ) -> Sidecar {
+        Sidecar {
+            schema_version: 5,
+            cells: runs
                 .iter()
-                .map(|_| {
-                    (0..protocol.replicates)
-                        .map(|_| flat.next().expect("cell count matches expansion"))
-                        .collect()
+                .zip(&timing.dispatch.cell_wall_ms)
+                .map(|(run, &wall_ms)| CellTiming {
+                    experiment: run.meta.experiment.clone(),
+                    cell: run.meta.label(),
+                    wall_ms,
+                    scheduler: run.metrics.scheduler,
                 })
-                .collect()
-        })
-        .collect()
+                .collect(),
+            total_wall_ms,
+            utilization: timing.dispatch.utilization(timing.wall_ms),
+            worker_busy_ms: timing.dispatch.worker_busy_ms.clone(),
+            fleet_gen_ms: timing.fleet_gen_ms,
+            threads: timing.dispatch.threads,
+            shards: protocol.shards,
+            filters: filters.to_vec(),
+        }
+    }
+}
+
+/// Deterministic per-cell report row shared by the suite and scale
+/// families. **No thread, shard or timing field may ever appear here**
+/// — those live in the sidecar.
+#[derive(Debug, Clone, Serialize)]
+pub struct CellReport {
+    /// Strategy label.
+    pub strategy: String,
+    /// Pairs (the paper's M).
+    pub pairs: u64,
+    /// Cores.
+    pub cores: u64,
+    /// Per-consumer base buffer capacity.
+    pub buffer: u64,
+    /// Seed of this replicate.
+    pub seed: u64,
+    /// Raw bits of the energy reading — the exact-equality currency of
+    /// the determinism contract (never compare the float itself).
+    pub energy_j_bits: u64,
+    /// Energy, joules (for humans; compare the bits).
+    pub energy_j: f64,
+    /// Items produced.
+    pub items_produced: u64,
+    /// Items consumed (must equal produced after flush).
+    pub items_consumed: u64,
+    /// Core wakeups.
+    pub wakeups: u64,
+    /// Scheduled (timer) wakeups.
+    pub scheduled_wakeups: u64,
+    /// Overflow-forced wakeups.
+    pub overflow_wakeups: u64,
+    /// PBPL slot fires.
+    pub slot_fires: u64,
+    /// Mean allocated buffer capacity.
+    pub mean_capacity: f64,
+    /// Mean item latency, microseconds.
+    pub mean_latency_us: f64,
+}
+
+impl CellReport {
+    /// The row of one executed cell.
+    pub fn of(run: &CellRun) -> CellReport {
+        let (meta, m) = (&run.meta, &run.metrics);
+        CellReport {
+            strategy: meta.strategy.clone(),
+            pairs: meta.pairs,
+            cores: meta.cores,
+            buffer: meta.buffer,
+            seed: meta.seed,
+            energy_j_bits: m.energy.energy_j.to_bits(),
+            energy_j: m.energy.energy_j,
+            items_produced: m.items_produced,
+            items_consumed: m.items_consumed,
+            wakeups: m.energy.wakeups,
+            scheduled_wakeups: m.scheduled_wakeups(),
+            overflow_wakeups: m.overflow_wakeups(),
+            slot_fires: m.slot_fires,
+            mean_capacity: m.mean_capacity(),
+            mean_latency_us: m.mean_latency().as_secs_f64() * 1e6,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pc_sim::SimDuration;
-    use pc_trace::WorldCupConfig;
-
-    fn tiny_protocol(threads: usize) -> Protocol {
-        Protocol {
-            duration: SimDuration::from_millis(40),
-            replicates: 2,
-            base_seed: 7,
-            trace: WorldCupConfig::quick_test(),
-            threads,
-        }
-    }
+    use crate::exp::quick_protocol;
+    use crate::replay::{parse_export, replay_cell, CellReplay};
 
     #[test]
-    fn expansion_order_is_point_major_then_strategy_then_replicate() {
-        let spec = SweepSpec {
-            strategies: vec![StrategyKind::Mutex, StrategyKind::Bp],
-            points: vec![
-                GridPoint {
-                    pairs: 1,
-                    cores: 1,
-                    buffer: 25,
-                },
-                GridPoint {
-                    pairs: 5,
-                    cores: 2,
-                    buffer: 50,
-                },
-            ],
+    fn expansion_order_is_block_major_then_strategy_then_replicate() {
+        let p = quick_protocol(40, 3, 1);
+        let block = |pairs, buffer| Block {
+            experiment: format!("m{pairs}"),
+            point: GridPoint {
+                pairs,
+                cores: 1,
+                buffer,
+            },
+            workload: "worldcup_quick",
+            scenario: "",
+            strategies: vec![(StrategyKind::Mutex, false), (StrategyKind::Bp, true)],
         };
-        let cells = spec.cells(3);
-        assert_eq!(cells.len(), 2 * 2 * 3);
-        let key: Vec<(usize, &str, usize)> = cells
+        let cells = expand(&p, vec![block(1, 25), block(5, 50)]);
+        let key: Vec<(u64, &str, u64)> = cells
             .iter()
-            .map(|c| (c.point.pairs, c.strategy.name(), c.replicate))
+            .map(|c| (c.pairs, c.strategy.as_str(), c.seed))
             .collect();
-        assert_eq!(
-            key,
-            vec![
-                (1, "Mutex", 0),
-                (1, "Mutex", 1),
-                (1, "Mutex", 2),
-                (1, "BP", 0),
-                (1, "BP", 1),
-                (1, "BP", 2),
-                (5, "Mutex", 0),
-                (5, "Mutex", 1),
-                (5, "Mutex", 2),
-                (5, "BP", 0),
-                (5, "BP", 1),
-                (5, "BP", 2),
-            ]
-        );
+        let mut expected = Vec::new();
+        for pairs in [1, 5] {
+            for strategy in ["Mutex", "BP(overload)"] {
+                for seed in 11..14 {
+                    expected.push((pairs, strategy, seed));
+                }
+            }
+        }
+        assert_eq!(key, expected);
+        assert!(cells
+            .iter()
+            .all(|c| c.duration_ns == 40_000_000 && c.events == 0));
     }
 
     #[test]
-    fn parallel_map_preserves_input_order() {
+    fn parallel_map_preserves_input_order_under_any_costs() {
         let items: Vec<usize> = (0..97).collect();
-        let doubled = parallel_map(&items, 8, |&x| x * 2);
-        assert_eq!(doubled, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
+        let doubled: Vec<usize> = items.iter().map(|&x| x * 2).collect();
+        assert_eq!(parallel_map(&items, 8, |&x| x * 2), doubled);
+        let costs: Vec<u64> = items.iter().map(|&x| (x as u64 * 37) % 11).collect();
+        let (costed, stats) = parallel_map_costed(&items, 3, &costs, |&x| x * 2);
+        assert_eq!(costed, doubled);
+        assert_eq!((stats.threads, stats.cell_wall_ms.len()), (3, 97));
         // Degenerate shapes.
         assert!(parallel_map(&Vec::<usize>::new(), 4, |&x| x).is_empty());
         assert_eq!(parallel_map(&[41usize], 16, |&x| x + 1), vec![42]);
     }
 
     #[test]
-    fn thread_count_does_not_change_energy_bits() {
-        let spec = SweepSpec {
-            strategies: vec![StrategyKind::Mutex, StrategyKind::pbpl_default()],
-            points: vec![GridPoint {
-                pairs: 2,
-                cores: 2,
-                buffer: 25,
-            }],
+    fn neither_threads_nor_shards_change_results() {
+        // The planet fleet at a small M, so sharding has managers to
+        // split; recorded, so the event streams are compared too.
+        let cells: Vec<CellMeta> = Family::Scale
+            .cells(&quick_protocol(60, 1, 1))
+            .into_iter()
+            .filter(|c| c.pairs == 10)
+            .collect();
+        assert_eq!(cells.len(), 4);
+        let run = |threads, shards| {
+            let mut p = quick_protocol(60, 1, threads);
+            p.shards = shards;
+            execute(&p, &cells, true).0
         };
-        let serial = run_grouped(&tiny_protocol(1), &spec);
-        let parallel = run_grouped(&tiny_protocol(4), &spec);
-        for (point_s, point_p) in serial.iter().zip(&parallel) {
-            for (runs_s, runs_p) in point_s.iter().zip(point_p) {
-                for (a, b) in runs_s.iter().zip(runs_p) {
-                    assert_eq!(a.energy.energy_j.to_bits(), b.energy.energy_j.to_bits());
-                    assert_eq!(a.items_consumed, b.items_consumed);
-                    assert_eq!(a.slot_fires, b.slot_fires);
+        let base = run(1, 1);
+        for (threads, shards) in [(4, 1), (1, 4), (4, 3)] {
+            for (a, b) in base.iter().zip(run(threads, shards)) {
+                assert_eq!(
+                    a.metrics.energy.energy_j.to_bits(),
+                    b.metrics.energy.energy_j.to_bits()
+                );
+                assert_eq!(a.metrics.items_consumed, b.metrics.items_consumed);
+                assert_eq!(a.meta, b.meta, "events, dropped and digest included");
+            }
+        }
+    }
+
+    #[test]
+    fn a_fleet_is_generated_once_per_seed_and_point() {
+        let cells = Family::Scale.cells(&quick_protocol(20, 2, 1));
+        let m10: Vec<CellMeta> = cells.into_iter().filter(|c| c.pairs == 10).collect();
+        assert_eq!(m10.len(), 4 * 2);
+        let shared = fleets(&m10, 2);
+        assert_eq!(shared.len(), 2, "4 strategies share each seed's fleet");
+        assert!(shared.values().all(|fleet| fleet.len() == 10));
+        let suite = Family::Suite.cells(&quick_protocol(20, 1, 1));
+        assert!(
+            fleets(&suite, 1).is_empty(),
+            "World-Cup cells need no fleet"
+        );
+    }
+
+    /// Every family's live cells, exported and re-executed from their
+    /// headers alone, replay event-for-event — and pass the gates.
+    #[test]
+    fn every_family_replays_its_own_export() {
+        let p = quick_protocol(20, 1, 2);
+        for family in Family::ALL {
+            let (runs, _) = execute(&p, &family.cells(&p), true);
+            let mut export = Vec::new();
+            for run in &runs {
+                assert_eq!(run.gate_failures(), Vec::<String>::new());
+                let log = run.log.as_ref().expect("recorded");
+                oracle::write_cell(&mut export, &run.meta, &log.events).unwrap();
+            }
+            let cells = parse_export(export.as_slice()).unwrap();
+            assert_eq!(cells.len(), runs.len());
+            for cell in &cells {
+                match replay_cell(cell, false) {
+                    CellReplay::Match { events } => assert_eq!(events, cell.meta.events),
+                    CellReplay::Diverged { report, .. } => {
+                        panic!("{}: {report}", cell.meta.label())
+                    }
+                    CellReplay::Unreplayable(e) => panic!("{}: {e}", cell.meta.label()),
                 }
             }
         }
     }
 
     #[test]
-    fn protocol_run_goes_through_the_engine_unchanged() {
-        // Protocol::run is now a one-point, one-strategy sweep; its
-        // results must match running the cell directly.
-        let p = tiny_protocol(2);
-        let runs = p.run(StrategyKind::Bp, 2, 2, 25);
-        assert_eq!(runs.len(), 2);
-        let direct = run_cell(
-            &p,
-            &CellSpec {
-                strategy: StrategyKind::Bp,
-                point: GridPoint {
-                    pairs: 2,
-                    cores: 2,
-                    buffer: 25,
-                },
-                replicate: 1,
-            },
-        );
-        assert_eq!(
-            runs[1].energy.energy_j.to_bits(),
-            direct.energy.energy_j.to_bits()
-        );
+    fn cell_names_are_exact_filter_keys() {
+        let p = quick_protocol(20, 2, 1);
+        let names = |family: Family| -> Vec<String> {
+            let mut names: Vec<String> = family
+                .cells(&p)
+                .iter()
+                .map(|c| family.cell_name(c))
+                .collect();
+            names.dedup();
+            names
+        };
+        assert_eq!(names(Family::Scale), ["m10", "m100", "m1000"]);
+        assert_eq!(Family::Scale.cells(&p).len(), 3 * 4 * 2);
+        assert_eq!(names(Family::Suite).len(), 6);
+        assert_eq!(names(Family::Chaos).len(), 8 * 5);
+        let overload = names(Family::Overload);
+        assert_eq!(overload.len(), 10 * 4 + 4);
+        assert!(overload.contains(&"flash_crowd@m100/PBPL(overload)".to_string()));
+        assert!(overload.contains(&"baseline/BP".to_string()));
+        // A chaos or overload name is shared by exactly its replicates.
+        for family in [Family::Chaos, Family::Overload] {
+            let cells = family.cells(&p);
+            let unique: std::collections::BTreeSet<String> =
+                cells.iter().map(|c| family.cell_name(c)).collect();
+            assert_eq!(unique.len() * 2, cells.len(), "{}", family.name());
+        }
     }
 }

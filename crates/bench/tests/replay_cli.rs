@@ -1,8 +1,8 @@
-//! Exit-path contract of the `trace_report` and `replay` binaries:
-//! CI shell-scripts them, so the codes must be exact — 0 clean,
-//! 1 failures (divergence, digest mismatch, empty export), 2 usage or
-//! I/O/parse errors *with a line number* so a corrupted artifact can be
-//! found by eye.
+//! Exit-path contract of the `replay` binary: CI shell-scripts it, so
+//! the codes must be exact — 0 clean, 1 failures (count or digest
+//! mismatch against the header, oracle violation, divergence, empty
+//! export), 2 usage or I/O/parse errors *with a line number* so a
+//! corrupted artifact can be found by eye.
 
 use pc_bench::oracle;
 use pc_bench::replay::{fixture_dir, parse_export_file};
@@ -29,21 +29,18 @@ fn suite_fixture() -> String {
     fixture_dir().join("suite_cell.jsonl").display().to_string()
 }
 
-const TRACE_REPORT: &str = env!("CARGO_BIN_EXE_trace_report");
 const REPLAY: &str = env!("CARGO_BIN_EXE_replay");
 
 #[test]
-fn clean_fixture_exits_zero_in_both_binaries() {
-    for bin in [TRACE_REPORT, REPLAY] {
-        let out = run(bin, &[&suite_fixture()]);
-        assert!(
-            out.status.success(),
-            "{bin}: {}\n{}",
-            out.status,
-            String::from_utf8_lossy(&out.stdout)
-        );
-    }
-    // replay --digest-only and --list are clean exits too.
+fn clean_fixture_exits_zero() {
+    let out = run(REPLAY, &[&suite_fixture()]);
+    assert!(
+        out.status.success(),
+        "{}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stdout)
+    );
+    // --digest-only and --list are clean exits too.
     assert!(run(REPLAY, &[&suite_fixture(), "--digest-only"])
         .status
         .success());
@@ -59,19 +56,16 @@ fn garbage_line_exits_two_with_its_line_number() {
         &path,
         "{\"Ev\":{\"seq\":0,\"t_ns\":1,\"kind\":{\"Produce\":{\"pair\":0}}}}\nnot json\n",
     );
-    let arg = path.display().to_string();
-    for bin in [TRACE_REPORT, REPLAY] {
-        let out = run(bin, &[&arg]);
-        assert_eq!(out.status.code(), Some(2), "{bin}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(":1:"), "{bin} must name line 1: {stderr}");
-        assert!(stderr.contains("before any cell header"), "{stderr}");
-    }
+    let out = run(REPLAY, &[&path.display().to_string()]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(":1:"), "must name line 1: {stderr}");
+    assert!(stderr.contains("before any cell header"), "{stderr}");
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
-fn truncated_recording_fails_trace_report_and_replay() {
+fn truncated_recording_fails_the_header_check_and_the_replay() {
     // Take the real fixture and drop its last 10 event lines: the
     // header's event count and digest no longer match.
     let full = std::fs::read_to_string(suite_fixture()).unwrap();
@@ -84,15 +78,11 @@ fn truncated_recording_fails_trace_report_and_replay() {
     write(&path, &truncated);
     let arg = path.display().to_string();
 
-    let out = run(TRACE_REPORT, &[&arg]);
+    let out = run(REPLAY, &[&arg]);
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("event count"), "{stdout}");
     assert!(stdout.contains("digest"), "{stdout}");
-
-    let out = run(REPLAY, &[&arg]);
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("diverged at seq"), "{stdout}");
     assert!(stdout.contains("end of recording"), "{stdout}");
 
@@ -100,7 +90,7 @@ fn truncated_recording_fails_trace_report_and_replay() {
 }
 
 #[test]
-fn single_retimed_event_diverges_replay_but_not_trace_report_parsing() {
+fn single_retimed_event_diverges_replay() {
     // Retime one mid-stream event and fix up the header digest so only
     // the *replay* (re-execution) can notice — the recording is
     // internally consistent, it just doesn't match the simulator.
@@ -136,6 +126,21 @@ fn single_retimed_event_diverges_replay_but_not_trace_report_parsing() {
         }
     }
 
+    // Without the fix-up the header check fails too — and the cell is
+    // still re-executed, so both the bad digest and the divergence show.
+    let original = parse_export_file(&suite_fixture()).unwrap().remove(0);
+    let mut content = Vec::new();
+    oracle::write_cell(&mut content, &original.meta, &cells[0].events).unwrap();
+    std::fs::write(&path, content).unwrap();
+    let out = run(REPLAY, &[&arg]);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("!= header"), "{stdout}");
+    assert!(
+        stdout.contains(&format!("diverged at seq {expected_seq}")),
+        "{stdout}"
+    );
+
     std::fs::remove_file(&path).ok();
 }
 
@@ -162,7 +167,7 @@ fn hostile_pair_id_is_a_violation_not_an_allocation() {
     let path = tmp("hostile_id.jsonl");
     std::fs::write(&path, content).unwrap();
 
-    let out = run(TRACE_REPORT, &[&path.display().to_string()]);
+    let out = run(REPLAY, &[&path.display().to_string()]);
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
@@ -177,7 +182,7 @@ fn hostile_pair_id_is_a_violation_not_an_allocation() {
 }
 
 #[test]
-fn trace_report_checks_every_file_it_is_given() {
+fn replay_checks_every_file_it_is_given() {
     let fixtures: Vec<String> = ["suite", "chaos", "scale", "overload"]
         .iter()
         .map(|name| {
@@ -188,21 +193,18 @@ fn trace_report_checks_every_file_it_is_given() {
         })
         .collect();
     let args: Vec<&str> = fixtures.iter().map(String::as_str).collect();
-    let out = run(TRACE_REPORT, &args);
+    let out = run(REPLAY, &args);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
-    let clean = stdout.lines().filter(|l| l.starts_with("ok   ")).count();
+    let clean = stdout.lines().filter(|l| l.starts_with("  OK   ")).count();
     assert_eq!(clean, 4, "{stdout}");
-    assert!(
-        stdout.contains("4 file(s), 4 cell(s)") && stdout.contains(" 0 failure(s)"),
-        "{stdout}"
-    );
+    assert!(stdout.contains("all 4 cell(s) replayed clean"), "{stdout}");
 
     // A bad file after a clean one still fails the run.
     let path = tmp("multi_empty.jsonl");
     write(&path, "\n");
     let empty = path.display().to_string();
-    let out = run(TRACE_REPORT, &[&fixtures[0], &empty]);
+    let out = run(REPLAY, &[&fixtures[0], &empty]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("no cells in"));
     std::fs::remove_file(&path).ok();
@@ -216,22 +218,13 @@ fn missing_file_and_unknown_flag_exit_two() {
 
     let out = run(REPLAY, &["--frobnicate"]);
     assert_eq!(out.status.code(), Some(2));
-
-    let out = run(TRACE_REPORT, &["/nonexistent/nowhere.jsonl"]);
-    assert_eq!(out.status.code(), Some(2));
-
-    let out = run(TRACE_REPORT, &["--frobnicate"]);
-    assert_eq!(out.status.code(), Some(2));
 }
 
 #[test]
 fn empty_export_exits_one() {
     let path = tmp("empty.jsonl");
     write(&path, "\n");
-    let arg = path.display().to_string();
-    for bin in [TRACE_REPORT, REPLAY] {
-        let out = run(bin, &[&arg]);
-        assert_eq!(out.status.code(), Some(1), "{bin}");
-    }
+    let out = run(REPLAY, &[&path.display().to_string()]);
+    assert_eq!(out.status.code(), Some(1));
     std::fs::remove_file(&path).ok();
 }

@@ -12,7 +12,7 @@
 //!   counterexample path ending in the buggy action.
 
 use pc_bench::oracle::CellMeta;
-use pc_bench::replay::rerun_cell;
+use pc_bench::replay::rerecord;
 use pcpower::sim::model::{BookAction, ModelConfig, ReservationModel};
 use stateright::Checker;
 
@@ -36,7 +36,7 @@ fn squeeze_cell() -> CellMeta {
 
 #[test]
 fn model_constants_come_from_the_recorded_trace() {
-    let log = rerun_cell(&squeeze_cell()).expect("bridge cell replays");
+    let log = rerecord(&squeeze_cell()).expect("bridge cell replays");
     let raw = ModelConfig::from_trace(&log.events);
     assert_eq!(raw.pairs, 5);
     assert_eq!(raw.cores, 2);
@@ -52,7 +52,7 @@ fn model_constants_come_from_the_recorded_trace() {
 
 #[test]
 fn checked_protocol_instance_from_trace_is_clean() {
-    let log = rerun_cell(&squeeze_cell()).expect("bridge cell replays");
+    let log = rerecord(&squeeze_cell()).expect("bridge cell replays");
     let cfg = ModelConfig::from_trace(&log.events).scaled();
     assert!(!cfg.squeezes.is_empty());
     let result = Checker::bounded(14, 300_000).check(&ReservationModel::new(cfg));
@@ -67,7 +67,7 @@ fn checked_protocol_instance_from_trace_is_clean() {
 
 #[test]
 fn broken_rebalance_is_caught_on_the_trace_derived_instance() {
-    let log = rerun_cell(&squeeze_cell()).expect("bridge cell replays");
+    let log = rerecord(&squeeze_cell()).expect("bridge cell replays");
     let cfg = ModelConfig::from_trace(&log.events).scaled().broken();
     let result = Checker::bounded(14, 300_000).check(&ReservationModel::new(cfg));
     let v = result

@@ -207,7 +207,7 @@ proptest! {
         // `CellMeta` recipe alone (the `(overload)` label carries the
         // whole overload config).
         use pc_bench::oracle::CellMeta;
-        use pc_bench::replay::{first_divergence, rerun_cell};
+        use pc_bench::replay::{first_divergence, rerecord};
         use pcpower::core::OverloadConfig;
         use pcpower::faults::{ExpandEnv, FaultPlan, FaultScenario};
         use pcpower::trace_events::{Recorder, TraceEvent};
@@ -224,7 +224,7 @@ proptest! {
             cores: cores as u32,
             pool_total: (buffer * pairs) as u64,
         });
-        let recorder = Recorder::bounded(pc_bench::sweep::trace_capacity_from_env());
+        let recorder = Recorder::bounded(pcpower::trace_events::DEFAULT_RECORDER_CAPACITY);
         let m = Experiment::builder()
             .pairs(pairs)
             .cores(cores)
@@ -270,7 +270,7 @@ proptest! {
             dropped: log.dropped,
             digest: log.digest(),
         };
-        let rerun = rerun_cell(&meta);
+        let rerun = rerecord(&meta);
         prop_assert!(rerun.is_ok(), "rerun failed: {:?}", rerun.as_ref().err());
         let rerun = rerun.unwrap();
         prop_assert!(first_divergence(&log.events, &rerun.events).is_none(),

@@ -7,7 +7,7 @@
 //! fault plan or workload would fail (a).
 
 use pc_bench::oracle::CellMeta;
-use pc_bench::replay::{first_divergence, replay_cell, rerun_cell, CellReplay, CellTrace};
+use pc_bench::replay::{first_divergence, replay_cell, rerecord, CellReplay, CellTrace};
 use pcpower::faults::FaultScenario;
 use pcpower::trace_events::{Event, TraceEvent};
 use proptest::prelude::*;
@@ -46,7 +46,7 @@ fn base_stream(scenario_idx: usize, seed: u64) -> Vec<Event> {
         .entry((scenario_idx, seed))
         .or_insert_with(|| {
             let scenario = FaultScenario::all()[scenario_idx];
-            rerun_cell(&cell_meta(&scenario, seed))
+            rerecord(&cell_meta(&scenario, seed))
                 .expect("base cell replays")
                 .events
         })
@@ -131,7 +131,7 @@ proptest! {
         // Event-by-event replay names the exact first divergent index:
         // every mutation first differs at `index` (drop shifts the
         // suffix left onto it; reorder changes it in place).
-        let regenerated = rerun_cell(&cell.meta).unwrap().events;
+        let regenerated = rerecord(&cell.meta).unwrap().events;
         let d = first_divergence(&cell.events, &regenerated)
             .expect("mutated stream must diverge");
         prop_assert_eq!(d.index, index);

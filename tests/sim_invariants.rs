@@ -371,26 +371,22 @@ fn golden_chaos_trace_digest_is_stable() {
     // pins the fault-injection sites, the `FaultInjected`/`FaultRecovered`
     // payloads and the watchdog's resize behaviour. A digest change
     // means the chaos stream changed — review and update deliberately.
-    use pc_bench::chaos::{chaos_oracle, run_chaos_cell, ChaosCellSpec};
     use pc_bench::exp::Protocol;
-    use pcpower::faults::FaultScenario;
-    let protocol = Protocol {
-        duration: SimDuration::from_millis(100),
-        replicates: 1,
-        base_seed: 1,
-        trace: WorldCupConfig::paper_default(),
-        threads: 1,
-    };
-    let cell = ChaosCellSpec {
-        strategy: StrategyKind::pbpl_degraded(),
-        scenario: FaultScenario::RateShock,
-        replicate: 0,
-    };
+    use pc_bench::sweep::{execute, Family};
+    let mut protocol = Protocol::from_vars(&|_: &str| None, 100, 1).unwrap();
+    protocol.threads = 1;
+    let cells: Vec<_> = Family::Chaos
+        .cells(&protocol)
+        .into_iter()
+        .filter(|c| Family::Chaos.cell_name(c) == "rate_shock/PBPL(degraded)")
+        .collect();
+    assert_eq!(cells.len(), 1);
     let run_digest = || {
-        let (m, log) = run_chaos_cell(&protocol, &cell);
-        assert!(m.all_items_consumed());
+        let run = execute(&protocol, &cells, true).0.remove(0);
+        assert!(run.metrics.all_items_consumed());
+        let log = run.log.expect("chaos cells record");
         assert_eq!(log.dropped, 0, "golden chaos run must fit the recorder");
-        let report = chaos_oracle(&log);
+        let report = pc_bench::oracle::check(&log);
         assert!(report.is_clean(), "violations: {:?}", report.violations);
         log.digest()
     };
@@ -416,44 +412,38 @@ fn degradation_strictly_reduces_consecutive_overflows_under_rate_shock() {
     // The 2 s horizon is load-bearing: long enough for several WorldCup
     // burst clusters and a full shock window, so the comparison measures
     // the policy rather than boundary noise.
-    use pc_bench::chaos::{execute_chaos, recovery_metrics, ChaosCellSpec};
+    use pc_bench::chaos::recovery_metrics;
     use pc_bench::exp::Protocol;
-    use pcpower::faults::FaultScenario;
-    let protocol = Protocol {
-        duration: SimDuration::from_millis(2000),
-        replicates: 3,
-        base_seed: 1,
-        trace: WorldCupConfig::paper_default(),
-        threads: 4,
-    };
-    let mut cells = Vec::new();
-    for scenario in [FaultScenario::RateShock, FaultScenario::Baseline] {
-        for strategy in [StrategyKind::pbpl_default(), StrategyKind::pbpl_degraded()] {
-            for replicate in 0..protocol.replicates {
-                cells.push(ChaosCellSpec {
-                    strategy: strategy.clone(),
-                    scenario,
-                    replicate,
-                });
-            }
-        }
-    }
-    let results = execute_chaos(&protocol, &cells, protocol.threads);
-    let metric = |scenario: FaultScenario, degraded: bool, replicate: usize| {
-        let i = cells
+    use pc_bench::sweep::{execute, Family};
+    let mut protocol = Protocol::from_vars(&|_: &str| None, 2000, 3).unwrap();
+    protocol.threads = 4;
+    let names = [
+        "rate_shock/PBPL",
+        "rate_shock/PBPL(degraded)",
+        "baseline/PBPL",
+        "baseline/PBPL(degraded)",
+    ];
+    let cells: Vec<_> = Family::Chaos
+        .cells(&protocol)
+        .into_iter()
+        .filter(|c| names.contains(&Family::Chaos.cell_name(c).as_str()))
+        .collect();
+    let (runs, _) = execute(&protocol, &cells, true);
+    let metric = |scenario: &str, degraded: bool, replicate: usize| {
+        let strategy = if degraded { "PBPL(degraded)" } else { "PBPL" };
+        let run = runs
             .iter()
-            .position(|c| {
-                c.scenario == scenario
-                    && c.replicate == replicate
-                    && matches!(&c.strategy, StrategyKind::Pbpl(cfg)
-                        if cfg.degrade.enabled == degraded)
+            .find(|r| {
+                r.meta.scenario == scenario
+                    && r.meta.strategy == strategy
+                    && r.meta.seed == protocol.base_seed + replicate as u64
             })
             .expect("cell exists");
-        recovery_metrics(&results[i].1)
+        recovery_metrics(run.log.as_ref().expect("chaos cells record"))
     };
     for replicate in 0..protocol.replicates {
-        let vanilla = metric(FaultScenario::RateShock, false, replicate);
-        let degraded = metric(FaultScenario::RateShock, true, replicate);
+        let vanilla = metric("rate_shock", false, replicate);
+        let degraded = metric("rate_shock", true, replicate);
         assert!(
             degraded.consec_overflow_wakes < vanilla.consec_overflow_wakes,
             "replicate {replicate}: degraded sustained {} consecutive overflow \
@@ -462,8 +452,8 @@ fn degradation_strictly_reduces_consecutive_overflows_under_rate_shock() {
             degraded.consec_overflow_wakes,
             vanilla.consec_overflow_wakes
         );
-        let vanilla = metric(FaultScenario::Baseline, false, replicate);
-        let degraded = metric(FaultScenario::Baseline, true, replicate);
+        let vanilla = metric("baseline", false, replicate);
+        let degraded = metric("baseline", true, replicate);
         assert!(
             degraded.scheduled_wakes <= vanilla.scheduled_wakes,
             "replicate {replicate}: degraded scheduled {} wakes vs vanilla {} \
