@@ -8,8 +8,8 @@
 //! one parser ([`env_knob`]), and a malformed value is an error that
 //! names the variable, never a silent fallback.
 
-use crate::replay::{planet_workload_label, worldcup_workload_label};
-use crate::sweep::{execute, expand, Block, GridPoint};
+use crate::replay::{self, planet_workload_label, worldcup_workload_label};
+use crate::sweep::{headers, parallel_map, Block, GridPoint};
 use pc_core::{RunMetrics, StrategyKind};
 use pc_sim::SimDuration;
 use pc_stats::Summary;
@@ -122,9 +122,10 @@ impl Protocol {
         planet_workload_label(&self.planet).expect("planet config is a registered workload")
     }
 
-    /// Runs one strategy configuration across the replicates — a
-    /// one-point, one-strategy sweep on the parallel engine; replicates
+    /// Runs one strategy configuration across the replicates; replicates
     /// run concurrently up to `self.threads`, results in replicate order.
+    /// The strategy runs as given, through [`replay::run_strategy`], so
+    /// an ablation its label cannot express still runs as itself.
     pub fn run(
         &self,
         strategy: StrategyKind,
@@ -143,12 +144,12 @@ impl Protocol {
             scenario: "",
             strategies: vec![(strategy, false)],
         };
-        let cells = expand(self, vec![block]);
-        execute(self, &cells, false)
-            .0
-            .into_iter()
-            .map(|run| run.metrics)
-            .collect()
+        let cells: Vec<_> = headers(self, std::slice::from_ref(&block)).collect();
+        parallel_map(&cells, self.threads, |(meta, strategy)| {
+            replay::run_strategy(meta, (*strategy).clone(), self.shards, None, None)
+                .unwrap_or_else(|e| panic!("{}: {e}", meta.label()))
+                .0
+        })
     }
 }
 

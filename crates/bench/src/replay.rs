@@ -287,6 +287,20 @@ pub fn run_cell(
     fleet: Option<&Arc<Vec<Trace>>>,
     record: Option<usize>,
 ) -> Result<(RunMetrics, Option<TraceLog>), String> {
+    run_strategy(meta, rebuild_strategy(meta)?, shards, fleet, record)
+}
+
+/// [`run_cell`] with the strategy given instead of rebuilt from the
+/// label — for analysis runs ([`crate::exp::Protocol::run`]) whose
+/// strategy the label cannot express, such as a PBPL ablation. Such a
+/// header does not replay, so these cells are never exported.
+pub fn run_strategy(
+    meta: &CellMeta,
+    strategy: StrategyKind,
+    shards: usize,
+    fleet: Option<&Arc<Vec<Trace>>>,
+    record: Option<usize>,
+) -> Result<(RunMetrics, Option<TraceLog>), String> {
     if meta.duration_ns == 0 {
         return Err("header duration_ns is 0".to_string());
     }
@@ -300,7 +314,7 @@ pub fn run_cell(
         .pairs(meta.pairs as usize)
         .cores(meta.cores as usize)
         .duration(SimDuration::from_nanos(meta.duration_ns))
-        .strategy(rebuild_strategy(meta)?)
+        .strategy(strategy)
         .seed(meta.seed)
         .buffer_capacity(meta.buffer as usize)
         .shards(shards)

@@ -61,17 +61,18 @@ pub struct Block {
     pub strategies: Vec<(StrategyKind, bool)>,
 }
 
-/// Expands blocks into cell headers in the engine's canonical order:
-/// block-major, then strategy, then replicate (seed `base_seed + k`).
-/// Reports regroup by walking the same order, so it is a contract, not
-/// an implementation detail. `events`, `dropped` and `digest` are
-/// filled in by [`execute`].
-pub fn expand(protocol: &Protocol, blocks: Vec<Block>) -> Vec<CellMeta> {
-    let mut cells = Vec::new();
-    for block in blocks {
-        for (strategy, overload) in &block.strategies {
-            for replicate in 0..protocol.replicates {
-                cells.push(CellMeta {
+/// Every cell header of `blocks`, each with the strategy it runs, in
+/// the engine's canonical order: block-major, then strategy, then
+/// replicate (seed `base_seed + k`). `events`, `dropped` and `digest`
+/// are left for [`execute`] to fill in.
+pub fn headers<'a>(
+    protocol: &'a Protocol,
+    blocks: &'a [Block],
+) -> impl Iterator<Item = (CellMeta, &'a StrategyKind)> + 'a {
+    blocks.iter().flat_map(move |block| {
+        block.strategies.iter().flat_map(move |(strategy, overload)| {
+            (0..protocol.replicates).map(move |replicate| {
+                let meta = CellMeta {
                     experiment: block.experiment.clone(),
                     strategy: label(strategy, *overload),
                     pairs: block.point.pairs as u64,
@@ -85,11 +86,30 @@ pub fn expand(protocol: &Protocol, blocks: Vec<Block>) -> Vec<CellMeta> {
                     events: 0,
                     dropped: 0,
                     digest: 0,
-                });
-            }
-        }
-    }
-    cells
+                };
+                (meta, strategy)
+            })
+        })
+    })
+}
+
+/// Expands blocks into cell headers in [`headers`]' order. Reports
+/// regroup by walking the same order, so it is a contract, not an
+/// implementation detail. The header is the cell's whole recipe, so a
+/// strategy its label cannot express (say, PBPL with latching off)
+/// panics here rather than silently running as the label's strategy.
+pub fn expand(protocol: &Protocol, blocks: Vec<Block>) -> Vec<CellMeta> {
+    headers(protocol, &blocks)
+        .map(|(meta, strategy)| {
+            assert!(
+                replay::rebuild_strategy(&meta).as_ref() == Ok(strategy),
+                "{}: label {:?} does not express {strategy:?}",
+                meta.experiment,
+                meta.strategy
+            );
+            meta
+        })
+        .collect()
 }
 
 /// A sweep family: a grid, a report, and its default protocol.
@@ -593,6 +613,30 @@ mod tests {
         assert!(cells
             .iter()
             .all(|c| c.duration_ns == 40_000_000 && c.events == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not express")]
+    fn expand_refuses_a_strategy_its_label_cannot_express() {
+        let p = quick_protocol(40, 1, 1);
+        let no_latch = StrategyKind::Pbpl(pc_core::PbplConfig {
+            latching: false,
+            ..pc_core::PbplConfig::default()
+        });
+        expand(
+            &p,
+            vec![Block {
+                experiment: "ablation".to_string(),
+                point: GridPoint {
+                    pairs: 5,
+                    cores: 2,
+                    buffer: 25,
+                },
+                workload: "worldcup_quick",
+                scenario: "",
+                strategies: vec![(no_latch, false)],
+            }],
+        );
     }
 
     #[test]
