@@ -327,42 +327,92 @@ fn mismatched_latency_count_rejected() {
 
 #[test]
 fn golden_trace_digest_is_stable() {
-    // Golden regression for the event-trace schema and instrumentation:
-    // the paper-default workload at a fixed seed must always emit the
-    // exact same event stream — any change to emission sites, event
-    // payloads or JSON encoding shows up as a digest change and must be
-    // reviewed (and this constant updated) deliberately.
+    // Golden regression for the event-trace schema and every strategy's
+    // event stream: one short cell per strategy at a fixed seed must
+    // always emit the exact same events — any change to emission sites,
+    // event payloads, tie-breaks, RNG draws or JSON encoding shows up as
+    // a digest change and must be reviewed (and the row updated)
+    // deliberately. The two faulted rows run the chaos plan with
+    // overload control on, pinning the fault hooks and the supervisor's
+    // non-PBPL emergency drains.
+    use pcpower::core::OverloadConfig;
+    use pcpower::faults::{ExpandEnv, FaultPlan, FaultScenario};
     use pcpower::trace_events::Recorder;
-    let run_digest = || {
-        let recorder = Recorder::new();
-        let m = Experiment::builder()
-            .pairs(2)
-            .cores(2)
-            .duration(SimDuration::from_millis(100))
-            .strategy(StrategyKind::pbpl_default())
-            .trace(WorldCupConfig::paper_default())
-            .buffer_capacity(25)
-            .seed(1)
-            .record_events(recorder.handle())
-            .run();
-        assert!(m.all_items_consumed());
-        let log = recorder.take();
-        assert_eq!(log.dropped, 0, "golden run must fit the recorder");
-        assert!(!log.events.is_empty());
-        let report = pc_bench::oracle::check(&log);
-        assert!(report.is_clean(), "violations: {:?}", report.violations);
-        log.digest()
-    };
-    let digest = run_digest();
-    assert_eq!(digest, run_digest(), "trace must be deterministic");
-    assert_eq!(
-        digest, GOLDEN_TRACE_DIGEST,
-        "event stream changed — if intentional, update GOLDEN_TRACE_DIGEST"
+    let period = SimDuration::from_millis(10);
+    let rows: [(&str, StrategyKind, bool, u64); 10] = [
+        ("BW", StrategyKind::BusyWait, false, GOLDEN_BW),
+        ("Yield", StrategyKind::Yield, false, GOLDEN_YIELD),
+        ("Mutex", StrategyKind::Mutex, false, GOLDEN_MUTEX),
+        ("Sem", StrategyKind::Sem, false, GOLDEN_SEM),
+        ("BP", StrategyKind::Bp, false, GOLDEN_BP),
+        ("PBP", StrategyKind::Pbp { period }, false, GOLDEN_PBP),
+        ("SPBP", StrategyKind::Spbp { period }, false, GOLDEN_SPBP),
+        ("PBPL", StrategyKind::pbpl_default(), false, GOLDEN_TRACE_DIGEST),
+        ("BP+faults", StrategyKind::Bp, true, GOLDEN_BP_FAULTED),
+        ("Mutex+faults", StrategyKind::Mutex, true, GOLDEN_MUTEX_FAULTED),
+    ];
+    let (pairs, cores, buffer, duration) = (2, 2, 25, SimDuration::from_millis(100));
+    let mut mismatches = Vec::new();
+    for (name, strategy, faulted, golden) in rows {
+        let run_digest = || {
+            let recorder = Recorder::new();
+            let mut builder = Experiment::builder()
+                .pairs(pairs)
+                .cores(cores)
+                .duration(duration)
+                .strategy(strategy.clone())
+                .trace(WorldCupConfig::paper_default())
+                .buffer_capacity(buffer)
+                .seed(1)
+                .record_events(recorder.handle());
+            if faulted {
+                let env = ExpandEnv {
+                    horizon_ns: duration.as_nanos(),
+                    pairs: pairs as u32,
+                    cores: cores as u32,
+                    pool_total: if strategy.is_batching() {
+                        (buffer * pairs) as u64
+                    } else {
+                        0
+                    },
+                };
+                builder = builder
+                    .faults(FaultPlan::expand(FaultScenario::Chaos, 1, &env))
+                    .overload(OverloadConfig::standard());
+            }
+            let m = builder.run();
+            assert!(m.all_items_consumed(), "{name}: conservation");
+            let log = recorder.take();
+            assert_eq!(log.dropped, 0, "{name}: golden run must fit the recorder");
+            assert!(!log.events.is_empty());
+            let report = pc_bench::oracle::check(&log);
+            assert!(report.is_clean(), "{name} violations: {:?}", report.violations);
+            log.digest()
+        };
+        let digest = run_digest();
+        assert_eq!(digest, run_digest(), "{name}: trace must be deterministic");
+        if digest != golden {
+            mismatches.push(format!("{name}: got {digest}, pinned {golden}"));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "event stream changed — if intentional, update the pinned digests:\n{}",
+        mismatches.join("\n")
     );
 }
 
-/// See [`golden_trace_digest_is_stable`].
+// Pinned digests for `golden_trace_digest_is_stable`, one per row.
 const GOLDEN_TRACE_DIGEST: u64 = 12150806464438147394;
+const GOLDEN_BW: u64 = 219690944154400877;
+const GOLDEN_YIELD: u64 = 2364530122294792883;
+const GOLDEN_MUTEX: u64 = 12820633244333896072;
+const GOLDEN_SEM: u64 = 9779927807153651984;
+const GOLDEN_BP: u64 = 788320004113766769;
+const GOLDEN_PBP: u64 = 11892809049964092399;
+const GOLDEN_SPBP: u64 = 10741188506383370416;
+const GOLDEN_BP_FAULTED: u64 = 13335745080841751205;
+const GOLDEN_MUTEX_FAULTED: u64 = 8747550548827034146;
 
 #[test]
 fn golden_chaos_trace_digest_is_stable() {
