@@ -19,8 +19,12 @@
 //! * [`config`] — strategy and experiment configuration.
 //! * [`strategy`] — the eight consumer behaviours (BW, Yield, Mutex, Sem,
 //!   BP, PBP, SPBP, PBPL) as simulation models.
-//! * [`system`] — the multi-pair, multi-core discrete-event system and
-//!   the [`Experiment`] builder.
+//! * [`pbpl`] — one consumer's §V-C decisions (predict, select, resize,
+//!   watchdog) as a clock-free machine the simulator and the native
+//!   runtime share.
+//! * [`sim`] — the multi-pair, multi-core discrete-event system (kernel,
+//!   per-strategy handlers, fault and overload layers) and the
+//!   [`Experiment`] builder.
 //! * [`metrics`] — per-run metric collection.
 
 #![warn(missing_docs)]
@@ -31,17 +35,19 @@ pub mod cost;
 pub mod manager;
 pub mod metrics;
 pub mod model;
+pub mod pbpl;
 pub mod predict;
 pub mod resize;
+pub mod sim;
 pub mod slot;
 pub mod strategy;
-pub mod system;
 
 pub use config::{OverloadConfig, PbplConfig, PredictorKind, StrategyKind};
 pub use cost::{select_slot, CostModel, SlotChoice};
 pub use manager::{CoreManager, ReservationBook, ShardedCoreManager};
 pub use metrics::{PairMetrics, RunMetrics};
 pub use model::{gamma_count, wakeup_objective, ConsumerId, PairId};
+pub use pbpl::PbplConsumer;
 pub use predict::{Ewma, Holt, Kalman, MovingAverage, RatePredictor};
+pub use sim::{Experiment, ExperimentBuilder};
 pub use slot::SlotTrack;
-pub use system::{Experiment, ExperimentBuilder};

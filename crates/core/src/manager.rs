@@ -222,6 +222,8 @@ impl CoreManager {
 /// [`ShardedCoreManager`] — the latter answers each query over the
 /// union of its shards' books.
 pub trait ReservationBook {
+    /// The slot track the book schedules on.
+    fn track(&self) -> &SlotTrack;
     /// Whether any consumer is registered for `slot`.
     fn has_reservation(&self, slot: SlotIndex) -> bool;
     /// Whether any consumer other than `except` is registered for
@@ -240,6 +242,9 @@ pub trait ReservationBook {
 }
 
 impl ReservationBook for CoreManager {
+    fn track(&self) -> &SlotTrack {
+        CoreManager::track(self)
+    }
     fn has_reservation(&self, slot: SlotIndex) -> bool {
         CoreManager::has_reservation(self, slot)
     }
@@ -467,6 +472,9 @@ impl ShardedCoreManager {
 }
 
 impl ReservationBook for ShardedCoreManager {
+    fn track(&self) -> &SlotTrack {
+        ShardedCoreManager::track(self)
+    }
     fn has_reservation(&self, slot: SlotIndex) -> bool {
         ShardedCoreManager::has_reservation(self, slot)
     }

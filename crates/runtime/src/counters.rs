@@ -90,6 +90,15 @@ impl PairCounters {
         self.latency_max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
+    /// Records a drained batch: every item consumed now.
+    pub fn consume(&self, batch: &[Instant]) {
+        let now = Instant::now();
+        self.add_consumed(batch.len() as u64);
+        for &at in batch {
+            self.add_latency(at, now);
+        }
+    }
+
     /// Starts a busy-time measurement; accumulated on drop.
     pub fn busy_timer(&self) -> UsageTimer<'_> {
         UsageTimer {

@@ -1,6 +1,6 @@
 //! # pc-runtime — the strategies on real OS threads
 //!
-//! The simulator (`pc-core::system`) reproduces the paper's *power*
+//! The simulator (`pc-core::sim`) reproduces the paper's *power*
 //! numbers deterministically; this crate demonstrates that the algorithms
 //! are real, runnable concurrent code. Producers replay a workload trace
 //! in (scaled) wall-clock time against consumer threads implementing each

@@ -11,8 +11,7 @@ use crate::clock::ReplayClock;
 use crate::counters::PairCounters;
 use crate::manager::NativeCoreManager;
 use parking_lot::{Condvar, Mutex};
-use pc_core::resize::{plan_resize, predicted_fill, ResizePlan};
-use pc_core::{select_slot, CostModel, PairId, PbplConfig, RatePredictor};
+use pc_core::{CostModel, PairId, PbplConfig, PbplConsumer};
 use pc_queues::elastic::Overflow;
 use pc_queues::semqueue::SemQueueConsumer;
 use pc_queues::{spsc_ring, ElasticBuffer, GlobalPool, MutexQueue, SemQueue, Semaphore};
@@ -75,82 +74,113 @@ pub struct PairContext {
     pub trace_events: TraceHandle,
 }
 
-/// Emits one native trace event stamped with the replay clock's current
-/// sim time.
-fn emit(events: &TraceHandle, clock: &ReplayClock, make: impl FnOnce() -> TraceEvent) {
-    events.record_at(clock.now_sim().as_nanos(), make);
-}
-
-fn spawn_producer<F>(
-    trace: Trace,
-    clock: ReplayClock,
-    stop: Arc<AtomicBool>,
+/// A pair's instrumentation, shared by its threads: the counters, and
+/// trace events stamped with the replay clock's current sim time.
+#[derive(Clone)]
+struct Tap {
     counters: Arc<PairCounters>,
     events: TraceHandle,
+    clock: ReplayClock,
     pair: u32,
-    mut push: F,
-) -> JoinHandle<()>
+}
+
+impl Tap {
+    fn new(ctx: &PairContext) -> Self {
+        Tap {
+            counters: Arc::new(PairCounters::new()),
+            events: ctx.trace_events.clone(),
+            clock: ctx.clock,
+            pair: ctx.index as u32,
+        }
+    }
+
+    fn emit(&self, make: impl FnOnce(u32) -> TraceEvent) {
+        let pair = self.pair;
+        self.events
+            .record_at(self.clock.now_sim().as_nanos(), || make(pair));
+    }
+
+    /// One blocked-then-woken consumer thread (the PowerTop unit).
+    fn wakeup(&self) {
+        self.counters.add_wakeup();
+        self.emit(|pair| TraceEvent::Wakeup { pair });
+    }
+
+    /// One invocation drained `batch` from a buffer of `capacity`.
+    fn invoke(&self, trigger: TraceTrigger, batch: &[Instant], capacity: usize) {
+        self.emit(|pair| TraceEvent::Invoke {
+            pair,
+            trigger,
+            batch: batch.len() as u64,
+            capacity: capacity as u64,
+        });
+        self.counters.consume(batch);
+    }
+
+    /// The consumer's final drain at shutdown.
+    fn flush(&self, batch: &[Instant]) {
+        self.counters.consume(batch);
+        if !batch.is_empty() {
+            self.emit(|pair| TraceEvent::Flush {
+                pair,
+                drained: batch.len() as u64,
+            });
+        }
+    }
+
+    fn handle(self, threads: Vec<JoinHandle<()>>, waker: Option<Arc<Semaphore>>) -> PairHandle {
+        PairHandle {
+            counters: self.counters,
+            threads,
+            waker,
+        }
+    }
+}
+
+/// Spawns `ctx`'s producer: replays its trace (taken out of `ctx`) and
+/// hands each item's wall-clock stamp to `push`.
+fn spawn_producer<F>(ctx: &mut PairContext, tap: &Tap, mut push: F) -> JoinHandle<()>
 where
     F: FnMut(Instant) + Send + 'static,
 {
+    let trace = std::mem::replace(&mut ctx.trace, Trace::new(Vec::new(), SimTime::ZERO));
+    let (stop, tap) = (Arc::clone(&ctx.stop), tap.clone());
     thread::spawn(move || {
         for &t in trace.times() {
-            if !clock.sleep_until_sim_or_stop(t, &stop, Duration::from_millis(20)) {
+            if !tap.clock.sleep_until_sim_or_stop(t, &stop, STOP_POLL) {
                 break;
             }
             push(Instant::now());
-            counters.add_produced(1);
-            emit(&events, &clock, || TraceEvent::Produce { pair });
+            tap.counters.add_produced(1);
+            tap.emit(|pair| TraceEvent::Produce { pair });
         }
     })
 }
 
 /// Spawns the busy-wait (BW) or yielding (Yield) pair.
-pub fn spawn_busy(ctx: PairContext, yielding: bool) -> PairHandle {
-    let counters = Arc::new(PairCounters::new());
+pub fn spawn_busy(mut ctx: PairContext, yielding: bool) -> PairHandle {
+    let tap = Tap::new(&ctx);
     // The ring here is plumbing, not the strategy's measured buffer: a
     // spinning consumer drains instantly, so the §III BW/Yield semantics
     // don't depend on B0. A roomy ring just keeps the producer's replay
     // timing honest.
     let (p, c) = spsc_ring::<Instant>(ctx.capacity.max(1024));
-    let stop = Arc::clone(&ctx.stop);
-    let producer = spawn_producer(
-        ctx.trace,
-        ctx.clock,
-        Arc::clone(&stop),
-        Arc::clone(&counters),
-        ctx.trace_events.clone(),
-        ctx.index as u32,
-        move |at| {
-            // Spin until space; the consumer spins too, so space appears fast.
-            let mut v = at;
-            while let Err(back) = p.push(v) {
-                v = back;
-                std::hint::spin_loop();
-            }
-        },
-    );
-    let ccount = Arc::clone(&counters);
-    let cstop = Arc::clone(&stop);
-    let cevents = ctx.trace_events.clone();
-    let cclock = ctx.clock;
-    let pair = ctx.index as u32;
+    let producer = spawn_producer(&mut ctx, &tap, move |at| {
+        // Spin until space; the consumer spins too, so space appears fast.
+        let mut v = at;
+        while let Err(back) = p.push(v) {
+            v = back;
+            std::hint::spin_loop();
+        }
+    });
+    let (ctap, stop) = (tap.clone(), ctx.stop);
     let consumer = thread::spawn(move || {
-        let _busy = ccount.busy_timer(); // busy for its whole life
+        let _busy = ctap.counters.busy_timer(); // busy for its whole life
         loop {
             match c.pop() {
-                Some(at) => {
-                    ccount.add_consumed(1);
-                    ccount.add_latency(at, Instant::now());
-                    emit(&cevents, &cclock, || TraceEvent::Invoke {
-                        pair,
-                        trigger: TraceTrigger::Item,
-                        batch: 1,
-                        capacity: 0,
-                    });
-                }
+                Some(at) => ctap.invoke(TraceTrigger::Item, &[at], 0),
                 None => {
-                    if cstop.load(Ordering::Relaxed) {
+                    if stop.load(Ordering::Relaxed) {
                         break;
                     }
                     if yielding {
@@ -162,11 +192,7 @@ pub fn spawn_busy(ctx: PairContext, yielding: bool) -> PairHandle {
             }
         }
     });
-    PairHandle {
-        counters,
-        threads: vec![producer, consumer],
-        waker: None,
-    }
+    tap.handle(vec![producer, consumer], None)
 }
 
 /// The session-draining consumer endpoint: both the Mutex and Sem queues
@@ -200,44 +226,47 @@ impl ItemEndpoint for SemQueueConsumer<Instant> {
     }
 }
 
-/// The §III item-driven consumer loop: block for the first item of a
-/// session (one thread wakeup), drain the rest of the session in the same
-/// transaction, repeat. The batched drain replaces the old
-/// pop-one-then-try-pop loop — one lock (or semaphore transaction) per
-/// session instead of one per item, without changing the session
-/// semantics the wakeup/invocation counters observe.
-fn spawn_item_consumer<Q: ItemEndpoint>(
+/// Spawns the Mutex strategy pair (bounded queue, condvars, item at a
+/// time).
+pub fn spawn_mutex(ctx: PairContext) -> PairHandle {
+    let q = Arc::new(MutexQueue::<Instant>::new(ctx.capacity));
+    let qp = Arc::clone(&q);
+    spawn_item_pair(ctx, move |at| qp.push(at), q)
+}
+
+/// Spawns the Sem strategy pair (two semaphores over a circular buffer).
+pub fn spawn_sem(ctx: PairContext) -> PairHandle {
+    let (qp, qc) = SemQueue::<Instant>::new(ctx.capacity);
+    spawn_item_pair(ctx, move |at| qp.push(at), qc)
+}
+
+/// An item-driven pair with the §III consumer loop: block for the first
+/// item of a session (one thread wakeup), drain the rest of the session
+/// in the same transaction, repeat — one lock (or semaphore
+/// transaction) per session instead of one per item, without changing
+/// the session semantics the wakeup/invocation counters observe.
+fn spawn_item_pair<Q: ItemEndpoint, R>(
+    mut ctx: PairContext,
+    mut push: impl FnMut(Instant) -> R + Send + 'static,
     queue: Q,
-    counters: Arc<PairCounters>,
-    stop: Arc<AtomicBool>,
-    events: TraceHandle,
-    clock: ReplayClock,
-    pair: u32,
-    capacity: usize,
-) -> JoinHandle<()> {
-    thread::spawn(move || {
+) -> PairHandle {
+    let tap = Tap::new(&ctx);
+    let producer = spawn_producer(&mut ctx, &tap, move |at| {
+        push(at);
+    });
+    let (ctap, stop, capacity) = (tap.clone(), ctx.stop, ctx.capacity);
+    let consumer = thread::spawn(move || {
         let mut session: Vec<Instant> = Vec::with_capacity(capacity);
         loop {
             session.clear();
             match queue.pop_session(STOP_POLL, &mut session) {
-                Some((n, blocked)) => {
+                Some((_, blocked)) => {
                     if blocked {
-                        counters.add_wakeup();
-                        counters.add_invocation(false, false);
-                        emit(&events, &clock, || TraceEvent::Wakeup { pair });
+                        ctap.wakeup();
+                        ctap.counters.add_invocation(false, false);
                     }
-                    let _busy = counters.busy_timer();
-                    let now = Instant::now();
-                    for &at in &session {
-                        counters.add_consumed(1);
-                        counters.add_latency(at, now);
-                    }
-                    emit(&events, &clock, || TraceEvent::Invoke {
-                        pair,
-                        trigger: TraceTrigger::Item,
-                        batch: n as u64,
-                        capacity: capacity as u64,
-                    });
+                    let _busy = ctap.counters.busy_timer();
+                    ctap.invoke(TraceTrigger::Item, &session, capacity);
                 }
                 None => {
                     if stop.load(Ordering::Relaxed) && queue.is_empty() {
@@ -246,71 +275,8 @@ fn spawn_item_consumer<Q: ItemEndpoint>(
                 }
             }
         }
-    })
-}
-
-/// Spawns the Mutex strategy pair (bounded queue, condvars, item at a
-/// time).
-pub fn spawn_mutex(ctx: PairContext) -> PairHandle {
-    let counters = Arc::new(PairCounters::new());
-    let q = Arc::new(MutexQueue::<Instant>::new(ctx.capacity));
-    let qp = Arc::clone(&q);
-    let producer = spawn_producer(
-        ctx.trace,
-        ctx.clock,
-        Arc::clone(&ctx.stop),
-        Arc::clone(&counters),
-        ctx.trace_events.clone(),
-        ctx.index as u32,
-        move |at| {
-            qp.push(at);
-        },
-    );
-    let consumer = spawn_item_consumer(
-        q,
-        Arc::clone(&counters),
-        Arc::clone(&ctx.stop),
-        ctx.trace_events.clone(),
-        ctx.clock,
-        ctx.index as u32,
-        ctx.capacity,
-    );
-    PairHandle {
-        counters,
-        threads: vec![producer, consumer],
-        waker: None,
-    }
-}
-
-/// Spawns the Sem strategy pair (two semaphores over a circular buffer).
-pub fn spawn_sem(ctx: PairContext) -> PairHandle {
-    let counters = Arc::new(PairCounters::new());
-    let (qp, qc) = SemQueue::<Instant>::new(ctx.capacity);
-    let producer = spawn_producer(
-        ctx.trace,
-        ctx.clock,
-        Arc::clone(&ctx.stop),
-        Arc::clone(&counters),
-        ctx.trace_events.clone(),
-        ctx.index as u32,
-        move |at| {
-            qp.push(at);
-        },
-    );
-    let consumer = spawn_item_consumer(
-        qc,
-        Arc::clone(&counters),
-        Arc::clone(&ctx.stop),
-        ctx.trace_events.clone(),
-        ctx.clock,
-        ctx.index as u32,
-        ctx.capacity,
-    );
-    PairHandle {
-        counters,
-        threads: vec![producer, consumer],
-        waker: None,
-    }
+    });
+    tap.handle(vec![producer, consumer], None)
 }
 
 /// Shared buffer for the batching strategies: a mutex-guarded vector plus
@@ -359,95 +325,57 @@ impl BatchBuffer {
     }
 }
 
-/// Spawns the BP pair: the consumer wakes only when the buffer fills.
-pub fn spawn_bp(ctx: PairContext) -> PairHandle {
-    let counters = Arc::new(PairCounters::new());
+/// Spawns a batching pair's producer over a fresh [`BatchBuffer`].
+fn spawn_batch_producer(ctx: &mut PairContext, tap: &Tap) -> (JoinHandle<()>, Arc<BatchBuffer>) {
     let buf = Arc::new(BatchBuffer::new(ctx.capacity));
     let bp = Arc::clone(&buf);
-    let producer = spawn_producer(
-        ctx.trace,
-        ctx.clock,
-        Arc::clone(&ctx.stop),
-        Arc::clone(&counters),
-        ctx.trace_events.clone(),
-        ctx.index as u32,
-        move |at| {
-            bp.push(at);
-        },
-    );
-    let ccount = Arc::clone(&counters);
-    let cstop = Arc::clone(&ctx.stop);
-    let cevents = ctx.trace_events.clone();
-    let cclock = ctx.clock;
-    let pair = ctx.index as u32;
-    let capacity = ctx.capacity as u64;
+    let producer = spawn_producer(ctx, tap, move |at| {
+        bp.push(at);
+    });
+    (producer, buf)
+}
+
+/// Spawns the BP pair: the consumer wakes only when the buffer fills.
+pub fn spawn_bp(mut ctx: PairContext) -> PairHandle {
+    let tap = Tap::new(&ctx);
+    let (producer, buf) = spawn_batch_producer(&mut ctx, &tap);
+    let (ctap, stop) = (tap.clone(), ctx.stop);
     let consumer = thread::spawn(move || {
         let mut batch = Vec::new();
         loop {
             {
                 let mut items = buf.items.lock();
                 while items.len() < buf.capacity {
-                    if cstop.load(Ordering::Relaxed) {
+                    if stop.load(Ordering::Relaxed) {
                         break;
                     }
                     buf.signal.wait_for(&mut items, STOP_POLL);
                 }
             }
-            ccount.add_wakeup();
-            emit(&cevents, &cclock, || TraceEvent::Wakeup { pair });
+            ctap.wakeup();
             batch.clear();
             let n = buf.drain(&mut batch);
             if n > 0 {
-                ccount.add_invocation(false, true); // every BP wake = overflow
-                emit(&cevents, &cclock, || TraceEvent::Invoke {
-                    pair,
-                    trigger: TraceTrigger::Overflow,
-                    batch: n as u64,
-                    capacity,
-                });
-                let _busy = ccount.busy_timer();
-                let now = Instant::now();
-                for &at in &batch {
-                    ccount.add_consumed(1);
-                    ccount.add_latency(at, now);
-                }
+                ctap.counters.add_invocation(false, true); // every BP wake = overflow
+                let _busy = ctap.counters.busy_timer();
+                ctap.invoke(TraceTrigger::Overflow, &batch, buf.capacity);
             }
-            if cstop.load(Ordering::Relaxed) && n == 0 {
+            if stop.load(Ordering::Relaxed) && n == 0 {
                 break;
             }
         }
     });
-    PairHandle {
-        counters,
-        threads: vec![producer, consumer],
-        waker: None,
-    }
+    tap.handle(vec![producer, consumer], None)
 }
 
 /// Spawns a periodic batching pair. `precise` selects SPBP (spin-finish
 /// timer) versus PBP (plain OS sleep with its jitter).
-pub fn spawn_periodic(ctx: PairContext, period: SimTime, precise: bool) -> PairHandle {
-    let counters = Arc::new(PairCounters::new());
-    let buf = Arc::new(BatchBuffer::new(ctx.capacity));
-    let bp = Arc::clone(&buf);
-    let producer = spawn_producer(
-        ctx.trace,
-        ctx.clock,
-        Arc::clone(&ctx.stop),
-        Arc::clone(&counters),
-        ctx.trace_events.clone(),
-        ctx.index as u32,
-        move |at| {
-            bp.push(at);
-        },
-    );
-    let ccount = Arc::clone(&counters);
-    let cstop = Arc::clone(&ctx.stop);
-    let clock = ctx.clock;
-    let cevents = ctx.trace_events.clone();
-    let pair = ctx.index as u32;
-    let capacity = ctx.capacity as u64;
+pub fn spawn_periodic(mut ctx: PairContext, period: SimTime, precise: bool) -> PairHandle {
+    let tap = Tap::new(&ctx);
+    let (producer, buf) = spawn_batch_producer(&mut ctx, &tap);
+    let (ctap, stop) = (tap.clone(), ctx.stop);
     let consumer = thread::spawn(move || {
+        let clock = ctap.clock;
         let mut batch = Vec::new();
         let mut next = period;
         loop {
@@ -478,28 +406,18 @@ pub fn spawn_periodic(ctx: PairContext, period: SimTime, precise: bool) -> PairH
                     true
                 }
             };
-            ccount.add_wakeup();
-            emit(&cevents, &clock, || TraceEvent::Wakeup { pair });
+            ctap.wakeup();
             batch.clear();
-            let n = buf.drain(&mut batch);
-            ccount.add_invocation(!overflowed, overflowed);
-            emit(&cevents, &clock, || TraceEvent::Invoke {
-                pair,
-                trigger: if overflowed {
-                    TraceTrigger::Overflow
-                } else {
-                    TraceTrigger::Scheduled
-                },
-                batch: n as u64,
-                capacity,
-            });
-            if n > 0 {
-                let _busy = ccount.busy_timer();
-                let now = Instant::now();
-                for &at in &batch {
-                    ccount.add_consumed(1);
-                    ccount.add_latency(at, now);
-                }
+            buf.drain(&mut batch);
+            ctap.counters.add_invocation(!overflowed, overflowed);
+            let trigger = if overflowed {
+                TraceTrigger::Overflow
+            } else {
+                TraceTrigger::Scheduled
+            };
+            {
+                let _busy = ctap.counters.busy_timer();
+                ctap.invoke(trigger, &batch, buf.capacity);
             }
             if !overflowed {
                 next += period - SimTime::ZERO;
@@ -508,42 +426,30 @@ pub fn spawn_periodic(ctx: PairContext, period: SimTime, precise: bool) -> PairH
             while clock.now_sim() > next {
                 next += period - SimTime::ZERO;
             }
-            if cstop.load(Ordering::Relaxed) {
-                // Final drain.
+            if stop.load(Ordering::Relaxed) {
                 batch.clear();
-                let n = buf.drain(&mut batch);
-                let now = Instant::now();
-                for &at in &batch {
-                    ccount.add_consumed(1);
-                    ccount.add_latency(at, now);
-                }
-                if n > 0 {
-                    emit(&cevents, &clock, || TraceEvent::Flush {
-                        pair,
-                        drained: n as u64,
-                    });
-                }
+                buf.drain(&mut batch);
+                ctap.flush(&batch);
                 break;
             }
         }
     });
-    PairHandle {
-        counters,
-        threads: vec![producer, consumer],
-        waker: None,
-    }
+    tap.handle(vec![producer, consumer], None)
 }
 
-/// Spawns a PBPL pair: elastic buffer against the shared pool, rate
-/// prediction, ρ-driven slot reservation through the core manager.
-pub fn spawn_pbpl(ctx: PairContext) -> PairHandle {
+/// Spawns a PBPL pair: an elastic buffer against the shared pool, and a
+/// consumer thread driving the shared [`PbplConsumer`] machine — rate
+/// prediction, ρ-driven slot reservation through the core manager,
+/// overrun upsizing and resizing, and (with `degrade.enabled`) the
+/// prediction-error watchdog.
+pub fn spawn_pbpl(mut ctx: PairContext) -> PairHandle {
     let cfg = ctx.pbpl.clone().expect("PBPL context requires a config");
     let manager = ctx
         .manager
         .clone()
         .expect("PBPL context requires a manager");
     let pool = ctx.pool.clone().expect("PBPL context requires a pool");
-    let counters = Arc::new(PairCounters::new());
+    let tap = Tap::new(&ctx);
     let min_cap =
         ((ctx.capacity as f64 * cfg.min_capacity_frac).ceil() as usize).clamp(1, ctx.capacity);
     let home = ctx.index % pool.shards();
@@ -556,192 +462,96 @@ pub fn spawn_pbpl(ctx: PairContext) -> PairHandle {
     manager.register(ctx.index, Arc::clone(&waker));
     manager.register_buffer(ctx.index, Arc::clone(&buffer));
 
-    let bp = Arc::clone(&buffer);
-    let pw = Arc::clone(&waker);
-    let pov = Arc::clone(&overflowed);
-    let producer = spawn_producer(
-        ctx.trace,
-        ctx.clock,
-        Arc::clone(&ctx.stop),
-        Arc::clone(&counters),
-        ctx.trace_events.clone(),
-        ctx.index as u32,
-        move |at| {
-            let mut v = at;
-            loop {
-                let mut buf = bp.lock();
-                match buf.push(v) {
-                    Ok(()) => return,
-                    Err(Overflow(back)) => {
-                        v = back;
-                        drop(buf);
-                        // Unscheduled wakeup: the buffer is full before
-                        // the reserved slot. Signal once per overflow
-                        // episode — re-signalling on every retry would
-                        // pile permits onto the semaphore and make the
-                        // consumer spin through phantom wakeups.
-                        if !pov.swap(true, Ordering::AcqRel) {
-                            pw.release(1);
-                        }
-                        thread::yield_now();
-                    }
-                }
-            }
-        },
+    let (bp, pw, pov) = (
+        Arc::clone(&buffer),
+        Arc::clone(&waker),
+        Arc::clone(&overflowed),
     );
-
-    let ccount = Arc::clone(&counters);
-    let cstop = Arc::clone(&ctx.stop);
-    let cbuf = Arc::clone(&buffer);
-    let cwaker = Arc::clone(&waker);
-    let cov = Arc::clone(&overflowed);
-    let cmgr = manager;
-    let clock = ctx.clock;
-    let cost = ctx.cost;
-    let index = ctx.index;
-    let base_capacity = ctx.capacity;
-    let cevents = ctx.trace_events.clone();
-    let consumer = thread::spawn(move || {
-        let mut predictor: Box<dyn RatePredictor> = cfg.predictor.build(0.0);
-        let mut last_invocation = SimTime::ZERO;
-        let mut batch: Vec<Instant> = Vec::new();
-        // Bootstrap reservation so the manager has something to arm.
-        let now = clock.now_sim();
-        let bootstrap = cmgr.with_book(index, |book| {
-            select_slot(
-                book.track(),
-                book,
-                &cost,
-                now,
-                0.0,
-                base_capacity,
-                cfg.max_latency,
-                cfg.latching,
-                Some(PairId(index)),
-            )
-        });
-        cmgr.reserve(bootstrap.slot, index);
-
+    let producer = spawn_producer(&mut ctx, &tap, move |at| {
+        let mut v = at;
         loop {
-            let woke = cwaker.acquire_timeout(STOP_POLL);
-            let now = clock.now_sim();
-            if woke.is_none() {
-                if cstop.load(Ordering::Relaxed) {
-                    // Final drain.
-                    batch.clear();
-                    let mut buf = cbuf.lock();
-                    buf.drain_into(&mut batch);
+            let mut buf = bp.lock();
+            match buf.push(v) {
+                Ok(()) => return,
+                Err(Overflow(back)) => {
+                    v = back;
                     drop(buf);
-                    let t = Instant::now();
-                    for &at in &batch {
-                        ccount.add_consumed(1);
-                        ccount.add_latency(at, t);
+                    // Unscheduled wakeup: the buffer is full before
+                    // the reserved slot. Signal once per overflow
+                    // episode — re-signalling on every retry would
+                    // pile permits onto the semaphore and make the
+                    // consumer spin through phantom wakeups.
+                    if !pov.swap(true, Ordering::AcqRel) {
+                        pw.release(1);
                     }
-                    if !batch.is_empty() {
-                        emit(&cevents, &clock, || TraceEvent::Flush {
-                            pair: index as u32,
-                            drained: batch.len() as u64,
-                        });
-                    }
-                    return;
+                    thread::yield_now();
                 }
-                continue;
-            }
-            ccount.add_wakeup();
-            emit(&cevents, &clock, || TraceEvent::Wakeup {
-                pair: index as u32,
-            });
-            let was_overflow = cov.swap(false, Ordering::AcqRel);
-            ccount.add_invocation(!was_overflow, was_overflow);
-            let _busy = ccount.busy_timer();
-            batch.clear();
-            let capacity_now;
-            {
-                let mut buf = cbuf.lock();
-                buf.drain_into(&mut batch);
-                capacity_now = buf.capacity();
-            }
-            emit(&cevents, &clock, || TraceEvent::Invoke {
-                pair: index as u32,
-                trigger: if was_overflow {
-                    TraceTrigger::Overflow
-                } else {
-                    TraceTrigger::Scheduled
-                },
-                batch: batch.len() as u64,
-                capacity: capacity_now as u64,
-            });
-            let t = Instant::now();
-            for &at in &batch {
-                ccount.add_consumed(1);
-                ccount.add_latency(at, t);
-            }
-            // Predict, select, resize, reserve — the §V-C consumer loop.
-            let dt = now.saturating_since(last_invocation);
-            last_invocation = now;
-            predictor.observe(batch.len() as u64, dt);
-            let rate = predictor.rate();
-            let choice = cmgr.with_book(index, |book| {
-                select_slot(
-                    book.track(),
-                    book,
-                    &cost,
-                    now,
-                    rate,
-                    capacity_now.max(base_capacity),
-                    cfg.max_latency,
-                    cfg.latching,
-                    Some(PairId(index)),
-                )
-            });
-            if cfg.resizing {
-                let next_start =
-                    cmgr.with_book(index, |book| book.track().slot_start(choice.slot + 1));
-                let predicted = predicted_fill(rate, now, next_start);
-                if predicted > 0.0 {
-                    let mut buf = cbuf.lock();
-                    match plan_resize(buf.capacity(), predicted, cfg.resize_margin) {
-                        ResizePlan::Grow(target) => {
-                            buf.grow_to(target);
-                        }
-                        // Never shrink right after an overflow — the
-                        // prediction just proved too low (same rule as
-                        // the simulator's pbpl_plan).
-                        ResizePlan::Shrink(target) if !was_overflow => {
-                            buf.shrink_to(target);
-                        }
-                        ResizePlan::Shrink(_) | ResizePlan::Keep => {}
-                    }
-                }
-            }
-            cmgr.reserve(choice.slot, index);
-            if cstop.load(Ordering::Relaxed) {
-                // Stop raised while we were being woken repeatedly: the
-                // buffer was just drained; take any stragglers and exit
-                // rather than waiting for a quiet 20ms window.
-                batch.clear();
-                cbuf.lock().drain_into(&mut batch);
-                let t = Instant::now();
-                for &at in &batch {
-                    ccount.add_consumed(1);
-                    ccount.add_latency(at, t);
-                }
-                if !batch.is_empty() {
-                    emit(&cevents, &clock, || TraceEvent::Flush {
-                        pair: index as u32,
-                        drained: batch.len() as u64,
-                    });
-                }
-                return;
             }
         }
     });
 
-    PairHandle {
-        counters,
-        threads: vec![producer, consumer],
-        waker: Some(waker),
-    }
+    let (ctap, stop, cwaker) = (tap.clone(), ctx.stop, Arc::clone(&waker));
+    let (index, base_capacity, cost) = (ctx.index, ctx.capacity, ctx.cost);
+    let consumer = thread::spawn(move || {
+        let mut machine = PbplConsumer::new(PairId(index), &cfg, cost, cfg.degrade.enabled);
+        // Plans against this consumer's shard of the book and reserves
+        // the chosen slot. Lock order: shard book, then buffer — the
+        // manager's dispatch takes shard locks first and only `try_lock`s
+        // buffers, and producers take only the buffer lock.
+        let plan = |machine: &mut PbplConsumer, now, allow_shrink| {
+            let choice = manager.with_book(index, |book| {
+                let mut buf = buffer.lock();
+                let max_latency = cfg.max_latency;
+                machine.plan(
+                    now,
+                    book,
+                    &mut buf,
+                    base_capacity,
+                    max_latency,
+                    allow_shrink,
+                )
+            });
+            manager.reserve(choice.slot, index);
+        };
+        // Bootstrap reservation so the manager has something to arm.
+        plan(&mut machine, ctap.clock.now_sim(), true);
+        let mut batch: Vec<Instant> = Vec::new();
+        loop {
+            if cwaker.acquire_timeout(STOP_POLL).is_some() {
+                let now = ctap.clock.now_sim();
+                ctap.wakeup();
+                let was_overflow = overflowed.swap(false, Ordering::AcqRel);
+                ctap.counters.add_invocation(!was_overflow, was_overflow);
+                let _busy = ctap.counters.busy_timer();
+                batch.clear();
+                let capacity = {
+                    let mut buf = buffer.lock();
+                    buf.drain_into(&mut batch);
+                    buf.capacity()
+                };
+                let trigger = if was_overflow {
+                    TraceTrigger::Overflow
+                } else {
+                    TraceTrigger::Scheduled
+                };
+                ctap.invoke(trigger, &batch, capacity);
+                // The §V-C consumer loop: observe, then predict, select,
+                // resize and reserve.
+                machine.invoke(batch.len() as u64, now, was_overflow);
+                plan(&mut machine, now, !was_overflow);
+            }
+            if stop.load(Ordering::Relaxed) {
+                // Final drain, after a quiet poll or while being woken
+                // repeatedly — take any stragglers and exit rather than
+                // waiting for a quiet window.
+                batch.clear();
+                buffer.lock().drain_into(&mut batch);
+                ctap.flush(&batch);
+                return;
+            }
+        }
+    });
+    tap.handle(vec![producer, consumer], Some(waker))
 }
 
 #[cfg(test)]
