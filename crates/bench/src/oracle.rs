@@ -702,7 +702,7 @@ impl Overload {
 
 /// Per-cell metadata line of a JSONL trace export: identifies the suite
 /// cell the following [`TraceLine::Ev`] lines belong to and pins its
-/// digest so `trace_report` can detect tampering or drift.
+/// digest so `replay` can detect tampering or drift.
 ///
 /// The header is also the *replay recipe*: `pc_bench::replay`
 /// reconstructs the cell's full configuration from these fields alone

@@ -215,3 +215,185 @@ impl PbplConsumer {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PredictorKind;
+    use crate::manager::CoreManager;
+    use crate::slot::SlotTrack;
+    use pc_power::PowerModel;
+    use pc_queues::GlobalPool;
+    use std::sync::Arc;
+
+    fn ms(v: u64) -> SimTime {
+        SimTime::from_millis(v)
+    }
+
+    /// A consumer whose predicted rate is its last observation alone, so
+    /// each test steers the rate directly.
+    fn consumer(watchdog: bool) -> PbplConsumer {
+        let cfg = PbplConfig {
+            predictor: PredictorKind::MovingAverage { history: 1 },
+            ..PbplConfig::default()
+        };
+        let cost = CostModel::from_power_model(&PowerModel::exynos_like());
+        PbplConsumer::new(PairId(0), &cfg, cost, watchdog)
+    }
+
+    fn book() -> CoreManager {
+        CoreManager::new(SlotTrack::new(SimDuration::from_millis(25)))
+    }
+
+    fn buffer(pool: &Arc<GlobalPool>, base: usize) -> ElasticBuffer<u64> {
+        ElasticBuffer::with_min(Arc::clone(pool), base, 1).expect("pool covers the base")
+    }
+
+    fn plan(
+        c: &mut PbplConsumer,
+        now: SimTime,
+        buf: &mut ElasticBuffer<u64>,
+        allow_shrink: bool,
+    ) -> SlotChoice {
+        let max_latency = SimDuration::from_millis(100);
+        c.plan(now, &book(), buf, 10, max_latency, allow_shrink)
+    }
+
+    #[test]
+    fn watchdog_trips_after_threshold_consecutive_overflows() {
+        let mut c = consumer(true);
+        let threshold = DegradeConfig::default().overflow_threshold;
+        assert_eq!(threshold, 2);
+        c.invoke(10, ms(1), true);
+        c.invoke(10, ms(2), false); // a scheduled wake resets the run
+        c.invoke(10, ms(3), true);
+        assert!(!c.degraded(), "one overflow in a row is not a trend");
+        c.invoke(10, ms(4), true);
+        assert!(c.degraded(), "{threshold} consecutive overflows trip it");
+        // Without the watchdog the same stream never trips.
+        let mut off = consumer(false);
+        for t in 1..10 {
+            off.invoke(10, ms(t), true);
+        }
+        assert!(!off.degraded() && !off.overflowing());
+    }
+
+    #[test]
+    fn watchdog_clears_after_recovery_wakes() {
+        let mut c = consumer(true);
+        c.invoke(10, ms(1), true);
+        c.invoke(10, ms(2), true);
+        assert!(c.degraded());
+        let wakes = DegradeConfig::default().recovery_wakes as u64;
+        for t in 0..wakes - 1 {
+            c.invoke(10, ms(3 + t), false);
+            assert!(c.degraded(), "cleared after only {} wakes", t + 1);
+        }
+        c.invoke(10, ms(3 + wakes), false);
+        assert!(!c.degraded(), "{wakes} scheduled wakes clear it");
+    }
+
+    #[test]
+    fn pool_starved_grow_is_retried_at_most_grow_retries_times() {
+        // Two base-10 buffers drain a 20-unit pool dry.
+        let pool = GlobalPool::new(20);
+        let mut buf = buffer(&pool, 10);
+        let hog = buffer(&pool, 10);
+        let mut c = consumer(true);
+        // 1000 items in 10 ms: the predicted rate overruns every slot,
+        // so the plan asks for far more than the dry pool can give.
+        c.invoke(1000, ms(10), false);
+        let choice = plan(&mut c, ms(10), &mut buf, true);
+        assert!(choice.rate_overrun);
+        assert_eq!(buf.capacity(), 10, "the pool is dry");
+        let retries = DegradeConfig::default().grow_retries;
+        let (want, left) = c.pending_grow.expect("the denied grow is remembered");
+        assert!(want > 10);
+        assert_eq!(left, retries);
+        // Silent intervals: no more overrun, only the pending retries.
+        for k in 1..=retries {
+            c.invoke(0, ms(10 + 10 * k as u64), false);
+            plan(&mut c, ms(10 + 10 * k as u64), &mut buf, false);
+            assert_eq!(c.pending_grow, Some((want, retries - k)));
+        }
+        // Retries exhausted: the next plan drops the request, so pool
+        // units freed now are no longer claimed.
+        drop(hog);
+        c.invoke(0, ms(100), false);
+        plan(&mut c, ms(100), &mut buf, false);
+        assert_eq!(c.pending_grow, None);
+        assert_eq!(buf.capacity(), 10, "exhausted retries claim nothing");
+    }
+
+    #[test]
+    fn pending_grow_is_granted_once_the_pool_refills() {
+        let pool = GlobalPool::new(20);
+        let mut buf = buffer(&pool, 10);
+        let hog = buffer(&pool, 10);
+        let mut c = consumer(true);
+        c.invoke(1000, ms(10), false);
+        plan(&mut c, ms(10), &mut buf, true);
+        assert!(c.pending_grow.is_some());
+        drop(hog);
+        c.invoke(0, ms(20), false);
+        plan(&mut c, ms(20), &mut buf, false);
+        assert_eq!(buf.capacity(), 20, "the retry takes what was freed");
+    }
+
+    #[test]
+    fn no_shrink_after_an_overflow_or_while_degraded() {
+        let pool = GlobalPool::new(100);
+        // 10 items per 100 ms: the next slot needs far fewer than 50.
+        let shrinkable = || {
+            let mut c = consumer(true);
+            c.invoke(10, ms(100), false);
+            (c, buffer(&pool, 50))
+        };
+        let (mut c, mut buf) = shrinkable();
+        plan(&mut c, ms(100), &mut buf, false);
+        assert_eq!(buf.capacity(), 50, "no shrink right after an overflow");
+        drop(buf);
+
+        let (mut c, mut buf) = shrinkable();
+        c.force_degraded();
+        plan(&mut c, ms(100), &mut buf, true);
+        assert_eq!(buf.capacity(), 50, "no shrink while degraded");
+        drop(buf);
+
+        let (mut c, mut buf) = shrinkable();
+        plan(&mut c, ms(100), &mut buf, true);
+        assert!(buf.capacity() < 50, "a healthy plan gives capacity back");
+    }
+
+    #[test]
+    fn rate_overrun_grows_the_buffer_and_reselects() {
+        let pool = GlobalPool::new(10_000);
+        let mut buf = buffer(&pool, 10);
+        let mut c = consumer(false);
+        c.invoke(1000, ms(10), false);
+        let book = book();
+        let max_latency = SimDuration::from_millis(100);
+        let initial = select_slot(
+            book.track(),
+            &book,
+            &c.cost,
+            ms(10),
+            c.predictor.rate(),
+            10,
+            max_latency,
+            true,
+            Some(PairId(0)),
+        );
+        assert!(initial.rate_overrun);
+        let choice = c.plan(ms(10), &book, &mut buf, 10, max_latency, true);
+        assert!(choice.rate_overrun, "the initial selection's flag is kept");
+        assert!(buf.capacity() > 10, "overrun upsizes against the pool");
+        assert!(c.pending_grow.is_none(), "no pending grow without watchdog");
+        assert!(
+            choice.slot > initial.slot,
+            "re-selection with the granted space sleeps longer: {} vs {}",
+            choice.slot,
+            initial.slot
+        );
+    }
+}

@@ -21,9 +21,13 @@
 //!   tightly on real cores, observed ~4.4x more sessions), while the
 //!   simulator dispatches one session per arrival cluster.
 //! * **The replay oracle** — traces recorded on either engine replay
-//!   clean. Native traces carry no `Buffer*`/`CoreSpan` events, so the
-//!   oracle exercises item conservation and (for PBPL) reservation
-//!   consistency there; sim traces exercise every check.
+//!   clean. Native traces carry no `Buffer*`, `CoreSpan` or `Slot*`
+//!   events (the runtime attaches no trace handle to its core managers'
+//!   books), so the oracle checks only item conservation there; sim
+//!   traces exercise every check.
+//!
+//! Mutex, Sem, BP and PBPL each run through both engines. Native PBPL
+//! drives the same `PbplConsumer` decision machine as the simulator.
 
 use pc_bench::oracle;
 use pcpower::core::{Experiment, StrategyKind};
@@ -132,4 +136,14 @@ fn mutex_agrees_across_engines() {
 #[test]
 fn bp_agrees_across_engines() {
     differential(StrategyKind::Bp);
+}
+
+#[test]
+fn sem_agrees_across_engines() {
+    differential(StrategyKind::Sem);
+}
+
+#[test]
+fn pbpl_agrees_across_engines() {
+    differential(StrategyKind::pbpl_default());
 }

@@ -563,3 +563,47 @@ fn inverted_core_span_is_rejected() {
     let mut core = Core::new(CoreId(0));
     core.add_active_span(SimTime::from_millis(10), SimTime::from_millis(5));
 }
+
+#[test]
+fn overlapping_consumer_slowdowns_compose() {
+    // Two same-factor slowdown windows [a, c) and [b, d) on one pair,
+    // a < b < c < d, must slow the pair exactly like one window [a, d):
+    // closing the first window must not restore nominal speed while the
+    // second is still open.
+    use pcpower::faults::{Fault, FaultKind, FaultPlan};
+    let slowdown = |id, start_ms: u64, end_ms: u64| Fault {
+        id,
+        start_ns: start_ms * 1_000_000,
+        end_ns: end_ms * 1_000_000,
+        kind: FaultKind::ConsumerSlowdown {
+            pair: 0,
+            factor_x1000: 3_000,
+        },
+    };
+    let run = |plan: FaultPlan| {
+        Experiment::builder()
+            .pairs(2)
+            .cores(1)
+            .duration(SimDuration::from_millis(200))
+            .strategy(StrategyKind::Mutex)
+            .trace(WorldCupConfig::paper_default())
+            .buffer_capacity(25)
+            .seed(3)
+            .faults(plan)
+            .run()
+    };
+    let overlapping = run(FaultPlan::new(vec![slowdown(0, 20, 100), slowdown(1, 60, 140)]));
+    let single = run(FaultPlan::new(vec![slowdown(0, 20, 140)]));
+    let nominal = run(FaultPlan::empty());
+    assert_eq!(
+        overlapping.energy.energy_j.to_bits(),
+        single.energy.energy_j.to_bits()
+    );
+    for (o, s) in overlapping.pairs.iter().zip(&single.pairs) {
+        assert_eq!(o.total_latency, s.total_latency, "pair {:?}", o.pair);
+    }
+    assert_ne!(
+        single.pairs[0].total_latency, nominal.pairs[0].total_latency,
+        "the slowdown must be observable for the test to mean anything"
+    );
+}
