@@ -70,26 +70,29 @@ pub fn headers<'a>(
     blocks: &'a [Block],
 ) -> impl Iterator<Item = (CellMeta, &'a StrategyKind)> + 'a {
     blocks.iter().flat_map(move |block| {
-        block.strategies.iter().flat_map(move |(strategy, overload)| {
-            (0..protocol.replicates).map(move |replicate| {
-                let meta = CellMeta {
-                    experiment: block.experiment.clone(),
-                    strategy: label(strategy, *overload),
-                    pairs: block.point.pairs as u64,
-                    cores: block.point.cores as u64,
-                    buffer: block.point.buffer as u64,
-                    seed: protocol.base_seed + replicate as u64,
-                    duration_ns: protocol.duration.as_nanos(),
-                    workload: block.workload.to_string(),
-                    scenario: block.scenario.to_string(),
-                    period_ns: oracle::strategy_period_ns(strategy),
-                    events: 0,
-                    dropped: 0,
-                    digest: 0,
-                };
-                (meta, strategy)
+        block
+            .strategies
+            .iter()
+            .flat_map(move |(strategy, overload)| {
+                (0..protocol.replicates).map(move |replicate| {
+                    let meta = CellMeta {
+                        experiment: block.experiment.clone(),
+                        strategy: label(strategy, *overload),
+                        pairs: block.point.pairs as u64,
+                        cores: block.point.cores as u64,
+                        buffer: block.point.buffer as u64,
+                        seed: protocol.base_seed + replicate as u64,
+                        duration_ns: protocol.duration.as_nanos(),
+                        workload: block.workload.to_string(),
+                        scenario: block.scenario.to_string(),
+                        period_ns: oracle::strategy_period_ns(strategy),
+                        events: 0,
+                        dropped: 0,
+                        digest: 0,
+                    };
+                    (meta, strategy)
+                })
             })
-        })
     })
 }
 

@@ -347,9 +347,19 @@ fn golden_trace_digest_is_stable() {
         ("BP", StrategyKind::Bp, false, GOLDEN_BP),
         ("PBP", StrategyKind::Pbp { period }, false, GOLDEN_PBP),
         ("SPBP", StrategyKind::Spbp { period }, false, GOLDEN_SPBP),
-        ("PBPL", StrategyKind::pbpl_default(), false, GOLDEN_TRACE_DIGEST),
+        (
+            "PBPL",
+            StrategyKind::pbpl_default(),
+            false,
+            GOLDEN_TRACE_DIGEST,
+        ),
         ("BP+faults", StrategyKind::Bp, true, GOLDEN_BP_FAULTED),
-        ("Mutex+faults", StrategyKind::Mutex, true, GOLDEN_MUTEX_FAULTED),
+        (
+            "Mutex+faults",
+            StrategyKind::Mutex,
+            true,
+            GOLDEN_MUTEX_FAULTED,
+        ),
     ];
     let (pairs, cores, buffer, duration) = (2, 2, 25, SimDuration::from_millis(100));
     let mut mismatches = Vec::new();
@@ -386,7 +396,11 @@ fn golden_trace_digest_is_stable() {
             assert_eq!(log.dropped, 0, "{name}: golden run must fit the recorder");
             assert!(!log.events.is_empty());
             let report = pc_bench::oracle::check(&log);
-            assert!(report.is_clean(), "{name} violations: {:?}", report.violations);
+            assert!(
+                report.is_clean(),
+                "{name} violations: {:?}",
+                report.violations
+            );
             log.digest()
         };
         let digest = run_digest();
@@ -592,7 +606,10 @@ fn overlapping_consumer_slowdowns_compose() {
             .faults(plan)
             .run()
     };
-    let overlapping = run(FaultPlan::new(vec![slowdown(0, 20, 100), slowdown(1, 60, 140)]));
+    let overlapping = run(FaultPlan::new(vec![
+        slowdown(0, 20, 100),
+        slowdown(1, 60, 140),
+    ]));
     let single = run(FaultPlan::new(vec![slowdown(0, 20, 140)]));
     let nominal = run(FaultPlan::empty());
     assert_eq!(
