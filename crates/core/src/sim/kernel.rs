@@ -47,8 +47,8 @@ pub(super) struct Pair {
 }
 
 /// An optional layer's hooks into the kernel and the handlers. Every
-/// hook defaults to "no layer", and `()` is the empty layer; `(A, B)`
-/// runs both layers, `A`'s hooks first.
+/// hook defaults to "no layer": `()` is the empty layer, and `(A, B)`
+/// runs both, `A`'s hooks first.
 pub(super) trait Layer {
     /// Schedules the layer's own events before the run starts.
     fn arm(&mut self, _k: &mut Kernel) {}
@@ -64,8 +64,7 @@ pub(super) trait Layer {
     fn timer_dead(&self, _core: usize) -> bool {
         false
     }
-    /// Swallows (and counts) a timer wake on a dead `core`; false when
-    /// the wake goes through.
+    /// Swallows (and counts) a timer wake on a dead `core`.
     fn swallow_wake(&mut self, _core: usize) -> bool {
         false
     }
@@ -73,8 +72,7 @@ pub(super) trait Layer {
     fn admit(&mut self, _pair: usize, _t: SimTime, _k: &mut Kernel, _h: &Handler) -> bool {
         true
     }
-    /// How many of `items` (production stamps) missed a deadline when
-    /// served at `end`.
+    /// How many of `items` (production stamps) served at `end` were late.
     fn deadline_misses(&self, _end: SimTime, _items: &[SimTime]) -> u64 {
         0
     }
@@ -173,6 +171,7 @@ pub(super) struct Kernel {
 impl Kernel {
     /// Claims `core` for `work` starting no earlier than `now`; returns
     /// the end of the span actually occupied.
+    #[inline]
     pub fn occupy_core(&mut self, core: usize, now: SimTime, work: SimDuration) -> SimTime {
         let start = now.max(self.core_busy_until[core]);
         let end = start.saturating_add(work);
@@ -181,6 +180,7 @@ impl Kernel {
         end
     }
 
+    #[inline]
     pub fn schedule_next_produce(&mut self, i: usize) {
         if let Some(t) = self.fleet[i].get(self.pairs[i].next_idx) {
             if t < self.end {

@@ -8,12 +8,12 @@
 //! consumer cores themselves), consumers pinned to cores with no
 //! background processes, and a finite run. A run is three parts:
 //!
-//! * [`kernel`] — the `pc-sim` engine, the cores, each pair's arrival
+//! * `kernel` — the `pc-sim` engine, the cores, each pair's arrival
 //!   cursor and metrics, the shared drain tail and the teardown that
 //!   flows the finished core timelines through `pc-power`;
-//! * [`handlers`] and [`pbpl`] — one handler per strategy family (§III
+//! * `handlers` and `pbpl` — one handler per strategy family (§III
 //!   and §V), each owning its per-pair state;
-//! * [`faults`] and [`overload`] — the optional layers, built only when
+//! * `faults` and `overload` — the optional layers, built only when
 //!   the run enables them and reached only through the kernel's layer
 //!   hooks.
 
@@ -72,6 +72,7 @@ pub struct ExperimentBuilder {
     trace_events: TraceHandle,
     fault_plan: FaultPlan,
     shards: usize,
+    /// Overload control: admission, shedding and the fleet supervisor.
     admission: OverloadConfig,
 }
 

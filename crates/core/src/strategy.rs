@@ -1,6 +1,6 @@
 //! Strategy-specific constants and work models for the eight consumer
 //! implementations (§III-A + §V), shared by the simulator in
-//! [`crate::system`].
+//! [`crate::sim`].
 //!
 //! How each §III implementation maps onto simulation behaviour:
 //!
