@@ -236,7 +236,6 @@ impl ExperimentBuilder {
     }
 
     /// Runs the experiment and returns its metrics.
-    /// Runs the experiment and returns its metrics.
     pub fn run(self) -> RunMetrics {
         let end = SimTime::ZERO + self.duration;
         // Fault-free explicit traces are consumed zero-copy. Generated
@@ -321,30 +320,25 @@ impl ExperimentBuilder {
                 metrics: PairMetrics::new(PairId(i)),
             })
             .collect();
+        let item = |sync_factor| {
+            let pairs = (0..self.pairs).map(|_| Default::default()).collect();
+            Handler::Item(ItemHandler { sync_factor, pairs })
+        };
+        let batch = |period| {
+            Handler::Batch(BatchHandler {
+                period,
+                timer: self.strategy.timer_model(),
+                buffers: buffers(self.buffer_capacity),
+                anchors: vec![SimTime::ZERO; self.pairs],
+            })
+        };
         let handler = match &self.strategy {
             StrategyKind::BusyWait => Handler::Busy { yielding: false },
             StrategyKind::Yield => Handler::Busy { yielding: true },
-            StrategyKind::Mutex | StrategyKind::Sem => Handler::Item(ItemHandler {
-                sync_factor: match self.strategy {
-                    StrategyKind::Sem => SEM_SYNC_FACTOR,
-                    _ => MUTEX_SYNC_FACTOR,
-                },
-                pairs: (0..self.pairs).map(|_| Default::default()).collect(),
-            }),
-            StrategyKind::Bp => Handler::Batch(BatchHandler {
-                period: None,
-                timer: self.strategy.timer_model(),
-                buffers: buffers(self.buffer_capacity),
-                anchors: Vec::new(),
-            }),
-            StrategyKind::Pbp { period } | StrategyKind::Spbp { period } => {
-                Handler::Batch(BatchHandler {
-                    period: Some(*period),
-                    timer: self.strategy.timer_model(),
-                    buffers: buffers(self.buffer_capacity),
-                    anchors: vec![SimTime::ZERO; self.pairs],
-                })
-            }
+            StrategyKind::Mutex => item(MUTEX_SYNC_FACTOR),
+            StrategyKind::Sem => item(SEM_SYNC_FACTOR),
+            StrategyKind::Bp => batch(None),
+            StrategyKind::Pbp { period } | StrategyKind::Spbp { period } => batch(Some(*period)),
             StrategyKind::Pbpl(cfg) => {
                 let min_cap = ((self.buffer_capacity as f64 * cfg.min_capacity_frac).ceil()
                     as usize)
