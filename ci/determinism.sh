@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Determinism-gate helper (DESIGN.md §9): every deterministic result
-# file must be a pure function of (seed, config) — worker-thread count,
-# shard count and tracing must never change its bytes. CI proves that by
+# file must be a pure function of (seed, config) — worker-thread count
+# and tracing must never change its bytes. CI proves that by
 # running the same binary under different knobs and byte-comparing the
 # output, which used to be copy-pasted run/stash/cmp step triples.
 #

@@ -3,16 +3,16 @@
 //!
 //! ```text
 //! cargo run --release -p pc-bench --bin sweep -- FAMILY [--filter NAME]...
-//!     [--threads N] [--shards N] [--trace] [--list]
+//!     [--threads N] [--trace] [--list]
 //! ```
 //!
 //! `FAMILY` is `suite` (every paper figure and table), `chaos`, `scale`
 //! or `overload`. Writes under `results/`:
 //!
 //! * `<family>.json` — deterministic per-cell metrics. **Byte-identical
-//!   for any `--threads` or `--shards` value, with or without
-//!   `--trace`** — the CI family matrix byte-compares all three. Nothing
-//!   timing-, thread- or shard-dependent may ever be added to it.
+//!   for any `--threads` value, with or without `--trace`** — the CI
+//!   family matrix byte-compares them. Nothing timing- or
+//!   thread-dependent may ever be added to it.
 //! * `BENCH_<family>.json` — the sidecar: per-cell wall time and
 //!   scheduler counters, worker utilization, fleet generation time.
 //! * with `--trace`, `<family>_trace.jsonl` — each cell's `CellMeta`
@@ -30,8 +30,7 @@
 //! suite experiments, `scenario/strategy` for chaos and overload
 //! (`scenario@m100/strategy` for the planet block), `m10|m100|m1000`
 //! for scale. `PC_DURATION_MS`, `PC_REPLICATES`, `PC_SEED`,
-//! `PC_THREADS`, `PC_SHARDS` and `PC_TRACE_CAP` apply; `--threads` and
-//! `--shards` override the env.
+//! `PC_THREADS` and `PC_TRACE_CAP` apply; `--threads` overrides the env.
 
 use pc_bench::exp::{create_result_file, die, save_json, Protocol};
 use pc_bench::oracle;
@@ -40,13 +39,12 @@ use std::io::Write;
 use std::time::Instant;
 
 const USAGE: &str = "usage: sweep suite|chaos|scale|overload [--filter NAME]... \
-                     [--threads N] [--shards N] [--trace] [--list]";
+                     [--threads N] [--trace] [--list]";
 
 struct Options {
     family: Family,
     filters: Vec<String>,
     threads: Option<usize>,
-    shards: Option<usize>,
     trace: bool,
     list: bool,
 }
@@ -72,7 +70,6 @@ fn parse_args() -> Options {
             .unwrap_or_else(|| die(&format!("unknown family {family:?}\n{USAGE}"))),
         filters: Vec::new(),
         threads: None,
-        shards: None,
         trace: false,
         list: false,
     };
@@ -82,7 +79,6 @@ fn parse_args() -> Options {
                 .filters
                 .push(args.next().unwrap_or_else(|| die("--filter needs a value"))),
             "--threads" => options.threads = Some(positive(&arg, args.next())),
-            "--shards" => options.shards = Some(positive(&arg, args.next())),
             "--trace" => options.trace = true,
             "--list" => options.list = true,
             other => die(&format!("unknown argument {other:?}\n{USAGE}")),
@@ -97,7 +93,6 @@ fn main() {
     let (duration_ms, replicates) = family.defaults();
     let mut protocol = Protocol::from_env_with(duration_ms, replicates);
     protocol.threads = options.threads.unwrap_or(protocol.threads);
-    protocol.shards = options.shards.unwrap_or(protocol.shards);
 
     let cells: Vec<_> = family
         .cells(&protocol)
@@ -120,14 +115,13 @@ fn main() {
         die("no cell matches the given --filter (names are exact; see --list)");
     }
     println!(
-        "{}: {} cell(s), {} ms horizon, {} replicate(s), seed {}, {} thread(s), {} shard(s)",
+        "{}: {} cell(s), {} ms horizon, {} replicate(s), seed {}, {} thread(s)",
         family.name(),
         cells.len(),
         protocol.duration.as_nanos() / 1_000_000,
         protocol.replicates,
         protocol.base_seed,
-        protocol.threads,
-        protocol.shards
+        protocol.threads
     );
 
     // Opened up front, so an unwritable results dir fails before the
@@ -141,7 +135,7 @@ fn main() {
     let total_wall_ms = started.elapsed().as_millis() as u64;
     save_json(
         &format!("BENCH_{}", family.name()),
-        &Sidecar::new(&protocol, &runs, &timing, total_wall_ms, &options.filters),
+        &Sidecar::new(&runs, &timing, total_wall_ms, &options.filters),
     );
     if let Some((path, out)) = export.as_mut() {
         for run in &runs {

@@ -19,13 +19,6 @@ use serde::Serialize;
 use std::io::Write;
 use std::path::PathBuf;
 
-/// Default coordination shard count (`PC_SHARDS`). Shards are a locking
-/// layout, never a semantics change, so this only moves wall time; at
-/// the full horizons on a 2-core host `sweep suite` and `sweep scale`
-/// took the same wall time within noise at 1, 4 and 8 shards, so the
-/// default is the simplest layout.
-pub const DEFAULT_SHARDS: usize = 1;
-
 /// The paper's horizon (ms) and replicate count (§III-B).
 pub const PAPER_PROTOCOL: (u64, usize) = (50_000, 3);
 
@@ -45,9 +38,6 @@ pub struct Protocol {
     /// Worker threads for the sweep engine. Thread count never affects
     /// results (see `sweep`) — only wall-clock time.
     pub threads: usize,
-    /// Coordination shards per manager and in the global pool; like
-    /// `threads`, it never affects results.
-    pub shards: usize,
     /// Per-cell recorder bound of recorded runs.
     pub trace_cap: usize,
 }
@@ -88,9 +78,9 @@ impl Protocol {
 
     /// The protocol with defaults `duration_ms` and `replicates`,
     /// overridden by `PC_DURATION_MS`, `PC_REPLICATES`, `PC_SEED`,
-    /// `PC_THREADS` (default: the machine's parallelism), `PC_SHARDS`
-    /// (default [`DEFAULT_SHARDS`]) and `PC_TRACE_CAP` (default
-    /// [`DEFAULT_RECORDER_CAPACITY`]) as `vars` reports them.
+    /// `PC_THREADS` (default: the machine's parallelism) and
+    /// `PC_TRACE_CAP` (default [`DEFAULT_RECORDER_CAPACITY`]) as `vars`
+    /// reports them.
     pub fn from_vars(
         vars: &impl Fn(&str) -> Option<String>,
         duration_ms: u64,
@@ -106,7 +96,6 @@ impl Protocol {
             trace: WorldCupConfig::paper_default(),
             planet: PlanetConfig::scale_default(),
             threads: knob("PC_THREADS", nproc)?,
-            shards: knob("PC_SHARDS", DEFAULT_SHARDS)?,
             trace_cap: knob("PC_TRACE_CAP", DEFAULT_RECORDER_CAPACITY)?,
         })
     }
@@ -146,7 +135,7 @@ impl Protocol {
         };
         let cells: Vec<_> = headers(self, std::slice::from_ref(&block)).collect();
         parallel_map(&cells, self.threads, |(meta, strategy)| {
-            replay::run_strategy(meta, (*strategy).clone(), self.shards, None, None)
+            replay::run_strategy(meta, (*strategy).clone(), None, None)
                 .unwrap_or_else(|e| panic!("{}: {e}", meta.label()))
                 .0
         })
@@ -334,7 +323,6 @@ pub(crate) fn quick_protocol(duration_ms: u64, replicates: usize, threads: usize
         trace: WorldCupConfig::quick_test(),
         planet: PlanetConfig::quick_test(),
         threads,
-        shards: 1,
         trace_cap: DEFAULT_RECORDER_CAPACITY,
     }
 }
@@ -371,7 +359,6 @@ mod tests {
         assert_eq!(p.replicates, 1);
         assert_eq!(p.base_seed, 1);
         assert!(p.threads >= 1);
-        assert_eq!(p.shards, DEFAULT_SHARDS);
         assert_eq!(p.trace_cap, DEFAULT_RECORDER_CAPACITY);
     }
 
@@ -411,14 +398,6 @@ mod tests {
         assert_eq!(with("PC_THREADS", "3").unwrap().threads, 3);
         for bad in ["0", "all"] {
             rejects("PC_THREADS", bad);
-        }
-    }
-
-    #[test]
-    fn pc_shards_parses_or_names_itself() {
-        assert_eq!(with("PC_SHARDS", "3").unwrap().shards, 3);
-        for bad in ["0", "eight"] {
-            rejects("PC_SHARDS", bad);
         }
     }
 

@@ -477,6 +477,8 @@ impl Pool {
     }
 }
 
+/// `pool_squeeze_shard` is no longer emitted, but trace files written by
+/// older builds may carry it, and it ledgers exactly like a squeeze.
 fn is_squeeze(kind: &str) -> bool {
     kind == "pool_squeeze" || kind == "pool_squeeze_shard"
 }

@@ -276,18 +276,16 @@ pub fn fleet(meta: &CellMeta) -> Result<Option<Vec<Trace>>, String> {
 }
 
 /// Runs the cell `meta` describes — the one path every live and
-/// replayed cell takes. `shards` is a locking layout that never changes
-/// a result; `fleet` is a pre-generated [`fleet`] to share (generated
-/// here when `None`); `record` is the recorder bound, or `None` for an
-/// unrecorded run. A closed scheduler ledger (DESIGN.md §14) is part of
+/// replayed cell takes. `fleet` is a pre-generated [`fleet`] to share
+/// (generated here when `None`); `record` is the recorder bound, or
+/// `None` for an unrecorded run. A closed scheduler ledger (DESIGN.md §14) is part of
 /// the contract: a drift is an error, not a result.
 pub fn run_cell(
     meta: &CellMeta,
-    shards: usize,
     fleet: Option<&Arc<Vec<Trace>>>,
     record: Option<usize>,
 ) -> Result<(RunMetrics, Option<TraceLog>), String> {
-    run_strategy(meta, rebuild_strategy(meta)?, shards, fleet, record)
+    run_strategy(meta, rebuild_strategy(meta)?, fleet, record)
 }
 
 /// [`run_cell`] with the strategy given instead of rebuilt from the
@@ -297,7 +295,6 @@ pub fn run_cell(
 pub fn run_strategy(
     meta: &CellMeta,
     strategy: StrategyKind,
-    shards: usize,
     fleet: Option<&Arc<Vec<Trace>>>,
     record: Option<usize>,
 ) -> Result<(RunMetrics, Option<TraceLog>), String> {
@@ -317,7 +314,6 @@ pub fn run_strategy(
         .strategy(strategy)
         .seed(meta.seed)
         .buffer_capacity(meta.buffer as usize)
-        .shards(shards)
         .overload(overload)
         .faults(fault_plan(meta)?)
         .record_events(
@@ -353,7 +349,7 @@ pub fn rerecord(meta: &CellMeta) -> Result<TraceLog, String> {
     } else {
         DEFAULT_RECORDER_CAPACITY.max(meta.events as usize + 1)
     };
-    let (_, log) = run_cell(meta, 1, None, Some(bound))?;
+    let (_, log) = run_cell(meta, None, Some(bound))?;
     Ok(log.expect("recorded run"))
 }
 

@@ -1,13 +1,11 @@
-//! The scale family: large-M scaling on the sharded coordination layer
-//! (DESIGN.md §11).
+//! The scale family: large-M scaling (DESIGN.md §11).
 //!
 //! The paper's evaluation stops at M = 5 pairs; this family drives the
-//! sharded coordination layer (ShardedCoreManager + sharded GlobalPool)
-//! with the planet-scale workload from `pc_trace::planet` at
-//! M ∈ {10, 100, 1000}, and `results/scale.json` must be a pure function
-//! of `(seed, config)` — **never** of the worker-thread count *or the
-//! shard count*. Sharding is a locking layout, not a semantics change;
-//! the CI family matrix byte-compares the file across both.
+//! per-core reservation books and the one global pool with the
+//! planet-scale workload from `pc_trace::planet` at M ∈ {10, 100, 1000},
+//! and `results/scale.json` must be a pure function of `(seed, config)`
+//! — **never** of the worker-thread count, which the CI family matrix
+//! byte-compares the file across.
 
 use crate::exp::{evaluated_strategies, print_header, Protocol};
 use crate::sweep::{print_rows, Block, CellReport, CellRun, GridPoint};

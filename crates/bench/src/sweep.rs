@@ -17,9 +17,9 @@
 //!   is bit-deterministic per seed (see CLAUDE.md).
 //!
 //! The CI determinism gate runs every family with `--threads 4` and
-//! `--threads 1` (and `--shards 3`) and byte-compares the JSON output;
-//! any wall-clock, thread- or shard-count leakage into results is a
-//! build failure, not a footnote.
+//! `--threads 1` and byte-compares the JSON output; any wall-clock or
+//! thread-count leakage into results is a build failure, not a
+//! footnote.
 
 use crate::exp::{print_row, save_json, Protocol, Row, PAPER_PROTOCOL};
 use crate::oracle::{self, CellMeta};
@@ -426,9 +426,8 @@ pub fn execute(protocol: &Protocol, cells: &[CellMeta], record: bool) -> (Vec<Ce
     let started = Instant::now();
     let (runs, dispatch) = parallel_map_costed(cells, protocol.threads, &costs, |meta| {
         let record = record.then_some(protocol.trace_cap);
-        let (metrics, log) =
-            replay::run_cell(meta, protocol.shards, fleets.get(&fleet_key(meta)), record)
-                .unwrap_or_else(|e| panic!("{}: {e}", meta.label()));
+        let (metrics, log) = replay::run_cell(meta, fleets.get(&fleet_key(meta)), record)
+            .unwrap_or_else(|e| panic!("{}: {e}", meta.label()));
         let mut meta = meta.clone();
         if let Some(log) = &log {
             replay::seal(&mut meta, log);
@@ -462,9 +461,8 @@ pub struct CellTiming {
 /// host-dependent about a sweep, so none of it reaches the result file.
 #[derive(Debug, Clone, Serialize)]
 pub struct Sidecar {
-    /// v5: one struct for every family — a flat, experiment-tagged
-    /// `cells` list replaces the per-family nesting; `fleet_gen_ms`
-    /// and `shards` on every family.
+    /// v6: v5 (one struct for every family, a flat, experiment-tagged
+    /// `cells` list, `fleet_gen_ms`) without the `shards` field.
     pub schema_version: u32,
     /// Per-cell timings in canonical cell order.
     pub cells: Vec<CellTiming>,
@@ -478,8 +476,6 @@ pub struct Sidecar {
     pub fleet_gen_ms: u64,
     /// Worker threads used.
     pub threads: usize,
-    /// Coordination shards per cell.
-    pub shards: usize,
     /// Active `--filter` values (empty = the whole family), so a
     /// checked-in sidecar can never masquerade as a full run.
     pub filters: Vec<String>,
@@ -488,14 +484,13 @@ pub struct Sidecar {
 impl Sidecar {
     /// Assembles the sidecar of one sweep.
     pub fn new(
-        protocol: &Protocol,
         runs: &[CellRun],
         timing: &Timing,
         total_wall_ms: u64,
         filters: &[String],
     ) -> Sidecar {
         Sidecar {
-            schema_version: 5,
+            schema_version: 6,
             cells: runs
                 .iter()
                 .zip(&timing.dispatch.cell_wall_ms)
@@ -511,14 +506,13 @@ impl Sidecar {
             worker_busy_ms: timing.dispatch.worker_busy_ms.clone(),
             fleet_gen_ms: timing.fleet_gen_ms,
             threads: timing.dispatch.threads,
-            shards: protocol.shards,
             filters: filters.to_vec(),
         }
     }
 }
 
 /// Deterministic per-cell report row shared by the suite and scale
-/// families. **No thread, shard or timing field may ever appear here**
+/// families. **No thread or timing field may ever appear here**
 /// — those live in the sidecar.
 #[derive(Debug, Clone, Serialize)]
 pub struct CellReport {
@@ -657,30 +651,23 @@ mod tests {
     }
 
     #[test]
-    fn neither_threads_nor_shards_change_results() {
-        // The planet fleet at a small M, so sharding has managers to
-        // split; recorded, so the event streams are compared too.
+    fn thread_count_does_not_change_results() {
+        // The planet fleet at a small M, recorded, so the event streams
+        // are compared too.
         let cells: Vec<CellMeta> = Family::Scale
             .cells(&quick_protocol(60, 1, 1))
             .into_iter()
             .filter(|c| c.pairs == 10)
             .collect();
         assert_eq!(cells.len(), 4);
-        let run = |threads, shards| {
-            let mut p = quick_protocol(60, 1, threads);
-            p.shards = shards;
-            execute(&p, &cells, true).0
-        };
-        let base = run(1, 1);
-        for (threads, shards) in [(4, 1), (1, 4), (4, 3)] {
-            for (a, b) in base.iter().zip(run(threads, shards)) {
-                assert_eq!(
-                    a.metrics.energy.energy_j.to_bits(),
-                    b.metrics.energy.energy_j.to_bits()
-                );
-                assert_eq!(a.metrics.items_consumed, b.metrics.items_consumed);
-                assert_eq!(a.meta, b.meta, "events, dropped and digest included");
-            }
+        let run = |threads| execute(&quick_protocol(60, 1, threads), &cells, true).0;
+        for (a, b) in run(1).iter().zip(run(4)) {
+            assert_eq!(
+                a.metrics.energy.energy_j.to_bits(),
+                b.metrics.energy.energy_j.to_bits()
+            );
+            assert_eq!(a.metrics.items_consumed, b.metrics.items_consumed);
+            assert_eq!(a.meta, b.meta, "events, dropped and digest included");
         }
     }
 

@@ -17,7 +17,6 @@ fn protocol() -> Protocol {
         trace: WorldCupConfig::quick_test(),
         planet: PlanetConfig::quick_test(),
         threads: 2,
-        shards: 1,
         trace_cap: 1024,
     }
 }

@@ -8,12 +8,11 @@ use std::process::{Command, Output};
 
 const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
 
-const KNOBS: [&str; 6] = [
+const KNOBS: [&str; 5] = [
     "PC_DURATION_MS",
     "PC_REPLICATES",
     "PC_SEED",
     "PC_THREADS",
-    "PC_SHARDS",
     "PC_TRACE_CAP",
 ];
 
@@ -59,7 +58,6 @@ fn a_malformed_knob_exits_two_naming_the_variable() {
         ("PC_DURATION_MS", "2s"),
         ("PC_SEED", "x"),
         ("PC_THREADS", "0"),
-        ("PC_SHARDS", "-1"),
     ] {
         let out = sweep(&dir, &[(knob, value)], &["suite"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -78,6 +76,7 @@ fn usage_errors_exit_two() {
         &["nope"],
         &["suite", "--frobnicate"],
         &["scale", "--threads", "0"],
+        &["scale", "--shards", "3"],
         &["scale", "--filter", "m"],
     ] {
         let out = sweep(&dir, &[], args);
@@ -125,7 +124,8 @@ fn a_clean_filtered_run_writes_its_result_and_sidecar() {
         assert!(dir.join("results").join(file).is_file(), "{file}");
     }
     let sidecar = std::fs::read_to_string(dir.join("results/BENCH_suite.json")).unwrap();
-    assert!(sidecar.contains("\"schema_version\": 5"), "{sidecar}");
+    assert!(sidecar.contains("\"schema_version\": 6"), "{sidecar}");
+    assert!(!sidecar.contains("\"shards\""), "{sidecar}");
     assert!(sidecar.contains("\"table_overflows\""), "{sidecar}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -15,7 +15,7 @@
 //! improving; the core manager's reservation index makes each backtrack
 //! step O(log n) ([`crate::CoreManager::latest_reserved_in`]).
 
-use crate::manager::ReservationBook;
+use crate::manager::CoreManager;
 use crate::model::ConsumerId;
 use crate::slot::{SlotIndex, SlotTrack};
 use pc_power::PowerModel;
@@ -72,8 +72,6 @@ pub struct SlotChoice {
 }
 
 /// Selects the reservation slot for a consumer on `manager`'s core.
-/// Generic over [`ReservationBook`], so it runs unchanged against a
-/// single [`crate::CoreManager`] or a [`crate::ShardedCoreManager`].
 ///
 /// ```
 /// use pc_core::{select_slot, CoreManager, CostModel, PairId, SlotTrack};
@@ -108,9 +106,9 @@ pub struct SlotChoice {
 /// the next slot — Δ is the floor on achievable latency (which is why
 /// the paper derives Δ *from* the latency requirements).
 #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list for Eq. 8
-pub fn select_slot<B: ReservationBook + ?Sized>(
+pub fn select_slot(
     track: &SlotTrack,
-    manager: &B,
+    manager: &CoreManager,
     cost: &CostModel,
     now: SimTime,
     rate: f64,

@@ -44,7 +44,7 @@ pub mod strategy;
 
 pub use config::{OverloadConfig, PbplConfig, PredictorKind, StrategyKind};
 pub use cost::{select_slot, CostModel, SlotChoice};
-pub use manager::{CoreManager, ReservationBook, ShardedCoreManager};
+pub use manager::CoreManager;
 pub use metrics::{PairMetrics, RunMetrics};
 pub use model::{gamma_count, wakeup_objective, ConsumerId, PairId};
 pub use pbpl::PbplConsumer;

@@ -12,7 +12,7 @@
 
 use crate::config::{DegradeConfig, PbplConfig};
 use crate::cost::{select_slot, CostModel, SlotChoice};
-use crate::manager::ReservationBook;
+use crate::manager::CoreManager;
 use crate::model::PairId;
 use crate::predict::RatePredictor;
 use crate::resize::{overrun_target, plan_resize, predicted_fill, ResizePlan};
@@ -119,10 +119,10 @@ impl PbplConsumer {
     /// prediction just proved too low, so releasing capacity would invite
     /// the next overflow immediately — the paper's resizing exists to
     /// *convert* overflows into scheduled wakeups, not to multiply them.
-    pub fn plan<T, B: ReservationBook + ?Sized>(
+    pub fn plan<T>(
         &mut self,
         now: SimTime,
-        book: &B,
+        book: &CoreManager,
         buffer: &mut ElasticBuffer<T>,
         base_capacity: usize,
         max_latency: SimDuration,

@@ -23,14 +23,13 @@ pub(super) struct FaultRuntime {
     drop_wake: Vec<u32>,
     /// Per-core wakeups swallowed while dropped (reported on recovery).
     swallowed: Vec<u64>,
-    /// Per-fault, per-shard pool units actually squeezed away
-    /// (`pool_squeeze` / `pool_squeeze_shard`): a provenance vector per
-    /// fault, so recovery repays exactly the shards it drained.
-    squeezed: Vec<Vec<usize>>,
+    /// Per-fault pool units actually squeezed away (`pool_squeeze`), so
+    /// recovery repays exactly what was granted.
+    squeezed: Vec<usize>,
 }
 
 impl FaultRuntime {
-    pub fn new(plan: &FaultPlan, pairs: usize, cores: usize, pool_shards: usize) -> Self {
+    pub fn new(plan: &FaultPlan, pairs: usize, cores: usize) -> Self {
         FaultRuntime {
             faults: plan.faults().to_vec(),
             active: vec![false; plan.len()],
@@ -38,7 +37,7 @@ impl FaultRuntime {
             timer_delay_ns: vec![0; cores],
             drop_wake: vec![0; cores],
             swallowed: vec![0; cores],
-            squeezed: vec![vec![0; pool_shards]; plan.len()],
+            squeezed: vec![0; plan.len()],
         }
     }
 
@@ -162,21 +161,10 @@ impl Layer for FaultRuntime {
             }
             // Best-effort: grab what the pool has, up to the request;
             // consumers degrade to their current capacity meanwhile.
-            // Tracked acquisition walks every shard from 0, so the grant
-            // equals what a single-counter pool would give. The
-            // shard-targeted squeeze drains only the named sub-pool
-            // (modulo the shard count), so the per-shard ledger — not
-            // just the global one — absorbs the hit.
             FaultKind::PoolSqueeze { units } => {
-                param = k.pool.as_ref().map_or(0, |p| {
-                    p.acquire_at(0, units as usize, &mut self.squeezed[f])
-                }) as u64;
-            }
-            FaultKind::PoolSqueezeShard { shard, units } => {
-                param = k.pool.as_ref().map_or(0, |p| {
-                    let s = shard as usize % p.shards();
-                    p.acquire_shard(s, units as usize, &mut self.squeezed[f])
-                }) as u64;
+                let granted = k.pool.as_ref().map_or(0, |p| p.try_reserve(units as usize));
+                self.squeezed[f] += granted;
+                param = granted as u64;
             }
         }
         self.trace_edge(f, k, param, true);
@@ -208,15 +196,14 @@ impl Layer for FaultRuntime {
                     }
                 }
             }
-            FaultKind::PoolSqueeze { .. } | FaultKind::PoolSqueezeShard { .. } => {
-                let held = &mut self.squeezed[f];
-                let granted: usize = held.iter().sum();
+            FaultKind::PoolSqueeze { .. } => {
+                let granted = std::mem::take(&mut self.squeezed[f]);
                 param = granted as u64;
                 if granted > 0 {
                     k.pool
                         .as_ref()
                         .expect("squeeze granted implies a pool")
-                        .restore_at(0, granted, held);
+                        .release(granted);
                 }
             }
         }

@@ -30,7 +30,7 @@ use self::overload::OverloadRuntime;
 use self::pbpl::{PbplHandler, PbplPair};
 use crate::config::{OverloadConfig, StrategyKind};
 use crate::cost::CostModel;
-use crate::manager::ShardedCoreManager;
+use crate::manager::CoreManager;
 use crate::metrics::{PairMetrics, RunMetrics};
 use crate::model::PairId;
 use crate::pbpl::PbplConsumer;
@@ -71,7 +71,6 @@ pub struct ExperimentBuilder {
     max_latencies: Option<Vec<SimDuration>>,
     trace_events: TraceHandle,
     fault_plan: FaultPlan,
-    shards: usize,
     /// Overload control: admission, shedding and the fleet supervisor.
     admission: OverloadConfig,
 }
@@ -92,7 +91,6 @@ impl Default for ExperimentBuilder {
             max_latencies: None,
             trace_events: TraceHandle::disabled(),
             fault_plan: FaultPlan::empty(),
-            shards: 1,
             admission: OverloadConfig::default(),
         }
     }
@@ -200,15 +198,12 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Number of coordination shards S: the core managers and the PBPL
-    /// global pool split their state S ways, with pairs hashed to shards
-    /// by index. Semantically inert by contract — results (energy bits,
-    /// wakeups, trace events) are identical for every S ≥ 1, which CI's
-    /// scale job byte-checks; larger S exists to cut contention at large
-    /// M. Default 1.
-    pub fn shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        self.shards = shards;
+    /// Ignores its argument: each core has one reservation book and
+    /// PBPL one pool counter (DESIGN.md §11). Kept only because the
+    /// standalone `benchmark/` package still calls `.shards(8)`; it goes
+    /// with the next change to that package.
+    #[doc(hidden)]
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -293,7 +288,7 @@ impl ExperimentBuilder {
         let pool = self
             .strategy
             .is_batching()
-            .then(|| GlobalPool::with_shards(self.buffer_capacity * self.pairs, self.shards));
+            .then(|| GlobalPool::new(self.buffer_capacity * self.pairs));
         // One elastic buffer per pair against the pool, created in pair
         // order (each traces its `BufferCreate`). Fixed-size strategies
         // never resize, so their floor is the base capacity.
@@ -301,13 +296,9 @@ impl ExperimentBuilder {
             let pool = pool.as_ref().expect("batching strategies have a pool");
             (0..self.pairs)
                 .map(|i| {
-                    let mut buf = ElasticBuffer::with_min_at(
-                        Arc::clone(pool),
-                        self.buffer_capacity,
-                        min_cap,
-                        i % self.shards,
-                    )
-                    .expect("pool sized as B0*M covers every base reservation");
+                    let mut buf =
+                        ElasticBuffer::with_min(Arc::clone(pool), self.buffer_capacity, min_cap)
+                            .expect("pool sized as B0*M covers every base reservation");
                     buf.set_trace(self.trace_events.clone(), i as u32);
                     buf
                 })
@@ -364,7 +355,7 @@ impl ExperimentBuilder {
                     timer: self.strategy.timer_model(),
                     managers: (0..self.cores)
                         .map(|c| {
-                            let mut m = ShardedCoreManager::new(track, self.shards);
+                            let mut m = CoreManager::new(track);
                             m.set_trace(self.trace_events.clone(), c as u32);
                             m
                         })
@@ -386,7 +377,6 @@ impl ExperimentBuilder {
                 })
             }
         };
-        let pool_shards = pool.as_ref().map_or(1, |p| p.shards());
         let k = Kernel {
             strategy: self.strategy.name(),
             power: self.power,
@@ -414,8 +404,8 @@ impl ExperimentBuilder {
         };
         // Each layer exists only when enabled; the run is monomorphised
         // over the layers present.
-        let faults = (!faults.is_empty())
-            .then(|| FaultRuntime::new(faults, self.pairs, self.cores, pool_shards));
+        let faults =
+            (!faults.is_empty()).then(|| FaultRuntime::new(faults, self.pairs, self.cores));
         let overload = self
             .admission
             .enabled

@@ -4,7 +4,7 @@
 //! rebalance across neighbours.
 
 use super::kernel::{Ev, Kernel, Layer};
-use crate::manager::ShardedCoreManager;
+use crate::manager::CoreManager;
 use crate::model::PairId;
 use crate::pbpl::PbplConsumer;
 use crate::slot::SlotIndex;
@@ -28,7 +28,7 @@ pub(super) struct PbplHandler {
     /// piggyback`).
     pub piggyback: bool,
     pub timer: TimerModel,
-    pub managers: Vec<ShardedCoreManager>,
+    pub managers: Vec<CoreManager>,
     /// Each core's armed slot timer.
     pub slot_timer: Vec<Option<(EventId, SlotIndex)>>,
     /// Pair indices hosted on each core (fixed assignment).

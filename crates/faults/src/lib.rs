@@ -51,10 +51,6 @@ pub enum FaultKind {
     /// Up to `units` units of the elastic global pool are reserved away
     /// for the duration of the window (transient capacity squeeze).
     PoolSqueeze { units: u32 },
-    /// Like [`FaultKind::PoolSqueeze`] but drains only pool shard
-    /// `shard` (taken modulo the run's shard count): the squeeze lands
-    /// on one sub-pool's ledger, exercising per-shard conservation.
-    PoolSqueezeShard { shard: u32, units: u32 },
 }
 
 impl FaultKind {
@@ -67,7 +63,6 @@ impl FaultKind {
             FaultKind::TimerDrift { .. } => "timer_drift",
             FaultKind::DroppedWakeup { .. } => "dropped_wakeup",
             FaultKind::PoolSqueeze { .. } => "pool_squeeze",
-            FaultKind::PoolSqueezeShard { .. } => "pool_squeeze_shard",
         }
     }
 
@@ -96,9 +91,7 @@ impl FaultKind {
             FaultKind::RateShock { factor_x1000, .. }
             | FaultKind::ConsumerSlowdown { factor_x1000, .. } => factor_x1000 as u64,
             FaultKind::TimerDrift { delay_ns, .. } => delay_ns,
-            FaultKind::PoolSqueeze { units } | FaultKind::PoolSqueezeShard { units, .. } => {
-                units as u64
-            }
+            FaultKind::PoolSqueeze { units } => units as u64,
             FaultKind::ProducerStall { .. } | FaultKind::DroppedWakeup { .. } => 0,
         }
     }
@@ -182,10 +175,8 @@ impl FaultScenario {
     /// The correlated overload scenarios ([`FaultScenario::FlashCrowd`],
     /// [`FaultScenario::CascadingSqueeze`]) are deliberately excluded:
     /// the chaos sweep's grid — and therefore `chaos.json` and its
-    /// golden digests — is pinned to this list (the same precedent that
-    /// keeps [`FaultKind::PoolSqueezeShard`] out of the generators).
-    /// They are reachable via [`Self::correlated`], the overload sweep,
-    /// and [`Self::from_name`].
+    /// golden digests — is pinned to this list. They are reachable via
+    /// [`Self::correlated`], the overload sweep, and [`Self::from_name`].
     pub fn all() -> [FaultScenario; 8] {
         [
             FaultScenario::Baseline,

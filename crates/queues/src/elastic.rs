@@ -15,35 +15,8 @@
 //! [`ElasticBuffer`] is a FIFO over a chain of fixed-size segments, so
 //! capacity changes never move items, and the accounting-level capacity
 //! (in *items*) is what is borrowed from and returned to the
-//! [`GlobalPool`].
-//!
-//! ## Sharding (DESIGN.md §11)
-//!
-//! At large M a single atomic counter serializes every capacity
-//! transaction, so the pool is split into `S` sub-pools ("shards") of
-//! near-equal totals. Each buffer has a *home* shard and tracks, per
-//! shard, how many units it currently holds (its *provenance* vector):
-//!
-//! * **Overflow** — an acquisition drains the home shard first, then
-//!   walks the remaining shards round-robin (`home+1, home+2, …`), so
-//!   the total granted is `min(want, Σ availableₛ)` — exactly what a
-//!   single-counter pool would grant. Shard count therefore never
-//!   changes grant totals, trace bytes, or simulated energy.
-//! * **Refill** — released units repay *foreign* shards first, in
-//!   reverse acquisition order (`…, home+2, home+1`), and the home
-//!   shard last, so borrowed capacity drains back where it came from.
-//!
-//! Both directions are deterministic, and conservation holds at two
-//! granularities: globally (Σ capacities + available == total) and per
-//! shard (Σ holdingsₛ + availableₛ == totalₛ).
-//!
-//! `GlobalPool::new` builds a single-shard pool, which behaves exactly
-//! like the original single-counter implementation; the untracked
-//! [`GlobalPool::try_reserve`]/[`GlobalPool::release`] API remains for
-//! that case. Multi-shard pools should use the tracked
-//! [`GlobalPool::acquire_at`]/[`GlobalPool::restore_at`] API (as
-//! [`ElasticBuffer`] and the fault runtime do), which is what keeps the
-//! per-shard ledger exact.
+//! [`GlobalPool`] — one atomic counter, so conservation is one equation:
+//! Σ capacities + available == total.
 
 use pc_trace_events::{TraceEvent, TraceHandle};
 use std::collections::VecDeque;
@@ -61,16 +34,26 @@ const SEGMENT_CAP: usize = 16;
 /// forever.
 const FREE_SEGMENTS_MAX: usize = 8;
 
-/// One sub-pool of the global capacity pool.
+/// The pre-allocated global capacity pool shared by all consumers on a
+/// system (`B_g` in the paper).
 #[derive(Debug)]
-struct PoolShard {
+pub struct GlobalPool {
     total: usize,
     available: AtomicUsize,
 }
 
-impl PoolShard {
-    /// Takes up to `want` units from this shard, returning the grant.
-    fn take(&self, want: usize) -> usize {
+impl GlobalPool {
+    /// Creates a pool of `total` capacity units (items).
+    pub fn new(total: usize) -> Arc<Self> {
+        Arc::new(GlobalPool {
+            total,
+            available: AtomicUsize::new(total),
+        })
+    }
+
+    /// Reserves up to `want` units, returning how many were granted
+    /// (possibly zero). Never over-grants.
+    pub fn try_reserve(&self, want: usize) -> usize {
         let mut cur = self.available.load(Ordering::Relaxed);
         loop {
             let grant = cur.min(want);
@@ -89,8 +72,9 @@ impl PoolShard {
         }
     }
 
-    /// Takes exactly `want` units or nothing.
-    fn take_exact(&self, want: usize) -> bool {
+    /// Reserves exactly `want` units or nothing. Returns whether the
+    /// reservation succeeded.
+    pub fn try_reserve_exact(&self, want: usize) -> bool {
         let mut cur = self.available.load(Ordering::Relaxed);
         loop {
             if cur < want {
@@ -108,207 +92,22 @@ impl PoolShard {
         }
     }
 
-    /// Returns `units` to this shard; panics past the shard total
-    /// (always a double-release / mis-attributed provenance bug).
-    fn put(&self, units: usize) {
-        let prev = self.available.fetch_add(units, Ordering::AcqRel);
-        assert!(
-            prev + units <= self.total,
-            "pool shard over-release: {} + {units} > shard total {}",
-            prev,
-            self.total
-        );
-    }
-}
-
-/// The pre-allocated global capacity pool shared by all consumers on a
-/// system (`B_g` in the paper), internally split into `S ≥ 1` shards.
-#[derive(Debug)]
-pub struct GlobalPool {
-    total: usize,
-    shards: Box<[PoolShard]>,
-}
-
-impl GlobalPool {
-    /// Creates a single-shard pool of `total` capacity units (items) —
-    /// behaviourally identical to the original single-counter pool.
-    pub fn new(total: usize) -> Arc<Self> {
-        Self::with_shards(total, 1)
-    }
-
-    /// Creates a pool of `total` units split across `shards` sub-pools
-    /// of near-equal size (the first `total % shards` shards get one
-    /// extra unit).
-    pub fn with_shards(total: usize, shards: usize) -> Arc<Self> {
-        assert!(shards >= 1, "pool needs at least one shard");
-        let base = total / shards;
-        let extra = total % shards;
-        let shards: Box<[PoolShard]> = (0..shards)
-            .map(|s| {
-                let t = base + usize::from(s < extra);
-                PoolShard {
-                    total: t,
-                    available: AtomicUsize::new(t),
-                }
-            })
-            .collect();
-        Arc::new(GlobalPool { total, shards })
-    }
-
-    /// Number of shards (`S`).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Fixed total of shard `s`.
-    pub fn shard_total(&self, s: usize) -> usize {
-        self.shards[s].total
-    }
-
-    /// Units currently unreserved in shard `s`.
-    pub fn shard_available(&self, s: usize) -> usize {
-        self.shards[s].available.load(Ordering::Acquire)
-    }
-
-    /// Reserves up to `want` units without provenance tracking,
-    /// returning how many were granted (possibly zero). Never
-    /// over-grants. Walks shards from 0; on multi-shard pools prefer
-    /// [`GlobalPool::acquire_at`], which keeps the per-shard ledger.
-    pub fn try_reserve(&self, want: usize) -> usize {
-        let mut remaining = want;
-        for shard in self.shards.iter() {
-            if remaining == 0 {
-                break;
-            }
-            remaining -= shard.take(remaining);
-        }
-        want - remaining
-    }
-
-    /// Reserves exactly `want` units or nothing. Returns whether the
-    /// reservation succeeded.
-    pub fn try_reserve_exact(&self, want: usize) -> bool {
-        if self.shards.len() == 1 {
-            return self.shards[0].take_exact(want);
-        }
-        let mut held = vec![0usize; self.shards.len()];
-        if self.acquire_at(0, want, &mut held) == want {
-            true
-        } else {
-            self.restore_at(0, held.iter().sum(), &mut held);
-            false
-        }
-    }
-
-    /// Returns `units` to the pool without provenance tracking,
-    /// refilling shards from 0 up to each shard's headroom.
+    /// Returns `units` to the pool.
     ///
     /// Panics if this would exceed the pool's total — that is always a
     /// double-release bug.
     pub fn release(&self, units: usize) {
-        let mut remaining = units;
-        for shard in self.shards.iter() {
-            if remaining == 0 {
-                return;
-            }
-            let headroom = shard
-                .total
-                .saturating_sub(shard.available.load(Ordering::Acquire));
-            let pay = remaining.min(headroom);
-            if pay > 0 {
-                shard.put(pay);
-                remaining -= pay;
-            }
-        }
+        let prev = self.available.fetch_add(units, Ordering::AcqRel);
         assert!(
-            remaining == 0,
-            "pool over-release: {units} exceeds outstanding reservations (total {})",
+            prev + units <= self.total,
+            "pool over-release: {prev} + {units} exceeds the total {}",
             self.total
         );
     }
 
-    /// Reserves up to `want` units with per-shard provenance: the home
-    /// shard is drained first, then the rest round-robin (`home+1, …`),
-    /// so the grant equals `min(want, Σ availableₛ)` for any shard
-    /// count. Grants are recorded into `held` (one slot per shard).
-    /// Returns the total granted.
-    pub fn acquire_at(&self, home: usize, want: usize, held: &mut [usize]) -> usize {
-        let n = self.shards.len();
-        debug_assert_eq!(held.len(), n, "provenance vector must match shard count");
-        let mut remaining = want;
-        for k in 0..n {
-            if remaining == 0 {
-                break;
-            }
-            let s = (home + k) % n;
-            let got = self.shards[s].take(remaining);
-            held[s] += got;
-            remaining -= got;
-        }
-        want - remaining
-    }
-
-    /// Reserves up to `want` units from shard `s` *only* (no overflow
-    /// walk), recording the grant into `held`. Used by shard-targeted
-    /// fault injection, where the point is to drain one sub-pool.
-    /// Returns the grant.
-    pub fn acquire_shard(&self, s: usize, want: usize, held: &mut [usize]) -> usize {
-        let got = self.shards[s].take(want);
-        held[s] += got;
-        got
-    }
-
-    /// Reserves exactly `want` units (recorded into `held`) or nothing.
-    pub fn acquire_exact_at(&self, home: usize, want: usize, held: &mut [usize]) -> bool {
-        let mut tmp = vec![0usize; self.shards.len()];
-        if self.acquire_at(home, want, &mut tmp) == want {
-            for (h, t) in held.iter_mut().zip(tmp.iter()) {
-                *h += t;
-            }
-            true
-        } else {
-            let got = tmp.iter().sum();
-            self.restore_at(home, got, &mut tmp);
-            false
-        }
-    }
-
-    /// Returns `units` to the pool, repaying the shards recorded in
-    /// `held`: foreign shards first in reverse acquisition order
-    /// (`…, home+2, home+1`), the home shard last, so borrowed capacity
-    /// deterministically drains back where it came from.
-    ///
-    /// Panics if `units` exceeds the holdings in `held` — that is
-    /// always a double-release bug.
-    pub fn restore_at(&self, home: usize, units: usize, held: &mut [usize]) {
-        let n = self.shards.len();
-        debug_assert_eq!(held.len(), n, "provenance vector must match shard count");
-        let mut remaining = units;
-        for k in (0..n).rev() {
-            if remaining == 0 {
-                break;
-            }
-            let s = (home + k) % n;
-            let pay = remaining.min(held[s]);
-            if pay > 0 {
-                self.shards[s].put(pay);
-                held[s] -= pay;
-                remaining -= pay;
-            }
-        }
-        assert!(
-            remaining == 0,
-            "pool over-release: {units} exceeds tracked holdings (total {})",
-            self.total
-        );
-    }
-
-    /// Units currently unreserved across all shards.
+    /// Units currently unreserved.
     pub fn available(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.available.load(Ordering::Acquire))
-            .sum()
+        self.available.load(Ordering::Acquire)
     }
 
     /// The pool's fixed total (`B_g`).
@@ -354,11 +153,6 @@ pub struct ElasticBuffer<T> {
     min_cap: usize,
     /// Current capacity in items, all accounted against the pool.
     cap: usize,
-    /// Home shard for pool transactions (acquired first, repaid last).
-    home: usize,
-    /// Per-shard provenance: how many of `cap` units came from each
-    /// pool shard. Always sums to `cap`.
-    held: Vec<usize>,
     len: usize,
     segments: VecDeque<VecDeque<T>>,
     /// Recycled (empty) segments awaiting reuse, capped at
@@ -373,7 +167,7 @@ pub struct ElasticBuffer<T> {
 
 impl<T> ElasticBuffer<T> {
     /// Creates a buffer with initial capacity `initial` (reserved from
-    /// `pool`) and a minimum capacity of 1, homed on shard 0.
+    /// `pool`) and a minimum capacity of 1.
     ///
     /// Returns `None` if the pool cannot cover the initial reservation —
     /// construction is the only operation that demands exact units.
@@ -381,20 +175,8 @@ impl<T> ElasticBuffer<T> {
         Self::with_min(pool, initial, 1)
     }
 
-    /// Creates a buffer whose capacity never drops below `min_capacity`,
-    /// homed on shard 0.
+    /// Creates a buffer whose capacity never drops below `min_capacity`.
     pub fn with_min(pool: Arc<GlobalPool>, initial: usize, min_capacity: usize) -> Option<Self> {
-        Self::with_min_at(pool, initial, min_capacity, 0)
-    }
-
-    /// Creates a buffer homed on pool shard `home` (taken modulo the
-    /// shard count) whose capacity never drops below `min_capacity`.
-    pub fn with_min_at(
-        pool: Arc<GlobalPool>,
-        initial: usize,
-        min_capacity: usize,
-        home: usize,
-    ) -> Option<Self> {
         assert!(
             initial > 0,
             "elastic buffer initial capacity must be nonzero"
@@ -403,9 +185,7 @@ impl<T> ElasticBuffer<T> {
             min_capacity >= 1 && min_capacity <= initial,
             "min capacity must be in 1..=initial"
         );
-        let home = home % pool.shards();
-        let mut held = vec![0usize; pool.shards()];
-        if !pool.acquire_exact_at(home, initial, &mut held) {
+        if !pool.try_reserve_exact(initial) {
             return None;
         }
         Some(ElasticBuffer {
@@ -413,8 +193,6 @@ impl<T> ElasticBuffer<T> {
             initial,
             min_cap: min_capacity,
             cap: initial,
-            home,
-            held,
             len: 0,
             segments: VecDeque::new(),
             free: Vec::new(),
@@ -446,17 +224,6 @@ impl<T> ElasticBuffer<T> {
     /// The initial fair-share capacity (`B₀`).
     pub fn base_capacity(&self) -> usize {
         self.initial
-    }
-
-    /// The pool shard this buffer acquires from first and repays last.
-    pub fn home_shard(&self) -> usize {
-        self.home
-    }
-
-    /// Per-shard provenance of the current capacity; sums to
-    /// [`ElasticBuffer::capacity`].
-    pub fn shard_holdings(&self) -> &[usize] {
-        &self.held
     }
 
     /// Number of buffered items.
@@ -541,16 +308,12 @@ impl<T> ElasticBuffer<T> {
     }
 
     /// Requests growth to `target` total capacity, borrowing from the
-    /// pool (home shard first, then the rest round-robin). Grants
-    /// whatever the pool can spare (the paper's upsizing is explicitly
+    /// pool. Grants whatever the pool can spare (the paper's upsizing is explicitly
     /// best-effort: `min(B_g − ΣB_q, …)`). Returns the new capacity.
     pub fn grow_to(&mut self, target: usize) -> usize {
         if target > self.cap {
             let from = self.cap;
-            let granted = self
-                .pool
-                .acquire_at(self.home, target - self.cap, &mut self.held);
-            self.cap += granted;
+            self.cap += self.pool.try_reserve(target - self.cap);
             self.trace.record(|| TraceEvent::BufferGrow {
                 owner: self.owner,
                 from: from as u64,
@@ -563,7 +326,7 @@ impl<T> ElasticBuffer<T> {
     }
 
     /// Shrinks toward `target` capacity, returning freed units to the
-    /// pool (foreign shards repaid first, home last). Capacity never
+    /// pool. Capacity never
     /// drops below `min_capacity` nor below the current occupancy.
     /// Returns the new capacity.
     pub fn shrink_to(&mut self, target: usize) -> usize {
@@ -572,7 +335,7 @@ impl<T> ElasticBuffer<T> {
             let from = self.cap;
             let freed = self.cap - floor;
             self.cap = floor;
-            self.pool.restore_at(self.home, freed, &mut self.held);
+            self.pool.release(freed);
             self.trace.record(|| TraceEvent::BufferShrink {
                 owner: self.owner,
                 from: from as u64,
@@ -602,7 +365,7 @@ impl<T> ElasticBuffer<T> {
 
 impl<T> Drop for ElasticBuffer<T> {
     fn drop(&mut self) {
-        self.pool.restore_at(self.home, self.cap, &mut self.held);
+        self.pool.release(self.cap);
         self.trace.record(|| TraceEvent::BufferDestroy {
             owner: self.owner,
             released: self.cap as u64,
@@ -650,111 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_totals_split_near_equal() {
-        let pool = GlobalPool::with_shards(10, 4);
-        assert_eq!(pool.shards(), 4);
-        let totals: Vec<usize> = (0..4).map(|s| pool.shard_total(s)).collect();
-        assert_eq!(totals, vec![3, 3, 2, 2]);
-        assert_eq!(pool.total(), 10);
-        assert_eq!(pool.available(), 10);
-    }
-
-    #[test]
-    fn sharded_grant_total_matches_single_counter() {
-        // The equivalence contract: grant == min(want, Σ available) for
-        // any shard count, so shard count never changes grant totals.
-        for shards in [1, 2, 3, 4, 7] {
-            let pool = GlobalPool::with_shards(100, shards);
-            let mut held = vec![0usize; shards];
-            assert_eq!(pool.acquire_at(1 % shards, 30, &mut held), 30);
-            assert_eq!(pool.available(), 70);
-            assert_eq!(pool.acquire_at(1 % shards, 100, &mut held), 70);
-            assert_eq!(pool.available(), 0);
-            assert_eq!(held.iter().sum::<usize>(), 100);
-            pool.restore_at(1 % shards, 100, &mut held);
-            assert_eq!(pool.available(), 100);
-            assert!(held.iter().all(|&h| h == 0));
-        }
-    }
-
-    #[test]
-    fn acquire_drains_home_then_round_robin() {
-        let pool = GlobalPool::with_shards(40, 4); // 10 units each
-        let mut held = vec![0usize; 4];
-        assert_eq!(pool.acquire_at(2, 25, &mut held), 25);
-        // Home shard 2 drained first, then 3, then 0 partially.
-        assert_eq!(held, vec![5, 0, 10, 10]);
-        assert_eq!(pool.shard_available(2), 0);
-        assert_eq!(pool.shard_available(3), 0);
-        assert_eq!(pool.shard_available(0), 5);
-        assert_eq!(pool.shard_available(1), 10);
-    }
-
-    #[test]
-    fn restore_repays_foreign_shards_first() {
-        let pool = GlobalPool::with_shards(40, 4);
-        let mut held = vec![0usize; 4];
-        pool.acquire_at(2, 25, &mut held);
-        // Releasing 8 units repays the most-foreign holdings first
-        // (reverse acquisition order: shard 0 then 3), home last.
-        pool.restore_at(2, 8, &mut held);
-        assert_eq!(held, vec![0, 0, 10, 7]);
-        assert_eq!(pool.shard_available(0), 10);
-        assert_eq!(pool.shard_available(3), 3);
-        assert_eq!(pool.shard_available(2), 0, "home repaid last");
-    }
-
-    #[test]
-    fn per_shard_conservation_under_tracked_churn() {
-        let pool = GlobalPool::with_shards(120, 3);
-        let mut ledgers: Vec<Vec<usize>> = vec![vec![0; 3]; 4];
-        let mut step = 7usize;
-        for round in 0..300 {
-            let who = (round + step) % 4;
-            step = step.wrapping_mul(31).wrapping_add(17) % 97;
-            let held = &mut ledgers[who];
-            if step.is_multiple_of(2) {
-                pool.acquire_at(who % 3, step % 13, held);
-            } else {
-                let owned: usize = held.iter().sum();
-                pool.restore_at(who % 3, (step % 13).min(owned), held);
-            }
-            for s in 0..3 {
-                let held_s: usize = ledgers.iter().map(|l| l[s]).sum();
-                assert_eq!(
-                    pool.shard_available(s) + held_s,
-                    pool.shard_total(s),
-                    "per-shard conservation"
-                );
-            }
-            let held_all: usize = ledgers.iter().flatten().sum();
-            assert_eq!(pool.available() + held_all, pool.total());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "over-release")]
-    fn restore_beyond_holdings_panics() {
-        let pool = GlobalPool::with_shards(20, 2);
-        let mut held = vec![0usize; 2];
-        pool.acquire_at(0, 5, &mut held);
-        pool.restore_at(0, 6, &mut held);
-    }
-
-    #[test]
-    fn exact_acquire_rolls_back_on_failure() {
-        let pool = GlobalPool::with_shards(20, 4);
-        let mut sink = vec![0usize; 4];
-        pool.acquire_at(0, 15, &mut sink);
-        let mut held = vec![0usize; 4];
-        assert!(!pool.acquire_exact_at(1, 10, &mut held));
-        assert!(held.iter().all(|&h| h == 0), "failed exact must not leak");
-        assert_eq!(pool.available(), 5);
-        assert!(pool.acquire_exact_at(1, 5, &mut held));
-        assert_eq!(held.iter().sum::<usize>(), 5);
-    }
-
-    #[test]
     fn buffer_construction_reserves_base() {
         let (pool, buf) = pool_and_buffer(50, 25);
         assert_eq!(buf.capacity(), 25);
@@ -766,25 +424,6 @@ mod tests {
         let pool = GlobalPool::new(10);
         assert!(ElasticBuffer::<u8>::new(Arc::clone(&pool), 25).is_none());
         assert_eq!(pool.available(), 10, "failed construction must not leak");
-    }
-
-    #[test]
-    fn buffer_homed_on_shard_borrows_round_robin() {
-        let pool = GlobalPool::with_shards(60, 3); // 20 each
-        let mut buf = ElasticBuffer::<u8>::with_min_at(Arc::clone(&pool), 15, 1, 1).unwrap();
-        assert_eq!(buf.home_shard(), 1);
-        assert_eq!(buf.shard_holdings(), &[0, 15, 0]);
-        // Growing past the home shard's remaining 5 borrows from shard 2.
-        assert_eq!(buf.grow_to(30), 30);
-        assert_eq!(buf.shard_holdings(), &[0, 20, 10]);
-        // Shrinking repays the foreign shard 2 before the home shard.
-        buf.shrink_to(22);
-        assert_eq!(buf.shard_holdings(), &[0, 20, 2]);
-        drop(buf);
-        assert_eq!(pool.available(), 60);
-        for s in 0..3 {
-            assert_eq!(pool.shard_available(s), pool.shard_total(s));
-        }
     }
 
     #[test]

@@ -58,10 +58,6 @@ pub struct NativeHarness {
     /// wakeups, timer drift, pool squeezes) need the sim's event loop
     /// and are ignored here.
     pub fault_plan: FaultPlan,
-    /// Coordination shards per core manager and in the global pool
-    /// (DESIGN.md §11). 1 reproduces the unsharded layout; larger values
-    /// cut lock contention at large M.
-    pub shards: usize,
 }
 
 impl Default for NativeHarness {
@@ -77,7 +73,6 @@ impl Default for NativeHarness {
             seed: 42,
             trace_events: TraceHandle::disabled(),
             fault_plan: FaultPlan::empty(),
-            shards: 1,
         }
     }
 }
@@ -134,7 +129,7 @@ impl NativeHarness {
     /// Runs the configured experiment on real threads and blocks until
     /// all of them have joined.
     pub fn run(self) -> NativeRunReport {
-        assert!(self.pairs > 0 && self.cores > 0 && self.shards > 0);
+        assert!(self.pairs > 0 && self.cores > 0);
         let horizon = SimTime::ZERO + self.duration;
         let mut cfg = self.trace.clone();
         cfg.horizon = horizon;
@@ -151,7 +146,7 @@ impl NativeHarness {
             };
             let track = SlotTrack::new(pbpl.slot);
             let managers: Vec<Arc<NativeCoreManager>> = (0..self.cores)
-                .map(|_| NativeCoreManager::new_sharded(track, clock, self.shards))
+                .map(|_| NativeCoreManager::new(track, clock))
                 .collect();
             let threads: Vec<thread::JoinHandle<()>> = managers
                 .iter()
@@ -160,7 +155,7 @@ impl NativeHarness {
                     thread::spawn(move || m.run())
                 })
                 .collect();
-            let pool = GlobalPool::with_shards(self.buffer_capacity * self.pairs, self.shards);
+            let pool = GlobalPool::new(self.buffer_capacity * self.pairs);
             (managers, threads, Some(pool))
         } else {
             (Vec::new(), Vec::new(), None)
@@ -261,6 +256,18 @@ impl NativeHarness {
         for t in mgr_threads {
             t.join().expect("manager thread panicked");
         }
+        // Pool ledger: with every pair thread joined and every manager's
+        // buffer table cleared, each elastic buffer has dropped and
+        // returned its units.
+        if let Some(pool) = &pool {
+            assert_eq!(
+                pool.available(),
+                pool.total(),
+                "native PBPL pool leaked {} of {} units at teardown",
+                pool.total() - pool.available(),
+                pool.total()
+            );
+        }
 
         NativeRunReport {
             strategy: self.strategy.name().to_string(),
@@ -300,6 +307,18 @@ mod tests {
         assert_eq!(r.manager_fires.len(), 2);
         let scheduled: u64 = r.pairs.iter().map(|p| p.scheduled).sum();
         assert!(scheduled > 0, "slot wakes expected");
+    }
+
+    #[test]
+    fn pbpl_harness_returns_every_pool_unit() {
+        // `run` asserts the ledger itself; more pairs than cores puts
+        // several buffers behind each manager.
+        let r = NativeHarness {
+            pairs: 5,
+            ..harness(StrategyKind::pbpl_default())
+        }
+        .run();
+        assert_eq!(r.items_produced(), r.items_consumed());
     }
 
     #[test]

@@ -9,23 +9,9 @@
 //! manager releases every due consumer's wake semaphore: one timer
 //! expiry, many consumer invocations — group latching in the flesh.
 //!
-//! ## Sharding (DESIGN.md §11)
-//!
-//! At large M the single mutex around the book serializes every
-//! consumer's reserve/select critical section. The state is therefore
-//! split into `S` shards, each with its own [`pc_core::CoreManager`]
-//! book, waker table, and buffer table; consumers hash to shards by
-//! index (`consumer mod S`). Reservation, slot selection, and latching
-//! are intra-shard (a consumer's book queries see its shard's
-//! reservations), while the slot fire performs the deterministic
-//! cross-shard pass: the run loop arms the earliest reserved slot
-//! *across all shards*, and a fire walks every shard round-robin,
-//! stealing its due list, so one timer expiry still serves the whole
-//! core. The armed deadline is coordinated through a separate
-//! generation counter (`arm`) so reserve/shutdown never race the
-//! scan-then-wait window. `NativeCoreManager::new` builds the
-//! single-shard flavour, which behaves exactly like the pre-sharding
-//! implementation.
+//! The book, waker table and buffer table sit behind one mutex. The
+//! armed deadline is coordinated through a separate generation counter
+//! (`arm`) so reserve/shutdown never race the scan-then-wait window.
 
 use crate::clock::ReplayClock;
 use parking_lot::{Condvar, Mutex};
@@ -37,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use std::time::Instant;
 
-struct Shard {
+struct State {
     book: CoreManager,
     wakers: HashMap<usize, Arc<Semaphore>>,
     /// Consumers' buffers, for the piggyback occupancy check.
@@ -47,9 +33,9 @@ struct Shard {
 /// Shared handle to one core's slot-reservation manager.
 pub struct NativeCoreManager {
     track: SlotTrack,
-    shards: Box<[Mutex<Shard>]>,
+    state: Mutex<State>,
     /// Arm-generation counter: bumped (under its lock) by every reserve
-    /// and by shutdown, so the run loop can tell whether its shard scan
+    /// and by shutdown, so the run loop can tell whether its book scan
     /// went stale before it parked on the condvar.
     arm: Mutex<u64>,
     nudge: Condvar,
@@ -59,37 +45,21 @@ pub struct NativeCoreManager {
 }
 
 impl NativeCoreManager {
-    /// Creates a single-shard manager over `track`, pacing slots with
-    /// `clock` — identical behaviour to the pre-sharding manager.
+    /// Creates a manager over `track`, pacing slots with `clock`.
     pub fn new(track: SlotTrack, clock: ReplayClock) -> Arc<Self> {
-        Self::new_sharded(track, clock, 1)
-    }
-
-    /// Creates a manager whose book, waker, and buffer state is split
-    /// across `shards ≥ 1` independently locked shards.
-    pub fn new_sharded(track: SlotTrack, clock: ReplayClock, shards: usize) -> Arc<Self> {
-        assert!(shards >= 1, "manager needs at least one shard");
         Arc::new(NativeCoreManager {
             track,
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        book: CoreManager::new(track),
-                        wakers: HashMap::new(),
-                        buffers: HashMap::new(),
-                    })
-                })
-                .collect(),
+            state: Mutex::new(State {
+                book: CoreManager::new(track),
+                wakers: HashMap::new(),
+                buffers: HashMap::new(),
+            }),
             arm: Mutex::new(0),
             nudge: Condvar::new(),
             clock,
             stop: AtomicBool::new(false),
             slot_fires: AtomicU64::new(0),
         })
-    }
-
-    fn shard_of(&self, consumer: usize) -> usize {
-        consumer % self.shards.len()
     }
 
     /// Bumps the arm generation and wakes the manager thread. Called
@@ -103,37 +73,27 @@ impl NativeCoreManager {
 
     /// Registers the semaphore a consumer waits on.
     pub fn register(&self, consumer: usize, waker: Arc<Semaphore>) {
-        self.shards[self.shard_of(consumer)]
-            .lock()
-            .wakers
-            .insert(consumer, waker);
+        self.state.lock().wakers.insert(consumer, waker);
     }
 
     /// Registers the consumer's buffer so slot fires can piggyback
     /// neighbours with meaningful batches (§V-A group latching — same
     /// rule as the simulator: occupancy ≥ capacity/8).
     pub fn register_buffer(&self, consumer: usize, buffer: Arc<Mutex<ElasticBuffer<Instant>>>) {
-        self.shards[self.shard_of(consumer)]
-            .lock()
-            .buffers
-            .insert(consumer, buffer);
+        self.state.lock().buffers.insert(consumer, buffer);
     }
 
-    /// Reserves `slot` for `consumer` on its shard's book, nudging the
-    /// manager thread in case the new slot is earlier than the armed
-    /// one.
+    /// Reserves `slot` for `consumer`, nudging the manager thread in
+    /// case the new slot is earlier than the armed one.
     pub fn reserve(&self, slot: u64, consumer: usize) {
-        let mut st = self.shards[self.shard_of(consumer)].lock();
-        st.book.reserve(slot, PairId(consumer));
-        drop(st);
+        self.state.lock().book.reserve(slot, PairId(consumer));
         self.bump();
     }
 
-    /// Runs a read-only query against `consumer`'s shard of the
-    /// reservation book (used by the consumer's slot selection —
-    /// latching is intra-shard in the native layer).
-    pub fn with_book<R>(&self, consumer: usize, f: impl FnOnce(&CoreManager) -> R) -> R {
-        f(&self.shards[self.shard_of(consumer)].lock().book)
+    /// Runs a read-only query against the reservation book (used by the
+    /// consumer's slot selection).
+    pub fn with_book<R>(&self, f: impl FnOnce(&CoreManager) -> R) -> R {
+        f(&self.state.lock().book)
     }
 
     /// Number of slot deadlines that actually fired.
@@ -150,34 +110,23 @@ impl NativeCoreManager {
         self.stop.store(true, Ordering::SeqCst);
         // Release buffer handles so the consumers' elastic buffers drop
         // (and return their pool units) once the pair handles go away.
-        for sh in self.shards.iter() {
-            sh.lock().buffers.clear();
-        }
+        self.state.lock().buffers.clear();
         self.bump();
     }
 
-    /// One slot fire: steal the due list from every shard (round-robin
-    /// cross-shard pass), then piggyback fullish neighbours across all
-    /// shards while the core is awake anyway.
+    /// One slot fire: take the due list, then piggyback fullish
+    /// neighbours while the core is awake anyway.
     fn dispatch(&self, slot: u64) {
-        let mut due_ids: Vec<usize> = Vec::new();
         let mut wakers: Vec<Arc<Semaphore>> = Vec::new();
-        for sh in self.shards.iter() {
-            let mut st = sh.lock();
-            for c in st.book.take_due(slot) {
-                if let Some(w) = st.wakers.get(&c.0) {
-                    wakers.push(Arc::clone(w));
-                }
-                due_ids.push(c.0);
-            }
-        }
-        if !wakers.is_empty() {
-            // The core is awake anyway: piggyback neighbours whose
-            // batches are worth a dispatch.
-            for sh in self.shards.iter() {
-                let st = sh.lock();
+        {
+            let mut st = self.state.lock();
+            let due = st.book.take_due(slot);
+            wakers.extend(due.iter().filter_map(|c| st.wakers.get(&c.0).cloned()));
+            if !wakers.is_empty() {
+                // The core is awake anyway: piggyback neighbours whose
+                // batches are worth a dispatch.
                 for (&other, buffer) in st.buffers.iter() {
-                    if due_ids.contains(&other) {
+                    if due.contains(&PairId(other)) {
                         continue;
                     }
                     let worth = buffer
@@ -190,16 +139,16 @@ impl NativeCoreManager {
                         }
                     }
                 }
+                self.slot_fires.fetch_add(1, Ordering::Relaxed);
             }
-            self.slot_fires.fetch_add(1, Ordering::Relaxed);
         }
         for w in wakers {
             w.release(1);
         }
     }
 
-    /// The manager thread body: arm the earliest reserved slot across
-    /// all shards, wait, and dispatch. Returns when
+    /// The manager thread body: arm the earliest reserved slot, wait,
+    /// and dispatch. Returns when
     /// [`NativeCoreManager::shutdown`] is called.
     pub fn run(self: &Arc<Self>) {
         loop {
@@ -207,12 +156,7 @@ impl NativeCoreManager {
             // generation between snapshot and wait, the re-check below
             // sends us back around instead of parking on a stale scan.
             let snapshot = *self.arm.lock();
-            let mut next: Option<u64> = None;
-            for sh in self.shards.iter() {
-                if let Some(s) = sh.lock().book.first_reserved() {
-                    next = Some(next.map_or(s, |n| n.min(s)));
-                }
-            }
+            let next = self.state.lock().book.first_reserved();
             let mut gen = self.arm.lock();
             if *gen != snapshot {
                 continue;
@@ -320,57 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_group_wake_crosses_shards() {
-        // Consumers 0..3 land on different shards (mod 3) yet one slot
-        // fire must serve all of them — the cross-shard steal pass.
-        let clock = ReplayClock::start(1.0);
-        let mgr = NativeCoreManager::new_sharded(track_ms(5), clock, 3);
-        let sems: Vec<Arc<Semaphore>> = (0..3).map(|_| Arc::new(Semaphore::new(0))).collect();
-        for (i, s) in sems.iter().enumerate() {
-            mgr.register(i, Arc::clone(s));
-        }
-        let runner = {
-            let mgr = Arc::clone(&mgr);
-            thread::spawn(move || mgr.run())
-        };
-        for i in 0..3 {
-            mgr.reserve(4, i); // all latch slot 4 (t = 20ms)
-        }
-        for s in &sems {
-            assert!(s.acquire_timeout(Duration::from_millis(500)).is_some());
-        }
-        assert_eq!(mgr.slot_fires(), 1, "one fire served all three shards");
-        mgr.shutdown();
-        runner.join().unwrap();
-    }
-
-    #[test]
-    fn sharded_earliest_slot_wins_across_shards() {
-        // Shard 1 holds the earlier reservation; the run loop must arm
-        // the global minimum, not shard 0's slot.
-        let clock = ReplayClock::start(1.0);
-        let mgr = NativeCoreManager::new_sharded(track_ms(10), clock, 2);
-        let far = Arc::new(Semaphore::new(0));
-        let near = Arc::new(Semaphore::new(0));
-        mgr.register(0, Arc::clone(&far)); // shard 0
-        mgr.register(1, Arc::clone(&near)); // shard 1
-        let runner = {
-            let mgr = Arc::clone(&mgr);
-            thread::spawn(move || mgr.run())
-        };
-        mgr.reserve(40, 0); // t = 400ms, shard 0
-        mgr.reserve(3, 1); // t = 30ms, shard 1 — must fire first
-        let t0 = Instant::now();
-        assert!(near.acquire_timeout(Duration::from_millis(500)).is_some());
-        assert!(
-            t0.elapsed() < Duration::from_millis(250),
-            "shard 1's earlier slot must preempt shard 0's"
-        );
-        mgr.shutdown();
-        runner.join().unwrap();
-    }
-
-    #[test]
     fn slot_fire_piggybacks_fullish_neighbour() {
         use pc_queues::GlobalPool;
         let clock = ReplayClock::start(1.0);
@@ -454,10 +347,10 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_terminates_sharded_manager_with_pending_work() {
+    fn shutdown_terminates_manager_with_pending_work() {
         let clock = ReplayClock::start(1.0);
-        let mgr = NativeCoreManager::new_sharded(track_ms(10), clock, 4);
-        mgr.reserve(100_000, 2); // far-future reservation on shard 2
+        let mgr = NativeCoreManager::new(track_ms(10), clock);
+        mgr.reserve(100_000, 2); // far-future reservation
         let runner = {
             let mgr = Arc::clone(&mgr);
             thread::spawn(move || mgr.run())

@@ -452,9 +452,8 @@ pub fn spawn_pbpl(mut ctx: PairContext) -> PairHandle {
     let tap = Tap::new(&ctx);
     let min_cap =
         ((ctx.capacity as f64 * cfg.min_capacity_frac).ceil() as usize).clamp(1, ctx.capacity);
-    let home = ctx.index % pool.shards();
     let buffer = Arc::new(Mutex::new(
-        ElasticBuffer::<Instant>::with_min_at(pool, ctx.capacity, min_cap, home)
+        ElasticBuffer::<Instant>::with_min(pool, ctx.capacity, min_cap)
             .expect("pool covers base reservations"),
     ));
     let waker = Arc::new(Semaphore::new(0));
@@ -494,12 +493,12 @@ pub fn spawn_pbpl(mut ctx: PairContext) -> PairHandle {
     let (index, base_capacity, cost) = (ctx.index, ctx.capacity, ctx.cost);
     let consumer = thread::spawn(move || {
         let mut machine = PbplConsumer::new(PairId(index), &cfg, cost, cfg.degrade.enabled);
-        // Plans against this consumer's shard of the book and reserves
-        // the chosen slot. Lock order: shard book, then buffer — the
-        // manager's dispatch takes shard locks first and only `try_lock`s
-        // buffers, and producers take only the buffer lock.
+        // Plans against the core's book and reserves the chosen slot.
+        // Lock order: book, then buffer — the manager's dispatch takes
+        // the book lock first and only `try_lock`s buffers, and
+        // producers take only the buffer lock.
         let plan = |machine: &mut PbplConsumer, now, allow_shrink| {
-            let choice = manager.with_book(index, |book| {
+            let choice = manager.with_book(|book| {
                 let mut buf = buffer.lock();
                 let max_latency = cfg.max_latency;
                 machine.plan(

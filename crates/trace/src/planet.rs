@@ -18,7 +18,7 @@
 //! 3. **Flash-crowd pairs** — every [`PlanetConfig::flash_every`]-th
 //!    pair carries flash-crowd bursts (kick-offs, breaking news); the
 //!    rest see only baseline + short-range burstiness. Spikes are rare
-//!    but violent, exactly the case that stresses cross-shard
+//!    but violent, exactly the case that stresses the elastic pool's
 //!    rebalancing.
 //!
 //! Generation is deterministic per `(config, seed, pairs)`: each pair
@@ -54,8 +54,8 @@ impl PlanetConfig {
     /// The calibration used by the `scale` suite: a 10-second horizon,
     /// ~900 items/s per pair with a 6× rate spread, and one pair in
     /// five carrying 3 violent flash crowds. At M = 1000 this is
-    /// ~9 M items per replicate — large enough to exercise cross-shard
-    /// stealing, small enough to sweep in CI.
+    /// ~9 M items per replicate — large enough to stress the per-core
+    /// reservation books and the pool, small enough to sweep in CI.
     pub fn scale_default() -> Self {
         let base = WorldCupConfig {
             horizon: SimTime::from_secs(10),
