@@ -1104,6 +1104,48 @@ mod tests {
     }
 
     #[test]
+    fn legacy_shard_squeeze_ledgers_like_a_squeeze() {
+        // Trace files from older builds name a squeeze of one pool shard
+        // `pool_squeeze_shard`; its units are still pool units.
+        let window = |returned: u64, available: u64| {
+            check(&log(vec![
+                TraceEvent::BufferCreate {
+                    owner: 0,
+                    capacity: 25,
+                    pool_available: 25,
+                    pool_total: 50,
+                },
+                inject(1, "pool_squeeze_shard", 12, 13),
+                recover(1, "pool_squeeze_shard", returned, available),
+            ]))
+        };
+        let clean = window(12, 25);
+        assert!(clean.is_clean(), "{:?}", clean.violations);
+        let leak = window(7, 20);
+        assert!(leak
+            .violations
+            .iter()
+            .any(|v| v.contains("returned 7 units but squeezed 12")));
+    }
+
+    #[test]
+    fn squeeze_still_held_at_end_of_trace_is_reported() {
+        let report = check(&log(vec![
+            TraceEvent::BufferCreate {
+                owner: 0,
+                capacity: 25,
+                pool_available: 25,
+                pool_total: 50,
+            },
+            inject(2, "pool_squeeze", 20, 5),
+        ]));
+        assert!(report
+            .violations
+            .iter()
+            .any(|v| v.contains("fault 2 still holds 20 units at end of trace")));
+    }
+
+    #[test]
     fn dangling_fault_window_is_reported() {
         let report = check(&log(vec![inject(0, "rate_shock", 3000, u64::MAX)]));
         assert!(report

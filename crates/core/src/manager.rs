@@ -347,4 +347,174 @@ mod tests {
         assert_eq!(m.pending(), 1);
         assert_eq!(m.first_reserved(), Some(9_999));
     }
+
+    #[test]
+    fn dispatch_follows_reservation_order_not_consumer_id() {
+        let mut m = mgr();
+        let order = [4usize, 1, 5, 0, 2, 3];
+        for &c in &order {
+            m.reserve(7, PairId(c));
+        }
+        assert_eq!(m.take_count_at(7), order.len());
+        assert_eq!(
+            m.take_due(7),
+            order.iter().map(|&c| PairId(c)).collect::<Vec<_>>()
+        );
+        assert_eq!(m.scheduled_wakeups(), 1, "one wakeup serves the group");
+        assert_eq!(m.pending(), 0);
+    }
+
+    #[test]
+    fn leaving_a_group_keeps_the_rest_in_order() {
+        let mut m = mgr();
+        for c in [3usize, 0, 2, 1] {
+            m.reserve(6, PairId(c));
+        }
+        assert_eq!(m.deregister(PairId(0)), Some(6));
+        m.reserve(9, PairId(2));
+        assert_eq!(m.take_count_at(6), 2);
+        assert_eq!(m.take_due(6), vec![PairId(3), PairId(1)]);
+        assert_eq!(m.take_due(9), vec![PairId(2)]);
+        assert_eq!(m.scheduled_wakeups(), 2);
+    }
+
+    #[test]
+    fn vacated_slot_costs_no_wakeup() {
+        // The manager only schedules slots that still hold someone: a
+        // consumer moving off its lone slot must not leave a wakeup
+        // behind (§V-B, "the CPU is not activated needlessly").
+        let mut m = mgr();
+        m.reserve(3, PairId(0));
+        m.reserve(8, PairId(1));
+        m.reserve(8, PairId(0));
+        assert_eq!(m.first_reserved(), Some(8));
+        assert_eq!(m.next_reserved_at_or_after(0), Some(8));
+        assert!(m.take_due(3).is_empty());
+        assert_eq!(m.scheduled_wakeups(), 0);
+        assert_eq!(m.take_due(8), vec![PairId(1), PairId(0)]);
+        assert_eq!(m.scheduled_wakeups(), 1);
+    }
+
+    #[test]
+    fn reservation_traffic_is_traced() {
+        use pc_trace_events::Recorder;
+        let recorder = Recorder::new();
+        let mut m = mgr();
+        m.set_trace(recorder.handle(), 3);
+        m.reserve(5, PairId(0));
+        m.reserve(5, PairId(0)); // same slot: silent
+        m.reserve(5, PairId(1));
+        m.reserve(9, PairId(0)); // move: names the slot it left
+        assert_eq!(m.deregister(PairId(2)), None); // nothing held: silent
+        assert!(m.take_due(4).is_empty()); // nothing due: silent
+        assert_eq!(m.deregister(PairId(0)), Some(9));
+        m.take_due(5);
+        let kinds: Vec<TraceEvent> = recorder.take().events.into_iter().map(|e| e.kind).collect();
+        let reserve = |consumer, slot, prev| TraceEvent::SlotReserve {
+            core: 3,
+            consumer,
+            slot,
+            prev,
+        };
+        assert_eq!(
+            kinds,
+            vec![
+                reserve(0, 5, None),
+                reserve(1, 5, None),
+                reserve(0, 9, Some(5)),
+                TraceEvent::SlotRelease {
+                    core: 3,
+                    consumer: 0,
+                    slot: 9,
+                },
+                TraceEvent::SlotDispatch {
+                    core: 3,
+                    slot: 5,
+                    consumers: vec![1],
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn matches_reference_book_on_random_ops() {
+        // Differential check against the plainest possible book: one
+        // list of (slot, consumer) in reservation order. A move goes to
+        // the back; a same-slot re-reservation keeps its place.
+        let mut m = mgr();
+        let mut model: Vec<(SlotIndex, ConsumerId)> = Vec::new();
+        let mut wakeups = 0u64;
+        let mut x = 0x5eed_u64;
+        let mut rnd = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let slots = |model: &[(SlotIndex, ConsumerId)],
+                     pred: &dyn Fn(&(SlotIndex, ConsumerId)) -> bool| {
+            let mut s: Vec<SlotIndex> = model.iter().filter(|e| pred(e)).map(|e| e.0).collect();
+            s.sort_unstable();
+            s.dedup();
+            s
+        };
+        for _ in 0..4000 {
+            let c = PairId((rnd() % 9) as usize);
+            match rnd() % 5 {
+                0 | 1 => {
+                    let slot = rnd() % 12;
+                    m.reserve(slot, c);
+                    if !model.contains(&(slot, c)) {
+                        model.retain(|e| e.1 != c);
+                        model.push((slot, c));
+                    }
+                }
+                2 => {
+                    let held = model.iter().find(|e| e.1 == c).map(|e| e.0);
+                    model.retain(|e| e.1 != c);
+                    assert_eq!(m.deregister(c), held);
+                }
+                3 => {
+                    let slot = rnd() % 12;
+                    let due: Vec<ConsumerId> =
+                        model.iter().filter(|e| e.0 == slot).map(|e| e.1).collect();
+                    model.retain(|e| e.0 != slot);
+                    wakeups += u64::from(!due.is_empty());
+                    assert_eq!(m.take_due(slot), due);
+                }
+                _ => {
+                    let after = rnd() % 12;
+                    let upto = rnd() % 12;
+                    let all = slots(&model, &|_| true);
+                    let others = slots(&model, &|e| e.1 != c);
+                    let latest = |s: &[SlotIndex]| {
+                        s.iter().rev().find(|&&s| s > after && s <= upto).copied()
+                    };
+                    assert_eq!(m.first_reserved(), all.first().copied());
+                    assert_eq!(
+                        m.next_reserved_at_or_after(after),
+                        all.iter().find(|&&s| s >= after).copied()
+                    );
+                    assert_eq!(m.latest_reserved_in(after, upto), latest(&all));
+                    assert_eq!(
+                        m.latest_reserved_in_excluding(after, upto, c),
+                        latest(&others)
+                    );
+                    assert_eq!(m.has_reservation(upto), all.contains(&upto));
+                    assert_eq!(m.has_reservation_excluding(upto, c), others.contains(&upto));
+                    assert_eq!(
+                        m.take_count_at(upto),
+                        model.iter().filter(|e| e.0 == upto).count()
+                    );
+                    assert_eq!(
+                        m.reservation_of(c),
+                        model.iter().find(|e| e.1 == c).map(|e| e.0)
+                    );
+                    assert_eq!(m.pending(), model.len());
+                }
+            }
+        }
+        assert_eq!(m.scheduled_wakeups(), wakeups);
+        assert!(wakeups > 0, "the op stream must dispatch something");
+    }
 }

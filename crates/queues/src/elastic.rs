@@ -413,6 +413,91 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "over-release")]
+    fn release_beyond_grants_panics() {
+        let pool = GlobalPool::new(20);
+        assert_eq!(pool.try_reserve(5), 5);
+        pool.release(6);
+    }
+
+    #[test]
+    fn failed_exact_reservation_takes_nothing() {
+        let pool = GlobalPool::new(20);
+        assert_eq!(pool.try_reserve(15), 15);
+        assert!(!pool.try_reserve_exact(10));
+        assert_eq!(pool.available(), 5, "a failed exact must not leak");
+        assert!(pool.try_reserve_exact(5));
+        assert_eq!(pool.available(), 0);
+    }
+
+    #[test]
+    fn zero_unit_requests_change_nothing() {
+        let pool = GlobalPool::new(3);
+        assert_eq!(pool.try_reserve(0), 0);
+        assert!(pool.try_reserve_exact(0));
+        pool.release(0);
+        assert_eq!(pool.available(), 3);
+        assert_eq!(pool.try_reserve(3), 3);
+        assert!(pool.try_reserve_exact(0), "zero fits an empty pool");
+        assert_eq!(pool.try_reserve(0), 0);
+        assert_eq!(pool.available(), 0);
+    }
+
+    #[test]
+    fn racing_reservations_never_over_grant() {
+        // Four threads hammer the one counter with best-effort and exact
+        // reservations, releasing what they got. Every grant must fit
+        // what was free, and the pool must end whole.
+        let pool = GlobalPool::new(64);
+        let threads: Vec<_> = (0..4)
+            .map(|t| {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    let mut held = 0usize;
+                    for i in 0..5_000usize {
+                        let want = (i * 7 + t * 13) % 24 + 1;
+                        if i % 3 == 0 {
+                            if pool.try_reserve_exact(want) {
+                                held += want;
+                            }
+                        } else {
+                            let got = pool.try_reserve(want);
+                            assert!(got <= want, "over-grant: {got} > {want}");
+                            held += got;
+                        }
+                        assert!(pool.available() <= pool.total());
+                        if i % 2 == 1 {
+                            pool.release(held);
+                            held = 0;
+                        }
+                    }
+                    pool.release(held);
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("no thread panicked");
+        }
+        assert_eq!(pool.available(), 64);
+    }
+
+    #[test]
+    fn growth_is_capped_by_what_a_squeeze_left() {
+        // The fault layer's squeeze takes units without a buffer owning
+        // them; a buffer can then grow only into what is left, and gets
+        // the rest once the squeeze repays.
+        let (pool, mut buf) = pool_and_buffer(60, 20);
+        let squeezed = pool.try_reserve(30);
+        assert_eq!(squeezed, 30);
+        assert_eq!(buf.grow_to(50), 30, "only 10 units were free");
+        pool.release(squeezed);
+        assert_eq!(buf.grow_to(50), 50);
+        assert_eq!(pool.available(), 10);
+        drop(buf);
+        assert_eq!(pool.available(), 60);
+    }
+
+    #[test]
     fn buffer_construction_reserves_base() {
         let (pool, buf) = pool_and_buffer(50, 25);
         assert_eq!(buf.capacity(), 25);

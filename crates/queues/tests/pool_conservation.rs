@@ -10,7 +10,8 @@
 //! * **floors** — no live buffer's capacity is below its minimum;
 //!
 //! and once the squeezes are repaid and every buffer has dropped, the
-//! pool is whole again.
+//! pool is whole again. A second property holds the pool's grants to a
+//! plain integer counter.
 
 use pc_queues::{ElasticBuffer, GlobalPool};
 use proptest::prelude::*;
@@ -109,5 +110,41 @@ proptest! {
         check(&pool, &buffers, &squeezed);
         drop(buffers);
         prop_assert_eq!(pool.available(), pool.total(), "all units home after drop");
+    }
+
+    #[test]
+    fn grants_match_a_plain_counter(
+        script in prop::collection::vec((0u8..3, 0usize..70), 1..200),
+    ) {
+        // try_reserve grants min(want, free); try_reserve_exact grants
+        // all or nothing; release gives back what the caller holds.
+        let pool = GlobalPool::new(100);
+        let (mut free, mut held) = (100usize, 0usize);
+        for (op, n) in script {
+            match op {
+                0 => {
+                    let got = pool.try_reserve(n);
+                    prop_assert_eq!(got, n.min(free));
+                    free -= got;
+                    held += got;
+                }
+                1 => {
+                    let ok = pool.try_reserve_exact(n);
+                    prop_assert_eq!(ok, n <= free);
+                    if ok {
+                        free -= n;
+                        held += n;
+                    }
+                }
+                _ => {
+                    let back = n.min(held);
+                    pool.release(back);
+                    free += back;
+                    held -= back;
+                }
+            }
+            prop_assert_eq!(pool.available(), free);
+            prop_assert_eq!(free + held, pool.total());
+        }
     }
 }

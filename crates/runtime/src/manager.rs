@@ -264,6 +264,77 @@ mod tests {
     }
 
     #[test]
+    fn every_consumer_queries_the_whole_book() {
+        // One book per core: a consumer's slot selection sees every
+        // other consumer's reservation, so it can latch onto any of them.
+        let mgr = NativeCoreManager::new(track_ms(10), ReplayClock::start(1.0));
+        mgr.reserve(4, 0);
+        mgr.reserve(4, 1);
+        mgr.reserve(9, 2);
+        mgr.with_book(|book| {
+            assert_eq!(book.pending(), 3);
+            assert_eq!(book.first_reserved(), Some(4));
+            assert!(book.has_reservation_excluding(4, PairId(0)));
+            assert!(!book.has_reservation_excluding(9, PairId(2)));
+            assert_eq!(book.latest_reserved_in_excluding(0, 10, PairId(2)), Some(4));
+            assert_eq!(book.take_count_at(4), 2);
+        });
+    }
+
+    #[test]
+    fn earliest_slot_fires_first_when_reserved_before_the_loop() {
+        // Both reservations exist before the run loop's first scan; it
+        // must arm the earlier slot, whoever reserved it.
+        let mgr = NativeCoreManager::new(track_ms(10), ReplayClock::start(1.0));
+        let far = Arc::new(Semaphore::new(0));
+        let near = Arc::new(Semaphore::new(0));
+        mgr.register(0, Arc::clone(&far));
+        mgr.register(1, Arc::clone(&near));
+        mgr.reserve(40, 0); // t = 400ms
+        mgr.reserve(3, 1); // t = 30ms
+        let t0 = Instant::now();
+        let runner = {
+            let mgr = Arc::clone(&mgr);
+            thread::spawn(move || mgr.run())
+        };
+        assert!(near.acquire_timeout(Duration::from_millis(500)).is_some());
+        assert!(
+            t0.elapsed() < Duration::from_millis(250),
+            "the earlier slot must not wait behind the later one"
+        );
+        assert!(
+            far.acquire_timeout(Duration::from_millis(1)).is_none(),
+            "the far slot is not due yet"
+        );
+        assert_eq!(mgr.slot_fires(), 1);
+        mgr.shutdown();
+        runner.join().unwrap();
+    }
+
+    #[test]
+    fn each_distinct_slot_costs_one_fire() {
+        let mgr = NativeCoreManager::new(track_ms(5), ReplayClock::start(1.0));
+        let sems: Vec<Arc<Semaphore>> = (0..3).map(|_| Arc::new(Semaphore::new(0))).collect();
+        for (i, s) in sems.iter().enumerate() {
+            mgr.register(i, Arc::clone(s));
+        }
+        mgr.reserve(4, 0);
+        mgr.reserve(6, 1);
+        mgr.reserve(4, 2);
+        let runner = {
+            let mgr = Arc::clone(&mgr);
+            thread::spawn(move || mgr.run())
+        };
+        for s in &sems {
+            assert!(s.acquire_timeout(Duration::from_millis(500)).is_some());
+        }
+        assert_eq!(mgr.slot_fires(), 2, "slots 4 and 6, one fire each");
+        mgr.with_book(|book| assert_eq!(book.pending(), 0));
+        mgr.shutdown();
+        runner.join().unwrap();
+    }
+
+    #[test]
     fn slot_fire_piggybacks_fullish_neighbour() {
         use pc_queues::GlobalPool;
         let clock = ReplayClock::start(1.0);

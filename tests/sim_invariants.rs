@@ -625,20 +625,15 @@ fn overlapping_consumer_slowdowns_compose() {
     );
 }
 
-#[test]
-fn overlapping_pool_squeezes_grant_and_repay() {
-    // Two overlapping squeeze windows on a quiet workload: each must
-    // actually take units from the pool, give back exactly what it took
-    // at its window's end, and leave every item consumed and the
-    // oracle's conservation replay clean.
-    //
-    // A quiet constant-rate workload (no bursts, demand far below the
-    // PBPL floor) makes every buffer shrink to its floor and stay there,
-    // so the pool holds durable availability for the squeezes to drain.
-    // PBPL's first resize needs its history window (4 slots × Δ=25 ms),
-    // so the windows open after t = 100 ms.
-    use pcpower::faults::{Fault, FaultKind, FaultPlan};
-    use pcpower::trace_events::{Recorder, TraceEvent};
+/// A traced five-pair PBPL run on a quiet constant-rate workload (no
+/// bursts, demand far below the PBPL floor): every buffer shrinks to its
+/// floor and stays there, so the pool holds durable availability for
+/// squeezes to drain. PBPL's first resize needs its history window
+/// (4 slots × Δ=25 ms), so squeeze windows should open after t = 100 ms.
+fn quiet_squeeze_run(
+    plan: pcpower::faults::FaultPlan,
+    seed: u64,
+) -> (RunMetrics, pcpower::trace_events::TraceLog) {
     let quiet = WorldCupConfig {
         mean_rate: 40.0,
         diurnal_swing: 1.0,
@@ -647,13 +642,7 @@ fn overlapping_pool_squeezes_grant_and_repay() {
         cluster_size_mean: 1.0,
         ..WorldCupConfig::quick_test()
     };
-    let squeeze = |id, start_ms: u64, end_ms: u64, units| Fault {
-        id,
-        start_ns: start_ms * 1_000_000,
-        end_ns: end_ms * 1_000_000,
-        kind: FaultKind::PoolSqueeze { units },
-    };
-    let recorder = Recorder::new();
+    let recorder = pcpower::trace_events::Recorder::new();
     let m = Experiment::builder()
         .pairs(5)
         .cores(2)
@@ -661,30 +650,162 @@ fn overlapping_pool_squeezes_grant_and_repay() {
         .strategy(StrategyKind::pbpl_default())
         .trace(quiet)
         .buffer_capacity(25)
-        .seed(17)
-        .faults(FaultPlan::new(vec![
-            squeeze(0, 110, 150, 20),
-            squeeze(1, 120, 160, 25),
-        ]))
+        .seed(seed)
+        .faults(plan)
         .record_events(recorder.handle())
         .run();
     let log = recorder.take();
     assert_eq!(log.dropped, 0);
-    assert!(m.all_items_consumed(), "a squeeze dropped items");
+    (m, log)
+}
+
+fn squeeze(id: u32, start_ms: u64, end_ms: u64, units: u32) -> pcpower::faults::Fault {
+    pcpower::faults::Fault {
+        id,
+        start_ns: start_ms * 1_000_000,
+        end_ns: end_ms * 1_000_000,
+        kind: pcpower::faults::FaultKind::PoolSqueeze { units },
+    }
+}
+
+/// `(granted, pool_available)` at each squeeze window edge.
+type Edges = Vec<(u64, u64)>;
+
+/// The injection and the recovery edges of every squeeze in `log`.
+fn squeeze_edges(log: &pcpower::trace_events::TraceLog) -> (Edges, Edges) {
+    use pcpower::trace_events::TraceEvent;
     let (mut injected, mut recovered) = (Vec::new(), Vec::new());
     for ev in &log.events {
         match &ev.kind {
-            TraceEvent::FaultInjected { param, .. } => injected.push(*param),
-            TraceEvent::FaultRecovered { param, .. } => recovered.push(*param),
+            TraceEvent::FaultInjected {
+                param,
+                pool_available,
+                ..
+            } => injected.push((*param, *pool_available)),
+            TraceEvent::FaultRecovered {
+                param,
+                pool_available,
+                ..
+            } => recovered.push((*param, *pool_available)),
             _ => {}
         }
     }
+    (injected, recovered)
+}
+
+#[test]
+fn overlapping_pool_squeezes_grant_and_repay() {
+    // Two overlapping squeeze windows: each must actually take units
+    // from the pool, give back exactly what it took at its window's
+    // end, and leave every item consumed and the oracle's conservation
+    // replay clean.
+    use pcpower::faults::FaultPlan;
+    let plan = FaultPlan::new(vec![squeeze(0, 110, 150, 20), squeeze(1, 120, 160, 25)]);
+    let (m, log) = quiet_squeeze_run(plan, 17);
+    assert!(m.all_items_consumed(), "a squeeze dropped items");
+    let (injected, recovered) = squeeze_edges(&log);
+    let granted = |edges: &[(u64, u64)]| edges.iter().map(|e| e.0).collect::<Vec<_>>();
     assert_eq!(injected.len(), 2, "both squeezes must fire");
     assert!(
-        injected.iter().all(|&granted| granted > 0),
+        injected.iter().all(|&(granted, _)| granted > 0),
         "squeezes must actually drain the pool: {injected:?}"
     );
-    assert_eq!(recovered, injected, "each window repays what it took");
+    assert_eq!(
+        granted(&recovered),
+        granted(&injected),
+        "each window repays what it took"
+    );
     let report = pc_bench::oracle::check(&log);
     assert!(report.is_clean(), "violations: {:?}", report.violations);
+}
+
+#[test]
+fn oversized_pool_squeeze_takes_only_what_is_free() {
+    // A squeeze asking for far more than the pool holds is best-effort:
+    // it empties the pool, never over-grants, and repays exactly its
+    // grant.
+    use pcpower::faults::FaultPlan;
+    let (m, log) = quiet_squeeze_run(FaultPlan::new(vec![squeeze(0, 120, 170, 10_000)]), 17);
+    assert!(m.all_items_consumed());
+    let (injected, recovered) = squeeze_edges(&log);
+    assert_eq!(injected.len(), 1);
+    let (granted, left) = injected[0];
+    assert!(
+        granted > 0 && granted < 125,
+        "a grant within the 125-unit pool: {granted}"
+    );
+    assert_eq!(left, 0, "a best-effort squeeze takes everything free");
+    assert_eq!(recovered.len(), 1);
+    assert_eq!(recovered[0].0, granted, "repays exactly its grant");
+    let report = pc_bench::oracle::check(&log);
+    assert!(report.is_clean(), "violations: {:?}", report.violations);
+}
+
+#[test]
+fn pool_squeeze_runs_are_deterministic() {
+    use pcpower::faults::FaultPlan;
+    let plan = || FaultPlan::new(vec![squeeze(0, 110, 180, 40)]);
+    let (a, a_log) = quiet_squeeze_run(plan(), 13);
+    let (b, b_log) = quiet_squeeze_run(plan(), 13);
+    assert!(
+        squeeze_edges(&a_log)
+            .0
+            .iter()
+            .all(|&(granted, _)| granted > 0),
+        "the squeeze must take units for the run to mean anything"
+    );
+    assert_eq!(a.energy.energy_j.to_bits(), b.energy.energy_j.to_bits());
+    assert_eq!(a.items_consumed, b.items_consumed);
+    assert_eq!(a.energy.wakeups, b.energy.wakeups);
+    assert_eq!(a_log.digest(), b_log.digest(), "event streams diverged");
+}
+
+#[test]
+fn builder_shards_setting_is_ignored() {
+    // `ExperimentBuilder::shards` survives only so older callers still
+    // compile; each core has one book and PBPL one pool whatever it is
+    // given, so bits, counters and the event stream never move.
+    use pcpower::trace_events::Recorder;
+    let traced = |strategy: StrategyKind, shards: Option<usize>| {
+        let recorder = Recorder::new();
+        let mut b = Experiment::builder()
+            .pairs(5)
+            .cores(2)
+            .duration(SimDuration::from_millis(150))
+            .strategy(strategy)
+            .trace(WorldCupConfig::quick_test())
+            .buffer_capacity(25)
+            .seed(9)
+            .record_events(recorder.handle());
+        if let Some(s) = shards {
+            b = b.shards(s);
+        }
+        let m = b.run();
+        let log = recorder.take();
+        assert_eq!(log.dropped, 0);
+        (m, log.digest())
+    };
+    for strategy in [
+        StrategyKind::Mutex,
+        StrategyKind::Sem,
+        StrategyKind::Bp,
+        StrategyKind::pbpl_default(),
+    ] {
+        let (base, base_digest) = traced(strategy.clone(), None);
+        assert!(base.all_items_consumed(), "{}", strategy.name());
+        for shards in [1usize, 4, 7] {
+            let (m, digest) = traced(strategy.clone(), Some(shards));
+            let label = format!("{} shards({shards})", strategy.name());
+            assert_eq!(
+                m.energy.energy_j.to_bits(),
+                base.energy.energy_j.to_bits(),
+                "{label}"
+            );
+            assert_eq!(m.energy.wakeups, base.energy.wakeups, "{label}");
+            assert_eq!(m.items_consumed, base.items_consumed, "{label}");
+            assert_eq!(m.slot_fires, base.slot_fires, "{label}");
+            assert_eq!(m.scheduled_wakeups(), base.scheduled_wakeups(), "{label}");
+            assert_eq!(digest, base_digest, "{label}");
+        }
+    }
 }
