@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pc_bench::oracle;
 use pc_bench::replay::{fixture_dir, parse_export_file};
-use pc_trace_events::Event;
+use pc_trace_events::PackedEvents;
 use std::hint::black_box;
 use std::io;
 
@@ -34,10 +34,10 @@ impl io::Write for Fnv1a {
 }
 
 /// The retired digest: every canonical line, byte by byte.
-fn digest_bytewise(events: &[Event]) -> u64 {
+fn digest_bytewise(events: &PackedEvents) -> u64 {
     let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
     for ev in events {
-        serde_json::to_writer(&mut hash, ev).expect("hashing event JSON is infallible");
+        serde_json::to_writer(&mut hash, &ev).expect("hashing event JSON is infallible");
         io::Write::write_all(&mut hash, b"\n").expect("hashing is infallible");
     }
     hash.0
@@ -45,8 +45,8 @@ fn digest_bytewise(events: &[Event]) -> u64 {
 
 fn bench_oracle(c: &mut Criterion) {
     let path = fixture_dir().join("overload_cell.jsonl");
-    let cells = parse_export_file(&path.display().to_string()).expect("fixture parses");
-    let log = cells[0].log();
+    let mut cells = parse_export_file(&path.display().to_string()).expect("fixture parses");
+    let log = cells.remove(0).log;
     assert_eq!(digest_bytewise(&log.events), log.digest());
 
     let mut group = c.benchmark_group("oracle_check");

@@ -56,6 +56,7 @@
 
 use pc_trace_events::{Event, TraceEvent, TraceLog, TRACE_SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::io;
 
@@ -108,7 +109,7 @@ pub fn check(log: &TraceLog) -> OracleReport {
 
     let mut replay = Replay::default();
     for ev in &log.events {
-        replay.step(ev);
+        replay.step(&ev);
     }
     replay.finish(&mut violations);
 
@@ -121,17 +122,21 @@ pub fn check(log: &TraceLog) -> OracleReport {
 
 /// The six invariant replays, fed by one sweep over the stream.
 #[derive(Default)]
-struct Replay<'a> {
+struct Replay {
     items: Items,
     pool: Pool,
     spans: Spans,
     reservations: Reservations,
-    faults: Faults<'a>,
+    faults: Faults,
     overload: Overload,
 }
 
-impl<'a> Replay<'a> {
-    fn step(&mut self, ev: &'a Event) {
+impl Replay {
+    /// Inlined into `check`'s loop together with the packed decoder, so
+    /// the decoder's dispatch on the variant tag and this match can fold
+    /// into one; out of line, the decode cost doubles.
+    #[inline(always)]
+    fn step(&mut self, ev: &Event) {
         let seq = ev.seq;
         match &ev.kind {
             TraceEvent::Produce { pair } => self.items.produce(seq, *pair),
@@ -603,15 +608,15 @@ impl Reservations {
 /// open past the end of the trace (the sim recovers still-active faults
 /// before teardown, so a dangling window means lost rollback).
 #[derive(Default)]
-struct Faults<'a> {
-    /// fault id -> kind of the active window, borrowed from the trace.
-    active: BTreeMap<u32, &'a str>,
+struct Faults {
+    /// fault id -> kind of the active window.
+    active: BTreeMap<u32, String>,
     violations: Vec<String>,
 }
 
-impl<'a> Faults<'a> {
-    fn inject(&mut self, seq: u64, id: u32, kind: &'a str) {
-        if let Some(prev) = self.active.insert(id, kind) {
+impl Faults {
+    fn inject(&mut self, seq: u64, id: u32, kind: &str) {
+        if let Some(prev) = self.active.insert(id, kind.to_owned()) {
             self.violations.push(format!(
                 "faults: seq {seq} fault {id} ({kind}) injected while {prev} window with the same id is open"
             ));
@@ -789,11 +794,16 @@ pub enum TraceLine {
 /// Each line carries exactly the bytes `serde_json` prints for the
 /// `TraceLine` (externally tagged, `{"Cell":…}` / `{"Ev":…}`), but the
 /// payload streams through `serde_json::to_writer`: no `TraceLine` is
-/// built and no per-line `String` allocated.
-pub fn write_cell(out: &mut impl io::Write, meta: &CellMeta, events: &[Event]) -> io::Result<()> {
+/// built and no per-line `String` allocated. `events` is a packed
+/// stream (`&PackedEvents`, decoded one event at a time) or a slice.
+pub fn write_cell(
+    out: &mut impl io::Write,
+    meta: &CellMeta,
+    events: impl IntoIterator<Item = impl Borrow<Event>>,
+) -> io::Result<()> {
     write_line(out, b"{\"Cell\":", meta)?;
     for ev in events {
-        write_line(out, b"{\"Ev\":", ev)?;
+        write_line(out, b"{\"Ev\":", ev.borrow())?;
     }
     Ok(())
 }

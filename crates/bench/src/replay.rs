@@ -30,30 +30,33 @@ use pc_faults::{ExpandEnv, FaultPlan, FaultScenario};
 use pc_sim::{SimDuration, SimTime};
 use pc_trace::{PlanetConfig, Trace, WorldCupConfig};
 use pc_trace_events::{
-    event_to_json, Event, Recorder, TraceHandle, TraceLog, DEFAULT_RECORDER_CAPACITY,
+    event_to_json, Event, PackedEvents, Recorder, TraceHandle, TraceLog, DEFAULT_RECORDER_CAPACITY,
+    TRACE_SCHEMA_VERSION,
 };
 use std::io::BufRead;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 /// One cell reassembled from a JSONL export: its header plus the event
-/// lines that followed it.
+/// lines that followed it, packed.
 #[derive(Debug, Clone)]
 pub struct CellTrace {
     /// The cell's header line.
     pub meta: CellMeta,
-    /// The recorded events, in stream order.
-    pub events: Vec<Event>,
+    /// The recording, in stream order; `dropped` is the header's.
+    pub log: TraceLog,
 }
 
 impl CellTrace {
-    /// The recording as a [`TraceLog`] (for the oracle).
-    pub fn log(&self) -> TraceLog {
-        TraceLog {
-            schema_version: pc_trace_events::TRACE_SCHEMA_VERSION,
-            events: self.events.clone(),
-            dropped: self.meta.dropped,
-        }
+    /// A cell holding `events` under `meta`, whose `dropped` count the
+    /// log takes over.
+    pub fn new(meta: CellMeta, events: PackedEvents) -> Self {
+        let log = TraceLog {
+            schema_version: TRACE_SCHEMA_VERSION,
+            events,
+            dropped: meta.dropped,
+        };
+        CellTrace { meta, log }
     }
 }
 
@@ -88,12 +91,9 @@ pub fn parse_export(reader: impl BufRead) -> Result<Vec<CellTrace>, ParseError> 
             continue;
         }
         match oracle::line_from_json(&line) {
-            Ok(TraceLine::Cell(meta)) => cells.push(CellTrace {
-                meta,
-                events: Vec::new(),
-            }),
+            Ok(TraceLine::Cell(meta)) => cells.push(CellTrace::new(meta, PackedEvents::new())),
             Ok(TraceLine::Ev(ev)) => match cells.last_mut() {
-                Some(cell) => cell.events.push(ev),
+                Some(cell) => cell.log.events.push(&ev),
                 None => {
                     return Err(ParseError {
                         line: lineno,
@@ -339,17 +339,45 @@ pub fn run_strategy(
     Ok((metrics, recorder.map(|r| r.take())))
 }
 
+/// Why [`rerecord`] could not regenerate a cell.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RerecordError {
+    /// The header's `events` field implies no recorder bound this
+    /// platform can hold.
+    EventsOutOfRange(u64),
+    /// The header names no runnable cell (see [`run_cell`]).
+    Run(String),
+}
+
+impl std::fmt::Display for RerecordError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RerecordError::EventsOutOfRange(events) => write!(
+                f,
+                "header field `events` = {events} implies no recorder bound (must stay below usize::MAX)"
+            ),
+            RerecordError::Run(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for RerecordError {}
+
 /// Runs `meta` recorded under the bound its header implies: a truncated
 /// recording (`dropped > 0`) was cut at exactly `events`; a complete
 /// one needs room for at least one event more than it holds, so a
 /// longer regenerated stream shows as a divergence rather than a drop.
-pub fn rerecord(meta: &CellMeta) -> Result<TraceLog, String> {
+pub fn rerecord(meta: &CellMeta) -> Result<TraceLog, RerecordError> {
+    let events = usize::try_from(meta.events).ok();
     let bound = if meta.dropped > 0 {
-        meta.events as usize
+        events
     } else {
-        DEFAULT_RECORDER_CAPACITY.max(meta.events as usize + 1)
+        events
+            .and_then(|n| n.checked_add(1))
+            .map(|n| n.max(DEFAULT_RECORDER_CAPACITY))
     };
-    let (_, log) = run_cell(meta, None, Some(bound))?;
+    let bound = bound.ok_or(RerecordError::EventsOutOfRange(meta.events))?;
+    let (_, log) = run_cell(meta, None, Some(bound)).map_err(RerecordError::Run)?;
     Ok(log.expect("recorded run"))
 }
 
@@ -469,43 +497,51 @@ pub fn seal(meta: &mut CellMeta, log: &TraceLog) {
 /// replay oracle. Returns one line per problem.
 pub fn check_recording(cell: &CellTrace) -> Vec<String> {
     let mut problems = Vec::new();
-    if cell.events.len() as u64 != cell.meta.events {
+    let events = &cell.log.events;
+    if events.len() as u64 != cell.meta.events {
         problems.push(format!(
             "event count {} != header {}",
-            cell.events.len(),
+            events.len(),
             cell.meta.events
         ));
     }
-    let recomputed = pc_trace_events::digest(&cell.events);
+    let recomputed = cell.log.digest();
     if recomputed != cell.meta.digest {
         problems.push(format!(
             "digest {recomputed:016x} != header {:016x}",
             cell.meta.digest
         ));
     }
-    problems.extend(oracle::check(&cell.log()).violations);
+    problems.extend(oracle::check(&cell.log).violations);
     problems
 }
 
 /// Replays one cell end-to-end. With `digest_only`, the event streams
 /// are compared through their FNV canonical-JSON digests instead of
 /// event-by-event — same verdict on match, coarser report on mismatch.
+///
+/// Packed streams encode canonically, so equal bytes are equal events:
+/// a matching replay is one byte comparison, and only a divergent one
+/// decodes both streams to locate and report the mismatch.
 pub fn replay_cell(cell: &CellTrace, digest_only: bool) -> CellReplay {
     let regenerated = match rerecord(&cell.meta) {
         Ok(log) => log,
-        Err(e) => return CellReplay::Unreplayable(e),
+        Err(e) => return CellReplay::Unreplayable(e.to_string()),
     };
+    let recorded = &cell.log.events;
+    let matched = CellReplay::Match {
+        events: recorded.len() as u64,
+    };
+    let decode = |events: &PackedEvents| events.iter().collect::<Vec<Event>>();
     if digest_only {
-        let expected = pc_trace_events::digest(&cell.events);
+        let expected = cell.log.digest();
         let got = regenerated.digest();
         if expected == got {
-            return CellReplay::Match {
-                events: cell.events.len() as u64,
-            };
+            return matched;
         }
         // Fall through to the event-level diff only to find the seq —
         // the caller asked for digests, so keep the report terse.
-        let seq = first_divergence(&cell.events, &regenerated.events)
+        let seq = first_divergence(&decode(recorded), &decode(&regenerated.events))
             .map(|d| d.seq())
             .unwrap_or(0);
         return CellReplay::Diverged {
@@ -515,14 +551,15 @@ pub fn replay_cell(cell: &CellTrace, digest_only: bool) -> CellReplay {
             ),
         };
     }
-    match first_divergence(&cell.events, &regenerated.events) {
-        None => CellReplay::Match {
-            events: cell.events.len() as u64,
-        },
-        Some(d) => CellReplay::Diverged {
-            seq: d.seq(),
-            report: divergence_message(&cell.events, &regenerated.events, &d),
-        },
+    if *recorded == regenerated.events {
+        return matched;
+    }
+    let (recorded, regenerated) = (decode(recorded), decode(&regenerated.events));
+    let d = first_divergence(&recorded, &regenerated)
+        .expect("unequal packed streams hold unequal events");
+    CellReplay::Diverged {
+        seq: d.seq(),
+        report: divergence_message(&recorded, &regenerated, &d),
     }
 }
 
@@ -635,7 +672,7 @@ pub fn fixture_defs() -> Vec<(&'static str, CellMeta)> {
 /// header from the recording, and returns the exact JSONL bytes the
 /// checked-in file must contain.
 pub fn render_fixture(proto: &CellMeta) -> Result<String, String> {
-    let log = rerecord(proto)?;
+    let log = rerecord(proto).map_err(|e| e.to_string())?;
     let mut meta = proto.clone();
     seal(&mut meta, &log);
     let mut out = Vec::new();
@@ -732,7 +769,18 @@ mod tests {
         let b = rerecord(&m).unwrap();
         assert!(!a.events.is_empty());
         assert_eq!(a.digest(), b.digest());
-        assert!(first_divergence(&a.events, &b.events).is_none());
+        let (a, b): (Vec<Event>, Vec<Event>) =
+            (a.events.iter().collect(), b.events.iter().collect());
+        assert!(first_divergence(&a, &b).is_none());
+    }
+
+    #[test]
+    fn a_header_claiming_u64_max_events_is_a_typed_error() {
+        let mut m = meta("PBPL", "");
+        m.events = u64::MAX;
+        let err = rerecord(&m).unwrap_err();
+        assert_eq!(err, RerecordError::EventsOutOfRange(u64::MAX));
+        assert!(err.to_string().contains("header field `events`"), "{err}");
     }
 
     #[test]
@@ -792,7 +840,7 @@ mod tests {
     #[test]
     fn divergence_reports_first_mismatching_seq() {
         let m = meta("BP", "");
-        let base = rerecord(&m).unwrap().events;
+        let base: Vec<Event> = rerecord(&m).unwrap().events.iter().collect();
         assert!(base.len() > 20);
 
         // Retime one event mid-stream.
@@ -863,10 +911,7 @@ mod tests {
         full.events = log.events.len() as u64;
         full.dropped = log.dropped;
         full.digest = log.digest();
-        let cell = CellTrace {
-            meta: full,
-            events: log.events,
-        };
+        let cell = CellTrace::new(full, log.events);
         for digest_only in [false, true] {
             match replay_cell(&cell, digest_only) {
                 CellReplay::Match { events } => assert!(events > 0),

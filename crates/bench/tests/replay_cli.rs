@@ -6,7 +6,7 @@
 
 use pc_bench::oracle;
 use pc_bench::replay::{fixture_dir, parse_export_file};
-use pc_trace_events::TraceEvent;
+use pc_trace_events::{Event, TraceEvent};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -96,13 +96,14 @@ fn single_retimed_event_diverges_replay() {
     // internally consistent, it just doesn't match the simulator.
     let mut cells = parse_export_file(&suite_fixture()).unwrap();
     let cell = &mut cells[0];
-    let idx = cell.events.len() / 2;
-    cell.events[idx].t_ns += 1;
-    let expected_seq = cell.events[idx].seq;
-    cell.meta.digest = pc_trace_events::digest(&cell.events);
+    let mut events: Vec<Event> = cell.log.events.iter().collect();
+    let idx = events.len() / 2;
+    events[idx].t_ns += 1;
+    let expected_seq = events[idx].seq;
+    cell.meta.digest = pc_trace_events::digest(&events);
 
     let mut content = Vec::new();
-    oracle::write_cell(&mut content, &cell.meta, &cell.events).unwrap();
+    oracle::write_cell(&mut content, &cell.meta, &events).unwrap();
     let path = tmp("retimed.jsonl");
     std::fs::write(&path, content).unwrap();
     let arg = path.display().to_string();
@@ -130,7 +131,7 @@ fn single_retimed_event_diverges_replay() {
     // still re-executed, so both the bad digest and the divergence show.
     let original = parse_export_file(&suite_fixture()).unwrap().remove(0);
     let mut content = Vec::new();
-    oracle::write_cell(&mut content, &original.meta, &cells[0].events).unwrap();
+    oracle::write_cell(&mut content, &original.meta, &events).unwrap();
     std::fs::write(&path, content).unwrap();
     let out = run(REPLAY, &[&arg]);
     assert_eq!(out.status.code(), Some(1));
@@ -151,8 +152,8 @@ fn hostile_pair_id_is_a_violation_not_an_allocation() {
     // violation instead of sizing a dense table to the id.
     let mut cells = parse_export_file(&suite_fixture()).unwrap();
     let cell = &mut cells[0];
-    let ev = cell
-        .events
+    let mut events: Vec<Event> = cell.log.events.iter().collect();
+    let ev = events
         .iter_mut()
         .find(|e| matches!(e.kind, TraceEvent::Produce { .. }))
         .expect("fixture produces");
@@ -160,10 +161,10 @@ fn hostile_pair_id_is_a_violation_not_an_allocation() {
         pair: 4_000_000_000,
     };
     let seq = ev.seq;
-    cell.meta.digest = pc_trace_events::digest(&cell.events);
+    cell.meta.digest = pc_trace_events::digest(&events);
 
     let mut content = Vec::new();
-    oracle::write_cell(&mut content, &cell.meta, &cell.events).unwrap();
+    oracle::write_cell(&mut content, &cell.meta, &events).unwrap();
     let path = tmp("hostile_id.jsonl");
     std::fs::write(&path, content).unwrap();
 
@@ -173,6 +174,40 @@ fn hostile_pair_id_is_a_violation_not_an_allocation() {
     assert!(
         stdout.contains(&format!(
             "item conservation: seq {seq} pair 4000000000 is at or above the dense-id bound"
+        )),
+        "{stdout}"
+    );
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
+
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn header_claiming_u64_max_events_is_unreplayable_not_a_panic() {
+    // A complete recording is re-run with room for one event more than
+    // its header claims; at u64::MAX there is no such bound.
+    let mut cell = parse_export_file(&suite_fixture()).unwrap().remove(0);
+    cell.meta.events = u64::MAX;
+    let mut content = Vec::new();
+    oracle::write_cell(&mut content, &cell.meta, &cell.log.events).unwrap();
+    let path = tmp("max_events.jsonl");
+    std::fs::write(&path, content).unwrap();
+
+    let out = run(REPLAY, &[&path.display().to_string()]);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&format!(
+            "event count {} != header {}",
+            cell.log.events.len(),
+            u64::MAX
+        )),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains(&format!(
+            "unreplayable: header field `events` = {} implies no recorder bound",
+            u64::MAX
         )),
         "{stdout}"
     );

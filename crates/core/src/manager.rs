@@ -409,7 +409,7 @@ mod tests {
         assert!(m.take_due(4).is_empty()); // nothing due: silent
         assert_eq!(m.deregister(PairId(0)), Some(9));
         m.take_due(5);
-        let kinds: Vec<TraceEvent> = recorder.take().events.into_iter().map(|e| e.kind).collect();
+        let kinds: Vec<TraceEvent> = recorder.take().events.iter().map(|e| e.kind).collect();
         let reserve = |consumer, slot, prev| TraceEvent::SlotReserve {
             core: 3,
             consumer,

@@ -28,6 +28,7 @@
 
 use pc_trace_events::{Event, TraceEvent};
 use stateright::{Model, Property};
+use std::borrow::Borrow;
 
 /// Constants of one reservation-protocol instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +83,8 @@ impl ModelConfig {
     /// `pool_squeeze` fault injections (in stream order). The floor is
     /// derived as ⌈0.55·B₀⌉ — `PbplConfig::default()`'s ratio. Returns
     /// the *raw* instance; call [`Self::scaled`] before checking.
-    pub fn from_trace(events: &[Event]) -> ModelConfig {
+    /// `events` is a packed stream (`&PackedEvents`) or a slice.
+    pub fn from_trace(events: impl IntoIterator<Item = impl Borrow<Event>>) -> ModelConfig {
         let mut pairs = 0u32;
         let mut cores = 0u32;
         let mut b0 = 0u64;
@@ -101,7 +103,7 @@ impl ModelConfig {
             }
         };
         for ev in events {
-            match &ev.kind {
+            match &ev.borrow().kind {
                 TraceEvent::Produce { pair }
                 | TraceEvent::Invoke { pair, .. }
                 | TraceEvent::Flush { pair, .. }

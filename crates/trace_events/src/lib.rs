@@ -21,12 +21,19 @@
 //!   [`TraceHandle::record`], whose disabled path is a single `Option`
 //!   branch; payload construction is a closure that never runs unless a
 //!   recorder is attached.
-//! * **Bounded memory.** The recorder stores at most its configured
-//!   capacity and counts everything beyond it in
+//! * **Bounded memory.** The recorder encodes events into a
+//!   [`PackedEvents`] byte stream, about 6 bytes per event (see
+//!   [`packed`]). It stores at most its configured capacity, still
+//!   counted in events, and counts everything beyond it in
 //!   [`TraceLog::dropped`]; the oracle treats a truncated trace as
 //!   unverifiable rather than silently passing.
 
+pub mod packed;
+
+pub use packed::PackedEvents;
+
 use serde::{Deserialize, Serialize, Writer};
+use std::borrow::Borrow;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -366,12 +373,12 @@ impl Event {
 
 /// A finished recording: the bounded event stream plus how much of the
 /// run overflowed the bound.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceLog {
     /// Schema version the events were recorded under.
     pub schema_version: u32,
-    /// Events in emission order.
-    pub events: Vec<Event>,
+    /// Events in emission order, packed.
+    pub events: PackedEvents,
     /// Events discarded after the capacity bound was hit.
     pub dropped: u64,
 }
@@ -381,19 +388,20 @@ impl TraceLog {
     pub fn empty() -> Self {
         TraceLog {
             schema_version: TRACE_SCHEMA_VERSION,
-            events: Vec::new(),
+            events: PackedEvents::new(),
             dropped: 0,
         }
     }
 
-    /// FNV-1a digest of the event stream (see [`digest`]).
+    /// FNV-1a digest of the event stream, decoded one event at a time
+    /// (see [`digest`]).
     pub fn digest(&self) -> u64 {
-        digest(&self.events)
+        fold_digest(&self.events)
     }
 }
 
 struct RecorderInner {
-    events: Vec<Event>,
+    events: PackedEvents,
     dropped: u64,
 }
 
@@ -420,7 +428,7 @@ impl Recorder {
     pub fn bounded(capacity: usize) -> Arc<Self> {
         Arc::new(Recorder {
             inner: Mutex::new(RecorderInner {
-                events: Vec::new(),
+                events: PackedEvents::new(),
                 dropped: 0,
             }),
             now_ns: AtomicU64::new(0),
@@ -452,11 +460,11 @@ impl Recorder {
             return;
         }
         let seq = inner.events.len() as u64 + inner.dropped;
-        inner.events.push(Event { seq, t_ns, kind });
+        inner.events.encode(seq, t_ns, &kind);
     }
 
-    /// Takes the recording, leaving the recorder empty (sequence numbers
-    /// restart from zero).
+    /// Takes the recording without copying it, leaving the recorder
+    /// empty (sequence numbers restart from zero).
     pub fn take(&self) -> TraceLog {
         let mut inner = self.inner.lock().expect("recorder poisoned");
         let events = std::mem::take(&mut inner.events);
@@ -465,16 +473,6 @@ impl Recorder {
             schema_version: TRACE_SCHEMA_VERSION,
             events,
             dropped,
-        }
-    }
-
-    /// Clones the recording without draining it.
-    pub fn snapshot(&self) -> TraceLog {
-        let inner = self.inner.lock().expect("recorder poisoned");
-        TraceLog {
-            schema_version: TRACE_SCHEMA_VERSION,
-            events: inner.events.clone(),
-            dropped: inner.dropped,
         }
     }
 }
@@ -569,10 +567,15 @@ impl TraceHandle {
 ///
 /// Payloads are integers/bools/strings only (module contract), so the
 /// digest is platform-stable and bit-deterministic per seed.
+/// [`TraceLog::digest`] folds the same hash over a packed stream.
 pub fn digest(events: &[Event]) -> u64 {
+    fold_digest(events)
+}
+
+fn fold_digest(events: impl IntoIterator<Item = impl Borrow<Event>>) -> u64 {
     let mut hash = Fnv1a::new();
     for ev in events {
-        hash.event(ev);
+        hash.event(ev.borrow());
     }
     hash.0
 }
@@ -882,9 +885,8 @@ mod tests {
         let log = rec.take();
         assert_eq!(log.dropped, 0);
         assert_eq!(log.events.len(), 3);
-        assert_eq!((log.events[0].seq, log.events[0].t_ns), (0, 100));
-        assert_eq!((log.events[1].seq, log.events[1].t_ns), (1, 250));
-        assert_eq!((log.events[2].seq, log.events[2].t_ns), (2, 7));
+        let stamps: Vec<(u64, u64)> = log.events.iter().map(|e| (e.seq, e.t_ns)).collect();
+        assert_eq!(stamps, [(0, 100), (1, 250), (2, 7)]);
         // take() drains.
         assert!(rec.take().events.is_empty());
     }
@@ -1080,6 +1082,12 @@ mod tests {
         }
         assert_eq!(digest(&events), serial(FNV_OFFSET, &bytes));
         assert_eq!(digest(&[]), FNV_OFFSET);
+        let log = TraceLog {
+            events: events.into_iter().collect(),
+            ..TraceLog::empty()
+        };
+        assert_eq!(log.digest(), serial(FNV_OFFSET, &bytes));
+        assert_eq!(TraceLog::empty().digest(), FNV_OFFSET);
     }
 
     #[test]

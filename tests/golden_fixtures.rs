@@ -41,6 +41,26 @@ fn fixtures_regenerate_byte_identically() {
     }
 }
 
+/// Parsing packs every event line; re-exporting decodes them one at a
+/// time. The round trip must give back the checked-in bytes exactly.
+#[test]
+fn fixtures_survive_packing_byte_identically() {
+    for (name, _) in fixture_defs() {
+        let path = fixture_dir().join(name);
+        let checked_in =
+            std::fs::read(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        let cells = parse_export(checked_in.as_slice()).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut exported = Vec::new();
+        for cell in &cells {
+            oracle::write_cell(&mut exported, &cell.meta, &cell.log.events).unwrap();
+        }
+        assert!(
+            exported == checked_in,
+            "{name}: re-exported packed stream differs from the fixture"
+        );
+    }
+}
+
 #[test]
 fn fixtures_replay_clean_and_satisfy_the_oracle() {
     for (name, _) in fixture_defs() {
@@ -51,13 +71,19 @@ fn fixtures_replay_clean_and_satisfy_the_oracle() {
             parse_export(std::io::BufReader::new(file)).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(cells.len(), 1, "{name}: exactly one cell per fixture");
         let cell = &cells[0];
-        assert_eq!(cell.events.len() as u64, cell.meta.events, "{name}");
+        assert_eq!(cell.log.events.len() as u64, cell.meta.events, "{name}");
         assert_eq!(
-            pcpower::trace_events::digest(&cell.events),
+            cell.log.digest(),
             cell.meta.digest,
             "{name}: header digest must match the recorded stream"
         );
-        let report = oracle::check(&cell.log());
+        let decoded: Vec<_> = cell.log.events.iter().collect();
+        assert_eq!(
+            pcpower::trace_events::digest(&decoded),
+            cell.meta.digest,
+            "{name}: the slice digest must equal the packed one"
+        );
+        let report = oracle::check(&cell.log);
         assert!(
             report.violations.is_empty(),
             "{name}: oracle violations: {:?}",
@@ -110,7 +136,7 @@ fn fixtures_cover_every_sweep_family() {
     use pcpower::trace_events::TraceEvent;
     let file = std::fs::File::open(fixture_dir().join("overload_cell.jsonl")).unwrap();
     let cells = parse_export(std::io::BufReader::new(file)).unwrap();
-    let events = &cells[0].events;
+    let events = &cells[0].log.events;
     let shed = events
         .iter()
         .filter(|e| matches!(e.kind, TraceEvent::ItemShed { .. }))

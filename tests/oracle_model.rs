@@ -48,12 +48,13 @@ mod reference {
             ));
         }
 
-        check_items(&log.events, &mut violations);
-        check_pool(&log.events, &mut violations);
-        check_core_spans(&log.events, &mut violations);
-        check_reservations(&log.events, &mut violations);
-        check_faults(&log.events, &mut violations);
-        check_overload(&log.events, &mut violations);
+        let events: Vec<Event> = log.events.iter().collect();
+        check_items(&events, &mut violations);
+        check_pool(&events, &mut violations);
+        check_core_spans(&events, &mut violations);
+        check_reservations(&events, &mut violations);
+        check_faults(&events, &mut violations);
+        check_overload(&events, &mut violations);
 
         OracleReport {
             events: log.events.len() as u64,
@@ -434,7 +435,7 @@ fn fixtures() -> &'static [(&'static str, Vec<Event>)] {
             .map(|(name, _)| {
                 let path = fixture_dir().join(name).display().to_string();
                 let mut cells = parse_export_file(&path).unwrap();
-                (name, cells.remove(0).events)
+                (name, cells.remove(0).log.events.iter().collect())
             })
             .collect()
     })
@@ -444,7 +445,7 @@ fn fixtures() -> &'static [(&'static str, Vec<Event>)] {
 fn agree(label: &str, events: Vec<Event>, dropped: u64) -> OracleReport {
     let log = TraceLog {
         schema_version: TRACE_SCHEMA_VERSION,
-        events,
+        events: events.into_iter().collect(),
         dropped,
     };
     let got = oracle::check(&log);

@@ -273,7 +273,9 @@ proptest! {
         let rerun = rerecord(&meta);
         prop_assert!(rerun.is_ok(), "rerun failed: {:?}", rerun.as_ref().err());
         let rerun = rerun.unwrap();
-        prop_assert!(first_divergence(&log.events, &rerun.events).is_none(),
+        let recorded: Vec<_> = log.events.iter().collect();
+        let replayed: Vec<_> = rerun.events.iter().collect();
+        prop_assert!(first_divergence(&recorded, &replayed).is_none(),
             "{} seed {}: replay diverged", scenario.name(), seed);
         prop_assert_eq!(rerun.digest(), log.digest());
     }

@@ -49,6 +49,8 @@ fn base_stream(scenario_idx: usize, seed: u64) -> Vec<Event> {
             rerecord(&cell_meta(&scenario, seed))
                 .expect("base cell replays")
                 .events
+                .iter()
+                .collect()
         })
         .clone()
 }
@@ -58,7 +60,7 @@ fn cell_with_events(scenario_idx: usize, seed: u64, events: Vec<Event>) -> CellT
     let mut meta = cell_meta(&scenario, seed);
     meta.events = events.len() as u64;
     meta.digest = pcpower::trace_events::digest(&events);
-    CellTrace { meta, events }
+    CellTrace::new(meta, events.into_iter().collect())
 }
 
 #[test]
@@ -131,8 +133,8 @@ proptest! {
         // Event-by-event replay names the exact first divergent index:
         // every mutation first differs at `index` (drop shifts the
         // suffix left onto it; reorder changes it in place).
-        let regenerated = rerecord(&cell.meta).unwrap().events;
-        let d = first_divergence(&cell.events, &regenerated)
+        let regenerated: Vec<Event> = rerecord(&cell.meta).unwrap().events.iter().collect();
+        let d = first_divergence(&mutated, &regenerated)
             .expect("mutated stream must diverge");
         prop_assert_eq!(d.index, index);
         // The reported seq is the recording's event at the divergent

@@ -334,7 +334,9 @@ fn golden_trace_digest_is_stable() {
     // a digest change and must be reviewed (and the row updated)
     // deliberately. The two faulted rows run the chaos plan with
     // overload control on, pinning the fault hooks and the supervisor's
-    // non-PBPL emergency drains.
+    // non-PBPL emergency drains. The PBPL row also pins its event count
+    // and packed byte length: a deterministic measure of the recorder's
+    // storage, so an encoding that grows shows here, not as wall time.
     use pcpower::core::OverloadConfig;
     use pcpower::faults::{ExpandEnv, FaultPlan, FaultScenario};
     use pcpower::trace_events::Recorder;
@@ -401,12 +403,23 @@ fn golden_trace_digest_is_stable() {
                 "{name} violations: {:?}",
                 report.violations
             );
-            log.digest()
+            let size = (log.events.len(), log.events.as_bytes().len());
+            (log.digest(), size)
         };
-        let digest = run_digest();
-        assert_eq!(digest, run_digest(), "{name}: trace must be deterministic");
+        let (digest, size) = run_digest();
+        assert_eq!(
+            (digest, size),
+            run_digest(),
+            "{name}: trace must be deterministic"
+        );
         if digest != golden {
             mismatches.push(format!("{name}: got {digest}, pinned {golden}"));
+        }
+        let pinned = (GOLDEN_PBPL_EVENTS, GOLDEN_PBPL_PACKED_BYTES);
+        if name == "PBPL" && size != pinned {
+            mismatches.push(format!(
+                "{name}: (events, packed bytes) {size:?}, pinned {pinned:?}"
+            ));
         }
     }
     assert!(
@@ -427,6 +440,9 @@ const GOLDEN_PBP: u64 = 11892809049964092399;
 const GOLDEN_SPBP: u64 = 10741188506383370416;
 const GOLDEN_BP_FAULTED: u64 = 13335745080841751205;
 const GOLDEN_MUTEX_FAULTED: u64 = 8747550548827034146;
+// The PBPL row's event count and packed stream length in bytes.
+const GOLDEN_PBPL_EVENTS: usize = 539;
+const GOLDEN_PBPL_PACKED_BYTES: usize = 3259;
 
 #[test]
 fn golden_chaos_trace_digest_is_stable() {
@@ -464,6 +480,39 @@ fn golden_chaos_trace_digest_is_stable() {
 
 /// See [`golden_chaos_trace_digest_is_stable`].
 const GOLDEN_CHAOS_TRACE_DIGEST: u64 = 15941635301589091553;
+
+/// The scale sweep's m1000 PBPL cell at its full 10 s horizon records
+/// whole: about 12.7 M events, six times the default recorder bound,
+/// packed at about 7 bytes each. The oracle finds it clean and its
+/// digest repeats. Run with
+/// `cargo test --release --test sim_invariants -- --ignored` (seconds
+/// in release, minutes in debug).
+#[test]
+#[ignore = "full-horizon m1000 cell; run explicitly in release"]
+fn full_length_m1000_cell_records_whole_and_checks_clean() {
+    use pc_bench::exp::Protocol;
+    use pc_bench::sweep::{execute, Family};
+    use pcpower::trace_events::DEFAULT_RECORDER_CAPACITY;
+    let (duration_ms, replicates) = Family::Scale.defaults();
+    let vars = |name: &str| (name == "PC_TRACE_CAP").then(|| "100000000".to_string());
+    let protocol = Protocol::from_vars(&vars, duration_ms, replicates).unwrap();
+    let cells: Vec<_> = Family::Scale
+        .cells(&protocol)
+        .into_iter()
+        .filter(|c| Family::Scale.cell_name(c) == "m1000" && c.strategy == "PBPL")
+        .collect();
+    assert_eq!(cells.len(), 1);
+    let run = execute(&protocol, &cells, true).0.remove(0);
+    let log = run.log.expect("recorded");
+    assert_eq!(log.dropped, 0, "the cell must fit the raised bound");
+    let events = log.events.len();
+    assert!(events > DEFAULT_RECORDER_CAPACITY, "{events} events");
+    let per_event = log.events.as_bytes().len() as f64 / events as f64;
+    assert!(per_event < 8.0, "{per_event:.2} bytes per event");
+    let report = pc_bench::oracle::check(&log);
+    assert!(report.is_clean(), "violations: {:?}", report.violations);
+    assert_eq!(log.digest(), log.digest());
+}
 
 #[test]
 fn degradation_strictly_reduces_consecutive_overflows_under_rate_shock() {
