@@ -14,29 +14,18 @@
 //! * `spsc`  — the lock-free ring; batch 1 is `push`/`pop`, larger
 //!   batches use `push_slice`/`pop_chunk` (one atomic store per batch).
 //!
-//! A second family of cells exercises the *sharded* coordination layout
-//! (DESIGN.md §11) at fleet scale, M ∈ {10, 100, 1000}:
-//!
-//! * `mutex_sharded` / `sem_sharded` — per-pair queues hashed onto
-//!   `SHARDS` shard consumers (pair i → shard i mod S); each shard
-//!   thread sweeps its pairs and drains whole sessions in one
-//!   lock/semaphore transaction. Producers are *paced* (fixed-rate
-//!   bursts), so a cell's aggregate items/s measures how much fleet
-//!   load the shard layer sustains, not how fast one pair can spin —
-//!   which is what makes the M=100 : M=10 aggregate ratio meaningful
-//!   even on a small host. Paced cells pump [`PACED_ITEMS`] per pair
-//!   regardless of `--items`, and report `batch` 0 (drain-everything)
-//!   and their shard count in the `shards` field (0 = unsharded).
-//!
 //! Output goes to `results/BENCH_throughput.json`. **Timings only**: like
 //! `BENCH_suite.json` this file is host-dependent by nature and is
 //! explicitly *outside* the determinism gate — nothing here may ever
 //! feed into `results/suite.json`.
 //!
-//! Knobs: `--items N` / `PC_TP_ITEMS` (items per pair, default 200 000;
-//! CI smoke uses 20 000), `--filter SUBSTR` (cell label substring),
-//! `--list` (print the selected cell labels without running).
+//! Knobs: `--items N` / `PC_TP_ITEMS` (items per pair, a positive
+//! integer, default 200 000; CI smoke uses 20 000; `--items` wins),
+//! `--filter SUBSTR` (cell label substring), `--list` (print the
+//! selected cell labels without running). A malformed knob or argument
+//! exits 2 naming it.
 
+use pc_bench::exp::{die, env_knob};
 use pc_queues::{spsc_ring, Backoff, MutexQueue, SemQueue};
 use serde::Serialize;
 use std::sync::{Arc, Barrier};
@@ -47,28 +36,11 @@ use std::time::{Duration, Instant};
 /// whole sweep silently.
 const POLL: Duration = Duration::from_millis(100);
 
-/// Shard-consumer count of the `*_sharded` cells (pair i → shard i mod
-/// this).
-const SHARDS: usize = 8;
-
-/// Paced producers emit one burst per tick…
-const PACE_TICK: Duration = Duration::from_millis(5);
-/// …of this many items — 4 000 items/s per pair.
-const PACE_BURST: u64 = 20;
-/// Items per pair of the paced sharded cells (~0.4 s of pacing); fixed
-/// rather than `--items`-driven so the cell's wall time stays bounded.
-const PACED_ITEMS: u64 = 1_500;
-
-/// Idle nap of a shard consumer whose sweep found every queue empty.
-const SHARD_NAP: Duration = Duration::from_micros(500);
-
 #[derive(Serialize, Clone)]
 struct Cell {
     strategy: &'static str,
     pairs: usize,
     batch: usize,
-    /// Shard-consumer count; 0 for the unsharded pair-per-consumer cells.
-    shards: usize,
     items_total: u64,
     wall_ms: f64,
     /// Thread spawn + queue allocation cost, which the start barrier
@@ -88,6 +60,8 @@ struct Report {
     /// `items_per_pair`.
     /// v3: per-cell `setup_ms` (spawn/alloc cost outside the timed
     /// window, previously unrecorded).
+    /// v4: no per-cell `shards` column (its paced fleet cells are
+    /// gone).
     schema_version: u32,
     items_per_pair: u64,
     filters: Vec<String>,
@@ -275,150 +249,26 @@ thread_local! {
     static STAGE: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Runs a paced sharded cell: `pairs` rate-limited producers (one thread
-/// each, `PACE_BURST` items every `PACE_TICK`) feeding per-pair queues,
-/// drained by `SHARDS` shard-consumer threads that sweep the queues
-/// hashed to them (pair i → shard i mod `SHARDS`) and take whole
-/// sessions per transaction. Returns the wall time from the start
-/// barrier to the last shard finishing.
-fn run_paced_sharded<P, C>(
-    pairs: usize,
-    items: u64,
-    make: impl Fn() -> (P, C),
-    push: impl Fn(&P, u64) + Send + Sync + Clone + 'static,
-    drain: impl Fn(&C, &mut Vec<u64>) -> usize + Send + Sync + Clone + 'static,
-) -> Duration
-where
-    P: Send + 'static,
-    C: Send + 'static,
-{
-    let shards = SHARDS.min(pairs);
-    let barrier = Arc::new(Barrier::new(pairs + shards + 1));
-    let mut producers = Vec::with_capacity(pairs);
-    let mut shard_queues: Vec<Vec<C>> = (0..shards).map(|_| Vec::new()).collect();
-    for i in 0..pairs {
-        let (p, c) = make();
-        shard_queues[i % shards].push(c);
-        let b = Arc::clone(&barrier);
-        let push = push.clone();
-        producers.push(thread::spawn(move || {
-            b.wait();
-            let start = Instant::now();
-            let mut sent = 0u64;
-            let mut tick = 0u32;
-            while sent < items {
-                let due = start + PACE_TICK * tick;
-                let wait = due.saturating_duration_since(Instant::now());
-                if !wait.is_zero() {
-                    thread::sleep(wait);
-                }
-                let burst = PACE_BURST.min(items - sent);
-                for k in 0..burst {
-                    push(&p, sent + k);
-                }
-                sent += burst;
-                tick += 1;
-            }
-        }));
-    }
-    let mut consumers = Vec::with_capacity(shards);
-    for queues in shard_queues {
-        let expected = items * queues.len() as u64;
-        let b = Arc::clone(&barrier);
-        let drain = drain.clone();
-        consumers.push(thread::spawn(move || {
-            b.wait();
-            let mut got = 0u64;
-            let mut out = Vec::new();
-            while got < expected {
-                let mut progress = 0usize;
-                for c in &queues {
-                    progress += drain(c, &mut out);
-                    out.clear();
-                }
-                got += progress as u64;
-                if progress == 0 {
-                    thread::sleep(SHARD_NAP);
-                }
-            }
-            got
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    for h in producers {
-        h.join().expect("paced producer panicked");
-    }
-    let mut got = 0u64;
-    for h in consumers {
-        got += h.join().expect("shard consumer panicked");
-    }
-    let wall = start.elapsed();
-    assert_eq!(got, items * pairs as u64, "shard consumers lost items");
-    wall
-}
-
-/// Sharded Mutex: per-pair `MutexQueue`s, shard consumers draining each
-/// sweep stop with one non-blocking lock per queue.
-fn cell_mutex_sharded(pairs: usize, items: u64) -> Duration {
-    run_paced_sharded(
-        pairs,
-        items,
-        || {
-            let q = Arc::new(MutexQueue::<u64>::new(256));
-            (Arc::clone(&q), q)
-        },
-        |q, v| {
-            q.push(v);
-        },
-        |q, out| q.drain_into(out),
-    )
-}
-
-/// Sharded Sem: per-pair `SemQueue`s (the endpoints stay SPSC — the
-/// shard consumer is the queue's only popper), drained a whole
-/// accounted-for session per semaphore transaction.
-fn cell_sem_sharded(pairs: usize, items: u64) -> Duration {
-    run_paced_sharded(
-        pairs,
-        items,
-        || SemQueue::<u64>::new(256),
-        |q, v| {
-            q.push(v);
-        },
-        |q, out| {
-            q.pop_timeout_drain(Duration::ZERO, out)
-                .map_or(0, |(n, _)| n)
-        },
-    )
-}
-
 fn main() {
-    let mut items: u64 = std::env::var("PC_TP_ITEMS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000);
+    let mut items = env_knob(&|name| std::env::var(name).ok(), "PC_TP_ITEMS", 200_000, 1)
+        .unwrap_or_else(|e| die(&e));
     let mut filter = String::new();
     let mut list = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--items" => {
-                items = args.next().and_then(|v| v.parse().ok()).expect("--items N");
+                let value = args.next().unwrap_or_else(|| die("--items needs a value"));
+                items = env_knob(&|_| Some(value.clone()), "--items", items, 1)
+                    .unwrap_or_else(|e| die(&e));
             }
-            "--filter" => {
-                filter = args.next().expect("--filter SUBSTR");
-            }
+            "--filter" => filter = args.next().unwrap_or_else(|| die("--filter needs a value")),
             "--list" => list = true,
-            other => {
-                eprintln!(
-                    "unknown arg {other}; usage: throughput [--items N] [--filter SUBSTR] [--list]"
-                );
-                std::process::exit(2);
-            }
+            other => die(&format!(
+                "unknown argument {other:?}; usage: throughput [--items N] [--filter SUBSTR] [--list]"
+            )),
         }
     }
-    assert!(items > 0, "need at least one item");
 
     let pair_counts = [1usize, 2, 5, 10];
     // (strategy, batches): Mutex/Sem are defined per-item; BP's batch is
@@ -429,29 +279,16 @@ fn main() {
         ("bp", vec![16, 64, 256]),
         ("spsc", vec![1, 16, 64, 256]),
     ];
-    // Paced fleet cells on the sharded consumer layout; batch 0 =
-    // drain-everything sessions.
-    let sharded_pair_counts = [10usize, 100, 1000];
-    let sharded_plan = ["mutex_sharded", "sem_sharded"];
 
-    // (label, strategy, pairs, batch, shards) in run order.
-    let mut selected: Vec<(String, &'static str, usize, usize, usize)> = Vec::new();
+    // (label, strategy, pairs, batch) in run order.
+    let mut selected: Vec<(String, &'static str, usize, usize)> = Vec::new();
     for (strategy, batches) in &plan {
         for &batch in batches {
             for &pairs in &pair_counts {
                 let label = format!("{strategy}/p{pairs}/b{batch}");
                 if filter.is_empty() || label.contains(&filter) {
-                    selected.push((label, strategy, pairs, batch, 0));
+                    selected.push((label, strategy, pairs, batch));
                 }
-            }
-        }
-    }
-    for strategy in &sharded_plan {
-        for &pairs in &sharded_pair_counts {
-            let shards = SHARDS.min(pairs);
-            let label = format!("{strategy}/p{pairs}/b0/s{shards}");
-            if filter.is_empty() || label.contains(&filter) {
-                selected.push((label, strategy, pairs, 0, shards));
             }
         }
     }
@@ -464,33 +301,29 @@ fn main() {
     }
 
     let mut cells = Vec::new();
-    println!("{items} items per pair ({PACED_ITEMS} paced for sharded cells)\n");
+    println!("{items} items per pair\n");
     println!(
-        "{:<14} {:>5} {:>6} {:>6} {:>12} {:>14} {:>10}",
-        "strategy", "pairs", "batch", "shards", "wall_ms", "items/s", "ns/item"
+        "{:<14} {:>5} {:>6} {:>12} {:>14} {:>10}",
+        "strategy", "pairs", "batch", "wall_ms", "items/s", "ns/item"
     );
-    for (_, strategy, pairs, batch, shards) in &selected {
-        let (pairs, batch, shards) = (*pairs, *batch, *shards);
+    for (_, strategy, pairs, batch) in &selected {
+        let (pairs, batch) = (*pairs, *batch);
         let cell_started = Instant::now();
         let wall = match *strategy {
             "mutex" => cell_mutex(pairs, items),
             "sem" => cell_sem(pairs, items),
             "bp" => cell_bp(pairs, items, batch),
-            "mutex_sharded" => cell_mutex_sharded(pairs, PACED_ITEMS),
-            "sem_sharded" => cell_sem_sharded(pairs, PACED_ITEMS),
             _ => cell_spsc(pairs, items, batch),
         };
         // Everything the barrier fenced off the measurement: thread
         // spawn and queue allocation (plus join teardown noise).
         let setup = cell_started.elapsed().saturating_sub(wall);
-        let cell_items = if shards > 0 { PACED_ITEMS } else { items };
-        let total = cell_items * pairs as u64;
+        let total = items * pairs as u64;
         let secs = wall.as_secs_f64();
         let cell = Cell {
             strategy,
             pairs,
             batch,
-            shards,
             items_total: total,
             wall_ms: secs * 1e3,
             setup_ms: setup.as_secs_f64() * 1e3,
@@ -498,11 +331,10 @@ fn main() {
             ns_per_item: secs * 1e9 / total as f64,
         };
         println!(
-            "{:<14} {:>5} {:>6} {:>6} {:>12.2} {:>14.0} {:>10.1}",
+            "{:<14} {:>5} {:>6} {:>12.2} {:>14.0} {:>10.1}",
             cell.strategy,
             cell.pairs,
             cell.batch,
-            cell.shards,
             cell.wall_ms,
             cell.items_per_sec,
             cell.ns_per_item
@@ -531,30 +363,10 @@ fn main() {
         }
     }
 
-    // Headline: sharded fleet scaling — the paced M=100 cell must
-    // sustain a multiple of the paced M=10 cell's aggregate (the CI
-    // acceptance bar is ≥5×; pacing makes the ideal exactly 10×).
-    for strategy in &sharded_plan {
-        let at = |pairs: usize| {
-            cells
-                .iter()
-                .find(|c| c.strategy == *strategy && c.pairs == pairs)
-                .map(|c| c.items_per_sec)
-        };
-        if let (Some(m10), Some(m100)) = (at(10), at(100)) {
-            println!(
-                "{strategy} fleet scaling M=10 -> M=100: {:.1}x ({:.0} -> {:.0} items/s)",
-                m100 / m10,
-                m10,
-                m100
-            );
-        }
-    }
-
     pc_bench::exp::save_json(
         "BENCH_throughput",
         &Report {
-            schema_version: 3,
+            schema_version: 4,
             items_per_pair: items,
             filters: if filter.is_empty() {
                 Vec::new()

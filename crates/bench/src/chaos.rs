@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 
 /// Strategy panel of the chaos sweep: the two item-driven baselines,
 /// plain batching, vanilla PBPL, and PBPL with the degradation watchdog.
-pub fn chaos_strategies() -> Vec<StrategyKind> {
+pub(crate) fn chaos_strategies() -> Vec<StrategyKind> {
     vec![
         StrategyKind::Mutex,
         StrategyKind::Sem,
@@ -32,14 +32,14 @@ pub fn chaos_strategies() -> Vec<StrategyKind> {
 
 /// The single grid point every chaos cell runs at (the paper's five
 /// consumers on two cores, B₀ = 25 — Fig. 9's configuration).
-pub const CHAOS_POINT: GridPoint = GridPoint {
+pub(crate) const CHAOS_POINT: GridPoint = GridPoint {
     pairs: 5,
     cores: 2,
     buffer: 25,
 };
 
 /// The chaos grid: one block per fault scenario (`chaos_{scenario}`),
-/// each running the whole panel at [`CHAOS_POINT`].
+/// each running the whole panel at `CHAOS_POINT`.
 pub fn blocks(protocol: &Protocol) -> Vec<Block> {
     FaultScenario::all()
         .into_iter()
@@ -136,7 +136,7 @@ pub fn recovery_metrics(log: &TraceLog) -> RecoveryMetrics {
 /// One row of `results/chaos.json`: cell identity, the determinism
 /// currency (energy bits, digest), and the recovery metrics.
 #[derive(Debug, Clone, Serialize)]
-pub struct ChaosCellReport {
+pub(crate) struct ChaosCellReport {
     /// Strategy label (`PBPL(degraded)` tags the watchdog variant).
     pub strategy: String,
     /// Scenario name (stable filter key).

@@ -5,7 +5,7 @@
 //! runs three replicates with distinct seeds, and reports mean ± 95% CI
 //! for each metric. The `PC_*` environment knobs override the defaults
 //! so the full suite can be smoke-tested quickly; they all go through
-//! one parser ([`env_knob`]), and a malformed value is an error that
+//! one parser (`env_knob`), and a malformed value is an error that
 //! names the variable, never a silent fallback.
 
 use crate::replay::{self, planet_workload_label, worldcup_workload_label};
@@ -20,7 +20,7 @@ use std::io::Write;
 use std::path::PathBuf;
 
 /// The paper's horizon (ms) and replicate count (§III-B).
-pub const PAPER_PROTOCOL: (u64, usize) = (50_000, 3);
+pub(crate) const PAPER_PROTOCOL: (u64, usize) = (50_000, 3);
 
 /// Protocol parameters shared by all experiment runners.
 #[derive(Debug, Clone)]
@@ -102,18 +102,18 @@ impl Protocol {
 
     /// Registered name of [`Protocol::trace`]: every cell names a
     /// workload `replay` can rebuild, so an unregistered one is a bug.
-    pub fn worldcup_workload(&self) -> &'static str {
+    pub(crate) fn worldcup_workload(&self) -> &'static str {
         worldcup_workload_label(&self.trace).expect("trace config is a registered workload")
     }
 
     /// Registered name of [`Protocol::planet`].
-    pub fn planet_workload(&self) -> &'static str {
+    pub(crate) fn planet_workload(&self) -> &'static str {
         planet_workload_label(&self.planet).expect("planet config is a registered workload")
     }
 
     /// Runs one strategy configuration across the replicates; replicates
     /// run concurrently up to `self.threads`, results in replicate order.
-    /// The strategy runs as given, through [`replay::run_strategy`], so
+    /// The strategy runs as given, through `replay::run_strategy`, so
     /// an ablation its label cannot express still runs as itself.
     pub fn run(
         &self,

@@ -47,7 +47,7 @@
 //! violation buffer, so the report still lists the invariants in the
 //! order above, each in stream order. The per-arrival events index
 //! dense tables by pair, core or owner id instead of ordered maps; an
-//! id at or above [`DENSE_ID_BOUND`] is itself a violation, so a forged
+//! id at or above `DENSE_ID_BOUND` is itself a violation, so a forged
 //! file cannot make a table grow to gigabytes. Pool conservation keeps
 //! running Σ capacity and Σ squeezed totals, so each pool event costs
 //! O(1). No ledger wraps: item sums are checked (an overflow is its own
@@ -84,7 +84,7 @@ impl OracleReport {
 /// seq and id instead of growing a table to fit it. The largest fleet
 /// any sweep runs is M = 1000, so real traces sit far below it, and a
 /// full table of 2^20 rows stays in the tens of megabytes.
-pub const DENSE_ID_BOUND: u32 = 1 << 20;
+pub(crate) const DENSE_ID_BOUND: u32 = 1 << 20;
 
 /// Replays `log` and reports every invariant violation found.
 pub fn check(log: &TraceLog) -> OracleReport {
@@ -768,7 +768,7 @@ impl CellMeta {
 
 /// The exact period of a parameterised periodic strategy, or zero — the
 /// `period_ns` field of [`CellMeta`].
-pub fn strategy_period_ns(strategy: &pc_core::StrategyKind) -> u64 {
+pub(crate) fn strategy_period_ns(strategy: &pc_core::StrategyKind) -> u64 {
     match strategy {
         pc_core::StrategyKind::Pbp { period } | pc_core::StrategyKind::Spbp { period } => {
             period.as_nanos()

@@ -33,7 +33,7 @@ use serde::Serialize;
 
 /// The four-row panel: plain batching, vanilla PBPL, PBPL with the
 /// degradation watchdog, and PBPL under overload control.
-pub fn overload_panel() -> Vec<(StrategyKind, bool)> {
+pub(crate) fn overload_panel() -> Vec<(StrategyKind, bool)> {
     vec![
         (StrategyKind::Bp, false),
         (StrategyKind::pbpl_default(), false),
@@ -75,7 +75,7 @@ pub fn blocks(protocol: &Protocol) -> Vec<Block> {
 /// One row of `results/overload.json`: cell identity, the determinism
 /// currency (energy bits, digest), and the shed/deadline accounting.
 #[derive(Debug, Clone, Serialize)]
-pub struct OverloadCellReport {
+pub(crate) struct OverloadCellReport {
     /// Exact-match filter name (`{scenario}/{strategy}`).
     pub cell: String,
     /// Panel row label (`PBPL(overload)` tags the overload knob).

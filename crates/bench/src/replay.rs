@@ -11,7 +11,7 @@
 //! a recorder attached, and [`first_divergence`] compares the
 //! regenerated event stream against the recording event-by-event
 //! (sequence number, sim time and payload all must match). The first
-//! mismatch is reported wasm-rr-style with a ±[`CONTEXT_WINDOW`]-event
+//! mismatch is reported wasm-rr-style with a ±`CONTEXT_WINDOW`-event
 //! context window; `replay --digest-only` skips the per-event diff and
 //! compares the FNV canonical-JSON digests instead.
 //!
@@ -135,7 +135,7 @@ pub enum Workload {
 /// Name of the World-Cup workload `cfg`, ignoring its horizon — or
 /// `None` if it matches no registered configuration (such a cell could
 /// not be replayed, so exporters refuse to write it).
-pub fn worldcup_workload_label(cfg: &WorldCupConfig) -> Option<&'static str> {
+pub(crate) fn worldcup_workload_label(cfg: &WorldCupConfig) -> Option<&'static str> {
     let mut paper = WorldCupConfig::paper_default();
     paper.horizon = cfg.horizon;
     if *cfg == paper {
@@ -150,7 +150,7 @@ pub fn worldcup_workload_label(cfg: &WorldCupConfig) -> Option<&'static str> {
 }
 
 /// Name of the planet-fleet workload `cfg`, ignoring the base horizon.
-pub fn planet_workload_label(cfg: &PlanetConfig) -> Option<&'static str> {
+pub(crate) fn planet_workload_label(cfg: &PlanetConfig) -> Option<&'static str> {
     let mut scale = PlanetConfig::scale_default();
     scale.base.horizon = cfg.base.horizon;
     if *cfg == scale {
@@ -165,7 +165,7 @@ pub fn planet_workload_label(cfg: &PlanetConfig) -> Option<&'static str> {
 }
 
 /// Maps a workload name back to its constructor.
-pub fn workload_by_name(name: &str) -> Option<Workload> {
+pub(crate) fn workload_by_name(name: &str) -> Option<Workload> {
     match name {
         "worldcup_paper" => Some(Workload::WorldCup(WorldCupConfig::paper_default())),
         "worldcup_quick" => Some(Workload::WorldCup(WorldCupConfig::quick_test())),
@@ -180,14 +180,14 @@ pub fn workload_by_name(name: &str) -> Option<Workload> {
 /// [`OverloadConfig::standard`]. That config is canonical (derivable
 /// from the label alone), which is what keeps such cells replayable
 /// without new `CellMeta` fields.
-pub fn label_overloaded(label: &str) -> bool {
+pub(crate) fn label_overloaded(label: &str) -> bool {
     label.ends_with("(overload)")
 }
 
 /// Display label of a strategy, the `strategy` field of a [`CellMeta`]:
 /// periods in µs, the fixed-capacity and degraded PBPL variants tagged,
 /// and an `(overload)` suffix when the cell runs under
-/// [`OverloadConfig::standard`]. [`rebuild_strategy`] inverts it.
+/// [`OverloadConfig::standard`]. `rebuild_strategy` inverts it.
 pub fn label(strategy: &StrategyKind, overload: bool) -> String {
     let base = match strategy {
         StrategyKind::Pbp { period } => format!("PBP@{}us", period.as_nanos() / 1_000),
@@ -208,7 +208,7 @@ pub fn label(strategy: &StrategyKind, overload: bool) -> String {
 /// An `(overload)` suffix names the *base* strategy; the overload knob
 /// is applied separately by [`run_cell`] via [`label_overloaded`].
 /// The inverse of [`label`].
-pub fn rebuild_strategy(meta: &CellMeta) -> Result<StrategyKind, String> {
+pub(crate) fn rebuild_strategy(meta: &CellMeta) -> Result<StrategyKind, String> {
     let label = meta.strategy.as_str();
     let label = label.strip_suffix("(overload)").unwrap_or(label);
     let period = || -> Result<SimDuration, String> {
@@ -292,7 +292,7 @@ pub fn run_cell(
 /// label — for analysis runs ([`crate::exp::Protocol::run`]) whose
 /// strategy the label cannot express, such as a PBPL ablation. Such a
 /// header does not replay, so these cells are never exported.
-pub fn run_strategy(
+pub(crate) fn run_strategy(
     meta: &CellMeta,
     strategy: StrategyKind,
     fleet: Option<&Arc<Vec<Trace>>>,
@@ -382,7 +382,7 @@ pub fn rerecord(meta: &CellMeta) -> Result<TraceLog, RerecordError> {
 }
 
 /// Events shown on each side of a divergence.
-pub const CONTEXT_WINDOW: usize = 8;
+pub(crate) const CONTEXT_WINDOW: usize = 8;
 
 /// The first point where a regenerated stream departs from the
 /// recording.
@@ -446,7 +446,11 @@ fn side(label: &str, events: &[Event], index: usize, out: &mut String) {
 /// [`Event::summary`] is silent still print differently), then a
 /// ±[`CONTEXT_WINDOW`]-event window of both streams in terse summaries
 /// with the divergent index marked.
-pub fn divergence_message(recorded: &[Event], regenerated: &[Event], d: &Divergence) -> String {
+pub(crate) fn divergence_message(
+    recorded: &[Event],
+    regenerated: &[Event],
+    d: &Divergence,
+) -> String {
     let mut out = String::new();
     let describe = |ev: &Option<Event>, ended: &str| match ev {
         Some(ev) => event_to_json(ev),
@@ -475,7 +479,7 @@ pub enum CellReplay {
     Diverged {
         /// First divergent sequence number.
         seq: u64,
-        /// Human-readable report ([`divergence_message`]).
+        /// Human-readable report (`divergence_message`).
         report: String,
     },
     /// The cell could not be reconstructed (unknown strategy, workload

@@ -81,7 +81,7 @@ pub fn blocks(protocol: &Protocol) -> Vec<Block> {
 
 /// One experiment of `results/suite.json`.
 #[derive(Serialize)]
-pub struct ExperimentReport {
+pub(crate) struct ExperimentReport {
     name: String,
     cells: Vec<CellReport>,
 }

@@ -10,7 +10,7 @@
 //!
 //! * [`expand`] lays the grid out in a fixed, documented order
 //!   (block-major, then strategy, then replicate);
-//! * [`parallel_map_costed`] hands cells to workers through an atomic
+//! * `parallel_map_costed` hands cells to workers through an atomic
 //!   cursor but stores every result in the slot of its *input* index, so
 //!   the collected vector is identical whatever the completion order;
 //! * each cell is a pure function of its header — the simulation itself
@@ -65,7 +65,7 @@ pub struct Block {
 /// the engine's canonical order: block-major, then strategy, then
 /// replicate (seed `base_seed + k`). `events`, `dropped` and `digest`
 /// are left for [`execute`] to fill in.
-pub fn headers<'a>(
+pub(crate) fn headers<'a>(
     protocol: &'a Protocol,
     blocks: &'a [Block],
 ) -> impl Iterator<Item = (CellMeta, &'a StrategyKind)> + 'a {
@@ -96,7 +96,7 @@ pub fn headers<'a>(
     })
 }
 
-/// Expands blocks into cell headers in [`headers`]' order. Reports
+/// Expands blocks into cell headers in `headers`' order. Reports
 /// regroup by walking the same order, so it is a contract, not an
 /// implementation detail. The header is the cell's whole recipe, so a
 /// strategy its label cannot express (say, PBPL with latching off)
@@ -130,7 +130,7 @@ pub enum Family {
 
 impl Family {
     /// All families, in CLI order.
-    pub const ALL: [Family; 4] = [
+    pub(crate) const ALL: [Family; 4] = [
         Family::Suite,
         Family::Chaos,
         Family::Scale,
@@ -205,7 +205,7 @@ impl Family {
 
 /// Prints one summary row per configuration of `runs` (replicates
 /// grouped in canonical order), named `{label} M={pairs} B={buffer}`.
-pub fn print_rows(runs: &[CellRun]) {
+pub(crate) fn print_rows(runs: &[CellRun]) {
     for (first, group) in configurations(runs) {
         let mut row = Row::from_runs(&group);
         row.name = format!("{} M={} B={}", first.strategy, first.pairs, first.buffer);
@@ -260,7 +260,7 @@ impl CellRun {
     }
 }
 
-/// Host-dependent telemetry from one [`parallel_map_costed`] dispatch.
+/// Host-dependent telemetry from one `parallel_map_costed` dispatch.
 /// Strictly `BENCH_*.json` sidecar material — wall-clock lives here and
 /// must never reach a deterministic results file.
 #[derive(Debug, Clone)]
@@ -295,7 +295,7 @@ impl DispatchStats {
 /// deterministic artifact downstream of it — is identical for any
 /// thread count as long as `f` is pure. Costs only shape the claim
 /// order (and therefore wall-clock), never results.
-pub fn parallel_map_costed<T, R, F>(
+pub(crate) fn parallel_map_costed<T, R, F>(
     items: &[T],
     threads: usize,
     costs: &[u64],
@@ -359,7 +359,7 @@ where
 }
 
 /// [`parallel_map_costed`] with uniform costs (input-order claims).
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+pub(crate) fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -515,7 +515,7 @@ impl Sidecar {
 /// families. **No thread or timing field may ever appear here**
 /// — those live in the sidecar.
 #[derive(Debug, Clone, Serialize)]
-pub struct CellReport {
+pub(crate) struct CellReport {
     /// Strategy label.
     pub strategy: String,
     /// Pairs (the paper's M).

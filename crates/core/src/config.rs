@@ -104,7 +104,7 @@ impl Default for DegradeConfig {
 /// when the lag exceeds `deadline` for `trip_arrivals` consecutive
 /// arrivals, and clears when it falls below `clear_pct`% of the
 /// deadline for `clear_arrivals` consecutive arrivals (the same
-/// trip/restore hysteresis shape as [`DegradeConfig`]). Buffered-but-
+/// trip/restore hysteresis shape as `DegradeConfig`). Buffered-but-
 /// unserved work that never occupies a core (a wedged consumer) is the
 /// supervisor's job, not admission's: see `stuck_ticks`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -203,7 +203,7 @@ pub struct PbplConfig {
     /// reported mean allocation (43 of 50) corresponds to ≈ 0.8.
     pub min_capacity_frac: f64,
     /// Graceful degradation under faults (off by default; see
-    /// [`DegradeConfig`]).
+    /// `DegradeConfig`).
     pub degrade: DegradeConfig,
 }
 
@@ -272,7 +272,7 @@ impl StrategyKind {
     /// The §III periodic strategies' timer models: PBP suffers
     /// `nanosleep` jitter, SPBP rides accurate signals, everything else
     /// is driven by data or slots.
-    pub fn timer_model(&self) -> TimerModel {
+    pub(crate) fn timer_model(&self) -> TimerModel {
         match self {
             StrategyKind::Pbp { .. } => TimerModel::nanosleep_like(),
             StrategyKind::Spbp { .. } => TimerModel::sigalrm_like(),

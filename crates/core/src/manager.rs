@@ -118,12 +118,13 @@ impl CoreManager {
     }
 
     /// The consumer's current reservation, if any.
-    pub fn reservation_of(&self, consumer: ConsumerId) -> Option<SlotIndex> {
+    #[cfg(test)]
+    fn reservation_of(&self, consumer: ConsumerId) -> Option<SlotIndex> {
         self.held.get(&consumer).copied()
     }
 
     /// Whether any consumer is registered for `slot`.
-    pub fn has_reservation(&self, slot: SlotIndex) -> bool {
+    pub(crate) fn has_reservation(&self, slot: SlotIndex) -> bool {
         self.reservations.contains_key(&slot)
     }
 
@@ -144,7 +145,8 @@ impl CoreManager {
     }
 
     /// The earliest reserved slot at or after `slot`.
-    pub fn next_reserved_at_or_after(&self, slot: SlotIndex) -> Option<SlotIndex> {
+    #[cfg(test)]
+    fn next_reserved_at_or_after(&self, slot: SlotIndex) -> Option<SlotIndex> {
         self.reservations.range(slot..).next().map(|(&s, _)| s)
     }
 

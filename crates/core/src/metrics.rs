@@ -94,7 +94,7 @@ impl PairMetrics {
 
     /// Records a drained batch: `n` items, buffer capacity at the time,
     /// and the per-item latencies folded in by the caller.
-    pub fn record_drain(&mut self, n: u64, capacity: usize) {
+    pub(crate) fn record_drain(&mut self, n: u64, capacity: usize) {
         self.items_consumed += n;
         self.capacity_sum += capacity as u64;
         self.occupancy_sum += n;

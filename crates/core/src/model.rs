@@ -15,7 +15,7 @@ pub struct PairId(pub usize);
 
 /// Identifies a consumer; by the paper's one-to-one assumption this is
 /// interchangeable with its [`PairId`].
-pub type ConsumerId = PairId;
+pub(crate) type ConsumerId = PairId;
 
 /// Eq. 1 — γᵢ(τₘ₋₁, τₘ): the number of items produced in
 /// `[from, to)`. `times` must be sorted.

@@ -77,7 +77,7 @@ impl PbplConsumer {
     }
 
     /// Trips the watchdog from outside (a supervisor's emergency drain).
-    pub fn force_degraded(&mut self) {
+    pub(crate) fn force_degraded(&mut self) {
         self.degraded = true;
     }
 

@@ -168,8 +168,9 @@ impl Kalman {
         }
     }
 
-    /// Current error variance estimate (diagnostics).
-    pub fn variance(&self) -> f64 {
+    /// Current error variance estimate.
+    #[cfg(test)]
+    fn variance(&self) -> f64 {
         self.p
     }
 }

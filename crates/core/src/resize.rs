@@ -10,11 +10,11 @@
 //! This module computes the *target* capacities; the elastic buffer
 //! applies them against the pool.
 
-use pc_sim::{SimDuration, SimTime};
+use pc_sim::SimTime;
 
 /// Items predicted to accumulate between `now` and `slot_start` at rate
 /// `rate` — the r̂·(τ_next − τ_now) term shared by both sizing formulas.
-pub fn predicted_fill(rate: f64, now: SimTime, slot_start: SimTime) -> f64 {
+pub(crate) fn predicted_fill(rate: f64, now: SimTime, slot_start: SimTime) -> f64 {
     rate.max(0.0) * slot_start.saturating_since(now).as_secs_f64()
 }
 
@@ -23,14 +23,14 @@ pub fn predicted_fill(rate: f64, now: SimTime, slot_start: SimTime) -> f64 {
 /// `margin` scales the prediction — 1.0 is the paper's exact formula,
 /// larger values add slack against prediction error (an ablation knob).
 /// The result is never below 1.
-pub fn capacity_target(predicted_items: f64, margin: f64) -> usize {
+pub(crate) fn capacity_target(predicted_items: f64, margin: f64) -> usize {
     (predicted_items * margin.max(0.0)).ceil().max(1.0) as usize
 }
 
 /// Decides the resize action for a consumer that has just reserved a
 /// slot: the target it should shrink or grow to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResizePlan {
+pub(crate) enum ResizePlan {
     /// Shrink toward the target, releasing pool units.
     Shrink(usize),
     /// Grow toward the target, borrowing pool units (best-effort).
@@ -41,7 +41,7 @@ pub enum ResizePlan {
 
 /// Plans the resize from `current` capacity to fit `predicted_items` with
 /// `margin`.
-pub fn plan_resize(current: usize, predicted_items: f64, margin: f64) -> ResizePlan {
+pub(crate) fn plan_resize(current: usize, predicted_items: f64, margin: f64) -> ResizePlan {
     let target = capacity_target(predicted_items, margin);
     use std::cmp::Ordering::*;
     match target.cmp(&current) {
@@ -54,17 +54,8 @@ pub fn plan_resize(current: usize, predicted_items: f64, margin: f64) -> ResizeP
 /// Upsize target when the predicted rate overruns every acceptable slot
 /// (the `rate_overrun` flag from slot selection): enough capacity to
 /// survive until `slot_start` at the predicted rate, with margin.
-pub fn overrun_target(rate: f64, now: SimTime, slot_start: SimTime, margin: f64) -> usize {
+pub(crate) fn overrun_target(rate: f64, now: SimTime, slot_start: SimTime, margin: f64) -> usize {
     capacity_target(predicted_fill(rate, now, slot_start), margin)
-}
-
-/// Duration a buffer of `capacity` items survives at `rate` items/second
-/// (∞ is capped to the given `horizon`). Used in tests and diagnostics.
-pub fn time_to_fill(capacity: usize, rate: f64, horizon: SimDuration) -> SimDuration {
-    if rate <= 0.0 {
-        return horizon;
-    }
-    SimDuration::from_secs_f64(capacity as f64 / rate).min(horizon)
 }
 
 #[cfg(test)]
@@ -102,16 +93,5 @@ mod tests {
         // 100k/s for 1ms = 100 items.
         assert_eq!(overrun_target(100_000.0, ms(10), ms(11), 1.0), 100);
         assert_eq!(overrun_target(100_000.0, ms(10), ms(11), 1.5), 150);
-    }
-
-    #[test]
-    fn time_to_fill_basics() {
-        let horizon = SimDuration::from_secs(1);
-        assert_eq!(
-            time_to_fill(25, 5000.0, horizon),
-            SimDuration::from_millis(5)
-        );
-        assert_eq!(time_to_fill(25, 0.0, horizon), horizon);
-        assert_eq!(time_to_fill(1_000_000, 1.0, horizon), horizon, "capped");
     }
 }

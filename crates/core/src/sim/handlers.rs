@@ -86,7 +86,13 @@ impl Handler {
 
     /// The fleet supervisor's strategy-appropriate kick for a stuck pair:
     /// whatever the pair buffers gets force-dispatched now.
-    pub fn emergency_drain(&mut self, i: usize, now: SimTime, k: &mut Kernel, l: &mut impl Layer) {
+    pub(crate) fn emergency_drain(
+        &mut self,
+        i: usize,
+        now: SimTime,
+        k: &mut Kernel,
+        l: &mut impl Layer,
+    ) {
         match self {
             Handler::Busy { .. } => {}
             Handler::Item(h) => h.wake_if_idle(i, now, k, l),
@@ -100,7 +106,7 @@ impl Handler {
     }
 
     /// Re-arms `core`'s slot timer after a dropped-wakeup fault clears.
-    pub fn rearm(&mut self, core: usize, now: SimTime, k: &mut Kernel, l: &mut impl Layer) {
+    pub(crate) fn rearm(&mut self, core: usize, now: SimTime, k: &mut Kernel, l: &mut impl Layer) {
         if let Handler::Pbpl(h) = self {
             h.ensure_scheduled(core, now, k, l);
         }
@@ -126,7 +132,7 @@ impl Handler {
     }
 
     /// Moves pair `i`'s buffered items into `out` (end-of-run flush).
-    pub fn drain_leftovers(&mut self, i: usize, out: &mut Vec<SimTime>) {
+    pub(crate) fn drain_leftovers(&mut self, i: usize, out: &mut Vec<SimTime>) {
         match self {
             Handler::Busy { .. } => {}
             Handler::Item(h) => out.append(&mut h.pairs[i].backlog),

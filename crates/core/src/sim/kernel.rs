@@ -172,7 +172,7 @@ impl Kernel {
     /// Claims `core` for `work` starting no earlier than `now`; returns
     /// the end of the span actually occupied.
     #[inline]
-    pub fn occupy_core(&mut self, core: usize, now: SimTime, work: SimDuration) -> SimTime {
+    pub(crate) fn occupy_core(&mut self, core: usize, now: SimTime, work: SimDuration) -> SimTime {
         let start = now.max(self.core_busy_until[core]);
         let end = start.saturating_add(work);
         self.cores[core].add_active_span(start, end);
@@ -196,7 +196,7 @@ impl Kernel {
     /// Occupies the pair's core for `work`, then records the latencies of
     /// everything staged in `scratch` plus the drain sample. Returns the
     /// span end. Shared tail of every drain path.
-    pub fn finish_drain(
+    pub(crate) fn finish_drain(
         &mut self,
         i: usize,
         now: SimTime,
@@ -217,7 +217,7 @@ impl Kernel {
 
     /// Drains a batching pair's `buffer` on a `trigger`ed wake, occupies
     /// the core, and records metrics. Returns the batch size.
-    pub fn batch_drain(
+    pub(crate) fn batch_drain(
         &mut self,
         i: usize,
         now: SimTime,

@@ -148,7 +148,7 @@ impl PbplHandler {
         }
     }
 
-    pub fn slot_wake(
+    pub(crate) fn slot_wake(
         &mut self,
         core: usize,
         slot: SlotIndex,
@@ -172,7 +172,13 @@ impl PbplHandler {
 
     /// The supervisor's kick: drain now and trip the watchdog, so the
     /// following plans run with the boosted margin and the floor.
-    pub fn emergency_drain(&mut self, i: usize, now: SimTime, k: &mut Kernel, l: &impl Layer) {
+    pub(crate) fn emergency_drain(
+        &mut self,
+        i: usize,
+        now: SimTime,
+        k: &mut Kernel,
+        l: &impl Layer,
+    ) {
         if !self.pairs[i].buffer.is_empty() {
             self.pairs[i].machine.force_degraded();
             self.invoke(i, now, Trigger::Overflow, k, l);

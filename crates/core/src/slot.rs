@@ -13,7 +13,7 @@ use pc_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Index of a slot on the track. Slot `k` starts at `origin + k·Δ`.
-pub type SlotIndex = u64;
+pub(crate) type SlotIndex = u64;
 
 /// Periodic slot arithmetic.
 ///
@@ -42,22 +42,9 @@ impl SlotTrack {
     }
 
     /// A track with slot size `delta` whose slot 0 begins at `origin`.
-    pub fn with_origin(delta: SimDuration, origin: SimTime) -> Self {
+    pub(crate) fn with_origin(delta: SimDuration, origin: SimTime) -> Self {
         assert!(!delta.is_zero(), "slot size Δ must be nonzero");
         SlotTrack { delta, origin }
-    }
-
-    /// The paper's default Δ: the minimum of the pairs' maximum response
-    /// latencies.
-    ///
-    /// Panics on an empty latency list.
-    pub fn from_max_latencies(latencies: &[SimDuration]) -> Self {
-        let delta = latencies
-            .iter()
-            .copied()
-            .min()
-            .expect("need at least one consumer latency bound");
-        SlotTrack::new(delta)
     }
 
     /// The slot size Δ.
@@ -87,24 +74,9 @@ impl SlotTrack {
         self.slot_index(t) + 1
     }
 
-    /// Index of the first slot whose start is at or after `t`.
-    pub fn slot_at_or_after(&self, t: SimTime) -> SlotIndex {
-        let idx = self.slot_index(t);
-        if self.slot_start(idx) == t {
-            idx
-        } else {
-            idx + 1
-        }
-    }
-
     /// Eq. 7 contribution — `|τ − g(τ)|` for one invocation.
     pub fn misalignment(&self, t: SimTime) -> SimDuration {
         t.saturating_since(self.g(t))
-    }
-
-    /// Sum of Eq. 7 over invocation times.
-    pub fn alignment_cost(&self, times: &[SimTime]) -> SimDuration {
-        times.iter().map(|&t| self.misalignment(t)).sum()
     }
 }
 
@@ -148,36 +120,10 @@ mod tests {
     }
 
     #[test]
-    fn next_and_at_or_after() {
+    fn next_slot_after_is_strictly_later() {
         let track = SlotTrack::new(ms(1));
         assert_eq!(track.next_slot_after(at_ms(0)), 1);
-        assert_eq!(track.slot_at_or_after(at_ms(0)), 0);
-        assert_eq!(track.slot_at_or_after(SimTime::from_micros(1)), 1);
-        assert_eq!(track.slot_at_or_after(at_ms(1)), 1);
         assert_eq!(track.next_slot_after(SimTime::from_micros(1700)), 2);
-    }
-
-    #[test]
-    fn default_delta_is_min_latency() {
-        let track = SlotTrack::from_max_latencies(&[ms(10), ms(2), ms(5)]);
-        assert_eq!(track.delta(), ms(2));
-    }
-
-    #[test]
-    fn alignment_cost_zero_on_slots() {
-        let track = SlotTrack::new(ms(1));
-        let times: Vec<SimTime> = (0..10).map(at_ms).collect();
-        assert_eq!(track.alignment_cost(&times), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn alignment_cost_accumulates() {
-        let track = SlotTrack::new(ms(1));
-        let times = vec![SimTime::from_micros(1200), SimTime::from_micros(2900)];
-        assert_eq!(
-            track.alignment_cost(&times),
-            SimDuration::from_micros(200 + 900)
-        );
     }
 
     #[test]
@@ -193,11 +139,5 @@ mod tests {
     #[should_panic(expected = "nonzero")]
     fn zero_delta_panics() {
         SlotTrack::new(SimDuration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "latency")]
-    fn empty_latencies_panic() {
-        SlotTrack::from_max_latencies(&[]);
     }
 }

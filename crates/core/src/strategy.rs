@@ -36,31 +36,31 @@ use pc_sim::SimDuration;
 /// Per-item synchronisation overhead multiplier for the Mutex strategy
 /// (baseline: `PowerModel::sync_op_cpu` is calibrated as one mutex
 /// lock/unlock + condvar signal round trip).
-pub const MUTEX_SYNC_FACTOR: f64 = 1.0;
+pub(crate) const MUTEX_SYNC_FACTOR: f64 = 1.0;
 
 /// Per-item synchronisation overhead multiplier for the Sem strategy:
 /// a futex-backed sem_post/sem_wait pair is measurably cheaper than a
 /// mutex+condvar round trip.
-pub const SEM_SYNC_FACTOR: f64 = 0.625;
+pub(crate) const SEM_SYNC_FACTOR: f64 = 0.625;
 
 /// Active-power multiplier for the Yield strategy: the paper attributes
 /// Yield's slightly lower draw to DVFS stepping the clock down under
 /// constant yielding.
-pub const YIELD_DVFS_FACTOR: f64 = 0.88;
+pub(crate) const YIELD_DVFS_FACTOR: f64 = 0.88;
 
 /// Period of the Yield strategy's occasional genuine idles. A yielding
 /// thread on an otherwise-idle core mostly reacquires the CPU instantly;
 /// only the odd scheduler round parks it briefly, so its wakeup count is
 /// far below the item-driven implementations (the paper's Fig. 3 places
 /// BW and Yield at the low-wakeup, high-power corner).
-pub const YIELD_TICK: SimDuration = SimDuration::from_millis(25);
+pub(crate) const YIELD_TICK: SimDuration = SimDuration::from_millis(25);
 
 /// Idle share of each Yield tick (the voluntary yield window).
-pub const YIELD_IDLE_PER_TICK: SimDuration = SimDuration::from_micros(100);
+pub(crate) const YIELD_IDLE_PER_TICK: SimDuration = SimDuration::from_micros(100);
 
 /// CPU time for an item-at-a-time drain of `n` items with the given
 /// synchronisation factor (Mutex/Sem).
-pub fn item_driven_work(model: &PowerModel, n: u64, sync_factor: f64) -> SimDuration {
+pub(crate) fn item_driven_work(model: &PowerModel, n: u64, sync_factor: f64) -> SimDuration {
     let per_item = model
         .item_cpu
         .saturating_add(model.sync_op_cpu.mul_f64(sync_factor));
@@ -69,7 +69,7 @@ pub fn item_driven_work(model: &PowerModel, n: u64, sync_factor: f64) -> SimDura
 
 /// CPU time for a batched drain of `n` items (BP/PBP/SPBP/PBPL): one
 /// dispatch, no per-item synchronisation.
-pub fn batch_work(model: &PowerModel, n: u64) -> SimDuration {
+pub(crate) fn batch_work(model: &PowerModel, n: u64) -> SimDuration {
     model.batch_cpu(n)
 }
 

@@ -25,7 +25,7 @@ use pc_sim::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Sentinel for "not pair/core scoped" in trace-event fields.
-pub const NO_TARGET: u32 = u32::MAX;
+pub(crate) const NO_TARGET: u32 = u32::MAX;
 
 /// The typed fault vocabulary. All parameters are integers (fixed-point
 /// `_x1000` where a factor is needed) so plans serialize and digest
@@ -66,7 +66,7 @@ impl FaultKind {
         }
     }
 
-    /// Target pair, or [`NO_TARGET`] when the fault is not pair-scoped.
+    /// Target pair, or `NO_TARGET` when the fault is not pair-scoped.
     pub fn pair(&self) -> u32 {
         match *self {
             FaultKind::RateShock { pair, .. }
@@ -76,7 +76,7 @@ impl FaultKind {
         }
     }
 
-    /// Target core, or [`NO_TARGET`] when the fault is not core-scoped.
+    /// Target core, or `NO_TARGET` when the fault is not core-scoped.
     pub fn core(&self) -> u32 {
         match *self {
             FaultKind::TimerDrift { core, .. } | FaultKind::DroppedWakeup { core } => core,
@@ -98,7 +98,7 @@ impl FaultKind {
 
     /// Whether the fault rewrites the production trace (vs. being
     /// interpreted at runtime).
-    pub fn is_workload(&self) -> bool {
+    pub(crate) fn is_workload(&self) -> bool {
         matches!(
             self,
             FaultKind::RateShock { .. } | FaultKind::ProducerStall { .. }

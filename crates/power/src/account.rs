@@ -45,7 +45,8 @@ pub struct EnergyReport {
 
 impl EnergyReport {
     /// Mean power over the run, watts.
-    pub fn avg_power_w(&self) -> f64 {
+    #[cfg(test)]
+    fn avg_power_w(&self) -> f64 {
         if self.duration.is_zero() {
             0.0
         } else {
@@ -98,7 +99,7 @@ impl EnergyReport {
 
 /// Integrates one core's finished timeline under `model`, with `governor`
 /// choosing the C-state of each idle interval in order.
-pub fn account_core(
+pub(crate) fn account_core(
     report: &CoreReport,
     model: &PowerModel,
     governor: &mut dyn IdleGovernor,

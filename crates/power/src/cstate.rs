@@ -98,7 +98,7 @@ impl CStateLadder {
 
     /// The deepest state whose target residency fits within `idle_len`,
     /// or the shallowest state if none fits. Returns the index.
-    pub fn deepest_fitting(&self, idle_len: SimDuration) -> usize {
+    pub(crate) fn deepest_fitting(&self, idle_len: SimDuration) -> usize {
         let mut pick = 0;
         for (i, s) in self.states.iter().enumerate() {
             if s.target_residency <= idle_len {
@@ -113,7 +113,12 @@ impl CStateLadder {
     /// Energy (joules) spent idling for `idle_len` in state `index`,
     /// including the transition cost modelled as `transition` time spent
     /// at `active_power_w`.
-    pub fn idle_energy(&self, index: usize, idle_len: SimDuration, active_power_w: f64) -> f64 {
+    pub(crate) fn idle_energy(
+        &self,
+        index: usize,
+        idle_len: SimDuration,
+        active_power_w: f64,
+    ) -> f64 {
         let s = &self.states[index];
         let resident = idle_len.saturating_sub(s.transition);
         resident.as_secs_f64() * s.power_w

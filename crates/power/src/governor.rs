@@ -27,7 +27,7 @@ pub trait IdleGovernor {
 /// Picks the deepest state that fits the actual idle length —
 /// energy-optimal with hindsight.
 #[derive(Debug, Clone, Default)]
-pub struct OracleGovernor;
+pub(crate) struct OracleGovernor;
 
 impl IdleGovernor for OracleGovernor {
     fn select(&mut self, ladder: &CStateLadder, idle_len: SimDuration) -> usize {
@@ -43,7 +43,7 @@ impl IdleGovernor for OracleGovernor {
 /// penalties appear in the accounting because the accountant charges the
 /// *selected* state against the *actual* interval.
 #[derive(Debug, Clone)]
-pub struct MenuGovernor {
+pub(crate) struct MenuGovernor {
     history: [SimDuration; MenuGovernor::HISTORY],
     next: usize,
     filled: usize,

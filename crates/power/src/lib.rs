@@ -5,37 +5,29 @@
 //! PowerTop). Given the per-core idle/active timelines produced by
 //! `pc-sim`, this crate computes:
 //!
-//! * [`cstate`] — a C-state ladder (power level, entry/exit latency,
+//! * `cstate` — a C-state ladder (power level, entry/exit latency,
 //!   target residency) with an Exynos-5-like calibration.
-//! * [`governor`] — idle-state selection: an oracle governor (deepest
+//! * `governor` — idle-state selection: an oracle governor (deepest
 //!   state whose residency fits the actual idle interval) and a
 //!   menu-governor-like predictive one for ablations.
-//! * [`model`] — the [`PowerModel`]: ladder + wakeup energy + per-item
+//! * `model` — the [`PowerModel`]: ladder + wakeup energy + per-item
 //!   processing cost + board baseline.
-//! * [`account`] — integration of a core timeline into joules, average
+//! * `account` — integration of a core timeline into joules, average
 //!   watts, per-C-state residency and the paper's "extra watts over
 //!   baseline" metric.
-//! * [`meter`] — a PowerTop-like sampler producing wakeups/s and usage
+//! * `meter` — a PowerTop-like sampler producing wakeups/s and usage
 //!   (ms/s) series over windows.
-//! * [`pstate`] — §II background made computable: P-states (P = C·V²·f),
-//!   the race-to-idle energy comparison, and the paper's Figure 1
-//!   grouped-vs-fragmented wakeup analysis.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod account;
-pub mod cstate;
-pub mod export;
-pub mod governor;
-pub mod meter;
-pub mod model;
-pub mod pstate;
+mod account;
+mod cstate;
+mod governor;
+mod meter;
+mod model;
 
-pub use account::{account_core, account_cores, EnergyReport};
-pub use cstate::{CState, CStateLadder};
-pub use export::{meter_csv, timeline_csv};
-pub use governor::{GovernorKind, IdleGovernor, MenuGovernor, OracleGovernor};
+pub use account::{account_cores, EnergyReport};
+pub use governor::GovernorKind;
 pub use meter::{Meter, MeterSample};
 pub use model::PowerModel;
-pub use pstate::{fig1_grouping_comparison, PState, PStateTable};

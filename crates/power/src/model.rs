@@ -74,7 +74,7 @@ impl PowerModel {
     }
 
     /// The power of the deepest idle state, watts.
-    pub fn deep_idle_power_w(&self) -> f64 {
+    pub(crate) fn deep_idle_power_w(&self) -> f64 {
         self.ladder
             .states()
             .last()
@@ -85,13 +85,6 @@ impl PowerModel {
     /// CPU time for a batch of `n` items consumed in one activation.
     pub fn batch_cpu(&self, n: u64) -> SimDuration {
         self.dispatch_cpu.saturating_add(self.item_cpu * n)
-    }
-
-    /// CPU time for `n` items consumed one-at-a-time through a lock
-    /// (Mutex/Sem style), including per-item sync overhead.
-    pub fn per_item_cpu(&self, n: u64) -> SimDuration {
-        self.dispatch_cpu
-            .saturating_add((self.item_cpu.saturating_add(self.sync_op_cpu)) * n)
     }
 
     /// Energy to process `x` items, joules — the paper's `e(x)` term in
@@ -119,12 +112,6 @@ mod tests {
         let one_batch = m.batch_cpu(100);
         let hundred_singles = m.batch_cpu(1) * 100;
         assert!(one_batch < hundred_singles);
-    }
-
-    #[test]
-    fn per_item_cpu_exceeds_batch_cpu() {
-        let m = PowerModel::exynos_like();
-        assert!(m.per_item_cpu(50) > m.batch_cpu(50));
     }
 
     #[test]

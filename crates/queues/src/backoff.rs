@@ -54,7 +54,7 @@ impl Backoff {
     /// Whether the spin budget is exhausted and [`Backoff::snooze`] has
     /// switched to yielding. Callers that can park (condvar, semaphore)
     /// should do so once this turns true.
-    pub fn is_completed(&self) -> bool {
+    pub(crate) fn is_completed(&self) -> bool {
         self.step >= SPIN_LIMIT
     }
 

@@ -346,17 +346,6 @@ impl<T> ElasticBuffer<T> {
         self.cap
     }
 
-    /// Shrinks or grows toward exactly `target` (clamped to base/len
-    /// floors and pool availability). Returns the new capacity.
-    pub fn resize_to(&mut self, target: usize) -> usize {
-        let current = self.capacity();
-        if target > current {
-            self.grow_to(target)
-        } else {
-            self.shrink_to(target)
-        }
-    }
-
     /// Handle to the pool this buffer draws from.
     pub fn pool(&self) -> &Arc<GlobalPool> {
         &self.pool
@@ -577,15 +566,6 @@ mod tests {
         let mut buf = ElasticBuffer::<u8>::with_min(Arc::clone(&pool), 25, 10).unwrap();
         assert_eq!(buf.shrink_to(0), 10);
         assert_eq!(pool.available(), 90);
-    }
-
-    #[test]
-    fn resize_to_dispatches() {
-        let (_pool, mut buf) = pool_and_buffer(100, 25);
-        assert_eq!(buf.resize_to(40), 40);
-        assert_eq!(buf.resize_to(30), 30);
-        assert_eq!(buf.resize_to(10), 10);
-        assert_eq!(buf.base_capacity(), 25, "B0 stays informational");
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! buffer backed by a shared global pool. All of them are built from
 //! scratch here:
 //!
-//! * [`spsc`] — a lock-free single-producer/single-consumer ring buffer
+//! * `spsc` — a lock-free single-producer/single-consumer ring buffer
 //!   (the paper's "circular buffer"; each consumer is paired with exactly
 //!   one producer, so SPSC is the right specialisation).
-//! * [`semaphore`] — a counting semaphore with blocking, timeout, and
+//! * `semaphore` — a counting semaphore with blocking, timeout, and
 //!   try acquisition, reporting whether a call blocked (the hook the
 //!   native runtime uses to count thread wakeups).
-//! * [`bounded`] — the **Mutex** implementation: a bounded queue guarded
+//! * `bounded` — the **Mutex** implementation: a bounded queue guarded
 //!   by a mutex with two condition variables.
 //! * [`semqueue`] — the **Sem** implementation: a circular buffer
 //!   synchronised by an *items* and a *slots* semaphore.
@@ -23,8 +23,8 @@
 //!   site (tests, benches, the semaphore's spin-then-park fast path).
 //!
 //! The queues form the *native fast path* (DESIGN.md §9): every one of
-//! them exposes batched operations — [`spsc::SpscProducer::push_slice`] /
-//! [`spsc::SpscConsumer::pop_chunk`] on the ring,
+//! them exposes batched operations — `spsc::SpscProducer::push_slice` /
+//! `spsc::SpscConsumer::pop_chunk` on the ring,
 //! [`bounded::MutexQueue::pop_timeout_drain`] and
 //! [`semqueue::SemQueueConsumer::pop_timeout_drain`] on the blocking
 //! queues — so a batch costs one synchronisation transaction, not one
@@ -35,15 +35,15 @@
 #![warn(rust_2018_idioms)]
 
 pub mod backoff;
-pub mod bounded;
+mod bounded;
 pub mod elastic;
-pub mod semaphore;
+mod semaphore;
 pub mod semqueue;
-pub mod spsc;
+mod spsc;
 
 pub use backoff::Backoff;
 pub use bounded::MutexQueue;
 pub use elastic::{ElasticBuffer, GlobalPool};
 pub use semaphore::Semaphore;
 pub use semqueue::SemQueue;
-pub use spsc::{spsc_ring, SpscConsumer, SpscProducer};
+pub use spsc::spsc_ring;

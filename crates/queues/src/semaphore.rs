@@ -57,7 +57,7 @@ impl Semaphore {
 
     /// Acquires one permit, blocking until available. Returns `true` if
     /// the call had to block (i.e. this was a genuine thread sleep/wakeup).
-    pub fn acquire(&self) -> bool {
+    pub(crate) fn acquire(&self) -> bool {
         if self.spin_acquire_many(1) == 1 {
             return false;
         }
@@ -74,7 +74,8 @@ impl Semaphore {
     /// Acquires up to `max` permits at once, blocking for the first.
     /// Returns `(taken, blocked)`. Taking everything available in one call
     /// is the batch-drain idiom used by batching consumers.
-    pub fn acquire_many(&self, max: usize) -> (usize, bool) {
+    #[cfg(test)]
+    pub(crate) fn acquire_many(&self, max: usize) -> (usize, bool) {
         assert!(max > 0, "acquire_many(0)");
         let taken = self.spin_acquire_many(max);
         if taken > 0 {
@@ -92,14 +93,14 @@ impl Semaphore {
     }
 
     /// Attempts to acquire one permit without blocking.
-    pub fn try_acquire(&self) -> bool {
+    pub(crate) fn try_acquire(&self) -> bool {
         self.try_acquire_many(1) == 1
     }
 
     /// Attempts to take up to `max` permits without blocking; returns how
     /// many were taken (possibly zero). One lock acquisition regardless
     /// of the count — the non-blocking half of the batch-drain idiom.
-    pub fn try_acquire_many(&self, max: usize) -> usize {
+    pub(crate) fn try_acquire_many(&self, max: usize) -> usize {
         let mut permits = self.permits.lock();
         let taken = (*permits).min(max);
         *permits -= taken;

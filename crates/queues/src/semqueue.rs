@@ -86,7 +86,7 @@ impl<T> SemQueueProducer<T> {
     /// Pushes as many items from `items` as there are free slots, without
     /// blocking, and returns the count (a prefix of the slice).
     ///
-    /// One `slots` batch-take, one ring [`SpscProducer::push_slice`] and
+    /// One `slots` batch-take, one ring `SpscProducer::push_slice` and
     /// one `items` batch-release — three synchronisation points for the
     /// whole batch instead of three per item.
     pub fn push_slice(&self, items: &[T]) -> usize
@@ -152,7 +152,8 @@ impl<T> SemQueueConsumer<T> {
     /// currently accounted for into `out`. Returns `(count, blocked)`.
     /// This is the batch wait-and-drain the **BP** strategy uses when the
     /// producer signals a full buffer.
-    pub fn wait_drain(&self, out: &mut Vec<T>) -> (usize, bool) {
+    #[cfg(test)]
+    fn wait_drain(&self, out: &mut Vec<T>) -> (usize, bool) {
         let (taken, blocked) = self.shared.items.acquire_many(self.shared.capacity);
         let popped = self.ring.pop_chunk(out, taken);
         debug_assert_eq!(popped, taken, "items semaphore counted these");
@@ -167,7 +168,7 @@ impl<T> SemQueueConsumer<T> {
     /// The consumer-side batch primitive matching
     /// [`MutexQueue::pop_timeout_drain`](crate::MutexQueue::pop_timeout_drain):
     /// one semaphore wait, one non-blocking batch-take of the rest, one
-    /// ring [`SpscConsumer::pop_chunk`] and one `slots` batch-release per
+    /// ring `SpscConsumer::pop_chunk` and one `slots` batch-release per
     /// session.
     pub fn pop_timeout_drain(&self, timeout: Duration, out: &mut Vec<T>) -> Option<(usize, bool)> {
         let blocked = self.shared.items.acquire_timeout(timeout)?;

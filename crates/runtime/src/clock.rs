@@ -9,7 +9,7 @@
 //! millisecond-class OS sleep — the same trick that separates the paper's
 //! SPBP from PBP.
 
-use pc_sim::{SimDuration, SimTime};
+use pc_sim::SimTime;
 use std::time::{Duration, Instant};
 
 /// How close to the deadline the precise sleeper switches from OS sleep
@@ -18,7 +18,7 @@ const SPIN_WINDOW: Duration = Duration::from_micros(200);
 
 /// Sleeps until `deadline` with sub-millisecond accuracy: OS-sleep the
 /// bulk, spin the last ~200 µs.
-pub fn precise_sleep_until(deadline: Instant) {
+pub(crate) fn precise_sleep_until(deadline: Instant) {
     loop {
         let now = Instant::now();
         if now >= deadline {
@@ -33,21 +33,9 @@ pub fn precise_sleep_until(deadline: Instant) {
     }
 }
 
-/// Sleeps until `deadline` using only the plain OS sleep — deliberately
-/// inheriting its wakeup overshoot. This is the PBP path; the paper's
-/// PBP/SPBP gap is exactly this jitter.
-pub fn coarse_sleep_until(deadline: Instant) {
-    let now = Instant::now();
-    if let Some(remaining) = deadline.checked_duration_since(now) {
-        if remaining > Duration::ZERO {
-            std::thread::sleep(remaining);
-        }
-    }
-}
-
 /// Maps simulated trace time onto the wall clock.
 #[derive(Debug, Clone, Copy)]
-pub struct ReplayClock {
+pub(crate) struct ReplayClock {
     epoch: Instant,
     /// Wall seconds per simulated second (1.0 = real time, 0.1 = 10×
     /// fast-forward).
@@ -67,26 +55,22 @@ impl ReplayClock {
     }
 
     /// The wall instant corresponding to simulated time `t`.
-    pub fn wall_deadline(&self, t: SimTime) -> Instant {
+    pub(crate) fn wall_deadline(&self, t: SimTime) -> Instant {
         self.epoch + Duration::from_secs_f64(t.as_secs_f64() * self.scale)
     }
 
     /// Current simulated time.
-    pub fn now_sim(&self) -> SimTime {
+    pub(crate) fn now_sim(&self) -> SimTime {
         let elapsed = self.epoch.elapsed().as_secs_f64() / self.scale;
         SimTime::from_nanos((elapsed * 1e9) as u64)
     }
 
-    /// Sleeps (precisely) until simulated time `t`.
-    pub fn sleep_until_sim(&self, t: SimTime) {
-        precise_sleep_until(self.wall_deadline(t));
-    }
-
-    /// Like [`ReplayClock::sleep_until_sim`], but wakes every `poll` to
-    /// check `stop`; returns `false` if stopped before the deadline.
+    /// Sleeps (precisely) until simulated time `t`, but wakes every
+    /// `poll` to check `stop`; returns `false` if stopped before the
+    /// deadline.
     /// Long inter-arrival gaps in a replayed trace must not outlive a
     /// shutdown request.
-    pub fn sleep_until_sim_or_stop(
+    pub(crate) fn sleep_until_sim_or_stop(
         &self,
         t: SimTime,
         stop: &std::sync::atomic::AtomicBool,
@@ -109,11 +93,6 @@ impl ReplayClock {
                 return !stop.load(std::sync::atomic::Ordering::Relaxed);
             }
         }
-    }
-
-    /// Converts a simulated duration into its wall equivalent.
-    pub fn wall_duration(&self, d: SimDuration) -> Duration {
-        Duration::from_secs_f64(d.as_secs_f64() * self.scale)
     }
 }
 
@@ -155,10 +134,6 @@ mod tests {
         assert!(
             (actual.as_secs_f64() - expected.as_secs_f64()).abs() < 1e-6,
             "{actual:?}"
-        );
-        assert_eq!(
-            clock.wall_duration(SimDuration::from_secs(2)),
-            Duration::from_secs(1)
         );
     }
 

@@ -14,7 +14,7 @@ use std::time::Instant;
 /// Shared counters for one producer-consumer pair. All methods are
 /// callable from any thread.
 #[derive(Debug, Default)]
-pub struct PairCounters {
+pub(crate) struct PairCounters {
     items_produced: AtomicU64,
     items_consumed: AtomicU64,
     /// Consumer thread blocked→runnable transitions.
@@ -31,11 +31,6 @@ pub struct PairCounters {
     latency_sum_ns: AtomicU64,
     /// Maximum item latency, nanoseconds.
     latency_max_ns: AtomicU64,
-    /// Items refused by admission control (overload shedding,
-    /// DESIGN.md §15). Zero unless a strategy sheds.
-    items_shed: AtomicU64,
-    /// Overload windows opened on this pair (admission trips).
-    overload_windows: AtomicU64,
 }
 
 impl PairCounters {
@@ -45,22 +40,22 @@ impl PairCounters {
     }
 
     /// Records items emitted by the producer.
-    pub fn add_produced(&self, n: u64) {
+    pub(crate) fn add_produced(&self, n: u64) {
         self.items_produced.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records items drained by the consumer.
-    pub fn add_consumed(&self, n: u64) {
+    pub(crate) fn add_consumed(&self, n: u64) {
         self.items_consumed.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records one consumer thread wakeup.
-    pub fn add_wakeup(&self) {
+    pub(crate) fn add_wakeup(&self) {
         self.wakeups.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one invocation, classified like the paper's §VI metrics.
-    pub fn add_invocation(&self, scheduled: bool, overflow: bool) {
+    pub(crate) fn add_invocation(&self, scheduled: bool, overflow: bool) {
         self.invocations.fetch_add(1, Ordering::Relaxed);
         if scheduled {
             self.scheduled.fetch_add(1, Ordering::Relaxed);
@@ -70,18 +65,8 @@ impl PairCounters {
         }
     }
 
-    /// Records items refused by admission control.
-    pub fn add_shed(&self, n: u64) {
-        self.items_shed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one admission trip (an overload window opening).
-    pub fn add_overload_window(&self) {
-        self.overload_windows.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one item's latency.
-    pub fn add_latency(&self, produced_at: Instant, consumed_at: Instant) {
+    pub(crate) fn add_latency(&self, produced_at: Instant, consumed_at: Instant) {
         let ns = consumed_at
             .saturating_duration_since(produced_at)
             .as_nanos()
@@ -100,7 +85,7 @@ impl PairCounters {
     }
 
     /// Starts a busy-time measurement; accumulated on drop.
-    pub fn busy_timer(&self) -> UsageTimer<'_> {
+    pub(crate) fn busy_timer(&self) -> UsageTimer<'_> {
         UsageTimer {
             sink: &self.busy_ns,
             start: Instant::now(),
@@ -119,14 +104,13 @@ impl PairCounters {
             busy: SimDuration::from_nanos(self.busy_ns.load(Ordering::Relaxed)),
             latency_sum: SimDuration::from_nanos(self.latency_sum_ns.load(Ordering::Relaxed)),
             latency_max: SimDuration::from_nanos(self.latency_max_ns.load(Ordering::Relaxed)),
-            items_shed: self.items_shed.load(Ordering::Relaxed),
-            overload_windows: self.overload_windows.load(Ordering::Relaxed),
+            items_shed: 0,
         }
     }
 }
 
 /// RAII busy-time accumulator from [`PairCounters::busy_timer`].
-pub struct UsageTimer<'a> {
+pub(crate) struct UsageTimer<'a> {
     sink: &'a AtomicU64,
     start: Instant,
 }
@@ -159,10 +143,9 @@ pub struct PairStats {
     pub latency_sum: SimDuration,
     /// Worst item latency.
     pub latency_max: SimDuration,
-    /// Items refused by admission control (zero unless shedding).
+    /// Always 0: the native runtime has no admission control, so it
+    /// never sheds. Kept for the benchmark harness's conservation check.
     pub items_shed: u64,
-    /// Overload windows opened (admission trips).
-    pub overload_windows: u64,
 }
 
 impl PairStats {
@@ -196,19 +179,6 @@ mod tests {
         assert_eq!(s.invocations, 2);
         assert_eq!(s.scheduled, 1);
         assert_eq!(s.overflows, 1);
-    }
-
-    #[test]
-    fn shed_and_admission_counters_accumulate() {
-        let c = PairCounters::new();
-        assert_eq!(c.snapshot().items_shed, 0);
-        assert_eq!(c.snapshot().overload_windows, 0);
-        c.add_shed(3);
-        c.add_shed(2);
-        c.add_overload_window();
-        let s = c.snapshot();
-        assert_eq!(s.items_shed, 5);
-        assert_eq!(s.overload_windows, 1);
     }
 
     #[test]

@@ -213,9 +213,7 @@ impl NativeHarness {
         // flag (a lost wakeup with no recovery, a blocked primitive nobody
         // signals) would otherwise hang the whole process with zero
         // diagnostics; instead, dump every pair's counters — which pair
-        // stopped consuming, and where — and fail loudly. The dump leads
-        // with the shed/admission counters so a hung *overload* run shows
-        // at a glance whether admission was shedding when it stalled.
+        // stopped consuming, and where — and fail loudly.
         let (done_tx, done_rx) = mpsc::channel();
         let joiner = thread::Builder::new()
             .name("pc-join-watchdog".into())
@@ -232,13 +230,7 @@ impl NativeHarness {
                 let dump: Vec<String> = counters
                     .iter()
                     .enumerate()
-                    .map(|(i, c)| {
-                        let s = c.snapshot();
-                        format!(
-                            "  pair {i}: shed={} overload_windows={} {:?}",
-                            s.items_shed, s.overload_windows, s
-                        )
-                    })
+                    .map(|(i, c)| format!("  pair {i}: {:?}", c.snapshot()))
                     .collect();
                 panic!(
                     "native harness: strategy threads failed to join within \

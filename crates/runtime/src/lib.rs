@@ -8,28 +8,26 @@
 //! PowerTop metrics — thread wakeups and CPU usage — directly from the
 //! blocking primitives.
 //!
-//! * [`clock`] — precise wall-clock pacing: sleep-then-spin deadlines
+//! * `clock` — precise wall-clock pacing: sleep-then-spin deadlines
 //!   (the SPBP trick) and trace replay scaling.
-//! * [`counters`] — wakeup/usage/latency accounting shared by all
+//! * `counters` — wakeup/usage/latency accounting shared by all
 //!   strategy threads.
-//! * [`manager`] — the native PBPL core-manager thread: one armed
+//! * `manager` — the native PBPL core-manager thread: one armed
 //!   deadline per core, re-targeted when earlier reservations arrive,
 //!   waking whole latch groups per timer fire.
-//! * [`strategy`] — one spawn function per strategy (BW, Yield, Mutex,
+//! * `strategy` — one spawn function per strategy (BW, Yield, Mutex,
 //!   Sem, BP, PBP, SPBP, PBPL).
-//! * [`harness`] — spawn/collect machinery returning a
+//! * `harness` — spawn/collect machinery returning a
 //!   [`NativeRunReport`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod clock;
-pub mod counters;
-pub mod harness;
-pub mod manager;
-pub mod strategy;
+mod clock;
+mod counters;
+mod harness;
+mod manager;
+mod strategy;
 
-pub use clock::{precise_sleep_until, ReplayClock};
-pub use counters::{PairCounters, PairStats, UsageTimer};
+pub use counters::PairStats;
 pub use harness::{NativeHarness, NativeRunReport};
-pub use manager::NativeCoreManager;

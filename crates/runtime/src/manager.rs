@@ -31,7 +31,7 @@ struct State {
 }
 
 /// Shared handle to one core's slot-reservation manager.
-pub struct NativeCoreManager {
+pub(crate) struct NativeCoreManager {
     track: SlotTrack,
     state: Mutex<State>,
     /// Arm-generation counter: bumped (under its lock) by every reserve
@@ -72,14 +72,18 @@ impl NativeCoreManager {
     }
 
     /// Registers the semaphore a consumer waits on.
-    pub fn register(&self, consumer: usize, waker: Arc<Semaphore>) {
+    pub(crate) fn register(&self, consumer: usize, waker: Arc<Semaphore>) {
         self.state.lock().wakers.insert(consumer, waker);
     }
 
     /// Registers the consumer's buffer so slot fires can piggyback
     /// neighbours with meaningful batches (§V-A group latching — same
     /// rule as the simulator: occupancy ≥ capacity/8).
-    pub fn register_buffer(&self, consumer: usize, buffer: Arc<Mutex<ElasticBuffer<Instant>>>) {
+    pub(crate) fn register_buffer(
+        &self,
+        consumer: usize,
+        buffer: Arc<Mutex<ElasticBuffer<Instant>>>,
+    ) {
         self.state.lock().buffers.insert(consumer, buffer);
     }
 
@@ -92,7 +96,7 @@ impl NativeCoreManager {
 
     /// Runs a read-only query against the reservation book (used by the
     /// consumer's slot selection).
-    pub fn with_book<R>(&self, f: impl FnOnce(&CoreManager) -> R) -> R {
+    pub(crate) fn with_book<R>(&self, f: impl FnOnce(&CoreManager) -> R) -> R {
         f(&self.state.lock().book)
     }
 
@@ -102,7 +106,7 @@ impl NativeCoreManager {
     }
 
     /// Signals the manager thread to exit after waking all waiters.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         // Order matters: stop is set before the generation bump, so the
         // run loop — which re-checks stop under the arm lock after
         // validating its generation snapshot — can never park after

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 const STOP_POLL: Duration = Duration::from_millis(20);
 
 /// Handle to one running pair (producer + consumer threads).
-pub struct PairHandle {
+pub(crate) struct PairHandle {
     /// Shared counters for this pair.
     pub counters: Arc<PairCounters>,
     threads: Vec<JoinHandle<()>>,
@@ -48,7 +48,7 @@ impl PairHandle {
 }
 
 /// Everything shared a pair needs at spawn time.
-pub struct PairContext {
+pub(crate) struct PairContext {
     /// Index of this pair.
     pub index: usize,
     /// The production timestamps to replay.
@@ -158,7 +158,7 @@ where
 }
 
 /// Spawns the busy-wait (BW) or yielding (Yield) pair.
-pub fn spawn_busy(mut ctx: PairContext, yielding: bool) -> PairHandle {
+pub(crate) fn spawn_busy(mut ctx: PairContext, yielding: bool) -> PairHandle {
     let tap = Tap::new(&ctx);
     // The ring here is plumbing, not the strategy's measured buffer: a
     // spinning consumer drains instantly, so the §III BW/Yield semantics
@@ -228,14 +228,14 @@ impl ItemEndpoint for SemQueueConsumer<Instant> {
 
 /// Spawns the Mutex strategy pair (bounded queue, condvars, item at a
 /// time).
-pub fn spawn_mutex(ctx: PairContext) -> PairHandle {
+pub(crate) fn spawn_mutex(ctx: PairContext) -> PairHandle {
     let q = Arc::new(MutexQueue::<Instant>::new(ctx.capacity));
     let qp = Arc::clone(&q);
     spawn_item_pair(ctx, move |at| qp.push(at), q)
 }
 
 /// Spawns the Sem strategy pair (two semaphores over a circular buffer).
-pub fn spawn_sem(ctx: PairContext) -> PairHandle {
+pub(crate) fn spawn_sem(ctx: PairContext) -> PairHandle {
     let (qp, qc) = SemQueue::<Instant>::new(ctx.capacity);
     spawn_item_pair(ctx, move |at| qp.push(at), qc)
 }
@@ -336,7 +336,7 @@ fn spawn_batch_producer(ctx: &mut PairContext, tap: &Tap) -> (JoinHandle<()>, Ar
 }
 
 /// Spawns the BP pair: the consumer wakes only when the buffer fills.
-pub fn spawn_bp(mut ctx: PairContext) -> PairHandle {
+pub(crate) fn spawn_bp(mut ctx: PairContext) -> PairHandle {
     let tap = Tap::new(&ctx);
     let (producer, buf) = spawn_batch_producer(&mut ctx, &tap);
     let (ctap, stop) = (tap.clone(), ctx.stop);
@@ -370,7 +370,7 @@ pub fn spawn_bp(mut ctx: PairContext) -> PairHandle {
 
 /// Spawns a periodic batching pair. `precise` selects SPBP (spin-finish
 /// timer) versus PBP (plain OS sleep with its jitter).
-pub fn spawn_periodic(mut ctx: PairContext, period: SimTime, precise: bool) -> PairHandle {
+pub(crate) fn spawn_periodic(mut ctx: PairContext, period: SimTime, precise: bool) -> PairHandle {
     let tap = Tap::new(&ctx);
     let (producer, buf) = spawn_batch_producer(&mut ctx, &tap);
     let (ctap, stop) = (tap.clone(), ctx.stop);
@@ -442,7 +442,7 @@ pub fn spawn_periodic(mut ctx: PairContext, period: SimTime, precise: bool) -> P
 /// prediction, ρ-driven slot reservation through the core manager,
 /// overrun upsizing and resizing, and (with `degrade.enabled`) the
 /// prediction-error watchdog.
-pub fn spawn_pbpl(mut ctx: PairContext) -> PairHandle {
+pub(crate) fn spawn_pbpl(mut ctx: PairContext) -> PairHandle {
     let cfg = ctx.pbpl.clone().expect("PBPL context requires a config");
     let manager = ctx
         .manager

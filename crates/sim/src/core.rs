@@ -161,22 +161,6 @@ impl Core {
         }
     }
 
-    /// Whether the core would be active at instant `t` given spans seen so
-    /// far. (Exact for `t` ≤ the latest reported activity.)
-    pub fn is_active_at(&self, t: SimTime) -> bool {
-        if let Some((s, e)) = self.open {
-            if t >= s && t < e {
-                return true;
-            }
-        }
-        // Binary search over the closed timeline.
-        let idx = self.timeline.partition_point(|iv| iv.end <= t);
-        self.timeline
-            .get(idx)
-            .map(|iv| iv.state == CoreState::Active && t >= iv.start)
-            .unwrap_or(false)
-    }
-
     /// End of the currently known activity, i.e. the earliest time the
     /// core could go idle. `None` if the core was never woken.
     pub fn busy_until(&self) -> Option<SimTime> {
@@ -269,7 +253,8 @@ impl CoreReport {
     }
 
     /// Iterator over the idle intervals of the timeline.
-    pub fn idle_intervals(&self) -> impl Iterator<Item = &StateInterval> {
+    #[cfg(test)]
+    fn idle_intervals(&self) -> impl Iterator<Item = &StateInterval> {
         self.timeline
             .iter()
             .filter(|iv| iv.state == CoreState::Idle)
@@ -367,19 +352,6 @@ mod tests {
         assert_eq!(r.idle_time(), SimDuration::from_micros(1000));
         r.validate().unwrap();
         assert_eq!(r.timeline.len(), 1);
-    }
-
-    #[test]
-    fn is_active_at_queries() {
-        let mut c = Core::new(CoreId(0));
-        c.add_active_span(t(10), t(20));
-        c.add_active_span(t(50), t(60));
-        assert!(!c.is_active_at(t(5)));
-        assert!(c.is_active_at(t(10)));
-        assert!(c.is_active_at(t(15)));
-        assert!(!c.is_active_at(t(20))); // end-exclusive
-        assert!(!c.is_active_at(t(30)));
-        assert!(c.is_active_at(t(55)));
     }
 
     #[test]

@@ -259,7 +259,7 @@ impl<E> EventQueue<E> {
     /// wheel's side of the merged pop with the arrival calendar
     /// (DESIGN.md §14). Like [`EventQueue::peek_time`] this may drain
     /// buckets into staging, but it never pops.
-    pub fn peek_key(&mut self) -> Option<(u64, u64)> {
+    pub(crate) fn peek_key(&mut self) -> Option<(u64, u64)> {
         loop {
             while let Some(&(at, seq, idx)) = self.staging.last() {
                 if self.nodes[idx as usize].loc == Loc::Dead {
@@ -279,7 +279,7 @@ impl<E> EventQueue<E> {
     /// without scheduling anything. The arrival calendar draws its seqs
     /// here so wheel events and arrivals share one global `(time, seq)`
     /// total order — the linchpin of the bit-identical merged pop.
-    pub fn take_seq(&mut self) -> u64 {
+    pub(crate) fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         seq

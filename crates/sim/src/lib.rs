@@ -6,23 +6,23 @@
 //! board measured with an oscilloscope. Instead of a board we provide a
 //! deterministic simulation of a multicore machine:
 //!
-//! * [`time`] — nanosecond-resolution simulated time ([`SimTime`]) and
+//! * `time` — nanosecond-resolution simulated time ([`SimTime`]) and
 //!   durations ([`SimDuration`]) with checked/saturating arithmetic.
 //! * [`event`] — a cancellable priority event queue ([`EventQueue`]) with
 //!   stable FIFO ordering for simultaneous events.
-//! * [`arrival`] — the arrival-calendar merge front-end
+//! * `arrival` — the arrival-calendar merge front-end
 //!   ([`ArrivalCalendar`]): pre-sorted per-source workload arrivals
 //!   merged in O(log M) per item, popped by the engine in one
 //!   `(time, seq)` total order with the wheel (DESIGN.md §14).
-//! * [`engine`] — a thin driver ([`Engine`]) combining the queue with a
+//! * `engine` — a thin driver ([`Engine`]) combining the queue with a
 //!   monotonic clock, used by higher-level system models.
 //! * [`core`] — per-core activity accounting ([`Core`]): merged active
 //!   spans, wakeup counting and an idle/active interval timeline that the
 //!   `pc-power` crate integrates into energy figures.
-//! * [`rng`] — a tiny, fully deterministic SplitMix64/xoshiro256** RNG with
+//! * `rng` — a tiny, fully deterministic SplitMix64/xoshiro256** RNG with
 //!   the distributions the workload models need (uniform, exponential,
 //!   normal), so simulations are bit-reproducible across runs and platforms.
-//! * [`timer`] — timer inaccuracy models. The paper's PBP vs SPBP gap is
+//! * `timer` — timer inaccuracy models. The paper's PBP vs SPBP gap is
 //!   caused purely by `nanosleep()` jitter versus `SIGALRM` accuracy; the
 //!   [`timer::TimerModel`] reproduces that mechanism.
 //!
@@ -33,17 +33,17 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod arrival;
+mod arrival;
 pub mod core;
-pub mod engine;
+mod engine;
 pub mod event;
 pub mod model;
-pub mod rng;
-pub mod time;
-pub mod timer;
+mod rng;
+mod time;
+mod timer;
 
 pub use crate::arrival::ArrivalCalendar;
-pub use crate::core::{Core, CoreId, CoreState, StateInterval};
+pub use crate::core::{Core, CoreId, CoreState};
 pub use crate::engine::{Engine, Popped};
 pub use crate::event::{EventId, EventQueue, QueueStats};
 pub use crate::rng::SimRng;

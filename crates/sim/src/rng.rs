@@ -47,13 +47,6 @@ impl SimRng {
         }
     }
 
-    /// Derives a child generator; used to give each producer its own
-    /// independent stream so adding a producer never perturbs the others'
-    /// draws (the paper's producers are explicitly rate-independent).
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        SimRng::new(self.next_u64() ^ stream.wrapping_mul(0xA076_1D64_78BD_642F))
-    }
-
     /// Next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -101,7 +94,7 @@ impl SimRng {
     }
 
     /// Standard normal via Box–Muller (cached pair).
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         if let Some(z) = self.spare_normal.take() {
             return z;
         }
@@ -117,12 +110,6 @@ impl SimRng {
     #[inline]
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.standard_normal()
-    }
-
-    /// `true` with probability `p` (clamped to `[0, 1]`).
-    #[inline]
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.next_f64() < p
     }
 }
 
@@ -145,18 +132,6 @@ mod tests {
         let mut b = SimRng::new(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn forked_streams_are_independent_of_parent_progress() {
-        // fork(k) after identical parent history must agree.
-        let mut p1 = SimRng::new(5);
-        let mut p2 = SimRng::new(5);
-        let mut c1 = p1.fork(3);
-        let mut c2 = p2.fork(3);
-        for _ in 0..100 {
-            assert_eq!(c1.next_u64(), c2.next_u64());
-        }
     }
 
     #[test]
@@ -202,13 +177,5 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 5.0).abs() < 0.05, "mean {mean}");
         assert!((var - 4.0).abs() < 0.15, "var {var}");
-    }
-
-    #[test]
-    fn chance_frequency() {
-        let mut r = SimRng::new(23);
-        let hits = (0..100_000).filter(|_| r.chance(0.25)).count();
-        let f = hits as f64 / 100_000.0;
-        assert!((f - 0.25).abs() < 0.01, "freq {f}");
     }
 }

@@ -180,12 +180,6 @@ impl SimDuration {
         self.0 == 0
     }
 
-    /// Checked subtraction.
-    #[inline]
-    pub fn checked_sub(self, other: SimDuration) -> Option<SimDuration> {
-        self.0.checked_sub(other.0).map(SimDuration)
-    }
-
     /// Saturating subtraction.
     #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {

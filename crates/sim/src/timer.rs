@@ -82,18 +82,6 @@ impl TimerModel {
             }
         }
     }
-
-    /// Mean overshoot of this model (exact for `Perfect`/`Fixed`/`Uniform`;
-    /// for the truncated Gaussian this is the untruncated mean, a close
-    /// upper bound when `mean ≫ std_dev` is not violated badly).
-    pub fn mean_overshoot(&self) -> SimDuration {
-        match *self {
-            TimerModel::Perfect => SimDuration::ZERO,
-            TimerModel::Fixed { latency } => latency,
-            TimerModel::Gaussian { mean, .. } => mean,
-            TimerModel::Uniform { lo, hi } => (lo.saturating_add(hi)) / 2,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -187,14 +175,5 @@ mod tests {
         let d = SimDuration::from_micros(4);
         let m = TimerModel::Uniform { lo: d, hi: d };
         assert_eq!(m.fire_time(SimTime::ZERO, &mut rng), SimTime::ZERO + d);
-    }
-
-    #[test]
-    fn mean_overshoot_accessor() {
-        assert_eq!(TimerModel::Perfect.mean_overshoot(), SimDuration::ZERO);
-        assert_eq!(
-            TimerModel::nanosleep_like().mean_overshoot(),
-            SimDuration::from_micros(1_800)
-        );
     }
 }

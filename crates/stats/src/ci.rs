@@ -99,7 +99,7 @@ const T_99: [(u32, f64); 34] = [
 ///
 /// For df between table rows the next *smaller* tabulated df is used, which
 /// errs on the conservative (wider-interval) side. Panics if `df == 0`.
-pub fn t_critical(df: u32, level: ConfidenceLevel) -> f64 {
+pub(crate) fn t_critical(df: u32, level: ConfidenceLevel) -> f64 {
     assert!(df > 0, "t-distribution needs at least 1 degree of freedom");
     let table: &[(u32, f64)] = match level {
         ConfidenceLevel::P95 => &T_95,
@@ -129,23 +129,6 @@ pub struct ConfidenceInterval {
     pub level: ConfidenceLevel,
 }
 
-impl ConfidenceInterval {
-    /// Lower bound.
-    pub fn lo(&self) -> f64 {
-        self.mean - self.half_width
-    }
-
-    /// Upper bound.
-    pub fn hi(&self) -> f64 {
-        self.mean + self.half_width
-    }
-
-    /// Whether `x` lies inside the interval.
-    pub fn contains(&self, x: f64) -> bool {
-        x >= self.lo() && x <= self.hi()
-    }
-}
-
 impl std::fmt::Display for ConfidenceInterval {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:.3} ± {:.3}", self.mean, self.half_width)
@@ -156,7 +139,7 @@ impl std::fmt::Display for ConfidenceInterval {
 ///
 /// With a single sample the half-width is reported as `NaN` (unknown
 /// spread), matching [`std_error`]'s behaviour.
-pub fn confidence_interval(samples: &[f64], level: ConfidenceLevel) -> ConfidenceInterval {
+pub(crate) fn confidence_interval(samples: &[f64], level: ConfidenceLevel) -> ConfidenceInterval {
     let m = mean(samples);
     if samples.len() < 2 {
         return ConfidenceInterval {
@@ -214,8 +197,6 @@ mod tests {
         assert_eq!(ci.mean, 2.0);
         let expected = 4.303 / 3f64.sqrt();
         assert!((ci.half_width - expected).abs() < 1e-9);
-        assert!(ci.contains(2.0));
-        assert!(!ci.contains(6.0));
     }
 
     #[test]
@@ -241,14 +222,12 @@ mod tests {
     }
 
     #[test]
-    fn bounds_and_display() {
+    fn display_shows_mean_and_half_width() {
         let ci = ConfidenceInterval {
             mean: 10.0,
             half_width: 2.0,
             level: ConfidenceLevel::P95,
         };
-        assert_eq!(ci.lo(), 8.0);
-        assert_eq!(ci.hi(), 12.0);
         assert_eq!(ci.to_string(), "10.000 ± 2.000");
     }
 }

@@ -14,7 +14,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 
 /// Unbiased (Bessel-corrected) sample variance. `NaN` for fewer than two
 /// samples.
-pub fn sample_variance(xs: &[f64]) -> f64 {
+pub(crate) fn sample_variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return f64::NAN;
     }
@@ -23,12 +23,12 @@ pub fn sample_variance(xs: &[f64]) -> f64 {
 }
 
 /// Sample standard deviation. `NaN` for fewer than two samples.
-pub fn sample_std_dev(xs: &[f64]) -> f64 {
+pub(crate) fn sample_std_dev(xs: &[f64]) -> f64 {
     sample_variance(xs).sqrt()
 }
 
 /// Standard error of the mean. `NaN` for fewer than two samples.
-pub fn std_error(xs: &[f64]) -> f64 {
+pub(crate) fn std_error(xs: &[f64]) -> f64 {
     sample_std_dev(xs) / (xs.len() as f64).sqrt()
 }
 
@@ -40,37 +40,6 @@ pub fn min(xs: &[f64]) -> f64 {
 /// Maximum of the samples. `NaN` for an empty slice.
 pub fn max(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(f64::NAN, f64::max)
-}
-
-/// Percentile via linear interpolation between order statistics
-/// (the common "type 7" definition). `p` in `[0, 100]`. `NaN` for an
-/// empty slice.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample in percentile"));
-    let p = p.clamp(0.0, 100.0) / 100.0;
-    let rank = p * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
-}
-
-/// Coefficient of variation (`std_dev / mean`). A unitless burstiness
-/// measure used when characterising traces. `NaN` when undefined.
-pub fn coefficient_of_variation(xs: &[f64]) -> f64 {
-    let m = mean(xs);
-    if m == 0.0 {
-        return f64::NAN;
-    }
-    sample_std_dev(xs) / m
 }
 
 #[cfg(test)]
@@ -116,26 +85,5 @@ mod tests {
         assert_eq!(min(&xs), -1.0);
         assert_eq!(max(&xs), 7.5);
         assert!(min(&[]).is_nan());
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 100.0), 4.0);
-        assert_eq!(percentile(&xs, 50.0), 2.5);
-        assert!((percentile(&xs, 25.0) - 1.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn percentile_single_element() {
-        assert_eq!(percentile(&[9.0], 50.0), 9.0);
-    }
-
-    #[test]
-    fn cv_unitless() {
-        let xs = [10.0, 20.0, 30.0];
-        let expected = sample_std_dev(&xs) / 20.0;
-        assert!((coefficient_of_variation(&xs) - expected).abs() < 1e-12);
     }
 }

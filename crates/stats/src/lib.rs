@@ -6,31 +6,28 @@
 //! significant effect on power", accepted at 99% confidence). This crate
 //! implements exactly those tools:
 //!
-//! * [`descriptive`] — mean, variance, standard deviation, standard error.
-//! * [`ci`] — Student-t confidence intervals (the correct small-sample
+//! * `descriptive` — mean, variance, standard deviation, standard error.
+//! * `ci` — Student-t confidence intervals (the correct small-sample
 //!   interval for 3 replicates).
-//! * [`corr`] — Pearson correlation plus the t-test for its significance.
-//! * [`regression`] — ordinary least squares for trend lines.
-//! * [`histogram`] — fixed-width histograms for latency distributions.
-//! * [`summary`] — a `mean ± half-width` presentation type used by every
+//! * `corr` — Pearson correlation plus the t-test for its significance.
+//! * `regression` — ordinary least squares for trend lines.
+//! * `summary` — a `mean ± half-width` presentation type used by every
 //!   experiment runner.
-//! * [`ttest`] — the paired t-test for same-seed strategy comparisons.
+//! * `ttest` — the paired t-test for same-seed strategy comparisons.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod ci;
-pub mod corr;
-pub mod descriptive;
-pub mod histogram;
-pub mod regression;
-pub mod summary;
-pub mod ttest;
+mod ci;
+mod corr;
+mod descriptive;
+mod regression;
+mod summary;
+mod ttest;
 
-pub use ci::{confidence_interval, t_critical, ConfidenceInterval, ConfidenceLevel};
-pub use corr::{correlation_significance, pearson, CorrelationTest};
-pub use descriptive::{mean, sample_std_dev, sample_variance, std_error};
-pub use histogram::Histogram;
-pub use regression::{linear_fit, LinearFit};
+pub use ci::ConfidenceLevel;
+pub use corr::{correlation_significance, pearson};
+pub use descriptive::mean;
+pub use regression::linear_fit;
 pub use summary::Summary;
-pub use ttest::{paired_t_test, PairedTTest};
+pub use ttest::paired_t_test;

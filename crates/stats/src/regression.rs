@@ -19,13 +19,6 @@ pub struct LinearFit {
     pub n: usize,
 }
 
-impl LinearFit {
-    /// Predicted `y` at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
-}
-
 /// Fits `y = slope·x + intercept` by least squares.
 ///
 /// Returns `None` for fewer than two points or a constant predictor.
@@ -83,17 +76,6 @@ mod tests {
         let fit = linear_fit(&xs, &ys).unwrap();
         assert!(fit.r_squared > 0.98 && fit.r_squared < 1.0);
         assert!((fit.slope - 1.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn predict_interpolates() {
-        let fit = LinearFit {
-            slope: 2.0,
-            intercept: 1.0,
-            r_squared: 1.0,
-            n: 2,
-        };
-        assert_eq!(fit.predict(3.0), 7.0);
     }
 
     #[test]

@@ -38,17 +38,6 @@ impl Summary {
             ci95: confidence_interval(samples, ConfidenceLevel::P95),
         }
     }
-
-    /// Relative change of this summary's mean versus a baseline mean,
-    /// as a signed fraction (−0.20 = 20% lower). `NaN` if the baseline
-    /// mean is zero.
-    pub fn relative_to(&self, baseline: &Summary) -> f64 {
-        if baseline.mean == 0.0 {
-            f64::NAN
-        } else {
-            (self.mean - baseline.mean) / baseline.mean
-        }
-    }
 }
 
 impl std::fmt::Display for Summary {
@@ -78,20 +67,6 @@ mod tests {
         assert_eq!(s.max, 12.0);
         assert_eq!(s.samples.len(), 3);
         assert!(s.ci95.half_width > 0.0);
-    }
-
-    #[test]
-    fn relative_change() {
-        let base = Summary::of("w", &[100.0, 100.0]);
-        let lower = Summary::of("w", &[80.0, 80.0]);
-        assert!((lower.relative_to(&base) + 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn relative_to_zero_baseline_is_nan() {
-        let base = Summary::of("w", &[0.0, 0.0]);
-        let other = Summary::of("w", &[1.0]);
-        assert!(other.relative_to(&base).is_nan());
     }
 
     #[test]

@@ -100,7 +100,7 @@ impl PlanetConfig {
     /// Mean rate of pair `i`: log-uniform over `[r/√spread·c, r·√spread·c]`
     /// with the normaliser `c = ln(spread)/(spread − 1) · √spread` chosen
     /// so the expectation over uniform weights is exactly `mean_rate`.
-    pub fn pair_rate(&self, i: usize) -> f64 {
+    pub(crate) fn pair_rate(&self, i: usize) -> f64 {
         assert!(self.rate_spread >= 1.0, "rate spread must be ≥ 1");
         if self.rate_spread == 1.0 {
             return self.mean_rate;
@@ -112,7 +112,7 @@ impl PlanetConfig {
     }
 
     /// Whether pair `i` carries flash-crowd bursts.
-    pub fn is_flash_pair(&self, i: usize) -> bool {
+    pub(crate) fn is_flash_pair(&self, i: usize) -> bool {
         self.flash_every != usize::MAX && i.is_multiple_of(self.flash_every.max(1))
     }
 
@@ -127,7 +127,7 @@ impl PlanetConfig {
 
     /// Generates pair `i`'s trace alone (used by [`Self::traces`] and by
     /// tests that probe single pairs out of a large fleet).
-    pub fn pair_trace(&self, seed: u64, i: usize, pairs: usize) -> Trace {
+    pub(crate) fn pair_trace(&self, seed: u64, i: usize, pairs: usize) -> Trace {
         let mut cfg = self.base.clone();
         cfg.mean_rate = self.pair_rate(i);
         if self.is_flash_pair(i) {

@@ -108,7 +108,8 @@ impl Trace {
     }
 
     /// Iterator over inter-arrival gaps.
-    pub fn interarrivals(&self) -> impl Iterator<Item = SimDuration> + '_ {
+    #[cfg(test)]
+    pub(crate) fn interarrivals(&self) -> impl Iterator<Item = SimDuration> + '_ {
         self.times.windows(2).map(|w| w[1] - w[0])
     }
 
@@ -119,16 +120,6 @@ impl Trace {
             times: self.times[..n].to_vec(),
             horizon,
         }
-    }
-
-    /// Serialises to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trace serialisation cannot fail")
-    }
-
-    /// Deserialises from JSON produced by [`Trace::to_json`].
-    pub fn from_json(json: &str) -> Result<Trace, serde_json::Error> {
-        serde_json::from_str(json)
     }
 }
 
@@ -222,14 +213,6 @@ mod tests {
         assert_eq!(gaps[0], SimDuration::from_millis(100));
         assert_eq!(gaps[1], SimDuration::from_millis(50));
         assert_eq!(gaps.len(), 4);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let tr = sample_trace();
-        let json = tr.to_json();
-        let back = Trace::from_json(&json).unwrap();
-        assert_eq!(back, tr);
     }
 
     #[test]

@@ -250,7 +250,18 @@ fn modulation_at(timeline: &[(f64, f64)], t: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rate::windowed_rates;
+
+    /// Items/second in each consecutive `window` up to the horizon.
+    fn window_rates(trace: &Trace, window: SimDuration) -> Vec<f64> {
+        let mut rates = Vec::new();
+        let mut start = SimTime::ZERO;
+        while start < trace.horizon() {
+            let end = start.saturating_add(window).min(trace.horizon());
+            rates.push(trace.count_between(start, end) as f64 / end.since(start).as_secs_f64());
+            start = end;
+        }
+        rates
+    }
 
     #[test]
     fn deterministic_per_seed() {
@@ -336,7 +347,7 @@ mod tests {
         // must swing substantially.
         let cfg = WorldCupConfig::quick_test();
         let trace = cfg.generate(13);
-        let rates = windowed_rates(&trace, SimDuration::from_millis(10));
+        let rates = window_rates(&trace, SimDuration::from_millis(10));
         let max = rates.iter().cloned().fold(0.0f64, f64::max);
         let min = rates.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(

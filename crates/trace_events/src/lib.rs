@@ -501,7 +501,7 @@ impl TraceHandle {
 
     /// Whether a recorder is attached.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.recorder.is_some()
     }
 
@@ -850,11 +850,6 @@ pub fn event_to_json(ev: &Event) -> String {
     serde_json::to_string(ev).expect("event serialisation is infallible")
 }
 
-/// Parses one event back from its canonical JSON line.
-pub fn event_from_json(line: &str) -> Result<Event, String> {
-    serde_json::from_str(line).map_err(|e| e.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1007,6 +1002,11 @@ mod tests {
             },
             TraceEvent::OverloadCleared { pair: 3, shed: 12 },
         ]
+    }
+
+    /// Parses one event back from its canonical JSON line.
+    fn event_from_json(line: &str) -> Result<Event, String> {
+        serde_json::from_str(line).map_err(|e| e.to_string())
     }
 
     fn all_events() -> Vec<Event> {
