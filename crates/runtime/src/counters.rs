@@ -144,7 +144,8 @@ pub struct PairStats {
     /// Worst item latency.
     pub latency_max: SimDuration,
     /// Always 0: the native runtime has no admission control, so it
-    /// never sheds. Kept for the benchmark harness's conservation check.
+    /// never sheds. Kept because the `benchmark/` package's native
+    /// conservation check reads it.
     pub items_shed: u64,
 }
 
