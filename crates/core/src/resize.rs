@@ -94,4 +94,24 @@ mod tests {
         assert_eq!(overrun_target(100_000.0, ms(10), ms(11), 1.0), 100);
         assert_eq!(overrun_target(100_000.0, ms(10), ms(11), 1.5), 150);
     }
+
+    #[test]
+    fn capacity_target_never_drops_below_one() {
+        assert_eq!(capacity_target(100.0, 0.0), 1);
+        assert_eq!(capacity_target(100.0, -2.0), 1, "negative margin clamps");
+        assert_eq!(capacity_target(0.3, 1.0), 1);
+    }
+
+    #[test]
+    fn fill_is_zero_at_the_slot_boundary() {
+        assert_eq!(predicted_fill(5000.0, ms(15), ms(15)), 0.0);
+        assert_eq!(overrun_target(5000.0, ms(15), ms(15), 1.0), 1);
+    }
+
+    #[test]
+    fn empty_buffer_grows_to_the_prediction() {
+        assert_eq!(plan_resize(0, 0.0, 1.0), ResizePlan::Grow(1));
+        assert_eq!(plan_resize(0, 40.0, 1.25), ResizePlan::Grow(50));
+        assert_eq!(plan_resize(1, 0.0, 1.0), ResizePlan::Keep);
+    }
 }

@@ -140,4 +140,48 @@ mod tests {
     fn zero_delta_panics() {
         SlotTrack::new(SimDuration::ZERO);
     }
+
+    #[test]
+    fn misalignment_is_the_offset_into_the_slot() {
+        let track = SlotTrack::new(ms(2));
+        assert_eq!(track.misalignment(at_ms(4)), SimDuration::ZERO);
+        assert_eq!(
+            track.misalignment(SimTime::from_micros(5300)),
+            SimDuration::from_micros(1300)
+        );
+    }
+
+    #[test]
+    fn consecutive_slot_starts_are_delta_apart() {
+        let track = SlotTrack::with_origin(SimDuration::from_micros(750), at_ms(3));
+        for idx in 0..100u64 {
+            assert_eq!(
+                track.slot_start(idx + 1) - track.slot_start(idx),
+                track.delta()
+            );
+        }
+    }
+
+    #[test]
+    fn g_is_idempotent_and_monotone() {
+        let track = SlotTrack::new(SimDuration::from_micros(300));
+        let mut prev = SimTime::ZERO;
+        for k in 0..3000u64 {
+            let t = SimTime::from_micros(k * 7);
+            assert_eq!(track.g(track.g(t)), track.g(t));
+            assert!(track.g(t) >= prev);
+            prev = track.g(t);
+        }
+    }
+
+    #[test]
+    fn next_slot_starts_after_the_argument() {
+        let track = SlotTrack::new(SimDuration::from_micros(900));
+        for k in 0..2000u64 {
+            let t = SimTime::from_micros(k * 11);
+            let next = track.slot_start(track.next_slot_after(t));
+            assert!(next > t);
+            assert!(next.saturating_since(t) <= track.delta());
+        }
+    }
 }

@@ -103,4 +103,38 @@ mod tests {
         let busy = YIELD_TICK.saturating_sub(YIELD_IDLE_PER_TICK);
         assert!(busy.as_secs_f64() / YIELD_TICK.as_secs_f64() > 0.95);
     }
+
+    #[test]
+    fn item_driven_work_matches_its_formula() {
+        let m = PowerModel::exynos_like();
+        // 5 µs dispatch + 10 × (2 µs item + 400 ns lock round-trip).
+        assert_eq!(
+            item_driven_work(&m, 10, MUTEX_SYNC_FACTOR),
+            SimDuration::from_micros(29)
+        );
+        // The semaphore pays 250 ns of the 400 ns per item.
+        assert_eq!(
+            item_driven_work(&m, 10, SEM_SYNC_FACTOR),
+            SimDuration::from_nanos(27_500)
+        );
+    }
+
+    #[test]
+    fn item_driven_work_grows_by_a_constant_per_item() {
+        let m = PowerModel::exynos_like();
+        let step = item_driven_work(&m, 1, MUTEX_SYNC_FACTOR) - item_driven_work(&m, 0, 1.0);
+        for n in 1..50 {
+            let d = item_driven_work(&m, n + 1, MUTEX_SYNC_FACTOR)
+                - item_driven_work(&m, n, MUTEX_SYNC_FACTOR);
+            assert_eq!(d, step);
+        }
+    }
+
+    #[test]
+    fn batch_work_is_the_power_model_batch_cost() {
+        let m = PowerModel::exynos_like();
+        for n in [0, 1, 17, 1000] {
+            assert_eq!(batch_work(&m, n), m.batch_cpu(n));
+        }
+    }
 }

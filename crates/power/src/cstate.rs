@@ -202,4 +202,63 @@ mod tests {
     fn empty_ladder_rejected() {
         CStateLadder::new(vec![]);
     }
+
+    #[test]
+    #[should_panic(expected = "shorter target residency")]
+    fn shrinking_residency_rejected() {
+        CStateLadder::new(vec![
+            CState {
+                name: "a".into(),
+                power_w: 0.2,
+                transition: SimDuration::ZERO,
+                target_residency: SimDuration::from_micros(50),
+            },
+            CState {
+                name: "b".into(),
+                power_w: 0.1,
+                transition: SimDuration::ZERO,
+                target_residency: SimDuration::from_micros(10),
+            },
+        ]);
+    }
+
+    #[test]
+    fn idle_energy_charges_transition_at_active_power() {
+        let ladder = CStateLadder::exynos_like();
+        // C2 over 1 ms: 80 µs of transition at 1.6 W, 920 µs at 0.15 W.
+        let e = ladder.idle_energy(1, SimDuration::from_millis(1), 1.6);
+        let expected = 80e-6 * 1.6 + 920e-6 * 0.15;
+        assert!((e - expected).abs() < 1e-12, "{e} vs {expected}");
+        // An idle shorter than the transition is all transition.
+        let short = ladder.idle_energy(2, SimDuration::from_micros(10), 1.6);
+        assert!((short - 10e-6 * 1.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn deepest_fitting_never_gets_shallower_with_longer_idle() {
+        let ladder = CStateLadder::exynos_like();
+        let mut prev = 0;
+        for us in (0..3000).step_by(10) {
+            let pick = ladder.deepest_fitting(SimDuration::from_micros(us));
+            assert!(pick >= prev, "{us} µs picked {pick} after {prev}");
+            assert!(pick < ladder.len());
+            prev = pick;
+        }
+        assert_eq!(prev, ladder.len() - 1);
+    }
+
+    #[test]
+    fn single_state_ladder_always_picks_its_state() {
+        let ladder = CStateLadder::new(vec![CState {
+            name: "only".into(),
+            power_w: 0.2,
+            transition: SimDuration::from_micros(1),
+            target_residency: SimDuration::from_millis(5),
+        }]);
+        assert!(!ladder.is_empty());
+        assert_eq!(ladder.len(), 1);
+        for idle in [SimDuration::ZERO, SimDuration::from_secs(1)] {
+            assert_eq!(ladder.deepest_fitting(idle), 0);
+        }
+    }
 }

@@ -129,4 +129,31 @@ mod tests {
         assert_eq!(m.batch_cpu(0), m.dispatch_cpu);
         assert_eq!(m.item_energy_j(0.0), 0.0);
     }
+
+    #[test]
+    fn batch_cpu_is_dispatch_plus_per_item_time() {
+        let m = PowerModel::exynos_like();
+        assert_eq!(m.batch_cpu(3), SimDuration::from_micros(5 + 3 * 2));
+        assert_eq!(m.batch_cpu(7), m.dispatch_cpu + m.item_cpu * 7);
+    }
+
+    #[test]
+    fn deep_idle_power_is_the_last_ladder_state() {
+        let m = PowerModel::exynos_like();
+        let states = m.ladder.states();
+        assert_eq!(m.deep_idle_power_w(), states[states.len() - 1].power_w);
+        assert!(states.iter().all(|s| s.power_w >= m.deep_idle_power_w()));
+    }
+
+    #[test]
+    fn exynos_calibration_matches_its_documented_constants() {
+        let m = PowerModel::exynos_like();
+        assert_eq!(m.active_power_w, 1.6);
+        assert_eq!(m.wakeup_energy_j, 120e-6);
+        assert_eq!(m.item_cpu, SimDuration::from_micros(2));
+        assert_eq!(m.sync_op_cpu, SimDuration::from_nanos(400));
+        assert_eq!(m.dispatch_cpu, SimDuration::from_micros(5));
+        // Extra watts are reported above the board baseline.
+        assert!(m.baseline_w > m.active_power_w);
+    }
 }

@@ -82,4 +82,38 @@ mod tests {
         b.reset();
         assert!(!b.is_completed());
     }
+
+    #[test]
+    fn still_spinning_one_snooze_before_the_limit() {
+        let mut b = Backoff::new();
+        for _ in 0..SPIN_LIMIT - 1 {
+            b.snooze();
+        }
+        assert!(!b.is_completed());
+        b.snooze();
+        assert!(b.is_completed());
+    }
+
+    #[test]
+    fn default_starts_at_the_shortest_step() {
+        let mut b = Backoff::default();
+        assert!(!b.is_completed());
+        for _ in 0..SPIN_LIMIT {
+            b.snooze();
+        }
+        assert!(b.is_completed());
+    }
+
+    #[test]
+    fn reset_restores_the_full_spin_budget() {
+        let mut b = Backoff::new();
+        for _ in 0..SPIN_LIMIT + 3 {
+            b.snooze();
+        }
+        b.reset();
+        for _ in 0..SPIN_LIMIT - 1 {
+            b.snooze();
+            assert!(!b.is_completed());
+        }
+    }
 }

@@ -235,4 +235,53 @@ mod tests {
         assert_eq!(s.items_produced, 40_000);
         assert_eq!(s.wakeups, 40_000);
     }
+
+    #[test]
+    fn fresh_counters_snapshot_to_zero() {
+        let s = PairCounters::new().snapshot();
+        assert_eq!(s.items_produced + s.items_consumed + s.wakeups, 0);
+        assert_eq!(s.invocations + s.scheduled + s.overflows + s.items_shed, 0);
+        assert_eq!(s.busy, SimDuration::ZERO);
+        assert_eq!(s.latency_max, SimDuration::ZERO);
+        assert_eq!(s.mean_latency(), SimDuration::ZERO, "no items, no latency");
+    }
+
+    #[test]
+    fn consume_counts_the_batch_and_its_latency() {
+        let c = PairCounters::new();
+        let now = Instant::now();
+        let earlier = now.checked_sub(Duration::from_millis(2)).unwrap_or(now);
+        c.consume(&[earlier, now]);
+        let s = c.snapshot();
+        assert_eq!(s.items_consumed, 2);
+        assert!(
+            s.latency_max
+                >= SimDuration::from_nanos(now.saturating_duration_since(earlier).as_nanos() as u64)
+        );
+        assert!(s.latency_sum >= s.latency_max);
+        c.consume(&[]);
+        assert_eq!(c.snapshot().items_consumed, 2);
+    }
+
+    #[test]
+    fn an_invocation_can_be_both_scheduled_and_an_overflow() {
+        let c = PairCounters::new();
+        c.add_invocation(true, true);
+        c.add_invocation(false, false);
+        let s = c.snapshot();
+        assert_eq!((s.invocations, s.scheduled, s.overflows), (2, 1, 1));
+    }
+
+    #[test]
+    fn latency_max_keeps_the_largest_sample() {
+        let c = PairCounters::new();
+        let t0 = Instant::now();
+        c.add_latency(t0, t0 + Duration::from_micros(500));
+        c.add_latency(t0, t0 + Duration::from_micros(50));
+        c.add_consumed(2);
+        let s = c.snapshot();
+        assert_eq!(s.latency_max, SimDuration::from_micros(500));
+        assert_eq!(s.latency_sum, SimDuration::from_micros(550));
+        assert_eq!(s.mean_latency(), SimDuration::from_micros(275));
+    }
 }

@@ -178,4 +178,52 @@ mod tests {
         assert!((mean - 5.0).abs() < 0.05, "mean {mean}");
         assert!((var - 4.0).abs() < 0.15, "var {var}");
     }
+
+    #[test]
+    fn uniform_stays_in_its_range() {
+        let mut r = SimRng::new(23);
+        for _ in 0..10_000 {
+            let x = r.uniform(-2.0, 3.0);
+            assert!((-2.0..3.0).contains(&x), "{x}");
+        }
+    }
+
+    #[test]
+    fn next_below_one_is_always_zero() {
+        let mut r = SimRng::new(29);
+        assert!((0..1000).all(|_| r.next_below(1) == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "next_below(0)")]
+    fn next_below_zero_panics() {
+        SimRng::new(1).next_below(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rate must be positive")]
+    fn exponential_rejects_zero_rate() {
+        SimRng::new(1).exponential(0.0);
+    }
+
+    #[test]
+    fn normal_pairs_share_one_pair_of_uniform_draws() {
+        // Box–Muller yields two normals per two uniforms: after two normal
+        // draws the underlying stream has advanced exactly two steps.
+        let mut a = SimRng::new(31);
+        let mut b = a.clone();
+        a.normal(0.0, 1.0);
+        a.normal(0.0, 1.0);
+        b.next_u64();
+        b.next_u64();
+        assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn zero_std_dev_normal_is_its_mean() {
+        let mut r = SimRng::new(37);
+        for _ in 0..100 {
+            assert_eq!(r.normal(3.5, 0.0), 3.5);
+        }
+    }
 }

@@ -176,4 +176,45 @@ mod tests {
         let m = TimerModel::Uniform { lo: d, hi: d };
         assert_eq!(m.fire_time(SimTime::ZERO, &mut rng), SimTime::ZERO + d);
     }
+
+    #[test]
+    fn same_seed_same_firing_sequence() {
+        let m = TimerModel::nanosleep_like();
+        let t = SimTime::from_millis(3);
+        let mut a = SimRng::new(8);
+        let mut b = SimRng::new(8);
+        for _ in 0..500 {
+            assert_eq!(m.fire_time(t, &mut a), m.fire_time(t, &mut b));
+        }
+    }
+
+    #[test]
+    fn firing_time_saturates_at_the_end_of_time() {
+        let mut rng = SimRng::new(9);
+        let m = TimerModel::Fixed {
+            latency: SimDuration::from_secs(1),
+        };
+        assert_eq!(m.fire_time(SimTime::MAX, &mut rng), SimTime::MAX);
+        let late = SimTime::MAX.saturating_sub(SimDuration::from_nanos(1));
+        assert_eq!(
+            TimerModel::sigalrm_like().fire_time(SimTime::MAX, &mut rng),
+            SimTime::MAX
+        );
+        assert!(TimerModel::nanosleep_like().fire_time(late, &mut rng) >= late);
+    }
+
+    #[test]
+    fn zero_spread_gaussian_fires_at_its_mean() {
+        let mut rng = SimRng::new(10);
+        let mean = SimDuration::from_micros(250);
+        let m = TimerModel::Gaussian {
+            mean,
+            std_dev: SimDuration::ZERO,
+        };
+        let t = SimTime::from_secs(1);
+        for _ in 0..100 {
+            let over = m.fire_time(t, &mut rng).since(t).as_nanos();
+            assert!(over.abs_diff(mean.as_nanos()) <= 1, "overshoot {over} ns");
+        }
+    }
 }

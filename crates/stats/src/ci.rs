@@ -230,4 +230,38 @@ mod tests {
         };
         assert_eq!(ci.to_string(), "10.000 ± 2.000");
     }
+
+    #[test]
+    fn more_replicates_of_the_same_spread_narrow_the_interval() {
+        let three = confidence_interval(&[1.0, 2.0, 3.0], ConfidenceLevel::P95);
+        let six = confidence_interval(&[1.0, 2.0, 3.0, 1.0, 2.0, 3.0], ConfidenceLevel::P95);
+        assert_eq!(three.mean, six.mean);
+        assert!(six.half_width < three.half_width);
+    }
+
+    #[test]
+    fn interval_records_its_level() {
+        let ci = confidence_interval(&[1.0, 2.0], ConfidenceLevel::P99);
+        assert_eq!(ci.level, ConfidenceLevel::P99);
+        assert!((ci.half_width - 63.657 * 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn critical_value_never_grows_with_df() {
+        for level in [ConfidenceLevel::P95, ConfidenceLevel::P99] {
+            let mut prev = f64::INFINITY;
+            for df in 1..500 {
+                let t = t_critical(df, level);
+                assert!(t <= prev, "df {df}: {t} > {prev}");
+                prev = t;
+            }
+        }
+    }
+
+    #[test]
+    fn p99_critical_value_exceeds_p95_at_every_df() {
+        for df in (1..200).chain([u32::MAX]) {
+            assert!(t_critical(df, ConfidenceLevel::P99) > t_critical(df, ConfidenceLevel::P95));
+        }
+    }
 }

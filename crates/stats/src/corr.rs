@@ -166,4 +166,39 @@ mod tests {
     fn too_few_points_is_none() {
         assert!(correlation_significance(&[1.0, 2.0], &[1.0, 2.0], ConfidenceLevel::P95).is_none());
     }
+
+    #[test]
+    fn pearson_is_symmetric() {
+        let xs = [43.0, 21.0, 25.0, 42.0, 57.0, 59.0];
+        let ys = [99.0, 65.0, 79.0, 75.0, 87.0, 81.0];
+        assert!((pearson(&xs, &ys) - pearson(&ys, &xs)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pearson_ignores_positive_affine_rescaling() {
+        let xs = [1.0, 3.0, 2.0, 5.0, 4.0];
+        let ys = [2.0, 1.0, 4.0, 3.0, 6.0];
+        let scaled: Vec<f64> = xs.iter().map(|x| 7.0 * x - 3.0).collect();
+        assert!((pearson(&xs, &ys) - pearson(&scaled, &ys)).abs() < 1e-12);
+        let flipped: Vec<f64> = xs.iter().map(|x| -x).collect();
+        assert!((pearson(&xs, &ys) + pearson(&flipped, &ys)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn significance_df_is_points_minus_two() {
+        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
+        let ys = [1.2, 1.9, 3.4, 3.9, 5.3];
+        let test = correlation_significance(&xs, &ys, ConfidenceLevel::P95).unwrap();
+        assert_eq!(test.df, 3);
+        assert_eq!(test.level, ConfidenceLevel::P95);
+        let expected = test.r * (3.0 / (1.0 - test.r * test.r)).sqrt();
+        assert!((test.t_statistic - expected).abs() < 1e-9);
+    }
+
+    #[test]
+    fn significance_rejects_mismatched_or_constant_input() {
+        let p = ConfidenceLevel::P95;
+        assert!(correlation_significance(&[1.0, 2.0, 3.0], &[1.0, 2.0], p).is_none());
+        assert!(correlation_significance(&[1.0, 2.0, 3.0], &[4.0, 4.0, 4.0], p).is_none());
+    }
 }

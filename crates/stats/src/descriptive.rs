@@ -86,4 +86,27 @@ mod tests {
         assert_eq!(max(&xs), 7.5);
         assert!(min(&[]).is_nan());
     }
+
+    #[test]
+    fn variance_is_shift_invariant() {
+        let xs = [1.0, 4.0, 6.0, 9.0];
+        let shifted: Vec<f64> = xs.iter().map(|x| x + 1000.0).collect();
+        assert!((sample_variance(&xs) - sample_variance(&shifted)).abs() < 1e-9);
+        assert!((mean(&shifted) - mean(&xs) - 1000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn std_error_undefined_for_one_sample() {
+        assert!(std_error(&[2.0]).is_nan());
+        assert!(std_error(&[]).is_nan());
+    }
+
+    #[test]
+    fn min_max_ignore_order_and_agree_on_one_value() {
+        assert_eq!(min(&[5.0]), 5.0);
+        assert_eq!(max(&[5.0]), 5.0);
+        assert_eq!(min(&[9.0, 1.0, 4.0]), min(&[1.0, 4.0, 9.0]));
+        assert_eq!(max(&[9.0, 1.0, 4.0]), max(&[4.0, 1.0, 9.0]));
+        assert!(max(&[]).is_nan());
+    }
 }

@@ -96,4 +96,42 @@ mod tests {
         assert!(linear_fit(&[1.0, 2.0], &[1.0]).is_none());
         assert!(linear_fit(&[1.0], &[1.0]).is_none());
     }
+
+    #[test]
+    fn point_count_recorded() {
+        let fit = linear_fit(&[0.0, 1.0, 2.0, 3.0, 4.0], &[1.0, 3.0, 2.0, 5.0, 4.0]).unwrap();
+        assert_eq!(fit.n, 5);
+    }
+
+    #[test]
+    fn fitted_line_passes_through_the_centroid() {
+        let xs = [1.0, 2.0, 4.0, 7.0];
+        let ys = [3.0, 1.0, 6.0, 5.0];
+        let fit = linear_fit(&xs, &ys).unwrap();
+        let (mx, my) = (14.0 / 4.0, 15.0 / 4.0);
+        assert!((fit.slope * mx + fit.intercept - my).abs() < 1e-12);
+    }
+
+    #[test]
+    fn negative_slope_recovered() {
+        let xs = [0.0, 2.0, 4.0];
+        let ys = [10.0, 6.0, 2.0];
+        let fit = linear_fit(&xs, &ys).unwrap();
+        assert!((fit.slope + 2.0).abs() < 1e-12);
+        assert!((fit.intercept - 10.0).abs() < 1e-12);
+        assert!((fit.r_squared - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn point_order_does_not_change_the_fit() {
+        let xs = [0.0, 1.0, 2.0, 3.0, 4.0];
+        let ys = [0.1, 0.9, 2.2, 2.8, 4.1];
+        let a = linear_fit(&xs, &ys).unwrap();
+        let rx: Vec<f64> = xs.iter().rev().copied().collect();
+        let ry: Vec<f64> = ys.iter().rev().copied().collect();
+        let b = linear_fit(&rx, &ry).unwrap();
+        assert!((a.slope - b.slope).abs() < 1e-12);
+        assert!((a.intercept - b.intercept).abs() < 1e-12);
+        assert!((a.r_squared - b.r_squared).abs() < 1e-12);
+    }
 }

@@ -76,4 +76,39 @@ mod tests {
         assert!(text.contains("wakeups"));
         assert!(text.contains("n=2"));
     }
+
+    #[test]
+    fn single_replicate_has_undefined_spread() {
+        let s = Summary::of("power", &[4.0]);
+        assert_eq!(s.mean, 4.0);
+        assert_eq!(s.min, 4.0);
+        assert_eq!(s.max, 4.0);
+        assert!(s.std_dev.is_nan());
+        assert!(s.ci95.half_width.is_nan());
+    }
+
+    #[test]
+    fn interval_is_centred_on_the_mean_at_95_percent() {
+        let s = Summary::of("latency", &[3.0, 5.0, 10.0]);
+        assert_eq!(s.ci95.mean, s.mean);
+        assert_eq!(s.ci95.level, ConfidenceLevel::P95);
+    }
+
+    #[test]
+    fn std_dev_is_the_bessel_corrected_one() {
+        let xs = [1.0, 2.0, 3.0, 4.0];
+        let s = Summary::of("x", &xs);
+        assert_eq!(s.std_dev, sample_std_dev(&xs));
+        assert!((s.std_dev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn display_rounds_every_figure_to_three_decimals() {
+        // Two replicates: se = 0.5, t(1, 95%) = 12.706.
+        let s = Summary::of("p", &[1.0, 2.0]);
+        assert_eq!(
+            s.to_string(),
+            "p: 1.500 ± 6.353 (n=2, min 1.000, max 2.000)"
+        );
+    }
 }

@@ -113,4 +113,37 @@ mod tests {
         assert!(paired_t_test(&[1.0], &[2.0], ConfidenceLevel::P95).is_none());
         assert!(paired_t_test(&[1.0, 2.0], &[2.0], ConfidenceLevel::P95).is_none());
     }
+
+    #[test]
+    fn df_is_pairs_minus_one() {
+        let a = [1.0, 2.5, 3.0, 4.5, 5.0];
+        let b = [0.5, 2.0, 3.1, 3.9, 4.0];
+        let t = paired_t_test(&a, &b, ConfidenceLevel::P95).unwrap();
+        assert_eq!(t.df, 4);
+        assert_eq!(t.level, ConfidenceLevel::P95);
+    }
+
+    #[test]
+    fn swapping_the_arms_negates_the_statistic() {
+        let a = [100.0, 210.0, 290.0, 405.0];
+        let b = [98.0, 200.0, 291.0, 399.0];
+        let ab = paired_t_test(&a, &b, ConfidenceLevel::P95).unwrap();
+        let ba = paired_t_test(&b, &a, ConfidenceLevel::P95).unwrap();
+        assert!((ab.t_statistic + ba.t_statistic).abs() < 1e-12);
+        assert!((ab.mean_difference + ba.mean_difference).abs() < 1e-12);
+        assert_eq!(ab.significant, ba.significant);
+    }
+
+    #[test]
+    fn p99_is_stricter_than_p95() {
+        // Differences {1.0, 1.2, 0.8}: t ≈ 8.66, between t(2) at 95% (4.303)
+        // and at 99% (9.925).
+        let a = [11.0, 21.2, 30.8];
+        let b = [10.0, 20.0, 30.0];
+        let t95 = paired_t_test(&a, &b, ConfidenceLevel::P95).unwrap();
+        let t99 = paired_t_test(&a, &b, ConfidenceLevel::P99).unwrap();
+        assert!((t95.t_statistic - 75f64.sqrt()).abs() < 1e-6);
+        assert!(t95.significant);
+        assert!(!t99.significant);
+    }
 }

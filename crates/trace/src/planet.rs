@@ -221,4 +221,45 @@ mod tests {
             assert!(t.times().iter().all(|&at| at < cfg.base.horizon));
         }
     }
+
+    #[test]
+    fn pair_rates_stay_inside_the_spread() {
+        let cfg = PlanetConfig::quick_test();
+        let s = cfg.rate_spread;
+        let norm = s.ln() / (s - 1.0);
+        let (lo, hi) = (cfg.mean_rate * norm, cfg.mean_rate * s * norm);
+        for i in 0..256 {
+            let r = cfg.pair_rate(i);
+            assert!(r >= lo && r < hi, "pair {i}: {r} outside [{lo}, {hi})");
+        }
+    }
+
+    #[test]
+    fn fleet_size_only_rotates_a_pair_trace() {
+        let cfg = PlanetConfig::quick_test();
+        let small = cfg.pair_trace(7, 2, 4);
+        let large = cfg.pair_trace(7, 2, 8);
+        assert_eq!(small.len(), large.len());
+        assert_eq!(small.horizon(), large.horizon());
+        assert_eq!(cfg.traces(7, 4)[2], small);
+    }
+
+    #[test]
+    fn zero_flash_stride_makes_every_pair_a_flash_pair() {
+        let cfg = PlanetConfig {
+            flash_every: 0,
+            ..PlanetConfig::quick_test()
+        };
+        assert!((0..8).all(|i| cfg.is_flash_pair(i)));
+    }
+
+    #[test]
+    #[should_panic(expected = "rate spread")]
+    fn spread_below_one_panics() {
+        let cfg = PlanetConfig {
+            rate_spread: 0.5,
+            ..PlanetConfig::quick_test()
+        };
+        cfg.pair_rate(0);
+    }
 }

@@ -220,4 +220,44 @@ mod tests {
         let tr = Trace::new(vec![], SimTime::ZERO);
         assert_eq!(tr.mean_rate(), 0.0);
     }
+
+    #[test]
+    fn get_matches_times() {
+        let tr = sample_trace();
+        for (i, &at) in tr.times().iter().enumerate() {
+            assert_eq!(tr.get(i), Some(at));
+        }
+        assert_eq!(tr.get(tr.len()), None);
+    }
+
+    #[test]
+    fn into_times_returns_every_timestamp() {
+        let tr = sample_trace();
+        let expected = tr.times().to_vec();
+        assert_eq!(tr.into_times(), expected);
+    }
+
+    #[test]
+    fn negative_fraction_wraps_like_its_complement() {
+        let tr = sample_trace();
+        assert_eq!(tr.phase_shift(-0.5), tr.phase_shift(0.5));
+        assert_eq!(tr.phase_shift(1.25), tr.phase_shift(0.25));
+    }
+
+    #[test]
+    fn phase_shifts_compose() {
+        let tr = sample_trace();
+        let quarter = tr.phase_shift(0.25);
+        assert_eq!(quarter.times(), &[t(0), t(450), t(650), t(850), t(950)]);
+        assert_eq!(quarter.phase_shift(0.25), tr.phase_shift(0.5));
+    }
+
+    #[test]
+    fn truncate_past_the_horizon_keeps_every_item() {
+        let tr = sample_trace();
+        let long = tr.truncate(t(2000));
+        assert_eq!(long.times(), tr.times());
+        assert_eq!(long.horizon(), t(2000));
+        assert!((long.mean_rate() - 2.5).abs() < 1e-9);
+    }
 }
