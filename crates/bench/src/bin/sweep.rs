@@ -6,8 +6,9 @@
 //!     [--threads N] [--trace] [--list]
 //! ```
 //!
-//! `FAMILY` is `suite` (every paper figure and table), `chaos`, `scale`
-//! or `overload`. Writes under `results/`:
+//! `FAMILY` is `suite` (every paper figure and table), `chaos`, `scale`,
+//! `overload` or `analysis` (§III-C statistics, ablations, ω sweep,
+//! time series and the claims self-check). Writes under `results/`:
 //!
 //! * `<family>.json` — deterministic per-cell metrics. **Byte-identical
 //!   for any `--threads` value, with or without `--trace`** — the CI
@@ -21,15 +22,16 @@
 //!
 //! Every cell passes the same gates: the replay oracle over every
 //! recorded cell, a balanced scheduler ledger, and zero shed items
-//! unless its label carries `(overload)`. Chaos and overload always
-//! record (their rows come from the trace); suite and scale record only
-//! under `--trace`. A failed gate exits 1; a usage error, malformed
-//! `PC_*` knob or failed write exits 2.
+//! unless its label carries `(overload)`; an analysis run also fails
+//! on any failed claim. Chaos and overload always record (their rows
+//! come from the trace); the other families record only under
+//! `--trace`. A failed gate exits 1; a usage error, malformed `PC_*`
+//! knob or failed write exits 2.
 //!
 //! `--filter` takes exact names (repeatable, OR; `--list` prints them):
-//! suite experiments, `scenario/strategy` for chaos and overload
-//! (`scenario@m100/strategy` for the planet block), `m10|m100|m1000`
-//! for scale. `PC_DURATION_MS`, `PC_REPLICATES`, `PC_SEED`,
+//! suite and analysis experiments, `scenario/strategy` for chaos and
+//! overload (`scenario@m100/strategy` for the planet block),
+//! `m10|m100|m1000` for scale. `PC_DURATION_MS`, `PC_REPLICATES`, `PC_SEED`,
 //! `PC_THREADS` and `PC_TRACE_CAP` apply; `--threads` overrides the env.
 
 use pc_bench::exp::{create_result_file, die, save_json, Protocol};
@@ -38,7 +40,7 @@ use pc_bench::sweep::{execute, Family, Sidecar};
 use std::io::Write;
 use std::time::Instant;
 
-const USAGE: &str = "usage: sweep suite|chaos|scale|overload [--filter NAME]... \
+const USAGE: &str = "usage: sweep suite|chaos|scale|overload|analysis [--filter NAME]... \
                      [--threads N] [--trace] [--list]";
 
 struct Options {
@@ -131,7 +133,7 @@ fn main() {
         .then(|| create_result_file(&format!("{}_trace.jsonl", family.name())));
     let started = Instant::now();
     let (runs, timing) = execute(&protocol, &cells, options.trace || family.records());
-    family.report(&protocol, &runs);
+    let claim_failures = family.report(&protocol, &runs);
     let total_wall_ms = started.elapsed().as_millis() as u64;
     save_json(
         &format!("BENCH_{}", family.name()),
@@ -148,7 +150,11 @@ fn main() {
         println!("[saved {}]", path.display());
     }
 
-    let failures: Vec<String> = runs.iter().flat_map(|run| run.gate_failures()).collect();
+    let failures: Vec<String> = runs
+        .iter()
+        .flat_map(|run| run.gate_failures())
+        .chain(claim_failures)
+        .collect();
     let recorded: u64 = runs.iter().map(|run| run.meta.events).sum();
     if !failures.is_empty() {
         for failure in &failures {

@@ -10,7 +10,7 @@
 //! conservation must hold *through* every injected fault.
 
 use crate::exp::Protocol;
-use crate::replay::fault_plan;
+use crate::replay::{fault_plan, Condition};
 use crate::sweep::{Block, CellRun, GridPoint};
 use pc_core::StrategyKind;
 use pc_faults::FaultScenario;
@@ -48,7 +48,10 @@ pub fn blocks(protocol: &Protocol) -> Vec<Block> {
             point: CHAOS_POINT,
             workload: protocol.worldcup_workload(),
             scenario: scenario.name(),
-            strategies: chaos_strategies().into_iter().map(|s| (s, false)).collect(),
+            strategies: chaos_strategies()
+                .into_iter()
+                .map(|s| (s, Condition::Plain))
+                .collect(),
         })
         .collect()
 }

@@ -8,8 +8,7 @@
 //! one parser (`env_knob`), and a malformed value is an error that
 //! names the variable, never a silent fallback.
 
-use crate::replay::{self, planet_workload_label, worldcup_workload_label};
-use crate::sweep::{headers, parallel_map, Block, GridPoint};
+use crate::replay::{planet_workload_label, worldcup_workload_label};
 use pc_core::{RunMetrics, StrategyKind};
 use pc_sim::SimDuration;
 use pc_stats::Summary;
@@ -110,36 +109,6 @@ impl Protocol {
     pub(crate) fn planet_workload(&self) -> &'static str {
         planet_workload_label(&self.planet).expect("planet config is a registered workload")
     }
-
-    /// Runs one strategy configuration across the replicates; replicates
-    /// run concurrently up to `self.threads`, results in replicate order.
-    /// The strategy runs as given, through `replay::run_strategy`, so
-    /// an ablation its label cannot express still runs as itself.
-    pub fn run(
-        &self,
-        strategy: StrategyKind,
-        pairs: usize,
-        cores: usize,
-        buffer: usize,
-    ) -> Vec<RunMetrics> {
-        let block = Block {
-            experiment: "run".to_string(),
-            point: GridPoint {
-                pairs,
-                cores,
-                buffer,
-            },
-            workload: self.worldcup_workload(),
-            scenario: "",
-            strategies: vec![(strategy, false)],
-        };
-        let cells: Vec<_> = headers(self, std::slice::from_ref(&block)).collect();
-        parallel_map(&cells, self.threads, |(meta, strategy)| {
-            replay::run_strategy(meta, (*strategy).clone(), None, None)
-                .unwrap_or_else(|e| panic!("{}: {e}", meta.label()))
-                .0
-        })
-    }
 }
 
 /// Per-strategy result row: each §VI-B metric as a replicate summary.
@@ -168,9 +137,10 @@ pub struct Row {
 }
 
 impl Row {
-    /// Summarises replicate metrics into a row.
-    pub fn from_runs(runs: &[RunMetrics]) -> Row {
-        let get = |f: &dyn Fn(&RunMetrics) -> f64| runs.iter().map(f).collect::<Vec<_>>();
+    /// Summarises replicate metrics into a row; `runs` must not be
+    /// empty.
+    pub fn from_runs(runs: &[&RunMetrics]) -> Row {
+        let get = |f: &dyn Fn(&RunMetrics) -> f64| runs.iter().map(|m| f(m)).collect::<Vec<_>>();
         Row {
             name: runs[0].strategy.clone(),
             power_mw: Summary::of("power_mw", &get(&|m| m.extra_power_mw())),
@@ -331,10 +301,6 @@ pub(crate) fn quick_protocol(duration_ms: u64, replicates: usize, threads: usize
 mod tests {
     use super::*;
 
-    fn tiny_protocol() -> Protocol {
-        quick_protocol(50, 2, 1)
-    }
-
     /// The protocol under exactly one knob set to `value`.
     fn with(name: &str, value: &str) -> Result<Protocol, String> {
         let (name, value) = (name.to_string(), value.to_string());
@@ -407,26 +373,6 @@ mod tests {
         for bad in ["0", "2M"] {
             rejects("PC_TRACE_CAP", bad);
         }
-    }
-
-    #[test]
-    fn protocol_runs_replicates_with_distinct_seeds() {
-        let p = tiny_protocol();
-        let runs = p.run(StrategyKind::Mutex, 2, 2, 25);
-        assert_eq!(runs.len(), 2);
-        // Different seeds → different traces → (almost surely) different
-        // item counts.
-        assert_ne!(runs[0].items_consumed, runs[1].items_consumed);
-    }
-
-    #[test]
-    fn row_summarises_replicates() {
-        let p = tiny_protocol();
-        let runs = p.run(StrategyKind::Bp, 2, 2, 25);
-        let row = Row::from_runs(&runs);
-        assert_eq!(row.name, "BP");
-        assert_eq!(row.items.samples.len(), 2);
-        assert!(row.power_mw.mean > 0.0);
     }
 
     #[test]

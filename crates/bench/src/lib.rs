@@ -1,8 +1,9 @@
 //! # pc-bench — experiment runners and microbenches
 //!
 //! One sweep runner (`sweep FAMILY`, see [`sweep`]) runs every paper
-//! figure and table ([`suite`]) and the chaos, scale and overload
-//! extensions; every cell is a [`oracle::CellMeta`] header run through
+//! figure and table ([`suite`]), the chaos, scale and overload
+//! extensions, and the statistics, ablations and claims self-check
+//! ([`analysis`]); every cell is a [`oracle::CellMeta`] header run through
 //! [`replay::run_cell`], so every exported cell replays by
 //! construction. Criterion microbenches for the data-structure
 //! substrates live in `benches/`.
@@ -10,6 +11,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod analysis;
 pub mod chaos;
 pub mod exp;
 pub mod oracle;

@@ -25,7 +25,7 @@
 
 use crate::chaos::CHAOS_POINT;
 use crate::exp::Protocol;
-use crate::replay::fault_plan;
+use crate::replay::{fault_plan, Condition};
 use crate::sweep::{Block, CellRun, Family, GridPoint};
 use pc_core::StrategyKind;
 use pc_faults::FaultScenario;
@@ -33,12 +33,12 @@ use serde::Serialize;
 
 /// The four-row panel: plain batching, vanilla PBPL, PBPL with the
 /// degradation watchdog, and PBPL under overload control.
-pub(crate) fn overload_panel() -> Vec<(StrategyKind, bool)> {
+pub(crate) fn overload_panel() -> Vec<(StrategyKind, Condition)> {
     vec![
-        (StrategyKind::Bp, false),
-        (StrategyKind::pbpl_default(), false),
-        (StrategyKind::pbpl_degraded(), false),
-        (StrategyKind::pbpl_default(), true),
+        (StrategyKind::Bp, Condition::Plain),
+        (StrategyKind::pbpl_default(), Condition::Plain),
+        (StrategyKind::pbpl_degraded(), Condition::Plain),
+        (StrategyKind::pbpl_default(), Condition::Overload),
     ]
 }
 
@@ -260,11 +260,11 @@ mod tests {
     fn every_panel_row_runs_clean_under_the_correlated_scenarios() {
         let mut names = Vec::new();
         for scenario in FaultScenario::correlated() {
-            for (strategy, overload) in overload_panel() {
+            for (strategy, condition) in overload_panel() {
                 names.push(format!(
                     "{}/{}",
                     scenario.name(),
-                    crate::replay::label(&strategy, overload)
+                    crate::replay::label(&strategy, condition).unwrap()
                 ));
             }
         }

@@ -25,8 +25,9 @@
 //! --regen-fixtures` (see DESIGN.md §12).
 
 use crate::oracle::{self, CellMeta, TraceLine};
-use pc_core::{Experiment, OverloadConfig, PbplConfig, RunMetrics, StrategyKind};
+use pc_core::{Experiment, OverloadConfig, PbplConfig, PredictorKind, RunMetrics, StrategyKind};
 use pc_faults::{ExpandEnv, FaultPlan, FaultScenario};
+use pc_power::PowerModel;
 use pc_sim::{SimDuration, SimTime};
 use pc_trace::{PlanetConfig, Trace, WorldCupConfig};
 use pc_trace_events::{
@@ -175,49 +176,174 @@ pub(crate) fn workload_by_name(name: &str) -> Option<Workload> {
     }
 }
 
-/// Whether a strategy label carries the `(overload)` suffix — the
-/// overload sweep's marker that the cell ran under
-/// [`OverloadConfig::standard`]. That config is canonical (derivable
-/// from the label alone), which is what keeps such cells replayable
-/// without new `CellMeta` fields.
-pub(crate) fn label_overloaded(label: &str) -> bool {
-    label.ends_with("(overload)")
+/// A run condition a registered label suffix names. [`run_cell`]
+/// applies it beside the strategy, so the label alone stays the cell's
+/// whole recipe and `CellMeta` needs no field for it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Condition {
+    /// The experiment builder's defaults.
+    Plain,
+    /// [`OverloadConfig::standard`], suffix `(overload)`.
+    Overload,
+    /// The wakeup energy ω of [`PowerModel::exynos_like`] scaled by
+    /// this factor, suffix `(omega*FACTOR)`.
+    WakeupScale(f64),
 }
 
-/// Display label of a strategy, the `strategy` field of a [`CellMeta`]:
-/// periods in µs, the fixed-capacity and degraded PBPL variants tagged,
-/// and an `(overload)` suffix when the cell runs under
-/// [`OverloadConfig::standard`]. `rebuild_strategy` inverts it.
-pub fn label(strategy: &StrategyKind, overload: bool) -> String {
+/// Every registered label suffix, with the condition it names.
+const SUFFIXES: [(&str, Condition); 5] = [
+    ("(overload)", Condition::Overload),
+    ("(omega*0.25)", Condition::WakeupScale(0.25)),
+    ("(omega*0.5)", Condition::WakeupScale(0.5)),
+    ("(omega*2)", Condition::WakeupScale(2.0)),
+    ("(omega*4)", Condition::WakeupScale(4.0)),
+];
+
+/// The wakeup-energy factors the ω suffixes register, in order.
+pub(crate) const WAKEUP_SCALES: [f64; 4] = [0.25, 0.5, 2.0, 4.0];
+
+/// Every PBPL configuration a label names, and the label: `PBPL` is
+/// [`PbplConfig::default`], each other entry changes the fields its
+/// label names. One table drives both [`label`] and
+/// [`rebuild_strategy`], so a config with no entry has no label.
+pub(crate) fn pbpl_variants() -> [(&'static str, PbplConfig); 11] {
+    use PredictorKind::{Ewma, Holt, Kalman};
+    fn with(edit: impl FnOnce(&mut PbplConfig)) -> PbplConfig {
+        let mut cfg = PbplConfig::default();
+        edit(&mut cfg);
+        cfg
+    }
+    let ms = SimDuration::from_millis;
+    [
+        ("PBPL", PbplConfig::default()),
+        ("PBPL(fixed)", with(|c| c.resizing = false)),
+        ("PBPL(degraded)", with(|c| c.degrade.enabled = true)),
+        ("PBPL(-latch)", with(|c| c.latching = false)),
+        ("PBPL(-piggy)", with(|c| c.piggyback = false)),
+        (
+            "PBPL(-both)",
+            with(|c| (c.latching, c.resizing) = (false, false)),
+        ),
+        ("PBPL(ewma)", with(|c| c.predictor = Ewma { alpha: 0.35 })),
+        (
+            "PBPL(holt)",
+            with(|c| {
+                c.predictor = Holt {
+                    alpha: 0.5,
+                    beta: 0.25,
+                }
+            }),
+        ),
+        (
+            "PBPL(kalman)",
+            with(|c| c.predictor = Kalman { q: 4.0e5, r: 4.0e6 }),
+        ),
+        ("PBPL(d=10ms)", with(|c| c.slot = ms(10))),
+        ("PBPL(d=50ms)", with(|c| c.slot = ms(50))),
+    ]
+}
+
+/// Why a strategy has no label, or a label no strategy.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LabelError {
+    /// A PBPL config or run condition with no registered label.
+    Unregistered(String),
+    /// A label whose base names no registered strategy.
+    UnknownStrategy(String),
+    /// A label ending in an ω suffix that is not registered.
+    UnknownSuffix(String),
+    /// A periodic strategy's label in a header whose `period_ns` is 0.
+    MissingPeriod(String),
+}
+
+impl std::fmt::Display for LabelError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LabelError::Unregistered(what) => write!(f, "{what} has no registered label"),
+            LabelError::UnknownStrategy(label) => write!(f, "unknown strategy label {label:?}"),
+            LabelError::UnknownSuffix(label) => {
+                write!(f, "label {label:?} ends in an unregistered ω suffix")
+            }
+            LabelError::MissingPeriod(label) => {
+                write!(f, "strategy {label} needs period_ns, but the header says 0")
+            }
+        }
+    }
+}
+
+impl std::error::Error for LabelError {}
+
+impl From<LabelError> for String {
+    fn from(e: LabelError) -> String {
+        e.to_string()
+    }
+}
+
+/// Splits a label into its base strategy label and the condition its
+/// registered suffix names.
+fn split_label(label: &str) -> Result<(&str, Condition), LabelError> {
+    for (suffix, condition) in SUFFIXES {
+        if let Some(base) = label.strip_suffix(suffix) {
+            return Ok((base, condition));
+        }
+    }
+    if label.contains("(omega") {
+        return Err(LabelError::UnknownSuffix(label.to_string()));
+    }
+    Ok((label, Condition::Plain))
+}
+
+/// The run condition a label's suffix names.
+pub(crate) fn condition(label: &str) -> Result<Condition, LabelError> {
+    split_label(label).map(|(_, condition)| condition)
+}
+
+/// Whether a strategy label carries the `(overload)` suffix — the
+/// overload sweep's marker that the cell ran under
+/// [`OverloadConfig::standard`].
+pub(crate) fn label_overloaded(label: &str) -> bool {
+    condition(label) == Ok(Condition::Overload)
+}
+
+/// Display label of a strategy under a run condition, the `strategy`
+/// field of a [`CellMeta`]: periods in µs, a PBPL variant by its
+/// `pbpl_variants` name, then the condition's registered suffix.
+/// `rebuild_strategy` inverts it; an unregistered config or condition
+/// is an error that names it.
+pub fn label(strategy: &StrategyKind, condition: Condition) -> Result<String, LabelError> {
     let base = match strategy {
         StrategyKind::Pbp { period } => format!("PBP@{}us", period.as_nanos() / 1_000),
         StrategyKind::Spbp { period } => format!("SPBP@{}us", period.as_nanos() / 1_000),
-        StrategyKind::Pbpl(cfg) if !cfg.resizing => "PBPL(fixed)".to_string(),
-        StrategyKind::Pbpl(cfg) if cfg.degrade.enabled => "PBPL(degraded)".to_string(),
+        StrategyKind::Pbpl(cfg) => pbpl_variants()
+            .into_iter()
+            .find(|(_, registered)| registered == cfg)
+            .ok_or_else(|| LabelError::Unregistered(format!("{cfg:?}")))?
+            .0
+            .to_string(),
         other => other.name().to_string(),
     };
-    if overload {
-        format!("{base}(overload)")
-    } else {
-        base
-    }
+    let suffix = match condition {
+        Condition::Plain => "",
+        _ => {
+            SUFFIXES
+                .iter()
+                .find(|(_, registered)| *registered == condition)
+                .ok_or_else(|| LabelError::Unregistered(format!("{condition:?}")))?
+                .0
+        }
+    };
+    Ok(format!("{base}{suffix}"))
 }
 
 /// Inverts the strategy display label (plus the exact `period_ns` for
 /// the periodic strategies — the label's microseconds are truncated).
-/// An `(overload)` suffix names the *base* strategy; the overload knob
-/// is applied separately by [`run_cell`] via [`label_overloaded`].
-/// The inverse of [`label`].
-pub(crate) fn rebuild_strategy(meta: &CellMeta) -> Result<StrategyKind, String> {
-    let label = meta.strategy.as_str();
-    let label = label.strip_suffix("(overload)").unwrap_or(label);
-    let period = || -> Result<SimDuration, String> {
-        if meta.period_ns == 0 {
-            return Err(format!(
-                "strategy {label} needs period_ns, but the header says 0"
-            ));
-        }
-        Ok(SimDuration::from_nanos(meta.period_ns))
+/// A registered suffix names a run condition, not the strategy;
+/// [`run_cell`] applies it separately. The inverse of [`label`].
+pub(crate) fn rebuild_strategy(meta: &CellMeta) -> Result<StrategyKind, LabelError> {
+    let (label, _) = split_label(&meta.strategy)?;
+    let period = || match meta.period_ns {
+        0 => Err(LabelError::MissingPeriod(label.to_string())),
+        ns => Ok(SimDuration::from_nanos(ns)),
     };
     match label {
         "BW" => Ok(StrategyKind::BusyWait),
@@ -225,15 +351,13 @@ pub(crate) fn rebuild_strategy(meta: &CellMeta) -> Result<StrategyKind, String> 
         "Mutex" => Ok(StrategyKind::Mutex),
         "Sem" => Ok(StrategyKind::Sem),
         "BP" => Ok(StrategyKind::Bp),
-        "PBPL" => Ok(StrategyKind::pbpl_default()),
-        "PBPL(fixed)" => Ok(StrategyKind::Pbpl(PbplConfig {
-            resizing: false,
-            ..PbplConfig::default()
-        })),
-        "PBPL(degraded)" => Ok(StrategyKind::pbpl_degraded()),
         _ if label.starts_with("PBP@") => Ok(StrategyKind::Pbp { period: period()? }),
         _ if label.starts_with("SPBP@") => Ok(StrategyKind::Spbp { period: period()? }),
-        other => Err(format!("unknown strategy label {other:?}")),
+        _ => pbpl_variants()
+            .into_iter()
+            .find(|(name, _)| *name == label)
+            .map(|(_, cfg)| StrategyKind::Pbpl(cfg))
+            .ok_or_else(|| LabelError::UnknownStrategy(label.to_string())),
     }
 }
 
@@ -285,36 +409,26 @@ pub fn run_cell(
     fleet: Option<&Arc<Vec<Trace>>>,
     record: Option<usize>,
 ) -> Result<(RunMetrics, Option<TraceLog>), String> {
-    run_strategy(meta, rebuild_strategy(meta)?, fleet, record)
-}
-
-/// [`run_cell`] with the strategy given instead of rebuilt from the
-/// label — for analysis runs ([`crate::exp::Protocol::run`]) whose
-/// strategy the label cannot express, such as a PBPL ablation. Such a
-/// header does not replay, so these cells are never exported.
-pub(crate) fn run_strategy(
-    meta: &CellMeta,
-    strategy: StrategyKind,
-    fleet: Option<&Arc<Vec<Trace>>>,
-    record: Option<usize>,
-) -> Result<(RunMetrics, Option<TraceLog>), String> {
     if meta.duration_ns == 0 {
         return Err("header duration_ns is 0".to_string());
     }
-    let overload = if label_overloaded(&meta.strategy) {
-        OverloadConfig::standard()
-    } else {
-        OverloadConfig::default()
-    };
+    let mut overload = OverloadConfig::default();
+    let mut power = PowerModel::exynos_like();
+    match condition(&meta.strategy)? {
+        Condition::Plain => {}
+        Condition::Overload => overload = OverloadConfig::standard(),
+        Condition::WakeupScale(factor) => power.wakeup_energy_j *= factor,
+    }
     let recorder = record.map(Recorder::bounded);
     let builder = Experiment::builder()
         .pairs(meta.pairs as usize)
         .cores(meta.cores as usize)
         .duration(SimDuration::from_nanos(meta.duration_ns))
-        .strategy(strategy)
+        .strategy(rebuild_strategy(meta)?)
         .seed(meta.seed)
         .buffer_capacity(meta.buffer as usize)
         .overload(overload)
+        .power(power)
         .faults(fault_plan(meta)?)
         .record_events(
             recorder
@@ -717,8 +831,8 @@ mod tests {
         for family in crate::sweep::Family::ALL {
             for cell in family.cells(&p) {
                 let strategy = rebuild_strategy(&cell).unwrap();
-                let overloaded = label_overloaded(&cell.strategy);
-                assert_eq!(label(&strategy, overloaded), cell.strategy);
+                let condition = condition(&cell.strategy).unwrap();
+                assert_eq!(label(&strategy, condition).unwrap(), cell.strategy);
                 assert_eq!(oracle::strategy_period_ns(&strategy), cell.period_ns);
                 seen.insert(cell.strategy);
             }
@@ -730,6 +844,18 @@ mod tests {
             "PBPL(fixed)",
             "PBPL(degraded)",
             "PBPL(overload)",
+            "PBPL(-latch)",
+            "PBPL(-piggy)",
+            "PBPL(-both)",
+            "PBPL(ewma)",
+            "PBPL(holt)",
+            "PBPL(kalman)",
+            "PBPL(d=10ms)",
+            "PBPL(d=50ms)",
+            "Mutex(omega*0.25)",
+            "BP(omega*0.5)",
+            "PBPL(omega*2)",
+            "PBPL(omega*4)",
         ] {
             assert!(seen.contains(label), "{label} missing from {seen:?}");
         }
@@ -737,9 +863,75 @@ mod tests {
             StrategyKind::Pbpl(cfg) => assert!(!cfg.resizing),
             other => panic!("unexpected {other:?}"),
         }
-        assert!(rebuild_strategy(&meta("NOPE", "")).is_err());
+        assert_eq!(
+            rebuild_strategy(&meta("NOPE", "")),
+            Err(LabelError::UnknownStrategy("NOPE".into()))
+        );
         // Periodic labels without the exact period are unreplayable.
-        assert!(rebuild_strategy(&meta("PBP@100us", "")).is_err());
+        assert_eq!(
+            rebuild_strategy(&meta("PBP@100us", "")),
+            Err(LabelError::MissingPeriod("PBP@100us".into()))
+        );
+    }
+
+    /// Every registered PBPL variant is a distinct config, so the table
+    /// maps each label to one config and back.
+    #[test]
+    fn pbpl_variants_are_distinct_and_invert() {
+        let variants = pbpl_variants();
+        for (i, (name, cfg)) in variants.iter().enumerate() {
+            assert!(
+                variants[..i].iter().all(|(_, other)| other != cfg),
+                "{name} repeats a config"
+            );
+            let strategy = StrategyKind::Pbpl(cfg.clone());
+            assert_eq!(label(&strategy, Condition::Plain).unwrap(), *name);
+            assert_eq!(rebuild_strategy(&meta(name, "")).unwrap(), strategy);
+        }
+        assert_eq!(
+            rebuild_strategy(&meta("PBPL(degraded)", "")).unwrap(),
+            StrategyKind::pbpl_degraded()
+        );
+    }
+
+    /// A config the label cannot express is an error at label time that
+    /// names the config — never another variant's label.
+    #[test]
+    fn label_rejects_an_unregistered_config_by_name() {
+        let cfg = PbplConfig {
+            slot: SimDuration::from_millis(7),
+            latching: false,
+            ..PbplConfig::default()
+        };
+        let err = label(&StrategyKind::Pbpl(cfg), Condition::Plain).unwrap_err();
+        assert!(matches!(err, LabelError::Unregistered(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("latching: false") && msg.contains("SimDuration(7000000)"),
+            "{msg}"
+        );
+        let err = label(&StrategyKind::Bp, Condition::WakeupScale(3.0)).unwrap_err();
+        assert!(err.to_string().contains("3.0"), "{err}");
+    }
+
+    /// An ω suffix is a run condition: it rebuilds the base strategy, and
+    /// an unregistered one is a typed error, not a silent 1×.
+    #[test]
+    fn omega_suffixes_rebuild_the_base_or_fail_typed() {
+        assert_eq!(
+            rebuild_strategy(&meta("PBPL(-latch)(omega*4)", "")).unwrap(),
+            rebuild_strategy(&meta("PBPL(-latch)", "")).unwrap()
+        );
+        assert_eq!(condition("BP(omega*0.5)"), Ok(Condition::WakeupScale(0.5)));
+        assert_eq!(condition("BP"), Ok(Condition::Plain));
+        for bad in ["BP(omega*3)", "Mutex(omega)"] {
+            assert_eq!(
+                rebuild_strategy(&meta(bad, "")),
+                Err(LabelError::UnknownSuffix(bad.into()))
+            );
+        }
+        let err = run_cell(&meta("BP(omega*3)", ""), None, None).unwrap_err();
+        assert!(err.contains("unregistered ω suffix"), "{err}");
     }
 
     #[test]

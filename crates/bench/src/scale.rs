@@ -8,6 +8,7 @@
 //! byte-compares the file across.
 
 use crate::exp::{evaluated_strategies, print_header, Protocol};
+use crate::replay::Condition;
 use crate::sweep::{print_rows, Block, CellReport, CellRun, GridPoint};
 use serde::Serialize;
 
@@ -18,7 +19,7 @@ use serde::Serialize;
 pub fn blocks(protocol: &Protocol) -> Vec<Block> {
     let strategies: Vec<_> = evaluated_strategies()
         .into_iter()
-        .map(|s| (s, false))
+        .map(|s| (s, Condition::Plain))
         .collect();
     [(10, 2), (100, 10), (1000, 100)]
         .into_iter()

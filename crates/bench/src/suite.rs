@@ -9,6 +9,7 @@ use crate::exp::{
     evaluated_strategies, pct_change, print_header, row, single_pc_strategies, Protocol, Row,
 };
 use crate::oracle::CellMeta;
+use crate::replay::Condition;
 use crate::sweep::{configurations, print_rows, Block, CellReport, CellRun, GridPoint};
 use pc_core::{PbplConfig, RunMetrics, StrategyKind};
 use pc_sim::SimDuration;
@@ -73,7 +74,10 @@ pub fn blocks(protocol: &Protocol) -> Vec<Block> {
                 point,
                 workload,
                 scenario: "",
-                strategies: strategies.iter().map(|s| (s.clone(), false)).collect(),
+                strategies: strategies
+                    .iter()
+                    .map(|s| (s.clone(), Condition::Plain))
+                    .collect(),
             })
         })
         .collect()
@@ -127,7 +131,7 @@ fn print(runs: &[CellRun]) {
         let name = &cells[0].meta.experiment;
         print_header(name);
         print_rows(cells);
-        let rows: Vec<(&CellMeta, Row, Vec<RunMetrics>)> = configurations(cells)
+        let rows: Vec<(&CellMeta, Row, Vec<&RunMetrics>)> = configurations(cells)
             .into_iter()
             .map(|(meta, runs)| {
                 let mut row = Row::from_runs(&runs);
@@ -140,7 +144,7 @@ fn print(runs: &[CellRun]) {
 }
 
 /// The rows at one grid point, in strategy order.
-fn at(rows: &[(&CellMeta, Row, Vec<RunMetrics>)], pairs: u64, buffer: u64) -> Vec<Row> {
+fn at(rows: &[(&CellMeta, Row, Vec<&RunMetrics>)], pairs: u64, buffer: u64) -> Vec<Row> {
     rows.iter()
         .filter(|(m, _, _)| m.pairs == pairs && m.buffer == buffer)
         .map(|(_, r, _)| r.clone())
@@ -180,7 +184,7 @@ fn ordering(rows: &[Row], metric: fn(&Row) -> f64) -> String {
 
 /// Prints how one experiment's rows compare with the paper's claims.
 /// Experiments the grid was filtered down from print nothing extra.
-fn summary(experiment: &str, rows: &[(&CellMeta, Row, Vec<RunMetrics>)]) {
+fn summary(experiment: &str, rows: &[(&CellMeta, Row, Vec<&RunMetrics>)]) {
     let all: Vec<Row> = rows.iter().map(|(_, r, _)| r.clone()).collect();
     match experiment {
         "fig03_04_single_pc" => {

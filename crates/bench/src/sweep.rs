@@ -23,8 +23,8 @@
 
 use crate::exp::{print_row, save_json, Protocol, Row, PAPER_PROTOCOL};
 use crate::oracle::{self, CellMeta};
-use crate::replay::{self, label, label_overloaded};
-use crate::{chaos, overload, scale, suite};
+use crate::replay::{self, label, label_overloaded, Condition};
+use crate::{analysis, chaos, overload, scale, suite};
 use pc_core::{RunMetrics, StrategyKind};
 use pc_trace::Trace;
 use pc_trace_events::TraceLog;
@@ -57,62 +57,50 @@ pub struct Block {
     pub workload: &'static str,
     /// Fault scenario name; empty for fault-free cells.
     pub scenario: &'static str,
-    /// Strategies, each with whether it runs under overload control.
-    pub strategies: Vec<(StrategyKind, bool)>,
+    /// Strategies, each with the run condition its label suffix names.
+    pub strategies: Vec<(StrategyKind, Condition)>,
 }
 
-/// Every cell header of `blocks`, each with the strategy it runs, in
-/// the engine's canonical order: block-major, then strategy, then
-/// replicate (seed `base_seed + k`). `events`, `dropped` and `digest`
-/// are left for [`execute`] to fill in.
-pub(crate) fn headers<'a>(
-    protocol: &'a Protocol,
-    blocks: &'a [Block],
-) -> impl Iterator<Item = (CellMeta, &'a StrategyKind)> + 'a {
-    blocks.iter().flat_map(move |block| {
-        block
-            .strategies
-            .iter()
-            .flat_map(move |(strategy, overload)| {
-                (0..protocol.replicates).map(move |replicate| {
-                    let meta = CellMeta {
-                        experiment: block.experiment.clone(),
-                        strategy: label(strategy, *overload),
-                        pairs: block.point.pairs as u64,
-                        cores: block.point.cores as u64,
-                        buffer: block.point.buffer as u64,
-                        seed: protocol.base_seed + replicate as u64,
-                        duration_ns: protocol.duration.as_nanos(),
-                        workload: block.workload.to_string(),
-                        scenario: block.scenario.to_string(),
-                        period_ns: oracle::strategy_period_ns(strategy),
-                        events: 0,
-                        dropped: 0,
-                        digest: 0,
-                    };
-                    (meta, strategy)
-                })
-            })
-    })
-}
-
-/// Expands blocks into cell headers in `headers`' order. Reports
-/// regroup by walking the same order, so it is a contract, not an
-/// implementation detail. The header is the cell's whole recipe, so a
-/// strategy its label cannot express (say, PBPL with latching off)
-/// panics here rather than silently running as the label's strategy.
+/// Expands blocks into cell headers in the engine's canonical order:
+/// block-major, then strategy, then replicate (seed `base_seed + k`).
+/// Reports regroup by walking the same order, so it is a contract, not
+/// an implementation detail. `events`, `dropped` and `digest` are left
+/// for [`execute`] to fill in. The header is the cell's whole recipe,
+/// so a strategy or condition with no registered label (say, PBPL with
+/// a 7 ms slot) panics here rather than running as something else.
 pub fn expand(protocol: &Protocol, blocks: Vec<Block>) -> Vec<CellMeta> {
-    headers(protocol, &blocks)
-        .map(|(meta, strategy)| {
+    let mut cells = Vec::new();
+    for block in &blocks {
+        for (strategy, condition) in &block.strategies {
+            let meta = CellMeta {
+                experiment: block.experiment.clone(),
+                strategy: label(strategy, *condition)
+                    .unwrap_or_else(|e| panic!("{}: {e}", block.experiment)),
+                pairs: block.point.pairs as u64,
+                cores: block.point.cores as u64,
+                buffer: block.point.buffer as u64,
+                seed: protocol.base_seed,
+                duration_ns: protocol.duration.as_nanos(),
+                workload: block.workload.to_string(),
+                scenario: block.scenario.to_string(),
+                period_ns: oracle::strategy_period_ns(strategy),
+                events: 0,
+                dropped: 0,
+                digest: 0,
+            };
             assert!(
                 replay::rebuild_strategy(&meta).as_ref() == Ok(strategy),
                 "{}: label {:?} does not express {strategy:?}",
                 meta.experiment,
                 meta.strategy
             );
-            meta
-        })
-        .collect()
+            cells.extend((0..protocol.replicates as u64).map(|k| CellMeta {
+                seed: protocol.base_seed + k,
+                ..meta.clone()
+            }));
+        }
+    }
+    cells
 }
 
 /// A sweep family: a grid, a report, and its default protocol.
@@ -126,15 +114,19 @@ pub enum Family {
     Scale,
     /// The overload panel under correlated overload scenarios.
     Overload,
+    /// The paper's §III-C statistics, the claims self-check and the
+    /// ablation, ω-sensitivity and time-series extensions.
+    Analysis,
 }
 
 impl Family {
     /// All families, in CLI order.
-    pub(crate) const ALL: [Family; 4] = [
+    pub(crate) const ALL: [Family; 5] = [
         Family::Suite,
         Family::Chaos,
         Family::Scale,
         Family::Overload,
+        Family::Analysis,
     ];
 
     /// CLI name, also the stem of the family's result files.
@@ -144,6 +136,7 @@ impl Family {
             Family::Chaos => "chaos",
             Family::Scale => "scale",
             Family::Overload => "overload",
+            Family::Analysis => "analysis",
         }
     }
 
@@ -174,6 +167,7 @@ impl Family {
             Family::Chaos => chaos::blocks(protocol),
             Family::Scale => scale::blocks(protocol),
             Family::Overload => overload::blocks(protocol),
+            Family::Analysis => analysis::blocks(protocol),
         };
         expand(protocol, blocks)
     }
@@ -183,7 +177,7 @@ impl Family {
     /// be a prefix of another (`m10`/`m100`, `PBPL`/`PBPL(degraded)`).
     pub fn cell_name(self, meta: &CellMeta) -> String {
         match self {
-            Family::Suite => meta.experiment.clone(),
+            Family::Suite | Family::Analysis => meta.experiment.clone(),
             Family::Scale => format!("m{}", meta.pairs),
             Family::Chaos | Family::Overload if meta.workload.starts_with("planet") => {
                 format!("{}@m{}/{}", meta.scenario, meta.pairs, meta.strategy)
@@ -192,14 +186,22 @@ impl Family {
         }
     }
 
-    /// Prints the family's tables and writes `results/<family>.json`.
-    pub fn report(self, protocol: &Protocol, runs: &[CellRun]) {
+    /// Prints the family's tables, writes `results/<family>.json` and
+    /// returns the report's own gate failures: the analysis family's
+    /// failed claims.
+    pub fn report(self, protocol: &Protocol, runs: &[CellRun]) -> Vec<String> {
         match self {
             Family::Suite => save_json(self.name(), &suite::report(protocol, runs)),
             Family::Chaos => save_json(self.name(), &chaos::report(protocol, runs)),
             Family::Scale => save_json(self.name(), &scale::report(protocol, runs)),
             Family::Overload => save_json(self.name(), &overload::report(protocol, runs)),
+            Family::Analysis => {
+                let report = analysis::report(protocol, runs);
+                save_json(self.name(), &report);
+                return report.failures();
+            }
         }
+        Vec::new()
     }
 }
 
@@ -215,13 +217,13 @@ pub(crate) fn print_rows(runs: &[CellRun]) {
 
 /// Groups `runs` into configurations — consecutive cells that differ
 /// only in seed — each with its first header and replicate metrics.
-pub fn configurations(runs: &[CellRun]) -> Vec<(&CellMeta, Vec<RunMetrics>)> {
+pub fn configurations(runs: &[CellRun]) -> Vec<(&CellMeta, Vec<&RunMetrics>)> {
     fn config(run: &CellRun) -> (&str, &str, u64, u64) {
         let m = &run.meta;
         (&m.experiment, &m.strategy, m.pairs, m.buffer)
     }
     runs.chunk_by(|a, b| config(a) == config(b))
-        .map(|g| (&g[0].meta, g.iter().map(|r| r.metrics.clone()).collect()))
+        .map(|g| (&g[0].meta, g.iter().map(|r| &r.metrics).collect()))
         .collect()
 }
 
@@ -591,7 +593,10 @@ mod tests {
             },
             workload: "worldcup_quick",
             scenario: "",
-            strategies: vec![(StrategyKind::Mutex, false), (StrategyKind::Bp, true)],
+            strategies: vec![
+                (StrategyKind::Mutex, Condition::Plain),
+                (StrategyKind::Bp, Condition::Overload),
+            ],
         };
         let cells = expand(&p, vec![block(1, 25), block(5, 50)]);
         let key: Vec<(u64, &str, u64)> = cells
@@ -613,11 +618,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not express")]
+    #[should_panic(expected = "has no registered label")]
     fn expand_refuses_a_strategy_its_label_cannot_express() {
         let p = quick_protocol(40, 1, 1);
-        let no_latch = StrategyKind::Pbpl(pc_core::PbplConfig {
-            latching: false,
+        let unregistered = StrategyKind::Pbpl(pc_core::PbplConfig {
+            slot: pc_sim::SimDuration::from_millis(7),
             ..pc_core::PbplConfig::default()
         });
         expand(
@@ -631,9 +636,50 @@ mod tests {
                 },
                 workload: "worldcup_quick",
                 scenario: "",
-                strategies: vec![(no_latch, false)],
+                strategies: vec![(unregistered, Condition::Plain)],
             }],
         );
+    }
+
+    /// One block of `strategy` at M = 2 on 2 cores, B = 25.
+    fn one_block(strategy: StrategyKind) -> Vec<Block> {
+        vec![Block {
+            experiment: "run".to_string(),
+            point: GridPoint {
+                pairs: 2,
+                cores: 2,
+                buffer: 25,
+            },
+            workload: "worldcup_quick",
+            scenario: "",
+            strategies: vec![(strategy, Condition::Plain)],
+        }]
+    }
+
+    #[test]
+    fn protocol_runs_replicates_with_distinct_seeds() {
+        let p = quick_protocol(50, 2, 1);
+        let (runs, _) = execute(&p, &expand(&p, one_block(StrategyKind::Mutex)), false);
+        assert_eq!(runs.len(), 2);
+        assert_eq!((runs[0].meta.seed, runs[1].meta.seed), (11, 12));
+        // Different seeds → different traces → (almost surely) different
+        // item counts.
+        assert_ne!(
+            runs[0].metrics.items_consumed,
+            runs[1].metrics.items_consumed
+        );
+    }
+
+    #[test]
+    fn row_summarises_replicates() {
+        let p = quick_protocol(50, 2, 1);
+        let (runs, _) = execute(&p, &expand(&p, one_block(StrategyKind::Bp)), false);
+        let groups = configurations(&runs);
+        assert_eq!(groups.len(), 1);
+        let row = Row::from_runs(&groups[0].1);
+        assert_eq!(row.name, "BP");
+        assert_eq!(row.items.samples.len(), 2);
+        assert!(row.power_mw.mean > 0.0);
     }
 
     #[test]
@@ -728,6 +774,22 @@ mod tests {
         assert_eq!(names(Family::Scale), ["m10", "m100", "m1000"]);
         assert_eq!(Family::Scale.cells(&p).len(), 3 * 4 * 2);
         assert_eq!(names(Family::Suite).len(), 6);
+        assert_eq!(
+            names(Family::Analysis),
+            [
+                "fig03_04_single_pc",
+                "fig09_five_consumers",
+                "fig10_consumer_sweep",
+                "fig11_buffer_sweep",
+                "ablation_pbpl",
+                "sensitivity_omega",
+            ]
+        );
+        // 13 + 4 + 3·4 + 3·2 suite configurations, 9 ablations, 4·3 ω.
+        assert_eq!(
+            Family::Analysis.cells(&p).len(),
+            (13 + 4 + 12 + 6 + 9 + 12) * 2
+        );
         assert_eq!(names(Family::Chaos).len(), 8 * 5);
         let overload = names(Family::Overload);
         assert_eq!(overload.len(), 10 * 4 + 4);

@@ -9,7 +9,7 @@
 //! fixed-memory variant; [`Kalman`] implements the paper's named future
 //! work ("we are currently working on … using Kalman filter for
 //! estimating producer rate with better accuracy", §VIII). All three are
-//! compared by the `ablations` experiment.
+//! compared by the `analysis` sweep family's PBPL ablations.
 
 use pc_sim::SimDuration;
 use std::collections::VecDeque;

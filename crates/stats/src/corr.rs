@@ -4,8 +4,8 @@
 //! and power once BW/Yield are excluded, a strong +74% correlation between
 //! wakeups/s and power among the five idle-based implementations, −79.6%
 //! across all seven, and a hypothesis test — *"wakeups have a significant
-//! effect on power"* — accepted at 99% confidence. The `correlations`
-//! experiment runner regenerates those numbers with these functions.
+//! effect on power"* — accepted at 99% confidence. The `analysis` sweep
+//! family regenerates those numbers with these functions.
 
 use crate::ci::{t_critical, ConfidenceLevel};
 use serde::{Deserialize, Serialize};
