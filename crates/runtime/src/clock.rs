@@ -4,17 +4,135 @@
 //! control": producers must emit items at trace timestamps and the PBPL
 //! core manager must fire slots at precise wall instants. A
 //! [`ReplayClock`] maps simulated trace time onto wall time (optionally
-//! scaled), and [`precise_sleep_until`] implements the sleep-then-spin
-//! idiom that gets microsecond-class firing accuracy out of a
-//! millisecond-class OS sleep — the same trick that separates the paper's
-//! SPBP from PBP.
+//! scaled). Two sleepers serve it:
+//!
+//! * [`idle_sleep_until`] — one absolute-deadline `clock_nanosleep` with
+//!   1 ns timer slack. The thread idles for the whole wait, so a paced
+//!   producer costs CPU only when it has work. Replay pacing and the
+//!   harness use it.
+//! * [`precise_sleep_until`] — sleep-then-spin: OS-sleep the bulk, spin
+//!   the last ~200 µs. Microsecond-class firing at the price of a busy
+//!   core; only SPBP's consumer timer uses it, because that accuracy gap
+//!   is exactly what separates the paper's SPBP from PBP.
+//!
+//! The foreign calls are Linux's (`clock_nanosleep`, `prctl`,
+//! `getrusage`), declared here directly: `std` already links libc.
 
 use pc_sim::SimTime;
+use std::cell::Cell;
+use std::os::raw::{c_int, c_long, c_ulong};
 use std::time::{Duration, Instant};
 
 /// How close to the deadline the precise sleeper switches from OS sleep
 /// to spinning.
 const SPIN_WINDOW: Duration = Duration::from_micros(200);
+
+/// `struct timespec` and `struct timeval` on Linux: two `long`s.
+#[repr(C)]
+struct TimePair {
+    sec: c_long,
+    frac: c_long,
+}
+
+/// `struct rusage`: user and system time, then 14 `long` counters.
+#[repr(C)]
+struct Rusage {
+    user: TimePair,
+    system: TimePair,
+    _counters: [c_long; 14],
+}
+
+const CLOCK_MONOTONIC: c_int = 1;
+const TIMER_ABSTIME: c_int = 1;
+const EINTR: c_int = 4;
+const PR_SET_TIMERSLACK: c_int = 29;
+const RUSAGE_THREAD: c_int = 1;
+
+extern "C" {
+    fn clock_gettime(clock: c_int, out: *mut TimePair) -> c_int;
+    fn clock_nanosleep(
+        clock: c_int,
+        flags: c_int,
+        request: *const TimePair,
+        remain: *mut TimePair,
+    ) -> c_int;
+    fn prctl(option: c_int, ...) -> c_int;
+    fn getrusage(who: c_int, usage: *mut Rusage) -> c_int;
+}
+
+thread_local! {
+    /// Whether this thread's timer slack is already 1 ns.
+    static SLACK_SET: Cell<bool> = const { Cell::new(false) };
+}
+
+/// `CLOCK_MONOTONIC` now, the clock `Instant` reads on Linux.
+fn monotonic_now() -> TimePair {
+    let mut ts = TimePair { sec: 0, frac: 0 };
+    // SAFETY: `ts` is a live, writable `struct timespec` and the clock id
+    // is a constant the kernel defines.
+    let rc = unsafe { clock_gettime(CLOCK_MONOTONIC, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_MONOTONIC) failed");
+    ts
+}
+
+/// Sleeps until `deadline` without spinning: one absolute
+/// `clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME)`, retried on `EINTR`.
+/// The first call on a thread sets its timer slack to 1 ns
+/// (`PR_SET_TIMERSLACK`; the default 50 µs would let the kernel defer
+/// the wakeup to batch it with others). Never returns before `deadline`;
+/// a deadline already past returns at once.
+pub(crate) fn idle_sleep_until(deadline: Instant) {
+    if !SLACK_SET.get() {
+        // SAFETY: PR_SET_TIMERSLACK takes one unsigned long argument and
+        // only changes the calling thread's timer slack.
+        unsafe { prctl(PR_SET_TIMERSLACK, 1 as c_ulong) };
+        SLACK_SET.set(true);
+    }
+    loop {
+        // `Instant` is read before the monotonic clock, so the absolute
+        // target below can only land at or after `deadline`; the loop
+        // re-checks anyway, since an early return would break pacing.
+        let now = Instant::now();
+        if now >= deadline {
+            return;
+        }
+        let left = deadline - now;
+        let base = monotonic_now();
+        let nanos = base.frac as u64 + u64::from(left.subsec_nanos());
+        let target = TimePair {
+            sec: base.sec + left.as_secs() as c_long + (nanos / 1_000_000_000) as c_long,
+            frac: (nanos % 1_000_000_000) as c_long,
+        };
+        // SAFETY: `target` is a valid normalised timespec that outlives
+        // the call; with TIMER_ABSTIME the kernel never writes `remain`,
+        // so a null pointer is allowed.
+        let rc = unsafe {
+            clock_nanosleep(
+                CLOCK_MONOTONIC,
+                TIMER_ABSTIME,
+                &target,
+                std::ptr::null_mut(),
+            )
+        };
+        assert!(rc == 0 || rc == EINTR, "clock_nanosleep failed: {rc}");
+    }
+}
+
+/// CPU time (user + system) the calling thread has used so far, from
+/// `getrusage(RUSAGE_THREAD)` (microsecond resolution).
+pub(crate) fn thread_cpu() -> Duration {
+    let mut usage = Rusage {
+        user: TimePair { sec: 0, frac: 0 },
+        system: TimePair { sec: 0, frac: 0 },
+        _counters: [0; 14],
+    };
+    // SAFETY: `usage` is a live, writable `struct rusage`, and
+    // RUSAGE_THREAD asks about the calling thread only.
+    let rc = unsafe { getrusage(RUSAGE_THREAD, &mut usage) };
+    assert_eq!(rc, 0, "getrusage(RUSAGE_THREAD) failed");
+    let micros = |t: &TimePair| t.sec as u64 * 1_000_000 + t.frac as u64;
+    Duration::from_micros(micros(&usage.user) + micros(&usage.system))
+}
 
 /// Sleeps until `deadline` with sub-millisecond accuracy: OS-sleep the
 /// bulk, spin the last ~200 µs.
@@ -65,9 +183,9 @@ impl ReplayClock {
         SimTime::from_nanos((elapsed * 1e9) as u64)
     }
 
-    /// Sleeps (precisely) until simulated time `t`, but wakes every
-    /// `poll` to check `stop`; returns `false` if stopped before the
-    /// deadline.
+    /// Sleeps (idly, see [`idle_sleep_until`]) until simulated time `t`,
+    /// but wakes every `poll` to check `stop`; returns `false` if stopped
+    /// before the deadline.
     /// Long inter-arrival gaps in a replayed trace must not outlive a
     /// shutdown request.
     pub(crate) fn sleep_until_sim_or_stop(
@@ -85,13 +203,7 @@ impl ReplayClock {
             if now >= deadline {
                 return true;
             }
-            let remaining = deadline - now;
-            if remaining > poll {
-                std::thread::sleep(poll);
-            } else {
-                precise_sleep_until(deadline);
-                return !stop.load(std::sync::atomic::Ordering::Relaxed);
-            }
+            idle_sleep_until(deadline.min(now + poll));
         }
     }
 }
@@ -123,6 +235,58 @@ mod tests {
         let t0 = Instant::now();
         precise_sleep_until(deadline);
         assert!(t0.elapsed() < Duration::from_millis(2));
+    }
+
+    #[test]
+    fn idle_sleep_never_returns_early() {
+        for micros in [1, 50, 300, 1_000, 2_500] {
+            let deadline = Instant::now() + Duration::from_micros(micros);
+            idle_sleep_until(deadline);
+            let now = Instant::now();
+            assert!(now >= deadline, "woke {:?} early", deadline - now);
+        }
+    }
+
+    #[test]
+    fn idle_sleep_past_deadline_returns_immediately() {
+        let deadline = Instant::now() - Duration::from_millis(1);
+        let t0 = Instant::now();
+        idle_sleep_until(deadline);
+        assert!(t0.elapsed() < Duration::from_millis(2));
+    }
+
+    #[test]
+    fn idle_sleep_costs_little_cpu() {
+        // A sleeper that spun for any real part of its wait would burn a
+        // matching share of its wall time as thread CPU.
+        let (cpu0, wall0) = (thread_cpu(), Instant::now());
+        for _ in 0..20 {
+            idle_sleep_until(Instant::now() + Duration::from_millis(5));
+        }
+        let (cpu, wall) = (thread_cpu() - cpu0, wall0.elapsed());
+        assert!(wall >= Duration::from_millis(100), "wall {wall:?}");
+        assert!(cpu * 10 < wall, "{cpu:?} CPU over {wall:?} of sleeping");
+    }
+
+    #[test]
+    fn thread_cpu_counts_only_this_thread() {
+        // Work until this thread has 5 ms of CPU: a clock that never
+        // advanced would spin into the wall-time cap instead.
+        let (before, t0) = (thread_cpu(), Instant::now());
+        let mut x = 0u64;
+        while thread_cpu() - before < Duration::from_millis(5) {
+            assert!(t0.elapsed() < Duration::from_secs(5), "CPU clock stuck");
+            for _ in 0..10_000 {
+                x = std::hint::black_box(x.wrapping_mul(31).wrapping_add(1));
+            }
+        }
+        let idle = std::thread::spawn(|| {
+            std::thread::sleep(Duration::from_millis(20));
+            thread_cpu()
+        })
+        .join()
+        .unwrap();
+        assert!(idle < Duration::from_millis(5), "sleeping thread {idle:?}");
     }
 
     #[test]

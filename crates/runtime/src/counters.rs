@@ -25,6 +25,9 @@ pub(crate) struct PairCounters {
     scheduled: AtomicU64,
     /// Invocations forced by a full buffer.
     overflows: AtomicU64,
+    /// Producer pushes that found the buffer full and had to wait, one
+    /// per push however many retries it took (PBPL only).
+    overflow_episodes: AtomicU64,
     /// Nanoseconds of consumer busy time.
     busy_ns: AtomicU64,
     /// Sum of item latencies, nanoseconds.
@@ -65,6 +68,11 @@ impl PairCounters {
         }
     }
 
+    /// Records one producer overflow episode.
+    pub(crate) fn add_overflow_episode(&self) {
+        self.overflow_episodes.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one item's latency.
     pub(crate) fn add_latency(&self, produced_at: Instant, consumed_at: Instant) {
         let ns = consumed_at
@@ -101,6 +109,7 @@ impl PairCounters {
             invocations: self.invocations.load(Ordering::Relaxed),
             scheduled: self.scheduled.load(Ordering::Relaxed),
             overflows: self.overflows.load(Ordering::Relaxed),
+            overflow_episodes: self.overflow_episodes.load(Ordering::Relaxed),
             busy: SimDuration::from_nanos(self.busy_ns.load(Ordering::Relaxed)),
             latency_sum: SimDuration::from_nanos(self.latency_sum_ns.load(Ordering::Relaxed)),
             latency_max: SimDuration::from_nanos(self.latency_max_ns.load(Ordering::Relaxed)),
@@ -137,6 +146,11 @@ pub struct PairStats {
     pub scheduled: u64,
     /// Overflow-forced invocations.
     pub overflows: u64,
+    /// PBPL only: producer pushes that found the buffer full and had to
+    /// wait for a drain. Each overflow invocation ends one episode, so
+    /// `overflows` ≤ `overflow_episodes` ≤ `overflows` + 1 (the last
+    /// episode may meet the stop flag instead).
+    pub overflow_episodes: u64,
     /// Total consumer busy time.
     pub busy: SimDuration,
     /// Sum of item latencies.
@@ -173,7 +187,9 @@ mod tests {
         c.add_wakeup();
         c.add_invocation(true, false);
         c.add_invocation(false, true);
+        c.add_overflow_episode();
         let s = c.snapshot();
+        assert_eq!(s.overflow_episodes, 1);
         assert_eq!(s.items_produced, 10);
         assert_eq!(s.items_consumed, 7);
         assert_eq!(s.wakeups, 1);
@@ -240,7 +256,10 @@ mod tests {
     fn fresh_counters_snapshot_to_zero() {
         let s = PairCounters::new().snapshot();
         assert_eq!(s.items_produced + s.items_consumed + s.wakeups, 0);
-        assert_eq!(s.invocations + s.scheduled + s.overflows + s.items_shed, 0);
+        assert_eq!(
+            s.invocations + s.scheduled + s.overflows + s.overflow_episodes + s.items_shed,
+            0
+        );
         assert_eq!(s.busy, SimDuration::ZERO);
         assert_eq!(s.latency_max, SimDuration::ZERO);
         assert_eq!(s.mean_latency(), SimDuration::ZERO, "no items, no latency");

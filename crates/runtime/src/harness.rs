@@ -1,12 +1,12 @@
 //! Spawn/collect machinery: run M native pairs under one strategy for a
 //! trace horizon and gather the paper's per-pair metrics.
 
-use crate::clock::ReplayClock;
+use crate::clock::{idle_sleep_until, thread_cpu, ReplayClock};
 use crate::counters::PairStats;
 use crate::manager::NativeCoreManager;
 use crate::strategy::{
     spawn_bp, spawn_busy, spawn_mutex, spawn_pbpl, spawn_periodic, spawn_sem, PairContext,
-    PairHandle,
+    PairExit, PairHandle,
 };
 use pc_core::{CostModel, SlotTrack, StrategyKind};
 use pc_faults::FaultPlan;
@@ -88,6 +88,62 @@ pub struct NativeRunReport {
     pub pairs: Vec<PairStats>,
     /// PBPL only: slot timer fires per core manager.
     pub manager_fires: Vec<u64>,
+    /// CPU time of the run's threads, by role.
+    pub cpu: RoleCpu,
+    /// How late the producers pushed against their replay schedule.
+    pub lateness: Lateness,
+}
+
+/// CPU time (user + system) of a native run's threads by role, each read
+/// with `getrusage(RUSAGE_THREAD)` as the thread exits. Only the join
+/// watchdog is not counted; it just blocks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RoleCpu {
+    /// Every producer (trace replay) thread.
+    pub producer: Duration,
+    /// Every consumer thread.
+    pub consumer: Duration,
+    /// Every PBPL core-manager thread (zero for the other strategies).
+    pub manager: Duration,
+    /// The thread calling [`NativeHarness::run`]: trace generation,
+    /// spawning, joining and the lateness sort.
+    pub harness: Duration,
+}
+
+impl RoleCpu {
+    /// CPU time of all roles.
+    pub fn total(&self) -> Duration {
+        self.producer + self.consumer + self.manager + self.harness
+    }
+}
+
+/// Pacing fidelity of the replay: per produced item, the instant it was
+/// pushed minus its scheduled wall deadline, over every pair
+/// (nearest-rank percentiles; zero when nothing was produced).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Lateness {
+    /// Median lateness.
+    pub p50: Duration,
+    /// 99th-percentile lateness.
+    pub p99: Duration,
+    /// Worst lateness.
+    pub max: Duration,
+}
+
+impl Lateness {
+    /// Percentiles of an ascending slice of nanosecond samples.
+    fn from_sorted(ns: &[u64]) -> Self {
+        let rank = |q: f64| {
+            let i = ((q * ns.len() as f64).ceil() as usize).saturating_sub(1);
+            ns.get(i)
+                .map_or(Duration::ZERO, |&n| Duration::from_nanos(n))
+        };
+        Lateness {
+            p50: rank(0.5),
+            p99: rank(0.99),
+            max: rank(1.0),
+        }
+    }
 }
 
 impl NativeRunReport {
@@ -130,6 +186,7 @@ impl NativeHarness {
     /// all of them have joined.
     pub fn run(self) -> NativeRunReport {
         assert!(self.pairs > 0 && self.cores > 0);
+        let harness_cpu = thread_cpu();
         let horizon = SimTime::ZERO + self.duration;
         let mut cfg = self.trace.clone();
         cfg.horizon = horizon;
@@ -148,11 +205,14 @@ impl NativeHarness {
             let managers: Vec<Arc<NativeCoreManager>> = (0..self.cores)
                 .map(|_| NativeCoreManager::new(track, clock))
                 .collect();
-            let threads: Vec<thread::JoinHandle<()>> = managers
+            let threads: Vec<thread::JoinHandle<Duration>> = managers
                 .iter()
                 .map(|m| {
                     let m = Arc::clone(m);
-                    thread::spawn(move || m.run())
+                    thread::spawn(move || {
+                        m.run();
+                        thread_cpu()
+                    })
                 })
                 .collect();
             let pool = GlobalPool::new(self.buffer_capacity * self.pairs);
@@ -202,11 +262,12 @@ impl NativeHarness {
                 }
             })
             .collect();
+        // Each pair owns a shifted copy; free the base before the
+        // producers fill their lateness samples.
+        drop(base);
 
         // Let the horizon elapse (plus strategy drain slack), then stop.
-        crate::clock::precise_sleep_until(
-            clock.wall_deadline(horizon + SimDuration::from_millis(20)),
-        );
+        idle_sleep_until(clock.wall_deadline(horizon + SimDuration::from_millis(20)));
         stop.store(true, Ordering::SeqCst);
         let counters: Vec<_> = handles.iter().map(|h| Arc::clone(&h.counters)).collect();
         // Join through a watchdog. A strategy thread that misses the stop
@@ -218,14 +279,15 @@ impl NativeHarness {
         let joiner = thread::Builder::new()
             .name("pc-join-watchdog".into())
             .spawn(move || {
-                for h in handles {
-                    h.join();
-                }
-                let _ = done_tx.send(());
+                let exits: Vec<PairExit> = handles.into_iter().map(PairHandle::join).collect();
+                let _ = done_tx.send(exits);
             })
             .expect("spawn joiner thread");
-        match done_rx.recv_timeout(JOIN_TIMEOUT) {
-            Ok(()) => joiner.join().expect("joiner thread panicked"),
+        let exits = match done_rx.recv_timeout(JOIN_TIMEOUT) {
+            Ok(exits) => {
+                joiner.join().expect("joiner thread panicked");
+                exits
+            }
             Err(_) => {
                 let dump: Vec<String> = counters
                     .iter()
@@ -239,15 +301,25 @@ impl NativeHarness {
                     dump.join("\n")
                 );
             }
-        }
+        };
         let wall_secs = started.elapsed().as_secs_f64();
         let manager_fires = managers.iter().map(|m| m.slot_fires()).collect();
         for m in &managers {
             m.shutdown();
         }
+        let mut cpu = RoleCpu::default();
         for t in mgr_threads {
-            t.join().expect("manager thread panicked");
+            cpu.manager += t.join().expect("manager thread panicked");
         }
+        let mut lateness_ns = Vec::new();
+        for exit in exits {
+            cpu.producer += exit.producer_cpu;
+            cpu.consumer += exit.consumer_cpu;
+            lateness_ns.extend(exit.lateness_ns);
+        }
+        lateness_ns.sort_unstable();
+        let lateness = Lateness::from_sorted(&lateness_ns);
+        cpu.harness = thread_cpu() - harness_cpu;
         // Pool ledger: with every pair thread joined and every manager's
         // buffer table cleared, each elastic buffer has dropped and
         // returned its units.
@@ -266,6 +338,8 @@ impl NativeHarness {
             wall_secs,
             pairs: counters.iter().map(|c| c.snapshot()).collect(),
             manager_fires,
+            cpu,
+            lateness,
         }
     }
 }
@@ -342,6 +416,62 @@ mod tests {
         let r = h.run();
         assert!(r.items_produced() > 0);
         assert_eq!(r.items_produced(), r.items_consumed());
+    }
+
+    #[test]
+    fn every_overflow_invocation_ends_one_producer_episode() {
+        // 5000 items/s in 5-item clusters against a 10-item buffer:
+        // the producer overflows many times before each 10 ms slot.
+        let r = NativeHarness {
+            buffer_capacity: 10,
+            ..harness(StrategyKind::pbpl_default())
+        }
+        .run();
+        assert_eq!(r.items_produced(), r.items_consumed());
+        for (i, p) in r.pairs.iter().enumerate() {
+            assert!(p.overflow_episodes > 0, "pair {i}: no overflow episode");
+            // A phantom second signal per episode would push `overflows`
+            // above the episodes; the last episode may meet the stop
+            // flag instead of an invocation.
+            assert!(
+                p.overflows <= p.overflow_episodes && p.overflows + 1 >= p.overflow_episodes,
+                "pair {i}: {} overflow invocations for {} episodes",
+                p.overflows,
+                p.overflow_episodes
+            );
+        }
+    }
+
+    #[test]
+    fn replay_runs_on_schedule() {
+        // The median push lands within 1 ms of its trace deadline. Best
+        // of three: parallel tests only ever delay the producer, so the
+        // best run measures the pacer rather than the host's load.
+        let best = (0..3)
+            .map(|_| harness(StrategyKind::pbpl_default()).run().lateness)
+            .min_by_key(|l| l.p50)
+            .expect("three runs");
+        assert!(best.p50 < Duration::from_millis(1), "lateness {best:?}");
+        assert!(best.p50 <= best.p99 && best.p99 <= best.max);
+    }
+
+    #[test]
+    fn lateness_percentiles_are_nearest_rank() {
+        let ns: Vec<u64> = (1..=200).collect();
+        let l = Lateness::from_sorted(&ns);
+        assert_eq!(l.p50, Duration::from_nanos(100));
+        assert_eq!(l.p99, Duration::from_nanos(198));
+        assert_eq!(l.max, Duration::from_nanos(200));
+        assert_eq!(Lateness::from_sorted(&[]), Lateness::default());
+    }
+
+    #[test]
+    fn roles_report_cpu() {
+        let r = harness(StrategyKind::pbpl_default()).run();
+        assert!(r.cpu.producer > Duration::ZERO && r.cpu.consumer > Duration::ZERO);
+        assert!(r.cpu.manager > Duration::ZERO, "PBPL runs core managers");
+        let r = harness(StrategyKind::Mutex).run();
+        assert_eq!(r.cpu.manager, Duration::ZERO);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! PowerTop metrics — thread wakeups and CPU usage — directly from the
 //! blocking primitives.
 //!
-//! * `clock` — precise wall-clock pacing: sleep-then-spin deadlines
-//!   (the SPBP trick) and trace replay scaling.
+//! * `clock` — wall-clock pacing: idle absolute-deadline sleeps for
+//!   trace replay, sleep-then-spin deadlines (the SPBP trick), thread
+//!   CPU time, and replay scaling.
 //! * `counters` — wakeup/usage/latency accounting shared by all
 //!   strategy threads.
 //! * `manager` — the native PBPL core-manager thread: one armed
@@ -30,4 +31,4 @@ mod manager;
 mod strategy;
 
 pub use counters::PairStats;
-pub use harness::{NativeHarness, NativeRunReport};
+pub use harness::{Lateness, NativeHarness, NativeRunReport, RoleCpu};

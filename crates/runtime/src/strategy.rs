@@ -5,9 +5,11 @@
 //! pairs additionally share a per-core [`NativeCoreManager`] thread and a
 //! [`GlobalPool`]. Wakeups are counted at the blocking primitives (each
 //! reported "this call blocked" is one thread sleep/wake cycle — the
-//! PowerTop unit), usage via [`PairCounters::busy_timer`].
+//! PowerTop unit), usage via [`PairCounters::busy_timer`]. Every thread
+//! reports its own CPU time as it exits, and each producer how late it
+//! ran against its replay schedule.
 
-use crate::clock::ReplayClock;
+use crate::clock::{thread_cpu, ReplayClock};
 use crate::counters::PairCounters;
 use crate::manager::NativeCoreManager;
 use parking_lot::{Condvar, Mutex};
@@ -30,19 +32,35 @@ const STOP_POLL: Duration = Duration::from_millis(20);
 pub(crate) struct PairHandle {
     /// Shared counters for this pair.
     pub counters: Arc<PairCounters>,
-    threads: Vec<JoinHandle<()>>,
+    /// Reports its share of the [`PairExit`] (no consumer CPU).
+    producer: JoinHandle<PairExit>,
+    consumer: JoinHandle<Duration>,
     /// Wake hook used at shutdown (strategy-specific).
     waker: Option<Arc<Semaphore>>,
 }
 
+/// What a pair's threads report as they exit.
+pub(crate) struct PairExit {
+    /// Producer thread CPU time.
+    pub producer_cpu: Duration,
+    /// Consumer thread CPU time.
+    pub consumer_cpu: Duration,
+    /// Per produced item: push instant minus scheduled wall deadline, ns
+    /// (unsorted).
+    pub lateness_ns: Vec<u64>,
+}
+
 impl PairHandle {
     /// Joins the pair's threads (call after raising the stop flag).
-    pub fn join(mut self) {
-        if let Some(w) = self.waker.take() {
+    pub fn join(self) -> PairExit {
+        if let Some(w) = &self.waker {
             w.release(1);
         }
-        for t in self.threads.drain(..) {
-            t.join().expect("strategy thread panicked");
+        let producer = self.producer.join().expect("producer thread panicked");
+        let consumer_cpu = self.consumer.join().expect("consumer thread panicked");
+        PairExit {
+            consumer_cpu,
+            ..producer
         }
     }
 }
@@ -74,14 +92,18 @@ pub(crate) struct PairContext {
     pub trace_events: TraceHandle,
 }
 
-/// A pair's instrumentation, shared by its threads: the counters, and
-/// trace events stamped with the replay clock's current sim time.
+/// A pair's instrumentation and shutdown state, shared by its threads:
+/// the counters, trace events stamped with the replay clock's current
+/// sim time, and the stop flags.
 #[derive(Clone)]
 struct Tap {
     counters: Arc<PairCounters>,
     events: TraceHandle,
     clock: ReplayClock,
     pair: u32,
+    stop: Arc<AtomicBool>,
+    /// Set by the producer thread after its last push.
+    producer_done: Arc<AtomicBool>,
 }
 
 impl Tap {
@@ -91,7 +113,17 @@ impl Tap {
             events: ctx.trace_events.clone(),
             clock: ctx.clock,
             pair: ctx.index as u32,
+            stop: Arc::clone(&ctx.stop),
+            producer_done: Arc::new(AtomicBool::new(false)),
         }
+    }
+
+    /// Whether the consumer may finish: the stop flag is up and the
+    /// producer has exited, so the final drain comes after its last
+    /// push. A producer parked on a full buffer when the flag rises
+    /// still pushes its item once the consumer drains.
+    fn finished(&self) -> bool {
+        self.stop.load(Ordering::Relaxed) && self.producer_done.load(Ordering::Acquire)
     }
 
     fn emit(&self, make: impl FnOnce(u32) -> TraceEvent) {
@@ -128,10 +160,16 @@ impl Tap {
         }
     }
 
-    fn handle(self, threads: Vec<JoinHandle<()>>, waker: Option<Arc<Semaphore>>) -> PairHandle {
+    fn handle(
+        self,
+        producer: JoinHandle<PairExit>,
+        consumer: JoinHandle<Duration>,
+        waker: Option<Arc<Semaphore>>,
+    ) -> PairHandle {
         PairHandle {
             counters: self.counters,
-            threads,
+            producer,
+            consumer,
             waker,
         }
     }
@@ -139,21 +177,40 @@ impl Tap {
 
 /// Spawns `ctx`'s producer: replays its trace (taken out of `ctx`) and
 /// hands each item's wall-clock stamp to `push`.
-fn spawn_producer<F>(ctx: &mut PairContext, tap: &Tap, mut push: F) -> JoinHandle<()>
+fn spawn_producer<F>(ctx: &mut PairContext, tap: &Tap, mut push: F) -> JoinHandle<PairExit>
 where
     F: FnMut(Instant) + Send + 'static,
 {
     let trace = std::mem::replace(&mut ctx.trace, Trace::new(Vec::new(), SimTime::ZERO));
-    let (stop, tap) = (Arc::clone(&ctx.stop), tap.clone());
+    let tap = tap.clone();
     thread::spawn(move || {
+        let mut lateness_ns = Vec::with_capacity(trace.len());
         for &t in trace.times() {
-            if !tap.clock.sleep_until_sim_or_stop(t, &stop, STOP_POLL) {
+            if !tap.clock.sleep_until_sim_or_stop(t, &tap.stop, STOP_POLL) {
                 break;
             }
-            push(Instant::now());
+            let at = Instant::now();
+            let late = at.saturating_duration_since(tap.clock.wall_deadline(t));
+            lateness_ns.push(late.as_nanos().min(u64::MAX as u128) as u64);
+            push(at);
             tap.counters.add_produced(1);
             tap.emit(|pair| TraceEvent::Produce { pair });
         }
+        tap.producer_done.store(true, Ordering::Release);
+        PairExit {
+            producer_cpu: thread_cpu(),
+            consumer_cpu: Duration::ZERO,
+            lateness_ns,
+        }
+    })
+}
+
+/// Spawns a consumer thread running `body`; the handle yields the
+/// thread's CPU time.
+fn spawn_consumer(body: impl FnOnce() + Send + 'static) -> JoinHandle<Duration> {
+    thread::spawn(move || {
+        body();
+        thread_cpu()
     })
 }
 
@@ -173,14 +230,16 @@ pub(crate) fn spawn_busy(mut ctx: PairContext, yielding: bool) -> PairHandle {
             std::hint::spin_loop();
         }
     });
-    let (ctap, stop) = (tap.clone(), ctx.stop);
-    let consumer = thread::spawn(move || {
+    let ctap = tap.clone();
+    let consumer = spawn_consumer(move || {
         let _busy = ctap.counters.busy_timer(); // busy for its whole life
         loop {
+            // Read before the pop, so an empty pop after it is final.
+            let finished = ctap.finished();
             match c.pop() {
                 Some(at) => ctap.invoke(TraceTrigger::Item, &[at], 0),
                 None => {
-                    if stop.load(Ordering::Relaxed) {
+                    if finished {
                         break;
                     }
                     if yielding {
@@ -192,7 +251,7 @@ pub(crate) fn spawn_busy(mut ctx: PairContext, yielding: bool) -> PairHandle {
             }
         }
     });
-    tap.handle(vec![producer, consumer], None)
+    tap.handle(producer, consumer, None)
 }
 
 /// The session-draining consumer endpoint: both the Mutex and Sem queues
@@ -254,8 +313,8 @@ fn spawn_item_pair<Q: ItemEndpoint, R>(
     let producer = spawn_producer(&mut ctx, &tap, move |at| {
         push(at);
     });
-    let (ctap, stop, capacity) = (tap.clone(), ctx.stop, ctx.capacity);
-    let consumer = thread::spawn(move || {
+    let (ctap, capacity) = (tap.clone(), ctx.capacity);
+    let consumer = spawn_consumer(move || {
         let mut session: Vec<Instant> = Vec::with_capacity(capacity);
         loop {
             session.clear();
@@ -269,22 +328,23 @@ fn spawn_item_pair<Q: ItemEndpoint, R>(
                     ctap.invoke(TraceTrigger::Item, &session, capacity);
                 }
                 None => {
-                    if stop.load(Ordering::Relaxed) && queue.is_empty() {
+                    if ctap.finished() && queue.is_empty() {
                         break;
                     }
                 }
             }
         }
     });
-    tap.handle(vec![producer, consumer], None)
+    tap.handle(producer, consumer, None)
 }
 
-/// Shared buffer for the batching strategies: a mutex-guarded vector plus
-/// a condvar the producer signals on "full" (BP) or "overflow"
-/// (PBP/SPBP).
+/// Shared buffer for the batching strategies: a mutex-guarded vector, a
+/// condvar the producer signals on "full" (BP) or "overflow" (PBP/SPBP),
+/// and one the consumer signals after each drain.
 struct BatchBuffer {
     items: Mutex<Vec<Instant>>,
     signal: Condvar,
+    space: Condvar,
     capacity: usize,
 }
 
@@ -293,6 +353,7 @@ impl BatchBuffer {
         BatchBuffer {
             items: Mutex::new(Vec::with_capacity(capacity)),
             signal: Condvar::new(),
+            space: Condvar::new(),
             capacity,
         }
     }
@@ -300,13 +361,11 @@ impl BatchBuffer {
     /// Pushes and reports whether the buffer is now at capacity.
     fn push(&self, at: Instant) -> bool {
         let mut items = self.items.lock();
-        // The producer stalls while the consumer drains an overfull
-        // buffer; with drain latencies in the microseconds this models
-        // the paper's blocked producer without spinning.
+        // The producer parks while the buffer is full, until the
+        // consumer's next drain: this models the paper's blocked
+        // producer without spinning. The timeout only re-checks.
         while items.len() >= self.capacity {
-            drop(items);
-            thread::yield_now();
-            items = self.items.lock();
+            self.space.wait_for(&mut items, STOP_POLL);
         }
         items.push(at);
         let full = items.len() >= self.capacity;
@@ -321,12 +380,17 @@ impl BatchBuffer {
         let mut items = self.items.lock();
         let n = items.len();
         out.append(&mut items);
+        drop(items);
+        self.space.notify_one();
         n
     }
 }
 
 /// Spawns a batching pair's producer over a fresh [`BatchBuffer`].
-fn spawn_batch_producer(ctx: &mut PairContext, tap: &Tap) -> (JoinHandle<()>, Arc<BatchBuffer>) {
+fn spawn_batch_producer(
+    ctx: &mut PairContext,
+    tap: &Tap,
+) -> (JoinHandle<PairExit>, Arc<BatchBuffer>) {
     let buf = Arc::new(BatchBuffer::new(ctx.capacity));
     let bp = Arc::clone(&buf);
     let producer = spawn_producer(ctx, tap, move |at| {
@@ -339,19 +403,21 @@ fn spawn_batch_producer(ctx: &mut PairContext, tap: &Tap) -> (JoinHandle<()>, Ar
 pub(crate) fn spawn_bp(mut ctx: PairContext) -> PairHandle {
     let tap = Tap::new(&ctx);
     let (producer, buf) = spawn_batch_producer(&mut ctx, &tap);
-    let (ctap, stop) = (tap.clone(), ctx.stop);
-    let consumer = thread::spawn(move || {
+    let ctap = tap.clone();
+    let consumer = spawn_consumer(move || {
         let mut batch = Vec::new();
         loop {
-            {
+            // Read before the drain, so an empty drain after it is final.
+            let finished = {
                 let mut items = buf.items.lock();
-                while items.len() < buf.capacity {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
+                loop {
+                    let finished = ctap.finished();
+                    if finished || items.len() >= buf.capacity {
+                        break finished;
                     }
                     buf.signal.wait_for(&mut items, STOP_POLL);
                 }
-            }
+            };
             ctap.wakeup();
             batch.clear();
             let n = buf.drain(&mut batch);
@@ -360,12 +426,12 @@ pub(crate) fn spawn_bp(mut ctx: PairContext) -> PairHandle {
                 let _busy = ctap.counters.busy_timer();
                 ctap.invoke(TraceTrigger::Overflow, &batch, buf.capacity);
             }
-            if stop.load(Ordering::Relaxed) && n == 0 {
+            if finished && n == 0 {
                 break;
             }
         }
     });
-    tap.handle(vec![producer, consumer], None)
+    tap.handle(producer, consumer, None)
 }
 
 /// Spawns a periodic batching pair. `precise` selects SPBP (spin-finish
@@ -373,8 +439,8 @@ pub(crate) fn spawn_bp(mut ctx: PairContext) -> PairHandle {
 pub(crate) fn spawn_periodic(mut ctx: PairContext, period: SimTime, precise: bool) -> PairHandle {
     let tap = Tap::new(&ctx);
     let (producer, buf) = spawn_batch_producer(&mut ctx, &tap);
-    let (ctap, stop) = (tap.clone(), ctx.stop);
-    let consumer = thread::spawn(move || {
+    let ctap = tap.clone();
+    let consumer = spawn_consumer(move || {
         let clock = ctap.clock;
         let mut batch = Vec::new();
         let mut next = period;
@@ -426,7 +492,7 @@ pub(crate) fn spawn_periodic(mut ctx: PairContext, period: SimTime, precise: boo
             while clock.now_sim() > next {
                 next += period - SimTime::ZERO;
             }
-            if stop.load(Ordering::Relaxed) {
+            if ctap.finished() {
                 batch.clear();
                 buf.drain(&mut batch);
                 ctap.flush(&batch);
@@ -434,7 +500,7 @@ pub(crate) fn spawn_periodic(mut ctx: PairContext, period: SimTime, precise: boo
             }
         }
     });
-    tap.handle(vec![producer, consumer], None)
+    tap.handle(producer, consumer, None)
 }
 
 /// Spawns a PBPL pair: an elastic buffer against the shared pool, and a
@@ -457,41 +523,46 @@ pub(crate) fn spawn_pbpl(mut ctx: PairContext) -> PairHandle {
             .expect("pool covers base reservations"),
     ));
     let waker = Arc::new(Semaphore::new(0));
+    // Set by the producer when it finds the buffer full, cleared by the
+    // consumer's drain; both only under the buffer lock.
     let overflowed = Arc::new(AtomicBool::new(false));
+    // Signalled after every drain; a producer facing a full buffer parks
+    // on it, under the buffer lock.
+    let space = Arc::new(Condvar::new());
     manager.register(ctx.index, Arc::clone(&waker));
     manager.register_buffer(ctx.index, Arc::clone(&buffer));
 
-    let (bp, pw, pov) = (
+    let (bp, pw, pov, pspace, pcounters) = (
         Arc::clone(&buffer),
         Arc::clone(&waker),
         Arc::clone(&overflowed),
+        Arc::clone(&space),
+        Arc::clone(&tap.counters),
     );
     let producer = spawn_producer(&mut ctx, &tap, move |at| {
-        let mut v = at;
-        loop {
-            let mut buf = bp.lock();
-            match buf.push(v) {
-                Ok(()) => return,
-                Err(Overflow(back)) => {
-                    v = back;
-                    drop(buf);
-                    // Unscheduled wakeup: the buffer is full before
-                    // the reserved slot. Signal once per overflow
-                    // episode — re-signalling on every retry would
-                    // pile permits onto the semaphore and make the
-                    // consumer spin through phantom wakeups.
-                    if !pov.swap(true, Ordering::AcqRel) {
-                        pw.release(1);
-                    }
-                    thread::yield_now();
-                }
+        let mut buf = bp.lock();
+        let (mut v, mut blocked) = (at, false);
+        while let Err(Overflow(back)) = buf.push(v) {
+            v = back;
+            // Unscheduled wakeup: the buffer is full before the reserved
+            // slot. Signal once per overflow episode — re-signalling on
+            // every retry would pile permits onto the semaphore and make
+            // the consumer spin through phantom wakeups — then park
+            // until a drain makes room. The timeout only re-checks.
+            if !blocked {
+                blocked = true;
+                pcounters.add_overflow_episode();
             }
+            if !pov.swap(true, Ordering::AcqRel) {
+                pw.release(1);
+            }
+            pspace.wait_for(&mut buf, STOP_POLL);
         }
     });
 
-    let (ctap, stop, cwaker) = (tap.clone(), ctx.stop, Arc::clone(&waker));
+    let (ctap, cwaker) = (tap.clone(), Arc::clone(&waker));
     let (index, base_capacity, cost) = (ctx.index, ctx.capacity, ctx.cost);
-    let consumer = thread::spawn(move || {
+    let consumer = spawn_consumer(move || {
         let mut machine = PbplConsumer::new(PairId(index), &cfg, cost, cfg.degrade.enabled);
         // Plans against the core's book and reserves the chosen slot.
         // Lock order: book, then buffer — the manager's dispatch takes
@@ -519,15 +590,19 @@ pub(crate) fn spawn_pbpl(mut ctx: PairContext) -> PairHandle {
             if cwaker.acquire_timeout(STOP_POLL).is_some() {
                 let now = ctap.clock.now_sim();
                 ctap.wakeup();
-                let was_overflow = overflowed.swap(false, Ordering::AcqRel);
-                ctap.counters.add_invocation(!was_overflow, was_overflow);
                 let _busy = ctap.counters.busy_timer();
                 batch.clear();
-                let capacity = {
+                // The flag is read and cleared in the drain's critical
+                // section: cleared before it, a producer retrying in
+                // between would find the buffer still full and signal a
+                // second, phantom overflow.
+                let (was_overflow, capacity) = {
                     let mut buf = buffer.lock();
                     buf.drain_into(&mut batch);
-                    buf.capacity()
+                    (overflowed.swap(false, Ordering::AcqRel), buf.capacity())
                 };
+                space.notify_one();
+                ctap.counters.add_invocation(!was_overflow, was_overflow);
                 let trigger = if was_overflow {
                     TraceTrigger::Overflow
                 } else {
@@ -539,18 +614,19 @@ pub(crate) fn spawn_pbpl(mut ctx: PairContext) -> PairHandle {
                 machine.invoke(batch.len() as u64, now, was_overflow);
                 plan(&mut machine, now, !was_overflow);
             }
-            if stop.load(Ordering::Relaxed) {
+            if ctap.finished() {
                 // Final drain, after a quiet poll or while being woken
                 // repeatedly — take any stragglers and exit rather than
                 // waiting for a quiet window.
                 batch.clear();
                 buffer.lock().drain_into(&mut batch);
+                space.notify_one();
                 ctap.flush(&batch);
                 return;
             }
         }
     });
-    tap.handle(vec![producer, consumer], Some(waker))
+    tap.handle(producer, consumer, Some(waker))
 }
 
 #[cfg(test)]
@@ -591,12 +667,55 @@ mod tests {
         let clock = ctx.clock;
         let handle = spawn(ctx);
         let counters = Arc::clone(&handle.counters);
-        crate::clock::precise_sleep_until(
-            clock.wall_deadline(SimTime::from_millis(horizon_ms + 30)),
-        );
+        crate::clock::idle_sleep_until(clock.wall_deadline(SimTime::from_millis(horizon_ms + 30)));
         stop.store(true, Ordering::SeqCst);
         handle.join();
         counters.snapshot()
+    }
+
+    #[test]
+    fn stop_mid_replay_conserves_items() {
+        // Raise the stop flag while the producer is still replaying a
+        // dense run of arrivals, often parked on a full buffer: the item
+        // in flight must still be consumed, for every strategy.
+        type Spawn = fn(PairContext) -> PairHandle;
+        let spawns: [(&str, Spawn); 6] = [
+            ("busy", |ctx| spawn_busy(ctx, false)),
+            ("mutex", spawn_mutex),
+            ("sem", spawn_sem),
+            ("bp", spawn_bp),
+            ("spbp", |ctx| {
+                spawn_periodic(ctx, SimTime::from_millis(10), true)
+            }),
+            ("pbpl", spawn_pbpl),
+        ];
+        for (name, spawn) in spawns {
+            let (mut ctx, stop) = test_ctx(0, 200);
+            // 200 000 arrivals 1 µs apart: 200 ms of replay.
+            let times = (0..200_000).map(SimTime::from_micros).collect();
+            ctx.trace = Trace::new(times, SimTime::from_millis(200));
+            let manager =
+                NativeCoreManager::new(SlotTrack::new(SimDuration::from_millis(10)), ctx.clock);
+            let mgr_thread = {
+                let m = Arc::clone(&manager);
+                thread::spawn(move || m.run())
+            };
+            ctx.manager = Some(Arc::clone(&manager));
+            ctx.pool = Some(GlobalPool::new(25));
+            ctx.pbpl = Some(PbplConfig::default());
+            let handle = spawn(ctx);
+            let counters = Arc::clone(&handle.counters);
+            while counters.snapshot().items_produced < 1_000 {
+                thread::yield_now();
+            }
+            stop.store(true, Ordering::SeqCst);
+            handle.join();
+            manager.shutdown();
+            mgr_thread.join().unwrap();
+            let s = counters.snapshot();
+            assert!(s.items_produced < 200_000, "{name}: replay ended first");
+            assert_eq!(s.items_produced, s.items_consumed, "{name}");
+        }
     }
 
     #[test]
@@ -668,7 +787,7 @@ mod tests {
         });
         let handle = spawn_pbpl(ctx);
         let counters = Arc::clone(&handle.counters);
-        crate::clock::precise_sleep_until(clock.wall_deadline(SimTime::from_millis(260)));
+        crate::clock::idle_sleep_until(clock.wall_deadline(SimTime::from_millis(260)));
         stop.store(true, Ordering::SeqCst);
         handle.join();
         manager.shutdown();

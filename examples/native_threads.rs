@@ -1,6 +1,7 @@
 //! The strategies on real OS threads: replay a bursty trace in wall-clock
 //! time and count *actual* thread wakeups and CPU busy time, strategy by
-//! strategy.
+//! strategy, with each thread role's CPU time (producer / consumer / PBPL
+//! core manager, from `getrusage(RUSAGE_THREAD)`).
 //!
 //! This is the `pc-runtime` crate in action — the same algorithms the
 //! simulator measures for power, demonstrated as runnable concurrent
@@ -23,14 +24,23 @@ fn main() {
     };
     println!("native run: 4 pairs, 2 s wall time, ~3000 items/s/pair\n");
     println!(
-        "{:>6} | {:>9} | {:>11} | {:>12} | {:>11} | {:>10}",
-        "impl", "items", "wakeups/s", "usage ms/s", "mean lat", "sched/ovfl"
+        "{:>6} | {:>9} | {:>11} | {:>12} | {:>11} | {:>11} | {:>20}",
+        "impl",
+        "items",
+        "wakeups/s",
+        "usage ms/s",
+        "mean lat",
+        "sched/ovfl",
+        "cpu ms prod/cons/mgr"
     );
 
     let strategies = vec![
         StrategyKind::Mutex,
         StrategyKind::Sem,
         StrategyKind::Bp,
+        StrategyKind::Pbp {
+            period: SimDuration::from_millis(10),
+        },
         StrategyKind::Spbp {
             period: SimDuration::from_millis(10),
         },
@@ -52,8 +62,9 @@ fn main() {
         .run();
         let sched: u64 = report.pairs.iter().map(|p| p.scheduled).sum();
         let ovfl: u64 = report.pairs.iter().map(|p| p.overflows).sum();
+        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
         println!(
-            "{:>6} | {:>9} | {:>11.1} | {:>12.2} | {:>11} | {:>5}/{:<5}",
+            "{:>6} | {:>9} | {:>11.1} | {:>12.2} | {:>11} | {:>5}/{:<5} | {:>6.1}/{:>6.1}/{:>6.1}",
             report.strategy,
             report.items_consumed(),
             report.wakeups_per_sec(),
@@ -61,6 +72,9 @@ fn main() {
             format!("{}", report.mean_latency()),
             sched,
             ovfl,
+            ms(report.cpu.producer),
+            ms(report.cpu.consumer),
+            ms(report.cpu.manager),
         );
         assert_eq!(report.items_produced(), report.items_consumed());
     }
