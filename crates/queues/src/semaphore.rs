@@ -57,7 +57,7 @@ impl Semaphore {
 
     /// Acquires one permit, blocking until available. Returns `true` if
     /// the call had to block (i.e. this was a genuine thread sleep/wakeup).
-    pub(crate) fn acquire(&self) -> bool {
+    pub fn acquire(&self) -> bool {
         if self.spin_acquire_many(1) == 1 {
             return false;
         }

@@ -7,20 +7,31 @@
 //! scaled). Two sleepers serve it:
 //!
 //! * [`idle_sleep_until`] — one absolute-deadline `clock_nanosleep` with
-//!   1 ns timer slack. The thread idles for the whole wait, so a paced
-//!   producer costs CPU only when it has work. Replay pacing and the
-//!   harness use it.
+//!   1 ns timer slack. The thread idles for the whole wait, so it costs
+//!   CPU only when it has work. The harness uses it.
+//! * [`StopSignal::sleep_until`] — the same idle wait, but the run's
+//!   stop raise ends it at once. Replay pacing uses it, so a producer
+//!   inside a long inter-arrival gap exits as soon as the run stops.
 //! * [`precise_sleep_until`] — sleep-then-spin: OS-sleep the bulk, spin
 //!   the last ~200 µs. Microsecond-class firing at the price of a busy
 //!   core; only SPBP's consumer timer uses it, because that accuracy gap
 //!   is exactly what separates the paper's SPBP from PBP.
 //!
-//! The foreign calls are Linux's (`clock_nanosleep`, `prctl`,
-//! `getrusage`), declared here directly: `std` already links libc.
+//! A [`SlotTimer`] (a `timerfd`) is the PBPL core manager's one kernel
+//! timer: the manager blocks on it while other threads move its expiry.
+//!
+//! The foreign calls are Linux's (`clock_nanosleep`, `timerfd_create`,
+//! `timerfd_settime`, `prctl`, `getrusage`), declared here directly:
+//! `std` already links libc.
 
+use parking_lot::{Condvar, Mutex};
 use pc_sim::SimTime;
 use std::cell::Cell;
+use std::fs::File;
+use std::io::Read;
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 use std::os::raw::{c_int, c_long, c_ulong};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// How close to the deadline the precise sleeper switches from OS sleep
@@ -34,6 +45,13 @@ struct TimePair {
     frac: c_long,
 }
 
+/// `struct itimerspec`: the reload interval, then the first expiry.
+#[repr(C)]
+struct TimerSpec {
+    interval: TimePair,
+    value: TimePair,
+}
+
 /// `struct rusage`: user and system time, then 14 `long` counters.
 #[repr(C)]
 struct Rusage {
@@ -44,6 +62,8 @@ struct Rusage {
 
 const CLOCK_MONOTONIC: c_int = 1;
 const TIMER_ABSTIME: c_int = 1;
+const TFD_TIMER_ABSTIME: c_int = 1;
+const TFD_CLOEXEC: c_int = 0o2_000_000;
 const EINTR: c_int = 4;
 const PR_SET_TIMERSLACK: c_int = 29;
 const RUSAGE_THREAD: c_int = 1;
@@ -55,6 +75,13 @@ extern "C" {
         flags: c_int,
         request: *const TimePair,
         remain: *mut TimePair,
+    ) -> c_int;
+    fn timerfd_create(clock: c_int, flags: c_int) -> c_int;
+    fn timerfd_settime(
+        fd: c_int,
+        flags: c_int,
+        new: *const TimerSpec,
+        old: *mut TimerSpec,
     ) -> c_int;
     fn prctl(option: c_int, ...) -> c_int;
     fn getrusage(who: c_int, usage: *mut Rusage) -> c_int;
@@ -75,34 +102,41 @@ fn monotonic_now() -> TimePair {
     ts
 }
 
-/// Sleeps until `deadline` without spinning: one absolute
-/// `clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME)`, retried on `EINTR`.
-/// The first call on a thread sets its timer slack to 1 ns
-/// (`PR_SET_TIMERSLACK`; the default 50 µs would let the kernel defer
-/// the wakeup to batch it with others). Never returns before `deadline`;
-/// a deadline already past returns at once.
-pub(crate) fn idle_sleep_until(deadline: Instant) {
+/// The `CLOCK_MONOTONIC` time of `deadline`, never earlier than it; a
+/// deadline already past maps to about now.
+fn monotonic_at(deadline: Instant) -> TimePair {
+    // `Instant` is read before the monotonic clock, so the result can
+    // only land at or after `deadline`.
+    let left = deadline.saturating_duration_since(Instant::now());
+    let base = monotonic_now();
+    let nanos = base.frac as u64 + u64::from(left.subsec_nanos());
+    TimePair {
+        sec: base.sec + left.as_secs() as c_long + (nanos / 1_000_000_000) as c_long,
+        frac: (nanos % 1_000_000_000) as c_long,
+    }
+}
+
+/// Sets the calling thread's timer slack to 1 ns on its first call
+/// (`PR_SET_TIMERSLACK`; the default 50 µs would let the kernel defer a
+/// timed wakeup to batch it with others).
+fn set_fine_slack() {
     if !SLACK_SET.get() {
         // SAFETY: PR_SET_TIMERSLACK takes one unsigned long argument and
         // only changes the calling thread's timer slack.
         unsafe { prctl(PR_SET_TIMERSLACK, 1 as c_ulong) };
         SLACK_SET.set(true);
     }
-    loop {
-        // `Instant` is read before the monotonic clock, so the absolute
-        // target below can only land at or after `deadline`; the loop
-        // re-checks anyway, since an early return would break pacing.
-        let now = Instant::now();
-        if now >= deadline {
-            return;
-        }
-        let left = deadline - now;
-        let base = monotonic_now();
-        let nanos = base.frac as u64 + u64::from(left.subsec_nanos());
-        let target = TimePair {
-            sec: base.sec + left.as_secs() as c_long + (nanos / 1_000_000_000) as c_long,
-            frac: (nanos % 1_000_000_000) as c_long,
-        };
+}
+
+/// Sleeps until `deadline` without spinning: one absolute
+/// `clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME)` with 1 ns timer
+/// slack, retried on `EINTR`. Never returns before `deadline`; a
+/// deadline already past returns at once.
+pub(crate) fn idle_sleep_until(deadline: Instant) {
+    set_fine_slack();
+    // The loop re-checks, since an early return would break pacing.
+    while Instant::now() < deadline {
+        let target = monotonic_at(deadline);
         // SAFETY: `target` is a valid normalised timespec that outlives
         // the call; with TIMER_ABSTIME the kernel never writes `remain`,
         // so a null pointer is allowed.
@@ -115,6 +149,145 @@ pub(crate) fn idle_sleep_until(deadline: Instant) {
             )
         };
         assert!(rc == 0 || rc == EINTR, "clock_nanosleep failed: {rc}");
+    }
+}
+
+/// A run's stop flag. Raising it also wakes every thread sleeping in
+/// [`StopSignal::sleep_until`], so a sleeper learns of the stop from a
+/// notification rather than by polling.
+#[derive(Default)]
+pub(crate) struct StopSignal {
+    raised: AtomicBool,
+    /// Held while raising and while a sleeper checks the flag and
+    /// parks, so no raise falls between the check and the wait.
+    lock: Mutex<()>,
+    cond: Condvar,
+}
+
+impl StopSignal {
+    /// A signal not yet raised.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Raises the flag and wakes every sleeper.
+    pub(crate) fn raise(&self) {
+        let _guard = self.lock.lock();
+        self.raised.store(true, Ordering::SeqCst);
+        self.cond.notify_all();
+    }
+
+    /// Whether the flag is up.
+    pub(crate) fn is_raised(&self) -> bool {
+        self.raised.load(Ordering::SeqCst)
+    }
+
+    /// Sleeps until `deadline` unless the flag is or goes up first;
+    /// returns `Some(wakes)`, the number of times the thread returned
+    /// from a blocking wait, or `None` if stopped. Like
+    /// [`idle_sleep_until`], the wait has 1 ns timer slack and never
+    /// ends before `deadline`; a deadline already past returns at once
+    /// without a wait.
+    pub(crate) fn sleep_until(&self, deadline: Instant) -> Option<u64> {
+        // Checked first without the lock, which every producer of the run
+        // shares: a burst of items already due takes no lock.
+        if self.is_raised() {
+            return None;
+        }
+        if Instant::now() >= deadline {
+            return Some(0);
+        }
+        set_fine_slack();
+        let mut wakes = 0;
+        let mut guard = self.lock.lock();
+        loop {
+            if self.is_raised() {
+                return None;
+            }
+            if Instant::now() >= deadline {
+                return Some(wakes);
+            }
+            self.cond.wait_until(&mut guard, deadline);
+            wakes += 1;
+        }
+    }
+}
+
+/// A one-shot kernel timer on `CLOCK_MONOTONIC` (a Linux `timerfd`). One
+/// thread blocks in [`SlotTimer::wait`] until the expiry; any thread may
+/// move the expiry with [`SlotTimer::arm`] meanwhile, which never wakes
+/// the waiter early. Unlike a sleep, a `timerfd` carries no timer slack.
+#[derive(Debug)]
+pub(crate) struct SlotTimer {
+    fd: File,
+}
+
+impl SlotTimer {
+    /// A disarmed timer.
+    pub(crate) fn new() -> Self {
+        // SAFETY: plain foreign call with constant arguments; the result
+        // is checked before use.
+        let fd = unsafe { timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC) };
+        assert!(
+            fd >= 0,
+            "timerfd_create failed: {}",
+            std::io::Error::last_os_error()
+        );
+        // SAFETY: `fd` is a descriptor just created for this timer alone,
+        // so the `OwnedFd` is its only owner and closes it once.
+        let fd = unsafe { OwnedFd::from_raw_fd(fd) };
+        SlotTimer { fd: File::from(fd) }
+    }
+
+    /// Sets the one expiry to `deadline` (never earlier; a deadline
+    /// already past expires at once), or disarms the timer for `None`.
+    /// Either replaces the previous setting and discards an expiry no
+    /// [`SlotTimer::wait`] has consumed yet.
+    pub(crate) fn arm(&self, deadline: Option<Instant>) {
+        let zero = TimePair { sec: 0, frac: 0 };
+        self.set(deadline.map_or(zero, monotonic_at));
+    }
+
+    /// Expires the timer now, waking a thread blocked in
+    /// [`SlotTimer::wait`] (or the next one to call it).
+    pub(crate) fn fire(&self) {
+        // 1 ns after boot: long past, and unlike zero it does not disarm.
+        self.set(TimePair { sec: 0, frac: 1 });
+    }
+
+    /// Sets the absolute expiry `value`; all zero disarms.
+    fn set(&self, value: TimePair) {
+        let spec = TimerSpec {
+            interval: TimePair { sec: 0, frac: 0 },
+            value,
+        };
+        // SAFETY: the descriptor is this timer's own open timerfd,
+        // `spec` is a valid itimerspec that outlives the call, and a null
+        // `old` asks the kernel not to report the previous setting.
+        let rc = unsafe {
+            timerfd_settime(
+                self.fd.as_raw_fd(),
+                TFD_TIMER_ABSTIME,
+                &spec,
+                std::ptr::null_mut(),
+            )
+        };
+        assert_eq!(
+            rc,
+            0,
+            "timerfd_settime failed: {}",
+            std::io::Error::last_os_error()
+        );
+    }
+
+    /// Blocks until the timer expires (returns at once if it already
+    /// has since the last `wait` or [`SlotTimer::arm`]).
+    pub(crate) fn wait(&self) {
+        // A timerfd read yields the 8-byte expiry count.
+        let mut expiries = [0u8; 8];
+        (&self.fd)
+            .read_exact(&mut expiries)
+            .expect("read from a live timerfd");
     }
 }
 
@@ -181,30 +354,6 @@ impl ReplayClock {
     pub(crate) fn now_sim(&self) -> SimTime {
         let elapsed = self.epoch.elapsed().as_secs_f64() / self.scale;
         SimTime::from_nanos((elapsed * 1e9) as u64)
-    }
-
-    /// Sleeps (idly, see [`idle_sleep_until`]) until simulated time `t`,
-    /// but wakes every `poll` to check `stop`; returns `false` if stopped
-    /// before the deadline.
-    /// Long inter-arrival gaps in a replayed trace must not outlive a
-    /// shutdown request.
-    pub(crate) fn sleep_until_sim_or_stop(
-        &self,
-        t: SimTime,
-        stop: &std::sync::atomic::AtomicBool,
-        poll: Duration,
-    ) -> bool {
-        let deadline = self.wall_deadline(t);
-        loop {
-            if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                return false;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return true;
-            }
-            idle_sleep_until(deadline.min(now + poll));
-        }
     }
 }
 
@@ -303,21 +452,102 @@ mod tests {
 
     #[test]
     fn stoppable_sleep_observes_stop() {
-        use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
-        let clock = ReplayClock::start(1.0);
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(StopSignal::new());
         let s2 = Arc::clone(&stop);
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            s2.store(true, Ordering::SeqCst);
+            s2.raise();
         });
         let t0 = Instant::now();
-        let completed =
-            clock.sleep_until_sim_or_stop(SimTime::from_secs(30), &stop, Duration::from_millis(5));
-        assert!(!completed, "stop must interrupt the sleep");
+        let completed = stop.sleep_until(t0 + Duration::from_secs(30));
+        assert_eq!(completed, None, "stop must interrupt the sleep");
         assert!(t0.elapsed() < Duration::from_millis(500));
         t.join().unwrap();
+        assert_eq!(
+            stop.sleep_until(Instant::now()),
+            None,
+            "raised stays raised"
+        );
+    }
+
+    #[test]
+    fn stoppable_sleep_never_returns_early() {
+        let stop = StopSignal::new();
+        for micros in [1, 50, 300, 1_000, 2_500] {
+            let deadline = Instant::now() + Duration::from_micros(micros);
+            let wakes = stop.sleep_until(deadline).expect("not stopped");
+            let now = Instant::now();
+            assert!(now >= deadline, "woke {:?} early", deadline - now);
+            if micros >= 300 {
+                assert!(wakes >= 1, "a {micros} µs wait must block");
+            }
+        }
+        let past = Instant::now() - Duration::from_millis(1);
+        assert_eq!(
+            stop.sleep_until(past),
+            Some(0),
+            "no wait for a past deadline"
+        );
+    }
+
+    #[test]
+    fn slot_timer_expires_at_its_deadline_not_before() {
+        let timer = SlotTimer::new();
+        for micros in [1, 300, 2_500] {
+            let deadline = Instant::now() + Duration::from_micros(micros);
+            timer.arm(Some(deadline));
+            timer.wait();
+            let now = Instant::now();
+            assert!(now >= deadline, "expired {:?} early", deadline - now);
+        }
+        // A deadline already past expires at once.
+        timer.arm(Some(Instant::now() - Duration::from_millis(1)));
+        let t0 = Instant::now();
+        timer.wait();
+        assert!(t0.elapsed() < Duration::from_millis(100));
+    }
+
+    #[test]
+    fn slot_timer_rearm_moves_the_expiry() {
+        use std::sync::Arc;
+        let timer = Arc::new(SlotTimer::new());
+        let t0 = Instant::now();
+        // A pending expiry is discarded by the re-arm that follows it.
+        timer.arm(Some(t0));
+        timer.arm(Some(t0 + Duration::from_millis(30)));
+        let waiter = {
+            let timer = Arc::clone(&timer);
+            std::thread::spawn(move || {
+                timer.wait();
+                Instant::now()
+            })
+        };
+        // Moving the expiry later, or disarming, never ends the wait.
+        timer.arm(Some(t0 + Duration::from_millis(60)));
+        timer.arm(None);
+        timer.arm(Some(t0 + Duration::from_millis(40)));
+        let woke = waiter.join().unwrap();
+        assert!(
+            woke >= t0 + Duration::from_millis(40),
+            "woke after {:?}",
+            woke - t0
+        );
+    }
+
+    #[test]
+    fn slot_timer_fire_wakes_a_disarmed_waiter() {
+        use std::sync::Arc;
+        let timer = Arc::new(SlotTimer::new());
+        let waiter = {
+            let timer = Arc::clone(&timer);
+            std::thread::spawn(move || timer.wait())
+        };
+        std::thread::sleep(Duration::from_millis(10));
+        let t0 = Instant::now();
+        timer.fire();
+        waiter.join().unwrap();
+        assert!(t0.elapsed() < Duration::from_millis(100));
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! primitive in `pc-queues` reports whether a call actually blocked — one
 //! genuine sleep/wake cycle — and a [`UsageTimer`] accumulates busy time
 //! around each drain.
+//!
+//! Item latency runs from the item's scheduled wall deadline to its
+//! drain, the simulator's definition. In an open-loop replay that counts
+//! the time a stalled producer pushed late, which a push-instant stamp
+//! would leave out.
 
 use pc_sim::SimDuration;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,22 +78,24 @@ impl PairCounters {
         self.overflow_episodes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one item's latency.
-    pub(crate) fn add_latency(&self, produced_at: Instant, consumed_at: Instant) {
+    /// Records one item's latency: due at `due`, drained at
+    /// `consumed_at`.
+    pub(crate) fn add_latency(&self, due: Instant, consumed_at: Instant) {
         let ns = consumed_at
-            .saturating_duration_since(produced_at)
+            .saturating_duration_since(due)
             .as_nanos()
             .min(u64::MAX as u128) as u64;
         self.latency_sum_ns.fetch_add(ns, Ordering::Relaxed);
         self.latency_max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Records a drained batch: every item consumed now.
+    /// Records a drained batch, each item stamped with its scheduled
+    /// wall deadline: every item consumed now.
     pub fn consume(&self, batch: &[Instant]) {
         let now = Instant::now();
         self.add_consumed(batch.len() as u64);
-        for &at in batch {
-            self.add_latency(at, now);
+        for &due in batch {
+            self.add_latency(due, now);
         }
     }
 
@@ -153,7 +160,8 @@ pub struct PairStats {
     pub overflow_episodes: u64,
     /// Total consumer busy time.
     pub busy: SimDuration,
-    /// Sum of item latencies.
+    /// Sum of item latencies, each from the item's scheduled wall
+    /// deadline to its drain.
     pub latency_sum: SimDuration,
     /// Worst item latency.
     pub latency_max: SimDuration,

@@ -1,7 +1,7 @@
 //! Spawn/collect machinery: run M native pairs under one strategy for a
 //! trace horizon and gather the paper's per-pair metrics.
 
-use crate::clock::{idle_sleep_until, thread_cpu, ReplayClock};
+use crate::clock::{idle_sleep_until, thread_cpu, ReplayClock, StopSignal};
 use crate::counters::PairStats;
 use crate::manager::NativeCoreManager;
 use crate::strategy::{
@@ -15,7 +15,6 @@ use pc_queues::GlobalPool;
 use pc_sim::{SimDuration, SimTime};
 use pc_trace::{Trace, WorldCupConfig};
 use pc_trace_events::TraceHandle;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -90,6 +89,8 @@ pub struct NativeRunReport {
     pub manager_fires: Vec<u64>,
     /// CPU time of the run's threads, by role.
     pub cpu: RoleCpu,
+    /// OS wakes of the run's threads, by role.
+    pub wakes: RoleWakes,
     /// How late the producers pushed against their replay schedule.
     pub lateness: Lateness,
 }
@@ -115,6 +116,22 @@ impl RoleCpu {
     pub fn total(&self) -> Duration {
         self.producer + self.consumer + self.manager + self.harness
     }
+}
+
+/// OS wakes of a native run's threads by role: each return from a call
+/// that blocks. That is a producer's replay sleeps that waited and its
+/// parks on a full buffer, a consumer's waits (timeouts included; a wait
+/// a short spin satisfies counts too), and a core manager's timer reads.
+/// Unlike [`PairStats::wakeups`], the paper's PowerTop metric for
+/// consumers, these include wakes that do no work.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RoleWakes {
+    /// Every producer (trace replay) thread.
+    pub producer: u64,
+    /// Every consumer thread.
+    pub consumer: u64,
+    /// Every PBPL core-manager thread (zero for the other strategies).
+    pub manager: u64,
 }
 
 /// Pacing fidelity of the replay: per produced item, the instant it was
@@ -192,7 +209,7 @@ impl NativeHarness {
         cfg.horizon = horizon;
         let base = cfg.generate(self.seed.wrapping_add(0x7ace));
         let clock = ReplayClock::start(self.time_scale);
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(StopSignal::new());
         let cost = CostModel::from_power_model(&PowerModel::exynos_like());
 
         // PBPL substrate: one manager thread per core + the global pool.
@@ -205,14 +222,11 @@ impl NativeHarness {
             let managers: Vec<Arc<NativeCoreManager>> = (0..self.cores)
                 .map(|_| NativeCoreManager::new(track, clock))
                 .collect();
-            let threads: Vec<thread::JoinHandle<Duration>> = managers
+            let threads: Vec<thread::JoinHandle<(u64, Duration)>> = managers
                 .iter()
                 .map(|m| {
                     let m = Arc::clone(m);
-                    thread::spawn(move || {
-                        m.run();
-                        thread_cpu()
-                    })
+                    thread::spawn(move || (m.run(), thread_cpu()))
                 })
                 .collect();
             let pool = GlobalPool::new(self.buffer_capacity * self.pairs);
@@ -268,7 +282,7 @@ impl NativeHarness {
 
         // Let the horizon elapse (plus strategy drain slack), then stop.
         idle_sleep_until(clock.wall_deadline(horizon + SimDuration::from_millis(20)));
-        stop.store(true, Ordering::SeqCst);
+        stop.raise();
         let counters: Vec<_> = handles.iter().map(|h| Arc::clone(&h.counters)).collect();
         // Join through a watchdog. A strategy thread that misses the stop
         // flag (a lost wakeup with no recovery, a blocked primitive nobody
@@ -307,14 +321,18 @@ impl NativeHarness {
         for m in &managers {
             m.shutdown();
         }
-        let mut cpu = RoleCpu::default();
+        let (mut cpu, mut wakes) = (RoleCpu::default(), RoleWakes::default());
         for t in mgr_threads {
-            cpu.manager += t.join().expect("manager thread panicked");
+            let (mgr_wakes, mgr_cpu) = t.join().expect("manager thread panicked");
+            cpu.manager += mgr_cpu;
+            wakes.manager += mgr_wakes;
         }
         let mut lateness_ns = Vec::new();
         for exit in exits {
             cpu.producer += exit.producer_cpu;
             cpu.consumer += exit.consumer_cpu;
+            wakes.producer += exit.producer_wakes;
+            wakes.consumer += exit.consumer_wakes;
             lateness_ns.extend(exit.lateness_ns);
         }
         lateness_ns.sort_unstable();
@@ -339,6 +357,7 @@ impl NativeHarness {
             pairs: counters.iter().map(|c| c.snapshot()).collect(),
             manager_fires,
             cpu,
+            wakes,
             lateness,
         }
     }
@@ -453,6 +472,39 @@ mod tests {
             .expect("three runs");
         assert!(best.p50 < Duration::from_millis(1), "lateness {best:?}");
         assert!(best.p50 <= best.p99 && best.p99 <= best.max);
+    }
+
+    #[test]
+    fn pbpl_threads_wake_only_for_work() {
+        // One second of the benchmark's `native_pbpl` shape: one pair on
+        // one core replaying the paper's WorldCup workload. The manager
+        // wakes for slot fires and the shutdown; the consumer for its
+        // invocations and the stop.
+        let r = NativeHarness {
+            strategy: StrategyKind::pbpl_default(),
+            pairs: 1,
+            cores: 1,
+            duration: SimDuration::from_secs(1),
+            trace: WorldCupConfig::paper_default(),
+            seed: 5,
+            ..NativeHarness::default()
+        }
+        .run();
+        assert_eq!(r.items_produced(), r.items_consumed());
+        let fires: u64 = r.manager_fires.iter().sum();
+        let wakeups: u64 = r.pairs.iter().map(|p| p.wakeups).sum();
+        assert!(fires > 0, "no slot fired");
+        assert!(
+            r.wakes.manager <= fires + 2,
+            "{} manager wakes for {fires} slot fires",
+            r.wakes.manager
+        );
+        assert!(
+            r.wakes.consumer <= wakeups + 1,
+            "{} consumer wakes for {wakeups} wakeups",
+            r.wakes.consumer
+        );
+        assert!(r.wakes.producer > 0, "the replay sleeps between arrivals");
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //! PowerTop metrics — thread wakeups and CPU usage — directly from the
 //! blocking primitives.
 //!
-//! * `clock` — wall-clock pacing: idle absolute-deadline sleeps for
-//!   trace replay, sleep-then-spin deadlines (the SPBP trick), thread
-//!   CPU time, and replay scaling.
+//! * `clock` — wall-clock pacing: idle absolute-deadline sleeps, the
+//!   run's stop signal that ends replay sleeps, the core manager's
+//!   `timerfd` slot timer, sleep-then-spin deadlines (the SPBP trick),
+//!   thread CPU time, and replay scaling.
 //! * `counters` — wakeup/usage/latency accounting shared by all
 //!   strategy threads.
-//! * `manager` — the native PBPL core-manager thread: one armed
-//!   deadline per core, re-targeted when earlier reservations arrive,
-//!   waking whole latch groups per timer fire.
+//! * `manager` — the native PBPL core-manager thread: one kernel timer
+//!   per core, armed at the earliest reserved slot and re-armed by
+//!   whoever moves that slot; the thread wakes only when it expires, and
+//!   then wakes whole latch groups.
 //! * `strategy` — one spawn function per strategy (BW, Yield, Mutex,
 //!   Sem, BP, PBP, SPBP, PBPL).
 //! * `harness` — spawn/collect machinery returning a
@@ -31,4 +33,4 @@ mod manager;
 mod strategy;
 
 pub use counters::PairStats;
-pub use harness::{Lateness, NativeHarness, NativeRunReport, RoleCpu};
+pub use harness::{Lateness, NativeHarness, NativeRunReport, RoleCpu, RoleWakes};

@@ -1,26 +1,29 @@
 //! The native PBPL core-manager thread (§V-B on real threads).
 //!
 //! One manager thread per (virtual) core owns the core's slot
-//! reservation book and a single armed deadline: the earliest reserved
-//! slot. Consumers reserve slots through the shared handle; if a new
-//! reservation is earlier than the armed deadline the manager is nudged
-//! through its condvar and re-arms — the same cancel/re-arm dance the
-//! simulator's `ensure_scheduled` performs. At each slot deadline the
-//! manager releases every due consumer's wake semaphore: one timer
-//! expiry, many consumer invocations — group latching in the flesh.
+//! reservation book and one kernel timer, a [`SlotTimer`], armed at the
+//! book's earliest reserved slot. The manager wakes only when that timer
+//! expires. Any thread whose reservation changes the earliest slot
+//! re-arms the timer under the book's lock — the cancel/re-arm dance the
+//! simulator's `ensure_scheduled` performs — and re-arming never wakes
+//! the manager. At each expiry the manager dispatches every slot whose
+//! wall deadline has passed, releasing each due consumer's wake
+//! semaphore (one timer expiry, many consumer invocations — group
+//! latching in the flesh), then re-arms for the next slot.
 //!
-//! The book, waker table and buffer table sit behind one mutex. The
-//! armed deadline is coordinated through a separate generation counter
-//! (`arm`) so reserve/shutdown never race the scan-then-wait window.
+//! The book, the waker and buffer tables and the stop flag sit behind
+//! one mutex, and every timer setting is made under it, so the armed
+//! expiry always matches the book. Shutdown sets the flag and fires the
+//! timer under that lock: a reservation after it cannot re-arm the
+//! timer past the shutdown.
 
-use crate::clock::ReplayClock;
-use parking_lot::{Condvar, Mutex};
+use crate::clock::{ReplayClock, SlotTimer};
+use parking_lot::Mutex;
 use pc_core::{CoreManager, PairId, SlotTrack};
 use pc_queues::{ElasticBuffer, Semaphore};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use std::time::Instant;
 
 struct State {
@@ -28,19 +31,18 @@ struct State {
     wakers: HashMap<usize, Arc<Semaphore>>,
     /// Consumers' buffers, for the piggyback occupancy check.
     buffers: HashMap<usize, Arc<Mutex<ElasticBuffer<Instant>>>>,
+    /// Set by [`NativeCoreManager::shutdown`].
+    stopped: bool,
 }
 
 /// Shared handle to one core's slot-reservation manager.
 pub(crate) struct NativeCoreManager {
     track: SlotTrack,
     state: Mutex<State>,
-    /// Arm-generation counter: bumped (under its lock) by every reserve
-    /// and by shutdown, so the run loop can tell whether its book scan
-    /// went stale before it parked on the condvar.
-    arm: Mutex<u64>,
-    nudge: Condvar,
+    /// Armed at the wall deadline of the book's earliest slot (disarmed
+    /// when the book is empty); set only under the `state` lock.
+    timer: SlotTimer,
     clock: ReplayClock,
-    stop: AtomicBool,
     slot_fires: AtomicU64,
 }
 
@@ -53,22 +55,17 @@ impl NativeCoreManager {
                 book: CoreManager::new(track),
                 wakers: HashMap::new(),
                 buffers: HashMap::new(),
+                stopped: false,
             }),
-            arm: Mutex::new(0),
-            nudge: Condvar::new(),
+            timer: SlotTimer::new(),
             clock,
-            stop: AtomicBool::new(false),
             slot_fires: AtomicU64::new(0),
         })
     }
 
-    /// Bumps the arm generation and wakes the manager thread. Called
-    /// after any change that can move the earliest deadline.
-    fn bump(&self) {
-        let mut gen = self.arm.lock();
-        *gen = gen.wrapping_add(1);
-        drop(gen);
-        self.nudge.notify_all();
+    /// The wall instant `slot` starts.
+    fn deadline(&self, slot: u64) -> Instant {
+        self.clock.wall_deadline(self.track.slot_start(slot))
     }
 
     /// Registers the semaphore a consumer waits on.
@@ -87,11 +84,17 @@ impl NativeCoreManager {
         self.state.lock().buffers.insert(consumer, buffer);
     }
 
-    /// Reserves `slot` for `consumer`, nudging the manager thread in
-    /// case the new slot is earlier than the armed one.
+    /// Reserves `slot` for `consumer`, replacing its previous
+    /// reservation. If that moves the book's earliest slot, the timer is
+    /// re-armed for it; the manager thread is not woken.
     pub fn reserve(&self, slot: u64, consumer: usize) {
-        self.state.lock().book.reserve(slot, PairId(consumer));
-        self.bump();
+        let mut st = self.state.lock();
+        let first = st.book.first_reserved();
+        st.book.reserve(slot, PairId(consumer));
+        let now_first = st.book.first_reserved();
+        if now_first != first && !st.stopped {
+            self.timer.arm(now_first.map(|s| self.deadline(s)));
+        }
     }
 
     /// Runs a read-only query against the reservation book (used by the
@@ -105,30 +108,28 @@ impl NativeCoreManager {
         self.slot_fires.load(Ordering::Relaxed)
     }
 
-    /// Signals the manager thread to exit after waking all waiters.
+    /// Makes the manager thread exit at once, whatever its book holds.
     pub(crate) fn shutdown(&self) {
-        // Order matters: stop is set before the generation bump, so the
-        // run loop — which re-checks stop under the arm lock after
-        // validating its generation snapshot — can never park after
-        // shutdown has begun.
-        self.stop.store(true, Ordering::SeqCst);
+        let mut st = self.state.lock();
+        st.stopped = true;
         // Release buffer handles so the consumers' elastic buffers drop
         // (and return their pool units) once the pair handles go away.
-        self.state.lock().buffers.clear();
-        self.bump();
+        st.buffers.clear();
+        self.timer.fire();
     }
 
-    /// One slot fire: take the due list, then piggyback fullish
-    /// neighbours while the core is awake anyway.
-    fn dispatch(&self, slot: u64) {
-        let mut wakers: Vec<Arc<Semaphore>> = Vec::new();
-        {
-            let mut st = self.state.lock();
+    /// One expiry: dispatch every slot whose deadline has passed, then
+    /// arm the timer for the next one. Each slot fire takes the slot's
+    /// due list and piggybacks fullish neighbours while the core is
+    /// awake anyway; the wakers to release are appended to `wakers`.
+    fn dispatch_due(&self, st: &mut State, wakers: &mut Vec<Arc<Semaphore>>) {
+        let now = Instant::now();
+        let mut next = st.book.first_reserved();
+        while let Some(slot) = next.filter(|&s| self.deadline(s) <= now) {
             let due = st.book.take_due(slot);
+            let before = wakers.len();
             wakers.extend(due.iter().filter_map(|c| st.wakers.get(&c.0).cloned()));
-            if !wakers.is_empty() {
-                // The core is awake anyway: piggyback neighbours whose
-                // batches are worth a dispatch.
+            if wakers.len() > before {
                 for (&other, buffer) in st.buffers.iter() {
                     if due.contains(&PairId(other)) {
                         continue;
@@ -145,45 +146,29 @@ impl NativeCoreManager {
                 }
                 self.slot_fires.fetch_add(1, Ordering::Relaxed);
             }
+            next = st.book.first_reserved();
         }
-        for w in wakers {
-            w.release(1);
-        }
+        self.timer.arm(next.map(|s| self.deadline(s)));
     }
 
-    /// The manager thread body: arm the earliest reserved slot, wait,
-    /// and dispatch. Returns when
-    /// [`NativeCoreManager::shutdown`] is called.
-    pub fn run(self: &Arc<Self>) {
+    /// The manager thread body: block on the timer, dispatch what is
+    /// due, repeat. Returns, after [`NativeCoreManager::shutdown`], the
+    /// number of times the thread woke from the timer.
+    pub fn run(&self) -> u64 {
+        let mut wakes = 0;
+        let mut wakers: Vec<Arc<Semaphore>> = Vec::new();
         loop {
-            // Snapshot the generation, then scan. If anything bumps the
-            // generation between snapshot and wait, the re-check below
-            // sends us back around instead of parking on a stale scan.
-            let snapshot = *self.arm.lock();
-            let next = self.state.lock().book.first_reserved();
-            let mut gen = self.arm.lock();
-            if *gen != snapshot {
-                continue;
-            }
-            if self.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            match next {
-                None => {
-                    // Nothing reserved: doze until a reservation arrives.
-                    self.nudge.wait_for(&mut gen, Duration::from_millis(20));
+            self.timer.wait();
+            wakes += 1;
+            {
+                let mut st = self.state.lock();
+                if st.stopped {
+                    return wakes;
                 }
-                Some(slot) => {
-                    let deadline = self.clock.wall_deadline(self.track.slot_start(slot));
-                    let timed_out = self.nudge.wait_until(&mut gen, deadline).timed_out();
-                    if !timed_out {
-                        // Nudged: a new (possibly earlier) reservation or
-                        // shutdown; re-evaluate.
-                        continue;
-                    }
-                    drop(gen);
-                    self.dispatch(slot);
-                }
+                self.dispatch_due(&mut st, &mut wakers);
+            }
+            for w in wakers.drain(..) {
+                w.release(1);
             }
         }
     }
@@ -194,7 +179,7 @@ mod tests {
     use super::*;
     use pc_sim::SimDuration;
     use std::thread;
-    use std::time::Instant;
+    use std::time::Duration;
 
     fn track_ms(delta: u64) -> SlotTrack {
         SlotTrack::new(SimDuration::from_millis(delta))
@@ -242,6 +227,26 @@ mod tests {
         );
         mgr.shutdown();
         runner.join().unwrap();
+    }
+
+    #[test]
+    fn moving_the_earliest_slot_later_costs_no_wake() {
+        let clock = ReplayClock::start(1.0);
+        let mgr = NativeCoreManager::new(track_ms(10), clock);
+        let sem = Arc::new(Semaphore::new(0));
+        mgr.register(0, Arc::clone(&sem));
+        let runner = {
+            let mgr = Arc::clone(&mgr);
+            thread::spawn(move || mgr.run())
+        };
+        mgr.reserve(2, 0); // t = 20ms
+        mgr.reserve(6, 0); // replaced: t = 60ms
+        assert!(sem.acquire_timeout(Duration::from_millis(500)).is_some());
+        assert!(Instant::now() >= clock.wall_deadline(track_ms(10).slot_start(6)));
+        mgr.shutdown();
+        let wakes = runner.join().unwrap();
+        assert_eq!(mgr.slot_fires(), 1);
+        assert_eq!(wakes, 2, "one expiry for slot 6, one for the shutdown");
     }
 
     #[test]

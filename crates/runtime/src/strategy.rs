@@ -6,10 +6,12 @@
 //! [`GlobalPool`]. Wakeups are counted at the blocking primitives (each
 //! reported "this call blocked" is one thread sleep/wake cycle — the
 //! PowerTop unit), usage via [`PairCounters::busy_timer`]. Every thread
-//! reports its own CPU time as it exits, and each producer how late it
-//! ran against its replay schedule.
+//! reports its own CPU time and OS wake count as it exits, and each
+//! producer how late it ran against its replay schedule. An item's
+//! latency runs from its scheduled wall deadline, as in the simulator,
+//! so time a producer spends parked behind a full buffer counts too.
 
-use crate::clock::{thread_cpu, ReplayClock};
+use crate::clock::{thread_cpu, ReplayClock, StopSignal};
 use crate::counters::PairCounters;
 use crate::manager::NativeCoreManager;
 use parking_lot::{Condvar, Mutex};
@@ -25,16 +27,19 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// How long blocking consumers wait before re-checking the stop flag.
+/// How long the Mutex, Sem and BP consumers, and a producer parked on a
+/// full batch buffer, wait before re-checking the stop flag. The PBPL
+/// consumer and the replay sleeps learn of the stop from a signal.
 const STOP_POLL: Duration = Duration::from_millis(20);
 
 /// Handle to one running pair (producer + consumer threads).
 pub(crate) struct PairHandle {
     /// Shared counters for this pair.
     pub counters: Arc<PairCounters>,
-    /// Reports its share of the [`PairExit`] (no consumer CPU).
+    /// Reports its share of the [`PairExit`] (no consumer fields).
     producer: JoinHandle<PairExit>,
-    consumer: JoinHandle<Duration>,
+    /// Reports the consumer thread's CPU time and wakes.
+    consumer: JoinHandle<(Duration, u64)>,
     /// Wake hook used at shutdown (strategy-specific).
     waker: Option<Arc<Semaphore>>,
 }
@@ -45,21 +50,30 @@ pub(crate) struct PairExit {
     pub producer_cpu: Duration,
     /// Consumer thread CPU time.
     pub consumer_cpu: Duration,
+    /// Producer thread returns from blocking calls: replay sleeps that
+    /// waited, and parks on a full buffer.
+    pub producer_wakes: u64,
+    /// Consumer thread returns from blocking waits, timeouts included.
+    pub consumer_wakes: u64,
     /// Per produced item: push instant minus scheduled wall deadline, ns
     /// (unsorted).
     pub lateness_ns: Vec<u64>,
 }
 
 impl PairHandle {
-    /// Joins the pair's threads (call after raising the stop flag).
+    /// Joins the pair's threads (call after raising the stop flag). A
+    /// consumer blocked on a waker is released once the producer has
+    /// exited, so its final drain follows the last push.
     pub fn join(self) -> PairExit {
+        let producer = self.producer.join().expect("producer thread panicked");
         if let Some(w) = &self.waker {
             w.release(1);
         }
-        let producer = self.producer.join().expect("producer thread panicked");
-        let consumer_cpu = self.consumer.join().expect("consumer thread panicked");
+        let (consumer_cpu, consumer_wakes) =
+            self.consumer.join().expect("consumer thread panicked");
         PairExit {
             consumer_cpu,
+            consumer_wakes,
             ..producer
         }
     }
@@ -73,8 +87,8 @@ pub(crate) struct PairContext {
     pub trace: Trace,
     /// Replay pacing.
     pub clock: ReplayClock,
-    /// Cooperative stop flag (set after the horizon elapses).
-    pub stop: Arc<AtomicBool>,
+    /// Stop signal (raised after the horizon elapses).
+    pub stop: Arc<StopSignal>,
     /// Base buffer capacity B₀.
     pub capacity: usize,
     /// PBPL only: this pair's core manager.
@@ -101,7 +115,7 @@ struct Tap {
     events: TraceHandle,
     clock: ReplayClock,
     pair: u32,
-    stop: Arc<AtomicBool>,
+    stop: Arc<StopSignal>,
     /// Set by the producer thread after its last push.
     producer_done: Arc<AtomicBool>,
 }
@@ -123,7 +137,7 @@ impl Tap {
     /// push. A producer parked on a full buffer when the flag rises
     /// still pushes its item once the consumer drains.
     fn finished(&self) -> bool {
-        self.stop.load(Ordering::Relaxed) && self.producer_done.load(Ordering::Acquire)
+        self.stop.is_raised() && self.producer_done.load(Ordering::Acquire)
     }
 
     fn emit(&self, make: impl FnOnce(u32) -> TraceEvent) {
@@ -163,7 +177,7 @@ impl Tap {
     fn handle(
         self,
         producer: JoinHandle<PairExit>,
-        consumer: JoinHandle<Duration>,
+        consumer: JoinHandle<(Duration, u64)>,
         waker: Option<Arc<Semaphore>>,
     ) -> PairHandle {
         PairHandle {
@@ -175,24 +189,28 @@ impl Tap {
     }
 }
 
-/// Spawns `ctx`'s producer: replays its trace (taken out of `ctx`) and
-/// hands each item's wall-clock stamp to `push`.
+/// Spawns `ctx`'s producer: replays its trace (taken out of `ctx`),
+/// sleeping until each item's wall deadline, and hands the deadline to
+/// `push` as the item's stamp. `push` returns how many times it parked
+/// on a full buffer.
 fn spawn_producer<F>(ctx: &mut PairContext, tap: &Tap, mut push: F) -> JoinHandle<PairExit>
 where
-    F: FnMut(Instant) + Send + 'static,
+    F: FnMut(Instant) -> u64 + Send + 'static,
 {
     let trace = std::mem::replace(&mut ctx.trace, Trace::new(Vec::new(), SimTime::ZERO));
     let tap = tap.clone();
     thread::spawn(move || {
         let mut lateness_ns = Vec::with_capacity(trace.len());
+        let mut wakes = 0;
         for &t in trace.times() {
-            if !tap.clock.sleep_until_sim_or_stop(t, &tap.stop, STOP_POLL) {
-                break;
+            let due = tap.clock.wall_deadline(t);
+            match tap.stop.sleep_until(due) {
+                Some(slept) => wakes += slept,
+                None => break,
             }
-            let at = Instant::now();
-            let late = at.saturating_duration_since(tap.clock.wall_deadline(t));
+            let late = Instant::now().saturating_duration_since(due);
             lateness_ns.push(late.as_nanos().min(u64::MAX as u128) as u64);
-            push(at);
+            wakes += push(due);
             tap.counters.add_produced(1);
             tap.emit(|pair| TraceEvent::Produce { pair });
         }
@@ -200,17 +218,19 @@ where
         PairExit {
             producer_cpu: thread_cpu(),
             consumer_cpu: Duration::ZERO,
+            producer_wakes: wakes,
+            consumer_wakes: 0,
             lateness_ns,
         }
     })
 }
 
-/// Spawns a consumer thread running `body`; the handle yields the
-/// thread's CPU time.
-fn spawn_consumer(body: impl FnOnce() + Send + 'static) -> JoinHandle<Duration> {
+/// Spawns a consumer thread running `body`, which returns its wake
+/// count; the handle yields the thread's CPU time and that count.
+fn spawn_consumer(body: impl FnOnce() -> u64 + Send + 'static) -> JoinHandle<(Duration, u64)> {
     thread::spawn(move || {
-        body();
-        thread_cpu()
+        let wakes = body();
+        (thread_cpu(), wakes)
     })
 }
 
@@ -229,6 +249,7 @@ pub(crate) fn spawn_busy(mut ctx: PairContext, yielding: bool) -> PairHandle {
             v = back;
             std::hint::spin_loop();
         }
+        0
     });
     let ctap = tap.clone();
     let consumer = spawn_consumer(move || {
@@ -240,7 +261,7 @@ pub(crate) fn spawn_busy(mut ctx: PairContext, yielding: bool) -> PairHandle {
                 Some(at) => ctap.invoke(TraceTrigger::Item, &[at], 0),
                 None => {
                     if finished {
-                        break;
+                        return 0; // it never blocks
                     }
                     if yielding {
                         thread::yield_now();
@@ -304,21 +325,24 @@ pub(crate) fn spawn_sem(ctx: PairContext) -> PairHandle {
 /// in the same transaction, repeat — one lock (or semaphore
 /// transaction) per session instead of one per item, without changing
 /// the session semantics the wakeup/invocation counters observe.
-fn spawn_item_pair<Q: ItemEndpoint, R>(
+///
+/// `push` reports whether it blocked on a full queue.
+fn spawn_item_pair<Q: ItemEndpoint>(
     mut ctx: PairContext,
-    mut push: impl FnMut(Instant) -> R + Send + 'static,
+    mut push: impl FnMut(Instant) -> bool + Send + 'static,
     queue: Q,
 ) -> PairHandle {
     let tap = Tap::new(&ctx);
-    let producer = spawn_producer(&mut ctx, &tap, move |at| {
-        push(at);
-    });
+    let producer = spawn_producer(&mut ctx, &tap, move |at| u64::from(push(at)));
     let (ctap, capacity) = (tap.clone(), ctx.capacity);
     let consumer = spawn_consumer(move || {
         let mut session: Vec<Instant> = Vec::with_capacity(capacity);
+        let mut wakes = 0;
         loop {
             session.clear();
-            match queue.pop_session(STOP_POLL, &mut session) {
+            let popped = queue.pop_session(STOP_POLL, &mut session);
+            wakes += 1;
+            match popped {
                 Some((_, blocked)) => {
                     if blocked {
                         ctap.wakeup();
@@ -329,7 +353,7 @@ fn spawn_item_pair<Q: ItemEndpoint, R>(
                 }
                 None => {
                     if ctap.finished() && queue.is_empty() {
-                        break;
+                        return wakes;
                     }
                 }
             }
@@ -358,14 +382,17 @@ impl BatchBuffer {
         }
     }
 
-    /// Pushes and reports whether the buffer is now at capacity.
-    fn push(&self, at: Instant) -> bool {
+    /// Pushes, signalling the consumer if the buffer is now at
+    /// capacity; returns how many times the producer parked.
+    fn push(&self, at: Instant) -> u64 {
         let mut items = self.items.lock();
         // The producer parks while the buffer is full, until the
         // consumer's next drain: this models the paper's blocked
         // producer without spinning. The timeout only re-checks.
+        let mut parks = 0;
         while items.len() >= self.capacity {
             self.space.wait_for(&mut items, STOP_POLL);
+            parks += 1;
         }
         items.push(at);
         let full = items.len() >= self.capacity;
@@ -373,7 +400,7 @@ impl BatchBuffer {
         if full {
             self.signal.notify_one();
         }
-        full
+        parks
     }
 
     fn drain(&self, out: &mut Vec<Instant>) -> usize {
@@ -393,9 +420,7 @@ fn spawn_batch_producer(
 ) -> (JoinHandle<PairExit>, Arc<BatchBuffer>) {
     let buf = Arc::new(BatchBuffer::new(ctx.capacity));
     let bp = Arc::clone(&buf);
-    let producer = spawn_producer(ctx, tap, move |at| {
-        bp.push(at);
-    });
+    let producer = spawn_producer(ctx, tap, move |at| bp.push(at));
     (producer, buf)
 }
 
@@ -406,6 +431,7 @@ pub(crate) fn spawn_bp(mut ctx: PairContext) -> PairHandle {
     let ctap = tap.clone();
     let consumer = spawn_consumer(move || {
         let mut batch = Vec::new();
+        let mut wakes = 0;
         loop {
             // Read before the drain, so an empty drain after it is final.
             let finished = {
@@ -416,6 +442,7 @@ pub(crate) fn spawn_bp(mut ctx: PairContext) -> PairHandle {
                         break finished;
                     }
                     buf.signal.wait_for(&mut items, STOP_POLL);
+                    wakes += 1;
                 }
             };
             ctap.wakeup();
@@ -427,7 +454,7 @@ pub(crate) fn spawn_bp(mut ctx: PairContext) -> PairHandle {
                 ctap.invoke(TraceTrigger::Overflow, &batch, buf.capacity);
             }
             if finished && n == 0 {
-                break;
+                return wakes;
             }
         }
     });
@@ -444,6 +471,7 @@ pub(crate) fn spawn_periodic(mut ctx: PairContext, period: SimTime, precise: boo
         let clock = ctap.clock;
         let mut batch = Vec::new();
         let mut next = period;
+        let mut wakes = 0;
         loop {
             let deadline = clock.wall_deadline(next);
             // Wait out the period, but let a producer "full" signal break
@@ -451,6 +479,8 @@ pub(crate) fn spawn_periodic(mut ctx: PairContext, period: SimTime, precise: boo
             let overflowed = {
                 let mut items = buf.items.lock();
                 if items.len() < buf.capacity {
+                    // One wait per period: the condvar (SPBP then spins).
+                    wakes += 1;
                     if precise {
                         // SPBP: condvar until shortly before the deadline,
                         // then spin for signal-class accuracy.
@@ -496,7 +526,7 @@ pub(crate) fn spawn_periodic(mut ctx: PairContext, period: SimTime, precise: boo
                 batch.clear();
                 buf.drain(&mut batch);
                 ctap.flush(&batch);
-                break;
+                return wakes;
             }
         }
     });
@@ -541,23 +571,25 @@ pub(crate) fn spawn_pbpl(mut ctx: PairContext) -> PairHandle {
     );
     let producer = spawn_producer(&mut ctx, &tap, move |at| {
         let mut buf = bp.lock();
-        let (mut v, mut blocked) = (at, false);
+        let (mut v, mut parks) = (at, 0);
         while let Err(Overflow(back)) = buf.push(v) {
             v = back;
             // Unscheduled wakeup: the buffer is full before the reserved
             // slot. Signal once per overflow episode — re-signalling on
             // every retry would pile permits onto the semaphore and make
             // the consumer spin through phantom wakeups — then park
-            // until a drain makes room. The timeout only re-checks.
-            if !blocked {
-                blocked = true;
+            // until a drain makes room. The consumer cannot finish while
+            // this producer is running, so a drain always comes.
+            if parks == 0 {
                 pcounters.add_overflow_episode();
             }
             if !pov.swap(true, Ordering::AcqRel) {
                 pw.release(1);
             }
-            pspace.wait_for(&mut buf, STOP_POLL);
+            pspace.wait(&mut buf);
+            parks += 1;
         }
+        parks
     });
 
     let (ctap, cwaker) = (tap.clone(), Arc::clone(&waker));
@@ -586,44 +618,46 @@ pub(crate) fn spawn_pbpl(mut ctx: PairContext) -> PairHandle {
         // Bootstrap reservation so the manager has something to arm.
         plan(&mut machine, ctap.clock.now_sim(), true);
         let mut batch: Vec<Instant> = Vec::new();
+        let mut wakes = 0;
         loop {
-            if cwaker.acquire_timeout(STOP_POLL).is_some() {
-                let now = ctap.clock.now_sim();
-                ctap.wakeup();
-                let _busy = ctap.counters.busy_timer();
-                batch.clear();
-                // The flag is read and cleared in the drain's critical
-                // section: cleared before it, a producer retrying in
-                // between would find the buffer still full and signal a
-                // second, phantom overflow.
-                let (was_overflow, capacity) = {
-                    let mut buf = buffer.lock();
-                    buf.drain_into(&mut batch);
-                    (overflowed.swap(false, Ordering::AcqRel), buf.capacity())
-                };
-                space.notify_one();
-                ctap.counters.add_invocation(!was_overflow, was_overflow);
-                let trigger = if was_overflow {
-                    TraceTrigger::Overflow
-                } else {
-                    TraceTrigger::Scheduled
-                };
-                ctap.invoke(trigger, &batch, capacity);
-                // The §V-C consumer loop: observe, then predict, select,
-                // resize and reserve.
-                machine.invoke(batch.len() as u64, now, was_overflow);
-                plan(&mut machine, now, !was_overflow);
-            }
+            // Permits come from slot fires, overflow signals and, once
+            // the producer has exited, `PairHandle::join`.
+            cwaker.acquire();
+            wakes += 1;
             if ctap.finished() {
-                // Final drain, after a quiet poll or while being woken
-                // repeatedly — take any stragglers and exit rather than
-                // waiting for a quiet window.
+                // Final drain, whatever woke us: the producer is gone, so
+                // this takes the last items.
                 batch.clear();
                 buffer.lock().drain_into(&mut batch);
                 space.notify_one();
                 ctap.flush(&batch);
-                return;
+                return wakes;
             }
+            let now = ctap.clock.now_sim();
+            ctap.wakeup();
+            let _busy = ctap.counters.busy_timer();
+            batch.clear();
+            // The flag is read and cleared in the drain's critical
+            // section: cleared before it, a producer retrying in between
+            // would find the buffer still full and signal a second,
+            // phantom overflow.
+            let (was_overflow, capacity) = {
+                let mut buf = buffer.lock();
+                buf.drain_into(&mut batch);
+                (overflowed.swap(false, Ordering::AcqRel), buf.capacity())
+            };
+            space.notify_one();
+            ctap.counters.add_invocation(!was_overflow, was_overflow);
+            let trigger = if was_overflow {
+                TraceTrigger::Overflow
+            } else {
+                TraceTrigger::Scheduled
+            };
+            ctap.invoke(trigger, &batch, capacity);
+            // The §V-C consumer loop: observe, then predict, select,
+            // resize and reserve.
+            machine.invoke(batch.len() as u64, now, was_overflow);
+            plan(&mut machine, now, !was_overflow);
         }
     });
     tap.handle(producer, consumer, Some(waker))
@@ -637,13 +671,13 @@ mod tests {
     use pc_sim::SimDuration;
     use pc_trace::WorldCupConfig;
 
-    fn test_ctx(index: usize, horizon_ms: u64) -> (PairContext, Arc<AtomicBool>) {
+    fn test_ctx(index: usize, horizon_ms: u64) -> (PairContext, Arc<StopSignal>) {
         let cfg = WorldCupConfig {
             horizon: SimTime::from_millis(horizon_ms),
             mean_rate: 2_000.0,
             ..WorldCupConfig::quick_test()
         };
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(StopSignal::new());
         let ctx = PairContext {
             index,
             trace: cfg.generate(7 + index as u64),
@@ -668,7 +702,7 @@ mod tests {
         let handle = spawn(ctx);
         let counters = Arc::clone(&handle.counters);
         crate::clock::idle_sleep_until(clock.wall_deadline(SimTime::from_millis(horizon_ms + 30)));
-        stop.store(true, Ordering::SeqCst);
+        stop.raise();
         handle.join();
         counters.snapshot()
     }
@@ -708,7 +742,7 @@ mod tests {
             while counters.snapshot().items_produced < 1_000 {
                 thread::yield_now();
             }
-            stop.store(true, Ordering::SeqCst);
+            stop.raise();
             handle.join();
             manager.shutdown();
             mgr_thread.join().unwrap();
@@ -716,6 +750,98 @@ mod tests {
             assert!(s.items_produced < 200_000, "{name}: replay ended first");
             assert_eq!(s.items_produced, s.items_consumed, "{name}");
         }
+    }
+
+    /// A manager on a 10 ms track and its running thread.
+    fn start_manager(clock: ReplayClock) -> (Arc<NativeCoreManager>, JoinHandle<u64>) {
+        let manager = NativeCoreManager::new(SlotTrack::new(SimDuration::from_millis(10)), clock);
+        let m = Arc::clone(&manager);
+        (manager, thread::spawn(move || m.run()))
+    }
+
+    #[test]
+    fn stop_reaches_sleeping_threads_promptly() {
+        // Each producer sits in a 30 s inter-arrival gap when the stop
+        // rises; the pair, every thread joined, must be back within
+        // 100 ms, whatever the strategy.
+        type Spawn = fn(PairContext) -> PairHandle;
+        let spawns: [(&str, Spawn); 6] = [
+            ("busy", |ctx| spawn_busy(ctx, false)),
+            ("mutex", spawn_mutex),
+            ("sem", spawn_sem),
+            ("bp", spawn_bp),
+            ("spbp", |ctx| {
+                spawn_periodic(ctx, SimTime::from_millis(10), true)
+            }),
+            ("pbpl", spawn_pbpl),
+        ];
+        let limit = Duration::from_millis(100);
+        for (name, spawn) in spawns {
+            let (mut ctx, stop) = test_ctx(0, 10);
+            let gap = vec![SimTime::ZERO, SimTime::from_secs(30)];
+            ctx.trace = Trace::new(gap, SimTime::from_secs(31));
+            let (manager, mgr_thread) = start_manager(ctx.clock);
+            ctx.manager = Some(Arc::clone(&manager));
+            ctx.pool = Some(GlobalPool::new(25));
+            ctx.pbpl = Some(PbplConfig::default());
+            let handle = spawn(ctx);
+            let counters = Arc::clone(&handle.counters);
+            while counters.snapshot().items_produced < 1 {
+                thread::yield_now();
+            }
+            let t0 = Instant::now();
+            stop.raise();
+            handle.join();
+            assert!(
+                t0.elapsed() < limit,
+                "{name}: joined after {:?}",
+                t0.elapsed()
+            );
+            manager.shutdown();
+            mgr_thread.join().unwrap();
+            assert_eq!(counters.snapshot().items_produced, 1, "{name}");
+        }
+        // A manager whose book is empty has its timer disarmed; shutdown
+        // must still end its wait at once.
+        let (idle, idle_thread) = start_manager(ReplayClock::start(1.0));
+        idle.with_book(|book| assert_eq!(book.pending(), 0));
+        let t0 = Instant::now();
+        idle.shutdown();
+        assert_eq!(idle_thread.join().unwrap(), 1, "woken by shutdown alone");
+        assert!(t0.elapsed() < limit, "manager took {:?}", t0.elapsed());
+    }
+
+    #[test]
+    fn parked_producer_wait_counts_toward_latency() {
+        // 5 000 arrivals all due at t = 0 against a 25-item buffer: the
+        // producer parks behind the full buffer again and again and
+        // pushes most items well after they were due. Item latency runs
+        // from the deadline, so each item's push lateness is part of it.
+        let (mut ctx, stop) = test_ctx(0, 10);
+        ctx.trace = Trace::new(vec![SimTime::ZERO; 5_000], SimTime::from_millis(1));
+        let (manager, mgr_thread) = start_manager(ctx.clock);
+        ctx.manager = Some(Arc::clone(&manager));
+        ctx.pool = Some(GlobalPool::new(25));
+        ctx.pbpl = Some(PbplConfig::default());
+        let handle = spawn_pbpl(ctx);
+        let counters = Arc::clone(&handle.counters);
+        while counters.snapshot().items_produced < 5_000 {
+            thread::yield_now();
+        }
+        stop.raise();
+        let exit = handle.join();
+        manager.shutdown();
+        mgr_thread.join().unwrap();
+        let s = counters.snapshot();
+        assert_eq!(s.items_consumed, 5_000);
+        assert!(s.overflow_episodes > 0, "the producer never parked");
+        assert!(exit.producer_wakes > 0, "parks are producer wakes");
+        let late: u64 = exit.lateness_ns.iter().sum();
+        assert!(
+            s.latency_sum.as_nanos() >= late,
+            "latency sum {} ns leaves out push lateness {late} ns",
+            s.latency_sum.as_nanos()
+        );
     }
 
     #[test]
@@ -788,7 +914,7 @@ mod tests {
         let handle = spawn_pbpl(ctx);
         let counters = Arc::clone(&handle.counters);
         crate::clock::idle_sleep_until(clock.wall_deadline(SimTime::from_millis(260)));
-        stop.store(true, Ordering::SeqCst);
+        stop.raise();
         handle.join();
         manager.shutdown();
         mgr_thread.join().unwrap();

@@ -1,7 +1,8 @@
 //! The strategies on real OS threads: replay a bursty trace in wall-clock
 //! time and count *actual* thread wakeups and CPU busy time, strategy by
 //! strategy, with each thread role's CPU time (producer / consumer / PBPL
-//! core manager, from `getrusage(RUSAGE_THREAD)`).
+//! core manager, from `getrusage(RUSAGE_THREAD)`) and OS wakes (every
+//! return from a blocking call, work or not).
 //!
 //! This is the `pc-runtime` crate in action — the same algorithms the
 //! simulator measures for power, demonstrated as runnable concurrent
@@ -24,14 +25,15 @@ fn main() {
     };
     println!("native run: 4 pairs, 2 s wall time, ~3000 items/s/pair\n");
     println!(
-        "{:>6} | {:>9} | {:>11} | {:>12} | {:>11} | {:>11} | {:>20}",
+        "{:>6} | {:>9} | {:>11} | {:>12} | {:>11} | {:>11} | {:>20} | {:>17}",
         "impl",
         "items",
         "wakeups/s",
         "usage ms/s",
         "mean lat",
         "sched/ovfl",
-        "cpu ms prod/cons/mgr"
+        "cpu ms prod/cons/mgr",
+        "wakes prod/cons/mgr"
     );
 
     let strategies = vec![
@@ -64,7 +66,7 @@ fn main() {
         let ovfl: u64 = report.pairs.iter().map(|p| p.overflows).sum();
         let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
         println!(
-            "{:>6} | {:>9} | {:>11.1} | {:>12.2} | {:>11} | {:>5}/{:<5} | {:>6.1}/{:>6.1}/{:>6.1}",
+            "{:>6} | {:>9} | {:>11.1} | {:>12.2} | {:>11} | {:>5}/{:<5} | {:>6.1}/{:>6.1}/{:>6.1} | {:>5}/{:>5}/{:>5}",
             report.strategy,
             report.items_consumed(),
             report.wakeups_per_sec(),
@@ -75,6 +77,9 @@ fn main() {
             ms(report.cpu.producer),
             ms(report.cpu.consumer),
             ms(report.cpu.manager),
+            report.wakes.producer,
+            report.wakes.consumer,
+            report.wakes.manager,
         );
         assert_eq!(report.items_produced(), report.items_consumed());
     }
