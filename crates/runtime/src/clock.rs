@@ -217,7 +217,6 @@ impl StopSignal {
 /// thread blocks in [`SlotTimer::wait`] until the expiry; any thread may
 /// move the expiry with [`SlotTimer::arm`] meanwhile, which never wakes
 /// the waiter early. Unlike a sleep, a `timerfd` carries no timer slack.
-#[derive(Debug)]
 pub(crate) struct SlotTimer {
     fd: File,
 }
