@@ -44,7 +44,7 @@ pub struct Protocol {
 /// Reads one `PC_*` knob through `vars`: unset takes `default`; a set
 /// value that is not an integer `>= min` is an error naming the
 /// variable.
-pub fn env_knob(
+pub(crate) fn env_knob(
     vars: &impl Fn(&str) -> Option<String>,
     name: &str,
     default: u64,

@@ -1,7 +1,7 @@
 //! Bounded exponential backoff for spin loops.
 //!
-//! Every spin site in this workspace (queue stress tests, the throughput
-//! bench, the semaphore's spin-then-park fast path) faces the same
+//! Every spin site in this workspace (queue stress tests, the
+//! semaphore's spin-then-park fast path) faces the same
 //! trade-off: a few pause-hinted spins win when the other side is running
 //! on another core, but on a loaded or single-core machine an unbounded
 //! `spin_loop()` burns the whole scheduler quantum before the peer can

@@ -12,12 +12,16 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A bounded multi-capability queue guarded by a mutex and two condvars.
 pub struct MutexQueue<T> {
     inner: Mutex<VecDeque<T>>,
     capacity: usize,
+    /// Set by [`MutexQueue::close`]; written and read only under
+    /// `inner`'s lock, which orders it (so `Relaxed` suffices) and keeps
+    /// a waiter from missing it between its check and its wait.
+    closed: AtomicBool,
     not_empty: Condvar,
     not_full: Condvar,
 }
@@ -31,6 +35,7 @@ impl<T> MutexQueue<T> {
         MutexQueue {
             inner: Mutex::new(VecDeque::with_capacity(capacity)),
             capacity,
+            closed: AtomicBool::new(false),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         }
@@ -85,70 +90,38 @@ impl<T> MutexQueue<T> {
         Some(v)
     }
 
-    /// Pops with a deadline. `Some((value, blocked))` on success, `None`
-    /// on timeout.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<(T, bool)> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut q = self.inner.lock();
-        let mut blocked = false;
-        while q.is_empty() {
-            blocked = true;
-            if self.not_empty.wait_until(&mut q, deadline).timed_out() {
-                return q.pop_front().map(|v| {
-                    self.not_full.notify_one();
-                    (v, blocked)
-                });
-            }
-        }
-        let v = q.pop_front().expect("non-empty by loop condition");
-        drop(q);
-        self.not_full.notify_one();
-        Some((v, blocked))
-    }
-
-    /// Pushes as many items from `items` as fit under a *single* lock
-    /// acquisition and returns the count (a prefix of the slice; zero
-    /// when full). One lock and one condvar signal per batch is the
-    /// producer-side amortisation the batching strategies rely on.
-    pub fn push_slice(&self, items: &[T]) -> usize
-    where
-        T: Copy,
-    {
-        if items.is_empty() {
-            return 0;
-        }
-        let mut q = self.inner.lock();
-        let n = items.len().min(self.capacity - q.len());
-        q.extend(items[..n].iter().copied());
-        drop(q);
-        if n > 0 {
-            self.not_empty.notify_one();
-        }
-        n
-    }
-
-    /// Blocks (up to `timeout`) for the first item, then drains
-    /// *everything* queued into `out` in the same lock acquisition.
-    /// Returns `Some((count, blocked))` on success, `None` on timeout.
+    /// Blocks for the first item, then drains *everything* queued into
+    /// `out` in the same lock acquisition. Returns `Some((count,
+    /// blocked))`, or `None` once the queue is closed and empty.
     ///
     /// This is the consumer-side batch primitive: where a
-    /// [`MutexQueue::pop_timeout`]-then-[`MutexQueue::try_pop`] loop
-    /// pays one lock per item, a session costs exactly one lock here.
-    pub fn pop_timeout_drain(&self, timeout: Duration, out: &mut Vec<T>) -> Option<(usize, bool)> {
-        let deadline = std::time::Instant::now() + timeout;
+    /// [`MutexQueue::pop`]-then-[`MutexQueue::try_pop`] loop pays one
+    /// lock per item, a session costs exactly one lock here.
+    pub fn pop_drain(&self, out: &mut Vec<T>) -> Option<(usize, bool)> {
         let mut q = self.inner.lock();
         let mut blocked = false;
         while q.is_empty() {
-            blocked = true;
-            if self.not_empty.wait_until(&mut q, deadline).timed_out() && q.is_empty() {
+            if self.closed.load(Ordering::Relaxed) {
                 return None;
             }
+            blocked = true;
+            self.not_empty.wait(&mut q);
         }
         let n = q.len();
         out.extend(q.drain(..));
         drop(q);
         self.not_full.notify_all();
         Some((n, blocked))
+    }
+
+    /// Closes the queue: a consumer blocked in [`MutexQueue::pop_drain`]
+    /// wakes, and once the queue is empty every `pop_drain` returns
+    /// `None`. Call it after the last push.
+    pub fn close(&self) {
+        let q = self.inner.lock();
+        self.closed.store(true, Ordering::Relaxed);
+        drop(q);
+        self.not_empty.notify_all();
     }
 
     /// Takes everything currently queued into `out`, without blocking.
@@ -186,6 +159,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn fifo_order() {
@@ -240,12 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_timeout_expires() {
-        let q: MutexQueue<u8> = MutexQueue::new(1);
-        assert!(q.pop_timeout(Duration::from_millis(10)).is_none());
-    }
-
-    #[test]
     fn drain_into_empties_queue() {
         let q = MutexQueue::new(8);
         for i in 0..5 {
@@ -259,50 +227,40 @@ mod tests {
     }
 
     #[test]
-    fn push_slice_takes_prefix_and_signals() {
-        let q = MutexQueue::<u32>::new(4);
-        assert_eq!(q.push_slice(&[]), 0);
-        assert_eq!(q.push_slice(&[1, 2, 3]), 3);
-        assert_eq!(q.push_slice(&[4, 5, 6]), 1, "clips at capacity");
-        assert_eq!(q.push_slice(&[7]), 0);
-        let mut out = Vec::new();
-        assert_eq!(q.drain_into(&mut out), 4);
-        assert_eq!(out, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn pop_timeout_drain_batches_one_lock() {
+    fn pop_drain_takes_the_session_and_ends_once_closed_and_empty() {
         let q = MutexQueue::<u32>::new(8);
         for i in 0..5 {
             q.push(i);
         }
         let mut out = Vec::new();
-        let (n, blocked) = q
-            .pop_timeout_drain(Duration::from_millis(10), &mut out)
-            .expect("items present");
-        assert_eq!(n, 5);
-        assert!(!blocked);
+        assert_eq!(q.pop_drain(&mut out), Some((5, false)));
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        assert!(q
-            .pop_timeout_drain(Duration::from_millis(5), &mut out)
-            .is_none());
+        // Items pushed before the close still drain after it.
+        q.push(5);
+        q.close();
+        assert_eq!(q.pop_drain(&mut out), Some((1, false)));
+        assert_eq!(q.pop_drain(&mut out), None);
+        assert_eq!(q.pop_drain(&mut out), None, "closed stays closed");
     }
 
     #[test]
-    fn pop_timeout_drain_wakes_on_push() {
+    fn pop_drain_wakes_on_push_and_on_close() {
         let q = Arc::new(MutexQueue::new(4));
         let q2 = Arc::clone(&q);
         let consumer = thread::spawn(move || {
             let mut out = Vec::new();
-            let got = q2.pop_timeout_drain(Duration::from_secs(5), &mut out);
-            (got, out)
+            let mut sessions = Vec::new();
+            while let Some(session) = q2.pop_drain(&mut out) {
+                sessions.push(session);
+            }
+            (sessions, out)
         });
         thread::sleep(Duration::from_millis(20));
         q.push(7);
-        let (got, out) = consumer.join().unwrap();
-        let (n, blocked) = got.expect("push must wake the drain");
-        assert_eq!(n, 1);
-        assert!(blocked, "consumer must report it blocked");
+        thread::sleep(Duration::from_millis(20));
+        q.close();
+        let (sessions, out) = consumer.join().unwrap();
+        assert_eq!(sessions.len(), 1, "one session, then the close");
         assert_eq!(out, vec![7]);
     }
 

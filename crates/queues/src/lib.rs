@@ -22,14 +22,15 @@
 //! * [`backoff`] — bounded spin-then-yield backoff shared by every spin
 //!   site (tests, benches, the semaphore's spin-then-park fast path).
 //!
-//! The queues form the *native fast path* (DESIGN.md §9): every one of
-//! them exposes batched operations — `spsc::SpscProducer::push_slice` /
-//! `spsc::SpscConsumer::pop_chunk` on the ring,
-//! [`bounded::MutexQueue::pop_timeout_drain`] and
-//! [`semqueue::SemQueueConsumer::pop_timeout_drain`] on the blocking
-//! queues — so a batch costs one synchronisation transaction, not one
-//! per item. That is the paper's amortisation argument applied to the
-//! queue substrate itself.
+//! The queues form the *native fast path* (DESIGN.md §9): a consumer
+//! takes a whole session in one synchronisation transaction, not one per
+//! item — `spsc::SpscConsumer::pop_chunk` on the ring,
+//! [`MutexQueue::pop_drain`] and [`semqueue::SemQueueConsumer::pop_drain`]
+//! on the blocking queues. That is the paper's amortisation argument
+//! applied to the queue substrate itself. The blocking queues also
+//! close: after the last push, `close` wakes a waiting consumer and
+//! `pop_drain` returns `None` once the queue is empty, so a consumer
+//! needs no timed wait to learn that its producer is done.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

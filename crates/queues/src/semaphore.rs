@@ -38,18 +38,16 @@ impl Semaphore {
     }
 
     /// The bounded spin phase shared by the blocking acquires: repeated
-    /// non-blocking grabs of up to `max` permits under exponential
-    /// backoff, giving up (to let the caller park) once the spin budget
-    /// is spent.
-    fn spin_acquire_many(&self, max: usize) -> usize {
+    /// non-blocking tries under exponential backoff, giving up (to let
+    /// the caller park) once the spin budget is spent.
+    fn spin_acquire(&self) -> bool {
         let mut backoff = Backoff::new();
         loop {
-            let taken = self.try_acquire_many(max);
-            if taken > 0 {
-                return taken;
+            if self.try_acquire() {
+                return true;
             }
             if backoff.is_completed() {
-                return 0;
+                return false;
             }
             backoff.snooze();
         }
@@ -58,7 +56,7 @@ impl Semaphore {
     /// Acquires one permit, blocking until available. Returns `true` if
     /// the call had to block (i.e. this was a genuine thread sleep/wakeup).
     pub fn acquire(&self) -> bool {
-        if self.spin_acquire_many(1) == 1 {
+        if self.spin_acquire() {
             return false;
         }
         let mut permits = self.permits.lock();
@@ -69,27 +67,6 @@ impl Semaphore {
         }
         *permits -= 1;
         blocked
-    }
-
-    /// Acquires up to `max` permits at once, blocking for the first.
-    /// Returns `(taken, blocked)`. Taking everything available in one call
-    /// is the batch-drain idiom used by batching consumers.
-    #[cfg(test)]
-    pub(crate) fn acquire_many(&self, max: usize) -> (usize, bool) {
-        assert!(max > 0, "acquire_many(0)");
-        let taken = self.spin_acquire_many(max);
-        if taken > 0 {
-            return (taken, false);
-        }
-        let mut permits = self.permits.lock();
-        let mut blocked = false;
-        while *permits == 0 {
-            blocked = true;
-            self.cond.wait(&mut permits);
-        }
-        let taken = (*permits).min(max);
-        *permits -= taken;
-        (taken, blocked)
     }
 
     /// Attempts to acquire one permit without blocking.
@@ -110,7 +87,7 @@ impl Semaphore {
     /// Acquires one permit, giving up after `timeout`. Returns
     /// `Some(blocked)` on success, `None` on timeout.
     pub fn acquire_timeout(&self, timeout: Duration) -> Option<bool> {
-        if self.spin_acquire_many(1) == 1 {
+        if self.spin_acquire() {
             return Some(false);
         }
         let deadline = std::time::Instant::now() + timeout;
@@ -172,17 +149,6 @@ mod tests {
         assert!(!s.try_acquire());
         s.release(1);
         assert!(s.try_acquire());
-    }
-
-    #[test]
-    fn acquire_many_takes_batch() {
-        let s = Semaphore::new(10);
-        let (taken, blocked) = s.acquire_many(4);
-        assert_eq!(taken, 4);
-        assert!(!blocked);
-        let (taken, _) = s.acquire_many(100);
-        assert_eq!(taken, 6);
-        assert_eq!(s.available(), 0);
     }
 
     #[test]

@@ -7,11 +7,15 @@
 //! lock-free SPSC ring — safe because the paper's pairs are strictly
 //! one producer to one consumer, and the semaphores enforce the bounds
 //! before the ring is touched, so ring operations can never fail.
+//!
+//! Closing the queue ([`SemQueueProducer::close`]) releases one extra
+//! `items` permit with no item behind it. A consumer that takes it finds
+//! the ring empty, which is how [`SemQueueConsumer::pop_drain`] learns of
+//! the close; it hands the permit back so every later call sees it too.
 
 use crate::semaphore::Semaphore;
 use crate::spsc::{spsc_ring, SpscConsumer, SpscProducer};
 use std::sync::Arc;
-use std::time::Duration;
 
 struct Shared {
     items: Semaphore,
@@ -83,43 +87,30 @@ impl<T> SemQueueProducer<T> {
         Ok(())
     }
 
-    /// Pushes as many items from `items` as there are free slots, without
-    /// blocking, and returns the count (a prefix of the slice).
-    ///
-    /// One `slots` batch-take, one ring `SpscProducer::push_slice` and
-    /// one `items` batch-release — three synchronisation points for the
-    /// whole batch instead of three per item.
-    pub fn push_slice(&self, items: &[T]) -> usize
-    where
-        T: Copy,
-    {
-        if items.is_empty() {
-            return 0;
-        }
-        let granted = self.shared.slots.try_acquire_many(items.len());
-        if granted == 0 {
-            return 0;
-        }
-        let pushed = self.ring.push_slice(&items[..granted]);
-        debug_assert_eq!(pushed, granted, "slots semaphore counted these slots");
-        self.shared.items.release(pushed);
-        pushed
-    }
-
     /// Buffer capacity.
     pub fn capacity(&self) -> usize {
         self.shared.capacity
+    }
+
+    /// Closes the queue after the last push (it takes the producer, so
+    /// none can follow): a consumer blocked in
+    /// [`SemQueueConsumer::pop_drain`] wakes, and once the queue is
+    /// empty every `pop_drain` returns `None`.
+    pub fn close(self) {
+        self.shared.items.release(1);
     }
 }
 
 impl<T> SemQueueConsumer<T> {
     /// Pops, blocking while empty. Returns `(value, blocked)`.
+    ///
+    /// Panics on a closed, empty queue, where it would wait forever.
     pub fn pop(&self) -> (T, bool) {
         let blocked = self.shared.items.acquire();
         let v = self
             .ring
             .pop()
-            .unwrap_or_else(|| unreachable!("items semaphore guarantees an item"));
+            .unwrap_or_else(|| panic!("pop on a closed, empty SemQueue"));
         self.shared.slots.release(1);
         (v, blocked)
     }
@@ -129,67 +120,36 @@ impl<T> SemQueueConsumer<T> {
         if !self.shared.items.try_acquire() {
             return None;
         }
-        let v = self
-            .ring
-            .pop()
-            .unwrap_or_else(|| unreachable!("items semaphore guarantees an item"));
+        let Some(v) = self.ring.pop() else {
+            // The close permit: hand it back.
+            self.shared.items.release(1);
+            return None;
+        };
         self.shared.slots.release(1);
         Some(v)
     }
 
-    /// Pops with a deadline.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<(T, bool)> {
-        let blocked = self.shared.items.acquire_timeout(timeout)?;
-        let v = self
-            .ring
-            .pop()
-            .unwrap_or_else(|| unreachable!("items semaphore guarantees an item"));
-        self.shared.slots.release(1);
-        Some((v, blocked))
-    }
-
-    /// Waits until at least one item is present, then drains every item
-    /// currently accounted for into `out`. Returns `(count, blocked)`.
-    /// This is the batch wait-and-drain the **BP** strategy uses when the
-    /// producer signals a full buffer.
-    #[cfg(test)]
-    fn wait_drain(&self, out: &mut Vec<T>) -> (usize, bool) {
-        let (taken, blocked) = self.shared.items.acquire_many(self.shared.capacity);
-        let popped = self.ring.pop_chunk(out, taken);
-        debug_assert_eq!(popped, taken, "items semaphore counted these");
-        self.shared.slots.release(taken);
-        (taken, blocked)
-    }
-
-    /// Blocks (up to `timeout`) for the first item, then drains every
-    /// item currently accounted for into `out` in the same transaction.
-    /// Returns `Some((count, blocked))` on success, `None` on timeout.
+    /// Blocks for the first item, then drains every item currently
+    /// accounted for into `out` in the same transaction. Returns
+    /// `Some((count, blocked))`, or `None` once the queue is closed and
+    /// empty.
     ///
     /// The consumer-side batch primitive matching
-    /// [`MutexQueue::pop_timeout_drain`](crate::MutexQueue::pop_timeout_drain):
-    /// one semaphore wait, one non-blocking batch-take of the rest, one
-    /// ring `SpscConsumer::pop_chunk` and one `slots` batch-release per
+    /// [`MutexQueue::pop_drain`](crate::MutexQueue::pop_drain): one
+    /// semaphore wait, one non-blocking batch-take of the rest, one ring
+    /// `SpscConsumer::pop_chunk` and one `slots` batch-release per
     /// session.
-    pub fn pop_timeout_drain(&self, timeout: Duration, out: &mut Vec<T>) -> Option<(usize, bool)> {
-        let blocked = self.shared.items.acquire_timeout(timeout)?;
-        let taken = 1 + self
-            .shared
-            .items
-            .try_acquire_many(self.shared.capacity.saturating_sub(1));
+    pub fn pop_drain(&self, out: &mut Vec<T>) -> Option<(usize, bool)> {
+        let blocked = self.shared.items.acquire();
+        // Up to `capacity` items and the close permit.
+        let taken = 1 + self.shared.items.try_acquire_many(self.shared.capacity);
         let popped = self.ring.pop_chunk(out, taken);
-        debug_assert_eq!(popped, taken, "items semaphore counted these");
-        self.shared.slots.release(taken);
-        Some((taken, blocked))
-    }
-
-    /// Number of buffered items (racy; diagnostics only).
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the buffer appears empty.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.shared.slots.release(popped);
+        if popped < taken {
+            // The close permit: hand it back for the next call.
+            self.shared.items.release(taken - popped);
+        }
+        (popped > 0).then_some((popped, blocked))
     }
 
     /// Buffer capacity.
@@ -202,6 +162,7 @@ impl<T> SemQueueConsumer<T> {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn fifo_basic() {
@@ -224,25 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_timeout_expires_when_empty() {
-        let (_p, c) = SemQueue::<u8>::new(1);
-        assert!(c.pop_timeout(Duration::from_millis(10)).is_none());
-    }
-
-    #[test]
-    fn wait_drain_batches() {
-        let (p, c) = SemQueue::new(8);
-        for i in 0..6 {
-            p.push(i);
-        }
-        let mut out = Vec::new();
-        let (n, blocked) = c.wait_drain(&mut out);
-        assert_eq!(n, 6);
-        assert!(!blocked);
-        assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
     fn producer_blocks_at_capacity() {
         let (p, c) = SemQueue::new(1);
         p.push(1);
@@ -258,35 +200,46 @@ mod tests {
     }
 
     #[test]
-    fn push_slice_respects_free_slots() {
+    fn pop_drain_takes_the_session_and_ends_once_closed_and_empty() {
         let (p, c) = SemQueue::<u32>::new(4);
-        assert_eq!(p.push_slice(&[]), 0);
-        assert_eq!(p.push_slice(&[1, 2, 3]), 3);
-        assert_eq!(p.push_slice(&[4, 5, 6]), 1, "clips at capacity");
-        assert_eq!(p.push_slice(&[7]), 0);
+        for i in 1..=4 {
+            p.push(i);
+        }
         let mut out = Vec::new();
-        let (n, _) = c.wait_drain(&mut out);
-        assert_eq!(n, 4);
+        assert_eq!(c.pop_drain(&mut out), Some((4, false)));
         assert_eq!(out, vec![1, 2, 3, 4]);
+        // The slots came back: a full queue's worth fits again, and the
+        // items pushed before the close still drain after it.
+        for i in 5..=8 {
+            assert_eq!(p.try_push(i), Ok(()));
+        }
+        p.close();
+        out.clear();
+        assert_eq!(c.pop_drain(&mut out), Some((4, false)));
+        assert_eq!(out, vec![5, 6, 7, 8]);
+        assert_eq!(c.pop_drain(&mut out), None);
+        assert_eq!(c.pop_drain(&mut out), None, "closed stays closed");
+        assert_eq!(c.try_pop(), None);
     }
 
     #[test]
-    fn pop_timeout_drain_takes_session() {
-        let (p, c) = SemQueue::<u32>::new(8);
-        assert_eq!(p.push_slice(&[1, 2, 3, 4, 5]), 5);
-        let mut out = Vec::new();
-        let (n, blocked) = c
-            .pop_timeout_drain(Duration::from_millis(10), &mut out)
-            .expect("items present");
-        assert_eq!(n, 5);
-        assert!(!blocked);
-        assert_eq!(out, vec![1, 2, 3, 4, 5]);
-        assert!(c
-            .pop_timeout_drain(Duration::from_millis(5), &mut out)
-            .is_none());
-        // The slots must have been returned: the queue accepts a full
-        // batch again.
-        assert_eq!(p.push_slice(&[9; 8]), 8);
+    fn pop_drain_wakes_on_push_and_on_close() {
+        let (p, c) = SemQueue::new(4);
+        let consumer = thread::spawn(move || {
+            let mut out = Vec::new();
+            let mut sessions = Vec::new();
+            while let Some(session) = c.pop_drain(&mut out) {
+                sessions.push(session);
+            }
+            (sessions, out)
+        });
+        thread::sleep(Duration::from_millis(20));
+        p.push(7);
+        thread::sleep(Duration::from_millis(20));
+        p.close();
+        let (sessions, out) = consumer.join().unwrap();
+        assert_eq!(sessions.len(), 1, "one session, then the close");
+        assert_eq!(out, vec![7]);
     }
 
     #[test]

@@ -137,50 +137,6 @@ impl<T> SpscProducer<T> {
         Ok(())
     }
 
-    /// Pushes as many items from `items` as there is space for and
-    /// returns the count (a prefix of the slice; zero when full).
-    ///
-    /// This is the batch fast path: the free-space check runs once for
-    /// the whole slice, the items are copied in at most two contiguous
-    /// runs across the wrap point, and the entire batch is published
-    /// with a *single* `Release` store of `tail` — one cross-core
-    /// cache-line transfer per batch instead of one per item.
-    pub fn push_slice(&self, items: &[T]) -> usize
-    where
-        T: Copy,
-    {
-        if items.is_empty() {
-            return 0;
-        }
-        let tail = self.tail.get();
-        let cap = self.inner.cap;
-        let mut space = cap - (tail - self.cached_head.get());
-        if space < items.len() {
-            // Not enough room in the stale view; refresh once.
-            self.cached_head
-                .set(self.inner.head.load(Ordering::Acquire));
-            space = cap - (tail - self.cached_head.get());
-        }
-        let n = space.min(items.len());
-        if n == 0 {
-            return 0;
-        }
-        let start = tail % cap;
-        let first = n.min(cap - start);
-        // SAFETY: slots [tail, tail+n) lie within [head, head+cap) by the
-        // space check above and are exclusively ours until the Release
-        // store publishes them.
-        for (k, &v) in items[..first].iter().enumerate() {
-            unsafe { (*self.inner.buf[start + k].get()).write(v) };
-        }
-        for (k, &v) in items[first..n].iter().enumerate() {
-            unsafe { (*self.inner.buf[k].get()).write(v) };
-        }
-        self.inner.tail.store(tail + n, Ordering::Release);
-        self.tail.set(tail + n);
-        n
-    }
-
     /// Number of items currently buffered (exact from the producer's
     /// perspective, may lag pops by the consumer).
     pub fn len(&self) -> usize {
@@ -227,8 +183,7 @@ impl<T> SpscConsumer<T> {
 
     /// Pops up to `max` items into `out` and returns the count.
     ///
-    /// The batch fast path mirroring [`SpscProducer::push_slice`]: one
-    /// availability check (refreshing the cached tail only when the
+    /// The batch fast path: one availability check (refreshing the cached tail only when the
     /// stale view cannot satisfy `max`), at most two contiguous read
     /// runs across the wrap point, and a *single* `Release` store of
     /// `head` frees the whole batch for the producer.
@@ -402,22 +357,11 @@ mod tests {
     }
 
     #[test]
-    fn push_slice_fills_and_reports_prefix() {
-        let (p, c) = spsc_ring::<u32>(8);
-        assert_eq!(p.push_slice(&[]), 0);
-        assert_eq!(p.push_slice(&[1, 2, 3]), 3);
-        assert_eq!(p.push_slice(&[4, 5, 6, 7, 8, 9, 10]), 5, "clips at cap");
-        assert!(p.is_full());
-        assert_eq!(p.push_slice(&[99]), 0);
-        for want in 1..=8 {
-            assert_eq!(c.pop(), Some(want));
-        }
-    }
-
-    #[test]
     fn pop_chunk_respects_max_and_order() {
         let (p, c) = spsc_ring::<u32>(8);
-        assert_eq!(p.push_slice(&[1, 2, 3, 4, 5]), 5);
+        for v in 1..=5 {
+            p.push(v).unwrap();
+        }
         let mut out = Vec::new();
         assert_eq!(c.pop_chunk(&mut out, 0), 0);
         assert_eq!(c.pop_chunk(&mut out, 2), 2);
@@ -429,16 +373,19 @@ mod tests {
 
     #[test]
     fn batched_ops_wrap_around() {
-        // Drive the cursors far past several wrap points with batches
-        // deliberately misaligned to the capacity.
+        // Drive the cursors far past several wrap points with push runs
+        // and chunk pops deliberately misaligned to the capacity.
         let (p, c) = spsc_ring::<u64>(7);
         let mut next_in = 0u64;
         let mut next_out = 0u64;
         let mut out = Vec::new();
         for round in 0..200u64 {
-            let batch: Vec<u64> = (0..(round % 5) + 1).map(|k| next_in + k).collect();
-            let pushed = p.push_slice(&batch);
-            next_in += pushed as u64;
+            for _ in 0..(round % 5) + 1 {
+                if p.push(next_in).is_err() {
+                    break;
+                }
+                next_in += 1;
+            }
             out.clear();
             let popped = c.pop_chunk(&mut out, (round % 4 + 1) as usize);
             assert_eq!(popped, out.len());
@@ -537,30 +484,20 @@ mod tests {
 
     #[test]
     fn two_thread_batched_api_stress() {
-        // The push_slice/pop_chunk pair under real concurrency: no loss,
-        // no duplication, strict order, across many wrap points.
+        // Chunked pops under real concurrency: no loss, no duplication,
+        // strict order, across many wrap points.
         const N: u64 = stress_n(30_000);
         const BATCH: usize = 17; // misaligned to the capacity on purpose
         let (p, c) = spsc_ring(64);
         let producer = thread::spawn(move || {
             let mut backoff = Backoff::new();
-            let mut next = 0u64;
-            let mut staged: Vec<u64> = Vec::with_capacity(BATCH);
-            while next < N {
-                staged.clear();
-                let take = BATCH.min((N - next) as usize);
-                staged.extend(next..next + take as u64);
-                let mut sent = 0;
-                while sent < staged.len() {
-                    let pushed = p.push_slice(&staged[sent..]);
-                    if pushed == 0 {
-                        backoff.snooze();
-                    } else {
-                        sent += pushed;
-                        backoff.reset();
-                    }
+            for i in 0..N {
+                let mut v = i;
+                while let Err(back) = p.push(v) {
+                    v = back;
+                    backoff.snooze();
                 }
-                next += take as u64;
+                backoff.reset();
             }
         });
         let consumer = thread::spawn(move || {

@@ -1,8 +1,8 @@
 //! Property-based model checks: each queue is exercised with arbitrary
 //! operation sequences against a `VecDeque` reference model, including
-//! the batched `push_slice`/`pop_chunk`/`drain` operations interleaved
-//! with single-item ones (wrap-around at capacity boundaries falls out
-//! of small capacities under long scripts).
+//! the batched `pop_chunk`/`drain` operations interleaved with
+//! single-item ones (wrap-around at capacity boundaries falls out of
+//! small capacities under long scripts).
 
 use pc_queues::{spsc_ring, Backoff, ElasticBuffer, GlobalPool, MutexQueue};
 use proptest::prelude::*;
@@ -14,8 +14,6 @@ enum Op {
     Push(u32),
     Pop,
     Drain,
-    /// Batched producer op: push a whole slice, expect the fitting prefix.
-    PushSlice(Vec<u32>),
     /// Batched consumer op: pop up to this many items in one transaction.
     PopChunk(usize),
 }
@@ -26,19 +24,10 @@ fn ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
             (0u32..1000).prop_map(Op::Push),
             Just(Op::Pop),
             Just(Op::Drain),
-            prop::collection::vec(0u32..1000, 0..50).prop_map(Op::PushSlice),
             (0usize..50).prop_map(Op::PopChunk),
         ],
         1..max,
     )
-}
-
-/// Applies the fitting prefix of `items` to the reference model and
-/// returns how many the real queue must accept.
-fn model_push_slice(model: &mut VecDeque<u32>, capacity: usize, items: &[u32]) -> usize {
-    let n = items.len().min(capacity - model.len());
-    model.extend(items[..n].iter().copied());
-    n
 }
 
 proptest! {
@@ -66,10 +55,6 @@ proptest! {
                     c.drain_into(&mut out);
                     let expected: Vec<u32> = model.drain(..).collect();
                     prop_assert_eq!(out, expected);
-                }
-                Op::PushSlice(items) => {
-                    let expect = model_push_slice(&mut model, capacity, &items);
-                    prop_assert_eq!(p.push_slice(&items), expect, "slice prefix diverged");
                 }
                 Op::PopChunk(max) => {
                     let mut out = Vec::new();
@@ -108,24 +93,17 @@ proptest! {
                     let expected: Vec<u32> = model.drain(..).collect();
                     prop_assert_eq!(out, expected);
                 }
-                Op::PushSlice(items) => {
-                    let expect = model_push_slice(&mut model, capacity, &items);
-                    prop_assert_eq!(q.push_slice(&items), expect, "slice prefix diverged");
-                }
                 Op::PopChunk(_) => {
-                    // MutexQueue's batched pop is the full drain; a
-                    // bounded chunk does not exist on this queue. Treat
-                    // the op as a non-blocking session drain instead.
-                    let mut out = Vec::new();
-                    if let Some((n, blocked)) =
-                        q.pop_timeout_drain(std::time::Duration::ZERO, &mut out)
-                    {
-                        prop_assert!(!blocked, "items were present; no sleep");
-                        prop_assert_eq!(n, model.len());
+                    // MutexQueue's batched pop is the full session drain;
+                    // a bounded chunk does not exist on this queue. The
+                    // drain blocks on an empty queue, so it runs only
+                    // when the model holds items.
+                    if !model.is_empty() {
+                        let mut out = Vec::new();
+                        let session = q.pop_drain(&mut out);
+                        prop_assert_eq!(session, Some((model.len(), false)));
                         let expected: Vec<u32> = model.drain(..).collect();
                         prop_assert_eq!(out, expected);
-                    } else {
-                        prop_assert!(model.is_empty());
                     }
                 }
             }
@@ -170,19 +148,6 @@ proptest! {
                     buf.drain_into(&mut out);
                     let expected: Vec<u32> = model.drain(..).collect();
                     prop_assert_eq!(out, expected);
-                }
-                Op::PushSlice(items) => {
-                    // The elastic buffer has no slice API; item-at-a-time
-                    // pushes of the same slice exercise segment reuse off
-                    // the free list after the drains above.
-                    for v in items {
-                        let had_room = model.len() < buf.capacity();
-                        let pushed = buf.push(v).is_ok();
-                        prop_assert_eq!(pushed, had_room);
-                        if pushed {
-                            model.push_back(v);
-                        }
-                    }
                 }
             }
             prop_assert_eq!(buf.len(), model.len());
@@ -230,9 +195,9 @@ fn spsc_concurrent_ordering_many_capacities() {
     }
 }
 
-/// Same linearity check over the batched endpoints: slices in, chunks
-/// out, strict order preserved across wrap points and ring capacities
-/// deliberately misaligned to the batch sizes.
+/// Same linearity check over the batched consumer endpoint: items in,
+/// chunks out, strict order preserved across wrap points and ring
+/// capacities deliberately misaligned to the chunk sizes.
 #[test]
 fn spsc_concurrent_batched_ordering() {
     const N: u64 = if cfg!(debug_assertions) { 500 } else { 5_000 };
@@ -240,23 +205,13 @@ fn spsc_concurrent_batched_ordering() {
         let (p, c) = spsc_ring::<u64>(capacity);
         let producer = std::thread::spawn(move || {
             let mut backoff = Backoff::new();
-            let mut staged = Vec::with_capacity(batch);
-            let mut next = 0u64;
-            while next < N {
-                staged.clear();
-                let take = (batch as u64).min(N - next);
-                staged.extend(next..next + take);
-                let mut sent = 0;
-                while sent < staged.len() {
-                    let pushed = p.push_slice(&staged[sent..]);
-                    if pushed == 0 {
-                        backoff.snooze();
-                    } else {
-                        sent += pushed;
-                        backoff.reset();
-                    }
+            for i in 0..N {
+                let mut v = i;
+                while let Err(back) = p.push(v) {
+                    v = back;
+                    backoff.snooze();
                 }
-                next += take;
+                backoff.reset();
             }
         });
         let consumer = std::thread::spawn(move || {

@@ -6,12 +6,12 @@
 //! [`ReplayClock`] maps simulated trace time onto wall time (optionally
 //! scaled). Two sleepers serve it:
 //!
-//! * [`idle_sleep_until`] — one absolute-deadline `clock_nanosleep` with
-//!   1 ns timer slack. The thread idles for the whole wait, so it costs
-//!   CPU only when it has work. The harness uses it.
-//! * [`StopSignal::sleep_until`] — the same idle wait, but the run's
-//!   stop raise ends it at once. Replay pacing uses it, so a producer
-//!   inside a long inter-arrival gap exits as soon as the run stops.
+//! * [`StopSignal::sleep_until`] — an idle wait with 1 ns timer slack
+//!   that never ends early and that the run's stop raise ends at once.
+//!   The thread idles for the whole wait, so it costs CPU only when it
+//!   has work. Replay pacing and the harness's horizon wait use it, so a
+//!   producer inside a long inter-arrival gap exits as soon as the run
+//!   stops.
 //! * [`precise_sleep_until`] — sleep-then-spin: OS-sleep the bulk, spin
 //!   the last ~200 µs. Microsecond-class firing at the price of a busy
 //!   core; only SPBP's consumer timer uses it, because that accuracy gap
@@ -20,7 +20,7 @@
 //! A [`SlotTimer`] (a `timerfd`) is the PBPL core manager's one kernel
 //! timer: the manager blocks on it while other threads move its expiry.
 //!
-//! The foreign calls are Linux's (`clock_nanosleep`, `timerfd_create`,
+//! The foreign calls are Linux's (`clock_gettime`, `timerfd_create`,
 //! `timerfd_settime`, `prctl`, `getrusage`), declared here directly:
 //! `std` already links libc.
 
@@ -61,21 +61,13 @@ struct Rusage {
 }
 
 const CLOCK_MONOTONIC: c_int = 1;
-const TIMER_ABSTIME: c_int = 1;
 const TFD_TIMER_ABSTIME: c_int = 1;
 const TFD_CLOEXEC: c_int = 0o2_000_000;
-const EINTR: c_int = 4;
 const PR_SET_TIMERSLACK: c_int = 29;
 const RUSAGE_THREAD: c_int = 1;
 
 extern "C" {
     fn clock_gettime(clock: c_int, out: *mut TimePair) -> c_int;
-    fn clock_nanosleep(
-        clock: c_int,
-        flags: c_int,
-        request: *const TimePair,
-        remain: *mut TimePair,
-    ) -> c_int;
     fn timerfd_create(clock: c_int, flags: c_int) -> c_int;
     fn timerfd_settime(
         fd: c_int,
@@ -128,30 +120,6 @@ fn set_fine_slack() {
     }
 }
 
-/// Sleeps until `deadline` without spinning: one absolute
-/// `clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME)` with 1 ns timer
-/// slack, retried on `EINTR`. Never returns before `deadline`; a
-/// deadline already past returns at once.
-pub(crate) fn idle_sleep_until(deadline: Instant) {
-    set_fine_slack();
-    // The loop re-checks, since an early return would break pacing.
-    while Instant::now() < deadline {
-        let target = monotonic_at(deadline);
-        // SAFETY: `target` is a valid normalised timespec that outlives
-        // the call; with TIMER_ABSTIME the kernel never writes `remain`,
-        // so a null pointer is allowed.
-        let rc = unsafe {
-            clock_nanosleep(
-                CLOCK_MONOTONIC,
-                TIMER_ABSTIME,
-                &target,
-                std::ptr::null_mut(),
-            )
-        };
-        assert!(rc == 0 || rc == EINTR, "clock_nanosleep failed: {rc}");
-    }
-}
-
 /// A run's stop flag. Raising it also wakes every thread sleeping in
 /// [`StopSignal::sleep_until`], so a sleeper learns of the stop from a
 /// notification rather than by polling.
@@ -184,10 +152,9 @@ impl StopSignal {
 
     /// Sleeps until `deadline` unless the flag is or goes up first;
     /// returns `Some(wakes)`, the number of times the thread returned
-    /// from a blocking wait, or `None` if stopped. Like
-    /// [`idle_sleep_until`], the wait has 1 ns timer slack and never
-    /// ends before `deadline`; a deadline already past returns at once
-    /// without a wait.
+    /// from a blocking wait, or `None` if stopped. The wait has 1 ns
+    /// timer slack and never ends before `deadline`; a deadline already
+    /// past returns at once without a wait.
     pub(crate) fn sleep_until(&self, deadline: Instant) -> Option<u64> {
         // Checked first without the lock, which every producer of the run
         // shares: a burst of items already due takes no lock.
@@ -386,37 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn idle_sleep_never_returns_early() {
-        for micros in [1, 50, 300, 1_000, 2_500] {
-            let deadline = Instant::now() + Duration::from_micros(micros);
-            idle_sleep_until(deadline);
-            let now = Instant::now();
-            assert!(now >= deadline, "woke {:?} early", deadline - now);
-        }
-    }
-
-    #[test]
-    fn idle_sleep_past_deadline_returns_immediately() {
-        let deadline = Instant::now() - Duration::from_millis(1);
-        let t0 = Instant::now();
-        idle_sleep_until(deadline);
-        assert!(t0.elapsed() < Duration::from_millis(2));
-    }
-
-    #[test]
-    fn idle_sleep_costs_little_cpu() {
-        // A sleeper that spun for any real part of its wait would burn a
-        // matching share of its wall time as thread CPU.
-        let (cpu0, wall0) = (thread_cpu(), Instant::now());
-        for _ in 0..20 {
-            idle_sleep_until(Instant::now() + Duration::from_millis(5));
-        }
-        let (cpu, wall) = (thread_cpu() - cpu0, wall0.elapsed());
-        assert!(wall >= Duration::from_millis(100), "wall {wall:?}");
-        assert!(cpu * 10 < wall, "{cpu:?} CPU over {wall:?} of sleeping");
-    }
-
-    #[test]
     fn thread_cpu_counts_only_this_thread() {
         // Work until this thread has 5 ms of CPU: a clock that never
         // advanced would spin into the wall-time cap instead.
@@ -488,6 +424,20 @@ mod tests {
             Some(0),
             "no wait for a past deadline"
         );
+    }
+
+    #[test]
+    fn stoppable_sleep_costs_little_cpu() {
+        // A sleeper that spun for any real part of its wait would burn a
+        // matching share of its wall time as thread CPU.
+        let stop = StopSignal::new();
+        let (cpu0, wall0) = (thread_cpu(), Instant::now());
+        for _ in 0..20 {
+            stop.sleep_until(Instant::now() + Duration::from_millis(5));
+        }
+        let (cpu, wall) = (thread_cpu() - cpu0, wall0.elapsed());
+        assert!(wall >= Duration::from_millis(100), "wall {wall:?}");
+        assert!(cpu * 10 < wall, "{cpu:?} CPU over {wall:?} of sleeping");
     }
 
     #[test]

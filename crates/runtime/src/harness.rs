@@ -1,12 +1,12 @@
 //! Spawn/collect machinery: run M native pairs under one strategy for a
 //! trace horizon and gather the paper's per-pair metrics.
 
-use crate::clock::{idle_sleep_until, thread_cpu, ReplayClock, StopSignal};
+use crate::clock::{thread_cpu, ReplayClock, StopSignal};
 use crate::counters::PairStats;
 use crate::manager::NativeCoreManager;
 use crate::strategy::{
-    spawn_bp, spawn_busy, spawn_mutex, spawn_pbpl, spawn_periodic, spawn_sem, PairContext,
-    PairExit, PairHandle,
+    pbpl_buffer, spawn_bp, spawn_busy, spawn_mutex, spawn_pbpl, spawn_periodic, spawn_sem,
+    PairContext, PairExit, PairHandle,
 };
 use pc_core::{CostModel, SlotTrack, StrategyKind};
 use pc_faults::FaultPlan;
@@ -120,8 +120,9 @@ impl RoleCpu {
 
 /// OS wakes of a native run's threads by role: each return from a call
 /// that blocks. That is a producer's replay sleeps that waited and its
-/// parks on a full buffer, a consumer's waits (timeouts included; a wait
-/// a short spin satisfies counts too), and a core manager's timer reads.
+/// parks on a full buffer, a consumer's waits (the one its buffer's
+/// close ends included; a wait a short spin satisfies counts too), and a
+/// core manager's timer reads.
 /// Unlike [`PairStats::wakeups`], the paper's PowerTop metric for
 /// consumers, these include wakes that do no work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -213,12 +214,8 @@ impl NativeHarness {
         let cost = CostModel::from_power_model(&PowerModel::exynos_like());
 
         // PBPL substrate: one manager thread per core + the global pool.
-        let (managers, mgr_threads, pool) = if matches!(self.strategy, StrategyKind::Pbpl(_)) {
-            let pbpl = match &self.strategy {
-                StrategyKind::Pbpl(c) => c.clone(),
-                _ => unreachable!(),
-            };
-            let track = SlotTrack::new(pbpl.slot);
+        let (pbpl, managers, mgr_threads, pool) = if let StrategyKind::Pbpl(cfg) = &self.strategy {
+            let track = SlotTrack::new(cfg.slot);
             let managers: Vec<Arc<NativeCoreManager>> = (0..self.cores)
                 .map(|_| NativeCoreManager::new(track, clock))
                 .collect();
@@ -230,13 +227,14 @@ impl NativeHarness {
                 })
                 .collect();
             let pool = GlobalPool::new(self.buffer_capacity * self.pairs);
-            (managers, threads, Some(pool))
+            (Some(cfg), managers, threads, Some(pool))
         } else {
-            (Vec::new(), Vec::new(), None)
+            (None, Vec::new(), Vec::new(), None)
         };
 
         let started = Instant::now();
-        let handles: Vec<PairHandle> = (0..self.pairs)
+        // Every context, PBPL buffer included, before any pair starts.
+        let contexts: Vec<PairContext> = (0..self.pairs)
             .map(|i| {
                 let mut trace = base.phase_shift(i as f64 / self.pairs as f64);
                 if !self.fault_plan.is_empty() {
@@ -245,43 +243,41 @@ impl NativeHarness {
                         .apply_workload_faults(i as u32, &mut times, horizon);
                     trace = Trace::new(times, horizon);
                 }
-                let ctx = PairContext {
+                PairContext {
                     index: i,
                     trace,
                     clock,
                     stop: Arc::clone(&stop),
                     capacity: self.buffer_capacity,
                     manager: managers.get(i % self.cores.max(1)).cloned(),
-                    pool: pool.clone(),
-                    pbpl: match &self.strategy {
-                        StrategyKind::Pbpl(c) => Some(c.clone()),
-                        _ => None,
-                    },
+                    buffer: pbpl
+                        .zip(pool.as_ref())
+                        .map(|(cfg, pool)| pbpl_buffer(pool, self.buffer_capacity, cfg)),
+                    pbpl: pbpl.cloned(),
                     cost,
                     trace_events: self.trace_events.clone(),
-                };
-                match &self.strategy {
-                    StrategyKind::BusyWait => spawn_busy(ctx, false),
-                    StrategyKind::Yield => spawn_busy(ctx, true),
-                    StrategyKind::Mutex => spawn_mutex(ctx),
-                    StrategyKind::Sem => spawn_sem(ctx),
-                    StrategyKind::Bp => spawn_bp(ctx),
-                    StrategyKind::Pbp { period } => {
-                        spawn_periodic(ctx, SimTime::ZERO + *period, false)
-                    }
-                    StrategyKind::Spbp { period } => {
-                        spawn_periodic(ctx, SimTime::ZERO + *period, true)
-                    }
-                    StrategyKind::Pbpl(_) => spawn_pbpl(ctx),
                 }
             })
             .collect();
         // Each pair owns a shifted copy; free the base before the
         // producers fill their lateness samples.
         drop(base);
+        let handles: Vec<PairHandle> = contexts
+            .into_iter()
+            .map(|ctx| match &self.strategy {
+                StrategyKind::BusyWait => spawn_busy(ctx, false),
+                StrategyKind::Yield => spawn_busy(ctx, true),
+                StrategyKind::Mutex => spawn_mutex(ctx),
+                StrategyKind::Sem => spawn_sem(ctx),
+                StrategyKind::Bp => spawn_bp(ctx),
+                StrategyKind::Pbp { period } => spawn_periodic(ctx, SimTime::ZERO + *period, false),
+                StrategyKind::Spbp { period } => spawn_periodic(ctx, SimTime::ZERO + *period, true),
+                StrategyKind::Pbpl(_) => spawn_pbpl(ctx),
+            })
+            .collect();
 
         // Let the horizon elapse (plus strategy drain slack), then stop.
-        idle_sleep_until(clock.wall_deadline(horizon + SimDuration::from_millis(20)));
+        stop.sleep_until(clock.wall_deadline(horizon + SimDuration::from_millis(20)));
         stop.raise();
         let counters: Vec<_> = handles.iter().map(|h| Arc::clone(&h.counters)).collect();
         // Join through a watchdog. A strategy thread that misses the stop

@@ -10,6 +10,13 @@
 //! producer how late it ran against its replay schedule. An item's
 //! latency runs from its scheduled wall deadline, as in the simulator,
 //! so time a producer spends parked behind a full buffer counts too.
+//!
+//! A pair stops one way whatever its strategy: the stop signal ends the
+//! producer's replay, and [`PairHandle::join`] joins the producer and
+//! then closes the pair's buffer. The close wakes the consumer through
+//! the strategy's own primitive, and the consumer finishes once its
+//! buffer is closed and empty, so its last drain follows both the stop
+//! and the last push. No thread polls for the stop.
 
 use crate::clock::{thread_cpu, ReplayClock, StopSignal};
 use crate::counters::PairCounters;
@@ -17,7 +24,7 @@ use crate::manager::NativeCoreManager;
 use parking_lot::{Condvar, Mutex};
 use pc_core::{CostModel, PairId, PbplConfig, PbplConsumer};
 use pc_queues::elastic::Overflow;
-use pc_queues::semqueue::SemQueueConsumer;
+use pc_queues::semqueue::{SemQueueConsumer, SemQueueProducer};
 use pc_queues::{spsc_ring, ElasticBuffer, GlobalPool, MutexQueue, SemQueue, Semaphore};
 use pc_sim::SimTime;
 use pc_trace::Trace;
@@ -27,21 +34,18 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// How long the Mutex, Sem and BP consumers, and a producer parked on a
-/// full batch buffer, wait before re-checking the stop flag. The PBPL
-/// consumer and the replay sleeps learn of the stop from a signal.
-const STOP_POLL: Duration = Duration::from_millis(20);
+/// Closes a pair's buffer (see [`Sink::close`]).
+type Close = Box<dyn FnOnce() + Send>;
 
 /// Handle to one running pair (producer + consumer threads).
 pub(crate) struct PairHandle {
     /// Shared counters for this pair.
     pub counters: Arc<PairCounters>,
-    /// Reports its share of the [`PairExit`] (no consumer fields).
-    producer: JoinHandle<PairExit>,
+    /// Reports its share of the [`PairExit`] (no consumer fields) and
+    /// hands back the close of the pair's buffer.
+    producer: JoinHandle<(PairExit, Close)>,
     /// Reports the consumer thread's CPU time and wakes.
     consumer: JoinHandle<(Duration, u64)>,
-    /// Wake hook used at shutdown (strategy-specific).
-    waker: Option<Arc<Semaphore>>,
 }
 
 /// What a pair's threads report as they exit.
@@ -53,7 +57,8 @@ pub(crate) struct PairExit {
     /// Producer thread returns from blocking calls: replay sleeps that
     /// waited, and parks on a full buffer.
     pub producer_wakes: u64,
-    /// Consumer thread returns from blocking waits, timeouts included.
+    /// Consumer thread returns from blocking waits, the one the close
+    /// ends included.
     pub consumer_wakes: u64,
     /// Per produced item: push instant minus scheduled wall deadline, ns
     /// (unsorted).
@@ -61,14 +66,12 @@ pub(crate) struct PairExit {
 }
 
 impl PairHandle {
-    /// Joins the pair's threads (call after raising the stop flag). A
-    /// consumer blocked on a waker is released once the producer has
-    /// exited, so its final drain follows the last push.
+    /// Joins the pair's threads (call after raising the stop flag): the
+    /// producer, then the consumer, which the close of the buffer in
+    /// between lets finish.
     pub fn join(self) -> PairExit {
-        let producer = self.producer.join().expect("producer thread panicked");
-        if let Some(w) = &self.waker {
-            w.release(1);
-        }
+        let (producer, close) = self.producer.join().expect("producer thread panicked");
+        close();
         let (consumer_cpu, consumer_wakes) =
             self.consumer.join().expect("consumer thread panicked");
         PairExit {
@@ -93,8 +96,8 @@ pub(crate) struct PairContext {
     pub capacity: usize,
     /// PBPL only: this pair's core manager.
     pub manager: Option<Arc<NativeCoreManager>>,
-    /// PBPL only: the shared global pool.
-    pub pool: Option<Arc<GlobalPool>>,
+    /// PBPL only: the pair's elastic buffer (see [`pbpl_buffer`]).
+    pub buffer: Option<ElasticBuffer<Instant>>,
     /// PBPL only: algorithm parameters.
     pub pbpl: Option<PbplConfig>,
     /// PBPL only: cost constants for ρ.
@@ -106,9 +109,9 @@ pub(crate) struct PairContext {
     pub trace_events: TraceHandle,
 }
 
-/// A pair's instrumentation and shutdown state, shared by its threads:
-/// the counters, trace events stamped with the replay clock's current
-/// sim time, and the stop flags.
+/// A pair's instrumentation and stop signal, shared by its threads: the
+/// counters, trace events stamped with the replay clock's current sim
+/// time, and the signal that ends the replay.
 #[derive(Clone)]
 struct Tap {
     counters: Arc<PairCounters>,
@@ -116,8 +119,6 @@ struct Tap {
     clock: ReplayClock,
     pair: u32,
     stop: Arc<StopSignal>,
-    /// Set by the producer thread after its last push.
-    producer_done: Arc<AtomicBool>,
 }
 
 impl Tap {
@@ -128,16 +129,7 @@ impl Tap {
             clock: ctx.clock,
             pair: ctx.index as u32,
             stop: Arc::clone(&ctx.stop),
-            producer_done: Arc::new(AtomicBool::new(false)),
         }
-    }
-
-    /// Whether the consumer may finish: the stop flag is up and the
-    /// producer has exited, so the final drain comes after its last
-    /// push. A producer parked on a full buffer when the flag rises
-    /// still pushes its item once the consumer drains.
-    fn finished(&self) -> bool {
-        self.stop.is_raised() && self.producer_done.load(Ordering::Acquire)
     }
 
     fn emit(&self, make: impl FnOnce(u32) -> TraceEvent) {
@@ -176,27 +168,51 @@ impl Tap {
 
     fn handle(
         self,
-        producer: JoinHandle<PairExit>,
+        producer: JoinHandle<(PairExit, Close)>,
         consumer: JoinHandle<(Duration, u64)>,
-        waker: Option<Arc<Semaphore>>,
     ) -> PairHandle {
         PairHandle {
             counters: self.counters,
             producer,
             consumer,
-            waker,
         }
     }
 }
 
-/// Spawns `ctx`'s producer: replays its trace (taken out of `ctx`),
-/// sleeping until each item's wall deadline, and hands the deadline to
-/// `push` as the item's stamp. `push` returns how many times it parked
-/// on a full buffer.
-fn spawn_producer<F>(ctx: &mut PairContext, tap: &Tap, mut push: F) -> JoinHandle<PairExit>
+/// The producer's end of a pair's buffer.
+trait Sink: Send + 'static {
+    /// Pushes an item stamped with its wall deadline; returns how many
+    /// times the producer parked on a full buffer.
+    fn push(&self, at: Instant) -> u64;
+    /// Closes the buffer after the last push. The consumer's wait ends
+    /// through the strategy's own primitive, and the consumer finishes
+    /// once the buffer is closed and empty.
+    fn close(self);
+}
+
+/// A push closure and a close closure.
+impl<P, C> Sink for (P, C)
 where
-    F: FnMut(Instant) -> u64 + Send + 'static,
+    P: Fn(Instant) -> u64 + Send + 'static,
+    C: FnOnce() + Send + 'static,
 {
+    fn push(&self, at: Instant) -> u64 {
+        (self.0)(at)
+    }
+    fn close(self) {
+        (self.1)()
+    }
+}
+
+/// Spawns `ctx`'s producer: replays its trace (taken out of `ctx`),
+/// sleeping until each item's wall deadline, and pushes each item into
+/// `sink` stamped with that deadline. When the replay ends it hands the
+/// sink's close back to [`PairHandle::join`].
+fn spawn_producer(
+    ctx: &mut PairContext,
+    tap: &Tap,
+    sink: impl Sink,
+) -> JoinHandle<(PairExit, Close)> {
     let trace = std::mem::replace(&mut ctx.trace, Trace::new(Vec::new(), SimTime::ZERO));
     let tap = tap.clone();
     thread::spawn(move || {
@@ -210,18 +226,19 @@ where
             }
             let late = Instant::now().saturating_duration_since(due);
             lateness_ns.push(late.as_nanos().min(u64::MAX as u128) as u64);
-            wakes += push(due);
+            wakes += sink.push(due);
             tap.counters.add_produced(1);
             tap.emit(|pair| TraceEvent::Produce { pair });
         }
-        tap.producer_done.store(true, Ordering::Release);
-        PairExit {
+        let exit = PairExit {
             producer_cpu: thread_cpu(),
             consumer_cpu: Duration::ZERO,
             producer_wakes: wakes,
             consumer_wakes: 0,
             lateness_ns,
-        }
+        };
+        let close: Close = Box::new(move || sink.close());
+        (exit, close)
     })
 }
 
@@ -242,7 +259,8 @@ pub(crate) fn spawn_busy(mut ctx: PairContext, yielding: bool) -> PairHandle {
     // don't depend on B0. A roomy ring just keeps the producer's replay
     // timing honest.
     let (p, c) = spsc_ring::<Instant>(ctx.capacity.max(1024));
-    let producer = spawn_producer(&mut ctx, &tap, move |at| {
+    let closed = Arc::new(AtomicBool::new(false));
+    let push = move |at| {
         // Spin until space; the consumer spins too, so space appears fast.
         let mut v = at;
         while let Err(back) = p.push(v) {
@@ -250,17 +268,20 @@ pub(crate) fn spawn_busy(mut ctx: PairContext, yielding: bool) -> PairHandle {
             std::hint::spin_loop();
         }
         0
-    });
+    };
+    let pclosed = Arc::clone(&closed);
+    let close = move || pclosed.store(true, Ordering::Release);
+    let producer = spawn_producer(&mut ctx, &tap, (push, close));
     let ctap = tap.clone();
     let consumer = spawn_consumer(move || {
         let _busy = ctap.counters.busy_timer(); // busy for its whole life
         loop {
             // Read before the pop, so an empty pop after it is final.
-            let finished = ctap.finished();
+            let closed = closed.load(Ordering::Acquire);
             match c.pop() {
                 Some(at) => ctap.invoke(TraceTrigger::Item, &[at], 0),
                 None => {
-                    if finished {
+                    if closed {
                         return 0; // it never blocks
                     }
                     if yielding {
@@ -272,37 +293,46 @@ pub(crate) fn spawn_busy(mut ctx: PairContext, yielding: bool) -> PairHandle {
             }
         }
     });
-    tap.handle(producer, consumer, None)
+    tap.handle(producer, consumer)
+}
+
+impl Sink for Arc<MutexQueue<Instant>> {
+    fn push(&self, at: Instant) -> u64 {
+        u64::from(MutexQueue::push(self, at))
+    }
+    fn close(self) {
+        MutexQueue::close(&self);
+    }
+}
+
+impl Sink for SemQueueProducer<Instant> {
+    fn push(&self, at: Instant) -> u64 {
+        u64::from(SemQueueProducer::push(self, at))
+    }
+    fn close(self) {
+        SemQueueProducer::close(self);
+    }
 }
 
 /// The session-draining consumer endpoint: both the Mutex and Sem queues
-/// expose the same batched blocking surface
-/// ([`MutexQueue::pop_timeout_drain`] /
-/// [`SemQueueConsumer::pop_timeout_drain`]), so one consumer loop serves
-/// both.
+/// expose the same batched blocking surface ([`MutexQueue::pop_drain`] /
+/// [`SemQueueConsumer::pop_drain`]), so one consumer loop serves both.
 trait ItemEndpoint: Send + 'static {
-    /// Blocks (up to `timeout`) for the first item, then drains the whole
-    /// session into `out` in one synchronisation transaction. Returns
-    /// `Some((count, blocked))` or `None` on timeout.
-    fn pop_session(&self, timeout: Duration, out: &mut Vec<Instant>) -> Option<(usize, bool)>;
-    fn is_empty(&self) -> bool;
+    /// Blocks for the first item, then drains the whole session into
+    /// `out` in one synchronisation transaction. Returns `Some((count,
+    /// blocked))`, or `None` once the queue is closed and empty.
+    fn pop_session(&self, out: &mut Vec<Instant>) -> Option<(usize, bool)>;
 }
 
 impl ItemEndpoint for Arc<MutexQueue<Instant>> {
-    fn pop_session(&self, timeout: Duration, out: &mut Vec<Instant>) -> Option<(usize, bool)> {
-        MutexQueue::pop_timeout_drain(self, timeout, out)
-    }
-    fn is_empty(&self) -> bool {
-        MutexQueue::is_empty(self)
+    fn pop_session(&self, out: &mut Vec<Instant>) -> Option<(usize, bool)> {
+        MutexQueue::pop_drain(self, out)
     }
 }
 
 impl ItemEndpoint for SemQueueConsumer<Instant> {
-    fn pop_session(&self, timeout: Duration, out: &mut Vec<Instant>) -> Option<(usize, bool)> {
-        SemQueueConsumer::pop_timeout_drain(self, timeout, out)
-    }
-    fn is_empty(&self) -> bool {
-        SemQueueConsumer::is_empty(self)
+    fn pop_session(&self, out: &mut Vec<Instant>) -> Option<(usize, bool)> {
+        SemQueueConsumer::pop_drain(self, out)
     }
 }
 
@@ -310,14 +340,13 @@ impl ItemEndpoint for SemQueueConsumer<Instant> {
 /// time).
 pub(crate) fn spawn_mutex(ctx: PairContext) -> PairHandle {
     let q = Arc::new(MutexQueue::<Instant>::new(ctx.capacity));
-    let qp = Arc::clone(&q);
-    spawn_item_pair(ctx, move |at| qp.push(at), q)
+    spawn_item_pair(ctx, Arc::clone(&q), q)
 }
 
 /// Spawns the Sem strategy pair (two semaphores over a circular buffer).
 pub(crate) fn spawn_sem(ctx: PairContext) -> PairHandle {
     let (qp, qc) = SemQueue::<Instant>::new(ctx.capacity);
-    spawn_item_pair(ctx, move |at| qp.push(at), qc)
+    spawn_item_pair(ctx, qp, qc)
 }
 
 /// An item-driven pair with the §III consumer loop: block for the first
@@ -325,48 +354,39 @@ pub(crate) fn spawn_sem(ctx: PairContext) -> PairHandle {
 /// in the same transaction, repeat — one lock (or semaphore
 /// transaction) per session instead of one per item, without changing
 /// the session semantics the wakeup/invocation counters observe.
-///
-/// `push` reports whether it blocked on a full queue.
-fn spawn_item_pair<Q: ItemEndpoint>(
-    mut ctx: PairContext,
-    mut push: impl FnMut(Instant) -> bool + Send + 'static,
-    queue: Q,
-) -> PairHandle {
+fn spawn_item_pair(mut ctx: PairContext, sink: impl Sink, queue: impl ItemEndpoint) -> PairHandle {
     let tap = Tap::new(&ctx);
-    let producer = spawn_producer(&mut ctx, &tap, move |at| u64::from(push(at)));
+    let producer = spawn_producer(&mut ctx, &tap, sink);
     let (ctap, capacity) = (tap.clone(), ctx.capacity);
     let consumer = spawn_consumer(move || {
         let mut session: Vec<Instant> = Vec::with_capacity(capacity);
         let mut wakes = 0;
         loop {
             session.clear();
-            let popped = queue.pop_session(STOP_POLL, &mut session);
+            let popped = queue.pop_session(&mut session);
             wakes += 1;
-            match popped {
-                Some((_, blocked)) => {
-                    if blocked {
-                        ctap.wakeup();
-                        ctap.counters.add_invocation(false, false);
-                    }
-                    let _busy = ctap.counters.busy_timer();
-                    ctap.invoke(TraceTrigger::Item, &session, capacity);
-                }
-                None => {
-                    if ctap.finished() && queue.is_empty() {
-                        return wakes;
-                    }
-                }
+            let Some((_, blocked)) = popped else {
+                return wakes; // closed and empty
+            };
+            if blocked {
+                ctap.wakeup();
+                ctap.counters.add_invocation(false, false);
             }
+            let _busy = ctap.counters.busy_timer();
+            ctap.invoke(TraceTrigger::Item, &session, capacity);
         }
     });
-    tap.handle(producer, consumer, None)
+    tap.handle(producer, consumer)
 }
 
 /// Shared buffer for the batching strategies: a mutex-guarded vector, a
-/// condvar the producer signals on "full" (BP) or "overflow" (PBP/SPBP),
-/// and one the consumer signals after each drain.
+/// condvar the producer signals on "full" (BP) or "overflow" (PBP/SPBP)
+/// and on the close, and one the consumer signals after each drain.
 struct BatchBuffer {
     items: Mutex<Vec<Instant>>,
+    /// Set by the close, under the `items` lock, so a consumer waiting
+    /// on `signal` cannot miss it.
+    closed: AtomicBool,
     signal: Condvar,
     space: Condvar,
     capacity: usize,
@@ -376,10 +396,18 @@ impl BatchBuffer {
     fn new(capacity: usize) -> Self {
         BatchBuffer {
             items: Mutex::new(Vec::with_capacity(capacity)),
+            closed: AtomicBool::new(false),
             signal: Condvar::new(),
             space: Condvar::new(),
             capacity,
         }
+    }
+
+    /// Whether the close has happened. Acquire pairs with the close's
+    /// Release store, so a consumer that reads `true` outside the lock
+    /// and then drains sees every item pushed before the close.
+    fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
     }
 
     /// Pushes, signalling the consumer if the buffer is now at
@@ -388,10 +416,10 @@ impl BatchBuffer {
         let mut items = self.items.lock();
         // The producer parks while the buffer is full, until the
         // consumer's next drain: this models the paper's blocked
-        // producer without spinning. The timeout only re-checks.
+        // producer without spinning.
         let mut parks = 0;
         while items.len() >= self.capacity {
-            self.space.wait_for(&mut items, STOP_POLL);
+            self.space.wait(&mut items);
             parks += 1;
         }
         items.push(at);
@@ -413,14 +441,25 @@ impl BatchBuffer {
     }
 }
 
+impl Sink for Arc<BatchBuffer> {
+    fn push(&self, at: Instant) -> u64 {
+        BatchBuffer::push(self, at)
+    }
+    fn close(self) {
+        let items = self.items.lock();
+        self.closed.store(true, Ordering::Release);
+        drop(items);
+        self.signal.notify_one();
+    }
+}
+
 /// Spawns a batching pair's producer over a fresh [`BatchBuffer`].
 fn spawn_batch_producer(
     ctx: &mut PairContext,
     tap: &Tap,
-) -> (JoinHandle<PairExit>, Arc<BatchBuffer>) {
+) -> (JoinHandle<(PairExit, Close)>, Arc<BatchBuffer>) {
     let buf = Arc::new(BatchBuffer::new(ctx.capacity));
-    let bp = Arc::clone(&buf);
-    let producer = spawn_producer(ctx, tap, move |at| bp.push(at));
+    let producer = spawn_producer(ctx, tap, Arc::clone(&buf));
     (producer, buf)
 }
 
@@ -433,32 +472,28 @@ pub(crate) fn spawn_bp(mut ctx: PairContext) -> PairHandle {
         let mut batch = Vec::new();
         let mut wakes = 0;
         loop {
-            // Read before the drain, so an empty drain after it is final.
-            let finished = {
+            // Read before the drain, so the drain after a close is final.
+            let closed = {
                 let mut items = buf.items.lock();
-                loop {
-                    let finished = ctap.finished();
-                    if finished || items.len() >= buf.capacity {
-                        break finished;
-                    }
-                    buf.signal.wait_for(&mut items, STOP_POLL);
+                while items.len() < buf.capacity && !buf.is_closed() {
+                    buf.signal.wait(&mut items);
                     wakes += 1;
                 }
+                buf.is_closed()
             };
-            ctap.wakeup();
             batch.clear();
-            let n = buf.drain(&mut batch);
-            if n > 0 {
-                ctap.counters.add_invocation(false, true); // every BP wake = overflow
-                let _busy = ctap.counters.busy_timer();
-                ctap.invoke(TraceTrigger::Overflow, &batch, buf.capacity);
-            }
-            if finished && n == 0 {
+            buf.drain(&mut batch);
+            if closed {
+                ctap.flush(&batch);
                 return wakes;
             }
+            ctap.wakeup();
+            ctap.counters.add_invocation(false, true); // every BP wake = overflow
+            let _busy = ctap.counters.busy_timer();
+            ctap.invoke(TraceTrigger::Overflow, &batch, buf.capacity);
         }
     });
-    tap.handle(producer, consumer, None)
+    tap.handle(producer, consumer)
 }
 
 /// Spawns a periodic batching pair. `precise` selects SPBP (spin-finish
@@ -475,10 +510,10 @@ pub(crate) fn spawn_periodic(mut ctx: PairContext, period: SimTime, precise: boo
         loop {
             let deadline = clock.wall_deadline(next);
             // Wait out the period, but let a producer "full" signal break
-            // in early (overflow handling, §III-A).
+            // in early (overflow handling, §III-A); the close does too.
             let overflowed = {
                 let mut items = buf.items.lock();
-                if items.len() < buf.capacity {
+                if items.len() < buf.capacity && !buf.is_closed() {
                     // One wait per period: the condvar (SPBP then spins).
                     wakes += 1;
                     if precise {
@@ -502,9 +537,15 @@ pub(crate) fn spawn_periodic(mut ctx: PairContext, period: SimTime, precise: boo
                     true
                 }
             };
-            ctap.wakeup();
+            // Read before the drain, so the drain after a close is final.
+            let closed = buf.is_closed();
             batch.clear();
             buf.drain(&mut batch);
+            if closed {
+                ctap.flush(&batch);
+                return wakes;
+            }
+            ctap.wakeup();
             ctap.counters.add_invocation(!overflowed, overflowed);
             let trigger = if overflowed {
                 TraceTrigger::Overflow
@@ -522,15 +563,23 @@ pub(crate) fn spawn_periodic(mut ctx: PairContext, period: SimTime, precise: boo
             while clock.now_sim() > next {
                 next += period - SimTime::ZERO;
             }
-            if ctap.finished() {
-                batch.clear();
-                buf.drain(&mut batch);
-                ctap.flush(&batch);
-                return wakes;
-            }
         }
     });
-    tap.handle(producer, consumer, None)
+    tap.handle(producer, consumer)
+}
+
+/// A PBPL pair's elastic buffer of base capacity `capacity`, taken from
+/// `pool`. Every pair's buffer must exist before any pair starts: a
+/// running consumer may grow its buffer into the pool, and would take
+/// the base share of a pair not yet created.
+pub(crate) fn pbpl_buffer(
+    pool: &Arc<GlobalPool>,
+    capacity: usize,
+    cfg: &PbplConfig,
+) -> ElasticBuffer<Instant> {
+    let min_cap = ((capacity as f64 * cfg.min_capacity_frac).ceil() as usize).clamp(1, capacity);
+    ElasticBuffer::with_min(Arc::clone(pool), capacity, min_cap)
+        .expect("pool covers base reservations")
 }
 
 /// Spawns a PBPL pair: an elastic buffer against the shared pool, and a
@@ -544,18 +593,15 @@ pub(crate) fn spawn_pbpl(mut ctx: PairContext) -> PairHandle {
         .manager
         .clone()
         .expect("PBPL context requires a manager");
-    let pool = ctx.pool.clone().expect("PBPL context requires a pool");
+    let buffer = ctx.buffer.take().expect("PBPL context requires a buffer");
+    let buffer = Arc::new(Mutex::new(buffer));
     let tap = Tap::new(&ctx);
-    let min_cap =
-        ((ctx.capacity as f64 * cfg.min_capacity_frac).ceil() as usize).clamp(1, ctx.capacity);
-    let buffer = Arc::new(Mutex::new(
-        ElasticBuffer::<Instant>::with_min(pool, ctx.capacity, min_cap)
-            .expect("pool covers base reservations"),
-    ));
     let waker = Arc::new(Semaphore::new(0));
     // Set by the producer when it finds the buffer full, cleared by the
     // consumer's drain; both only under the buffer lock.
     let overflowed = Arc::new(AtomicBool::new(false));
+    // Set by the close, before it releases the waker.
+    let closed = Arc::new(AtomicBool::new(false));
     // Signalled after every drain; a producer facing a full buffer parks
     // on it, under the buffer lock.
     let space = Arc::new(Condvar::new());
@@ -569,7 +615,7 @@ pub(crate) fn spawn_pbpl(mut ctx: PairContext) -> PairHandle {
         Arc::clone(&space),
         Arc::clone(&tap.counters),
     );
-    let producer = spawn_producer(&mut ctx, &tap, move |at| {
+    let push = move |at| {
         let mut buf = bp.lock();
         let (mut v, mut parks) = (at, 0);
         while let Err(Overflow(back)) = buf.push(v) {
@@ -590,9 +636,15 @@ pub(crate) fn spawn_pbpl(mut ctx: PairContext) -> PairHandle {
             parks += 1;
         }
         parks
-    });
+    };
+    let (pclosed, pwaker) = (Arc::clone(&closed), Arc::clone(&waker));
+    let close = move || {
+        pclosed.store(true, Ordering::Release);
+        pwaker.release(1);
+    };
+    let producer = spawn_producer(&mut ctx, &tap, (push, close));
 
-    let (ctap, cwaker) = (tap.clone(), Arc::clone(&waker));
+    let (ctap, cwaker) = (tap.clone(), waker);
     let (index, base_capacity, cost) = (ctx.index, ctx.capacity, ctx.cost);
     let consumer = spawn_consumer(move || {
         let mut machine = PbplConsumer::new(PairId(index), &cfg, cost, cfg.degrade.enabled);
@@ -620,12 +672,12 @@ pub(crate) fn spawn_pbpl(mut ctx: PairContext) -> PairHandle {
         let mut batch: Vec<Instant> = Vec::new();
         let mut wakes = 0;
         loop {
-            // Permits come from slot fires, overflow signals and, once
-            // the producer has exited, `PairHandle::join`.
+            // Permits come from slot fires, overflow signals and the
+            // close.
             cwaker.acquire();
             wakes += 1;
-            if ctap.finished() {
-                // Final drain, whatever woke us: the producer is gone, so
+            if closed.load(Ordering::Acquire) {
+                // Final drain, whatever woke us: the producer is done, so
                 // this takes the last items.
                 batch.clear();
                 buffer.lock().drain_into(&mut batch);
@@ -660,7 +712,7 @@ pub(crate) fn spawn_pbpl(mut ctx: PairContext) -> PairHandle {
             plan(&mut machine, now, !was_overflow);
         }
     });
-    tap.handle(producer, consumer, Some(waker))
+    tap.handle(producer, consumer)
 }
 
 #[cfg(test)]
@@ -685,7 +737,7 @@ mod tests {
             stop: Arc::clone(&stop),
             capacity: 25,
             manager: None,
-            pool: None,
+            buffer: None,
             pbpl: None,
             cost: CostModel::from_power_model(&PowerModel::exynos_like()),
             trace_events: TraceHandle::disabled(),
@@ -701,7 +753,7 @@ mod tests {
         let clock = ctx.clock;
         let handle = spawn(ctx);
         let counters = Arc::clone(&handle.counters);
-        crate::clock::idle_sleep_until(clock.wall_deadline(SimTime::from_millis(horizon_ms + 30)));
+        stop.sleep_until(clock.wall_deadline(SimTime::from_millis(horizon_ms + 30)));
         stop.raise();
         handle.join();
         counters.snapshot()
@@ -735,7 +787,11 @@ mod tests {
                 thread::spawn(move || m.run())
             };
             ctx.manager = Some(Arc::clone(&manager));
-            ctx.pool = Some(GlobalPool::new(25));
+            ctx.buffer = Some(pbpl_buffer(
+                &GlobalPool::new(25),
+                25,
+                &PbplConfig::default(),
+            ));
             ctx.pbpl = Some(PbplConfig::default());
             let handle = spawn(ctx);
             let counters = Arc::clone(&handle.counters);
@@ -782,7 +838,11 @@ mod tests {
             ctx.trace = Trace::new(gap, SimTime::from_secs(31));
             let (manager, mgr_thread) = start_manager(ctx.clock);
             ctx.manager = Some(Arc::clone(&manager));
-            ctx.pool = Some(GlobalPool::new(25));
+            ctx.buffer = Some(pbpl_buffer(
+                &GlobalPool::new(25),
+                25,
+                &PbplConfig::default(),
+            ));
             ctx.pbpl = Some(PbplConfig::default());
             let handle = spawn(ctx);
             let counters = Arc::clone(&handle.counters);
@@ -812,6 +872,41 @@ mod tests {
     }
 
     #[test]
+    fn idle_consumers_wake_only_for_items_and_the_close() {
+        // Four arrivals 250 ms apart against B0 = 25: a Mutex or Sem
+        // consumer returns from one wait per item and one for the close
+        // of its buffer; a BP consumer, whose buffer never fills, only
+        // from the close. A timed wait that re-checks a stop flag would
+        // add a dozen returns to every gap.
+        type Spawn = fn(PairContext) -> PairHandle;
+        let spawns: [(&str, Spawn, u64); 3] = [
+            ("mutex", spawn_mutex, 4 + 1),
+            ("sem", spawn_sem, 4 + 1),
+            ("bp", spawn_bp, 1),
+        ];
+        for (name, spawn, max_wakes) in spawns {
+            let (mut ctx, stop) = test_ctx(0, 10);
+            let times = (0..4).map(|k| SimTime::from_millis(250 * k)).collect();
+            ctx.trace = Trace::new(times, SimTime::from_millis(1_000));
+            let last = ctx.clock.wall_deadline(SimTime::from_millis(800));
+            let handle = spawn(ctx);
+            let counters = Arc::clone(&handle.counters);
+            assert!(stop.sleep_until(last).is_some());
+            while counters.snapshot().items_produced < 4 {
+                thread::yield_now(); // a loaded host may run late
+            }
+            stop.raise();
+            let exit = handle.join();
+            assert_eq!(counters.snapshot().items_consumed, 4, "{name}");
+            assert!(
+                exit.consumer_wakes <= max_wakes,
+                "{name}: {} consumer wakes for 4 items",
+                exit.consumer_wakes
+            );
+        }
+    }
+
+    #[test]
     fn parked_producer_wait_counts_toward_latency() {
         // 5 000 arrivals all due at t = 0 against a 25-item buffer: the
         // producer parks behind the full buffer again and again and
@@ -821,7 +916,11 @@ mod tests {
         ctx.trace = Trace::new(vec![SimTime::ZERO; 5_000], SimTime::from_millis(1));
         let (manager, mgr_thread) = start_manager(ctx.clock);
         ctx.manager = Some(Arc::clone(&manager));
-        ctx.pool = Some(GlobalPool::new(25));
+        ctx.buffer = Some(pbpl_buffer(
+            &GlobalPool::new(25),
+            25,
+            &PbplConfig::default(),
+        ));
         ctx.pbpl = Some(PbplConfig::default());
         let handle = spawn_pbpl(ctx);
         let counters = Arc::clone(&handle.counters);
@@ -905,15 +1004,16 @@ mod tests {
         let (mut ctx, stop) = test_ctx(0, 200);
         ctx.clock = clock;
         ctx.manager = Some(Arc::clone(&manager));
-        ctx.pool = Some(Arc::clone(&pool));
-        ctx.pbpl = Some(PbplConfig {
+        let cfg = PbplConfig {
             slot: SimDuration::from_millis(10),
             max_latency: SimDuration::from_millis(50),
             ..PbplConfig::default()
-        });
+        };
+        ctx.buffer = Some(pbpl_buffer(&pool, 25, &cfg));
+        ctx.pbpl = Some(cfg);
         let handle = spawn_pbpl(ctx);
         let counters = Arc::clone(&handle.counters);
-        crate::clock::idle_sleep_until(clock.wall_deadline(SimTime::from_millis(260)));
+        stop.sleep_until(clock.wall_deadline(SimTime::from_millis(260)));
         stop.raise();
         handle.join();
         manager.shutdown();
