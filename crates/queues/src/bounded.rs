@@ -265,6 +265,31 @@ mod tests {
     }
 
     #[test]
+    fn close_before_any_push_ends_a_blocked_pop_drain() {
+        let q = Arc::new(MutexQueue::<u32>::new(4));
+        let q2 = Arc::clone(&q);
+        let consumer = thread::spawn(move || q2.pop_drain(&mut Vec::new()));
+        thread::sleep(Duration::from_millis(20));
+        q.close();
+        assert_eq!(consumer.join().unwrap(), None);
+    }
+
+    #[test]
+    fn pop_drain_frees_room_for_a_blocked_producer() {
+        let q = Arc::new(MutexQueue::new(2));
+        q.push(1);
+        q.push(2);
+        let q2 = Arc::clone(&q);
+        let producer = thread::spawn(move || q2.push(3));
+        thread::sleep(Duration::from_millis(20));
+        let mut out = Vec::new();
+        assert_eq!(q.pop_drain(&mut out), Some((2, false)));
+        assert!(producer.join().unwrap(), "producer must report it blocked");
+        assert_eq!(q.pop_drain(&mut out), Some((1, false)));
+        assert_eq!(out, vec![1, 2, 3]);
+    }
+
+    #[test]
     fn producer_consumer_stress() {
         const N: u64 = if cfg!(debug_assertions) {
             2_000

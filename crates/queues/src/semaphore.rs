@@ -152,6 +152,15 @@ mod tests {
     }
 
     #[test]
+    fn try_acquire_many_takes_what_is_there() {
+        let s = Semaphore::new(10);
+        assert_eq!(s.try_acquire_many(4), 4);
+        assert_eq!(s.try_acquire_many(100), 6, "clips at the permits left");
+        assert_eq!(s.available(), 0);
+        assert_eq!(s.try_acquire_many(1), 0, "never waits");
+    }
+
+    #[test]
     fn timeout_expires_when_starved() {
         let s = Semaphore::new(0);
         assert_eq!(s.acquire_timeout(Duration::from_millis(10)), None);

@@ -243,6 +243,43 @@ mod tests {
     }
 
     #[test]
+    fn pop_drain_frees_room_for_a_blocked_producer() {
+        let (p, c) = SemQueue::new(2);
+        p.push(1);
+        p.push(2);
+        let producer = thread::spawn(move || {
+            let blocked = p.push(3);
+            (p, blocked)
+        });
+        thread::sleep(Duration::from_millis(20));
+        let mut out = Vec::new();
+        assert_eq!(c.pop_drain(&mut out), Some((2, false)));
+        let (_p, blocked) = producer.join().unwrap();
+        assert!(blocked, "producer must report it blocked");
+        assert_eq!(c.pop_drain(&mut out), Some((1, false)));
+        assert_eq!(out, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn try_pop_hands_back_the_close_permit() {
+        let (p, c) = SemQueue::<u32>::new(4);
+        p.push(1);
+        p.close();
+        assert_eq!(c.try_pop(), Some(1), "items before the close still pop");
+        assert_eq!(c.try_pop(), None);
+        assert_eq!(c.try_pop(), None, "the close permit came back");
+        assert_eq!(c.pop_drain(&mut Vec::new()), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "closed, empty")]
+    fn pop_on_a_closed_empty_queue_panics() {
+        let (p, c) = SemQueue::<u32>::new(4);
+        p.close();
+        c.pop();
+    }
+
+    #[test]
     fn cross_thread_stress_ordered() {
         const N: u64 = if cfg!(debug_assertions) {
             2_000

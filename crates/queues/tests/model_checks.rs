@@ -4,7 +4,7 @@
 //! single-item ones (wrap-around at capacity boundaries falls out of
 //! small capacities under long scripts).
 
-use pc_queues::{spsc_ring, Backoff, ElasticBuffer, GlobalPool, MutexQueue};
+use pc_queues::{spsc_ring, Backoff, ElasticBuffer, GlobalPool, MutexQueue, SemQueue};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -109,6 +109,46 @@ proptest! {
             }
             prop_assert_eq!(q.len(), model.len());
         }
+    }
+
+    #[test]
+    fn sem_queue_matches_reference_model(capacity in 1usize..40, script in ops(300)) {
+        let (p, c) = SemQueue::<u32>::new(capacity);
+        let mut model: VecDeque<u32> = VecDeque::new();
+        for op in script {
+            match op {
+                Op::Push(v) => {
+                    let pushed = p.try_push(v).is_ok();
+                    let model_pushed = model.len() < capacity;
+                    prop_assert_eq!(pushed, model_pushed);
+                    if model_pushed {
+                        model.push_back(v);
+                    }
+                }
+                Op::Pop => {
+                    prop_assert_eq!(c.try_pop(), model.pop_front());
+                }
+                Op::Drain | Op::PopChunk(_) => {
+                    // The session drain blocks on an empty open queue,
+                    // so it runs only when the model holds items.
+                    if !model.is_empty() {
+                        let mut out = Vec::new();
+                        let session = c.pop_drain(&mut out);
+                        prop_assert_eq!(session, Some((model.len(), false)));
+                        let expected: Vec<u32> = model.drain(..).collect();
+                        prop_assert_eq!(out, expected);
+                    }
+                }
+            }
+        }
+        // Closing after the last push: what is left drains in one
+        // session, then every drain reports the close.
+        p.close();
+        let mut out = Vec::new();
+        let expected = (!model.is_empty()).then_some((model.len(), false));
+        prop_assert_eq!(c.pop_drain(&mut out), expected);
+        prop_assert_eq!(out, model.drain(..).collect::<Vec<u32>>());
+        prop_assert_eq!(c.pop_drain(&mut Vec::new()), None);
     }
 
     #[test]

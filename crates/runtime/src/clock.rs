@@ -418,12 +418,19 @@ mod tests {
                 assert!(wakes >= 1, "a {micros} µs wait must block");
             }
         }
+    }
+
+    #[test]
+    fn stoppable_sleep_past_deadline_returns_immediately() {
+        let stop = StopSignal::new();
         let past = Instant::now() - Duration::from_millis(1);
+        let t0 = Instant::now();
         assert_eq!(
             stop.sleep_until(past),
             Some(0),
             "no wait for a past deadline"
         );
+        assert!(t0.elapsed() < Duration::from_millis(2));
     }
 
     #[test]

@@ -759,13 +759,11 @@ mod tests {
         counters.snapshot()
     }
 
-    #[test]
-    fn stop_mid_replay_conserves_items() {
-        // Raise the stop flag while the producer is still replaying a
-        // dense run of arrivals, often parked on a full buffer: the item
-        // in flight must still be consumed, for every strategy.
-        type Spawn = fn(PairContext) -> PairHandle;
-        let spawns: [(&str, Spawn); 6] = [
+    type Spawn = fn(PairContext) -> PairHandle;
+
+    /// One spawn function per native strategy, by name.
+    fn every_strategy() -> [(&'static str, Spawn); 6] {
+        [
             ("busy", |ctx| spawn_busy(ctx, false)),
             ("mutex", spawn_mutex),
             ("sem", spawn_sem),
@@ -774,8 +772,15 @@ mod tests {
                 spawn_periodic(ctx, SimTime::from_millis(10), true)
             }),
             ("pbpl", spawn_pbpl),
-        ];
-        for (name, spawn) in spawns {
+        ]
+    }
+
+    #[test]
+    fn stop_mid_replay_conserves_items() {
+        // Raise the stop flag while the producer is still replaying a
+        // dense run of arrivals, often parked on a full buffer: the item
+        // in flight must still be consumed, for every strategy.
+        for (name, spawn) in every_strategy() {
             let (mut ctx, stop) = test_ctx(0, 200);
             // 200 000 arrivals 1 µs apart: 200 ms of replay.
             let times = (0..200_000).map(SimTime::from_micros).collect();
@@ -820,19 +825,8 @@ mod tests {
         // Each producer sits in a 30 s inter-arrival gap when the stop
         // rises; the pair, every thread joined, must be back within
         // 100 ms, whatever the strategy.
-        type Spawn = fn(PairContext) -> PairHandle;
-        let spawns: [(&str, Spawn); 6] = [
-            ("busy", |ctx| spawn_busy(ctx, false)),
-            ("mutex", spawn_mutex),
-            ("sem", spawn_sem),
-            ("bp", spawn_bp),
-            ("spbp", |ctx| {
-                spawn_periodic(ctx, SimTime::from_millis(10), true)
-            }),
-            ("pbpl", spawn_pbpl),
-        ];
         let limit = Duration::from_millis(100);
-        for (name, spawn) in spawns {
+        for (name, spawn) in every_strategy() {
             let (mut ctx, stop) = test_ctx(0, 10);
             let gap = vec![SimTime::ZERO, SimTime::from_secs(30)];
             ctx.trace = Trace::new(gap, SimTime::from_secs(31));
@@ -872,13 +866,60 @@ mod tests {
     }
 
     #[test]
+    fn a_pair_stopped_before_its_first_arrival_moves_nothing() {
+        // The stop rises while the producer waits for an arrival 30 s
+        // out: the close reaches a consumer whose buffer never held an
+        // item, and every strategy's consumer must take it as the end.
+        for (name, spawn) in every_strategy() {
+            let (mut ctx, stop) = test_ctx(0, 10);
+            ctx.trace = Trace::new(vec![SimTime::from_secs(30)], SimTime::from_secs(31));
+            let (manager, mgr_thread) = start_manager(ctx.clock);
+            ctx.manager = Some(Arc::clone(&manager));
+            ctx.buffer = Some(pbpl_buffer(
+                &GlobalPool::new(25),
+                25,
+                &PbplConfig::default(),
+            ));
+            ctx.pbpl = Some(PbplConfig::default());
+            let handle = spawn(ctx);
+            let counters = Arc::clone(&handle.counters);
+            stop.raise();
+            let exit = handle.join();
+            manager.shutdown();
+            mgr_thread.join().unwrap();
+            let s = counters.snapshot();
+            assert_eq!((s.items_produced, s.items_consumed), (0, 0), "{name}");
+            assert!(exit.lateness_ns.is_empty(), "{name}");
+        }
+    }
+
+    #[test]
+    fn batch_buffer_producer_parks_until_a_drain() {
+        let buf = Arc::new(BatchBuffer::new(2));
+        let at = Instant::now();
+        assert_eq!(buf.push(at), 0);
+        assert_eq!(buf.push(at), 0);
+        let producer = {
+            let buf = Arc::clone(&buf);
+            thread::spawn(move || buf.push(at))
+        };
+        thread::sleep(Duration::from_millis(20));
+        let mut out = Vec::new();
+        assert_eq!(buf.drain(&mut out), 2);
+        assert_eq!(producer.join().unwrap(), 1, "one park, ended by the drain");
+        assert_eq!(buf.drain(&mut out), 1);
+        assert!(!buf.is_closed());
+        Sink::close(Arc::clone(&buf));
+        assert!(buf.is_closed());
+    }
+
+    #[test]
     fn idle_consumers_wake_only_for_items_and_the_close() {
         // Four arrivals 250 ms apart against B0 = 25: a Mutex or Sem
         // consumer returns from one wait per item and one for the close
         // of its buffer; a BP consumer, whose buffer never fills, only
         // from the close. A timed wait that re-checks a stop flag would
         // add a dozen returns to every gap.
-        type Spawn = fn(PairContext) -> PairHandle;
         let spawns: [(&str, Spawn, u64); 3] = [
             ("mutex", spawn_mutex, 4 + 1),
             ("sem", spawn_sem, 4 + 1),
