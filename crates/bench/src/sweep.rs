@@ -463,8 +463,11 @@ pub struct CellTiming {
 /// host-dependent about a sweep, so none of it reaches the result file.
 #[derive(Debug, Clone, Serialize)]
 pub struct Sidecar {
-    /// v6: v5 (one struct for every family, a flat, experiment-tagged
-    /// `cells` list, `fleet_gen_ms`) without the `shards` field.
+    /// v7: v6 (one struct for every family, a flat, experiment-tagged
+    /// `cells` list, `fleet_gen_ms`, no `shards`) whose scheduler
+    /// counters gain `points_popped` — the decision points the arrival
+    /// calendar popped — while `arrivals_scheduled`/`arrivals_popped`
+    /// count the arrivals the pairs' cursors took in and consumed.
     pub schema_version: u32,
     /// Per-cell timings in canonical cell order.
     pub cells: Vec<CellTiming>,
@@ -492,7 +495,7 @@ impl Sidecar {
         filters: &[String],
     ) -> Sidecar {
         Sidecar {
-            schema_version: 6,
+            schema_version: 7,
             cells: runs
                 .iter()
                 .zip(&timing.dispatch.cell_wall_ms)

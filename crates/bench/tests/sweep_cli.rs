@@ -124,7 +124,8 @@ fn a_clean_filtered_run_writes_its_result_and_sidecar() {
         assert!(dir.join("results").join(file).is_file(), "{file}");
     }
     let sidecar = std::fs::read_to_string(dir.join("results/BENCH_suite.json")).unwrap();
-    assert!(sidecar.contains("\"schema_version\": 6"), "{sidecar}");
+    assert!(sidecar.contains("\"schema_version\": 7"), "{sidecar}");
+    assert!(sidecar.contains("\"points_popped\""), "{sidecar}");
     assert!(!sidecar.contains("\"shards\""), "{sidecar}");
     assert!(sidecar.contains("\"table_overflows\""), "{sidecar}");
     std::fs::remove_dir_all(&dir).ok();

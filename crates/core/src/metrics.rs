@@ -104,15 +104,39 @@ impl PairMetrics {
     /// Records one item's response latency.
     pub fn record_latency(&mut self, produced: SimTime, consumed: SimTime) {
         let lat = consumed.saturating_since(produced);
-        self.total_latency += lat;
-        self.max_latency = self.max_latency.max(lat);
+        self.record_latencies(1, lat, |_| lat.as_nanos());
+    }
+
+    /// Records the response latencies of `n` items consumed in FIFO
+    /// order: `total` is their sum, and `lat(k)` the `k`-th latency in
+    /// nanoseconds, largest first. `lat` is read only at the first item
+    /// and at the positions the systematic sample keeps, with
+    /// non-decreasing `k`, so a batch costs O(samples kept) beyond its
+    /// sum — and leaves the same state as `n` single records.
+    pub(crate) fn record_latencies(
+        &mut self,
+        n: u64,
+        total: SimDuration,
+        mut lat: impl FnMut(u64) -> u64,
+    ) {
+        if n == 0 {
+            return;
+        }
+        self.total_latency += total;
+        self.max_latency = self.max_latency.max(SimDuration::from_nanos(lat(0)));
         // Systematic sampling: keep every k-th latency, doubling k (and
         // thinning the reservoir) whenever it fills. Deterministic, so
         // runs stay bit-reproducible.
-        self.latency_since_kept += 1;
-        if self.latency_since_kept >= self.latency_stride {
+        let mut k = 0;
+        loop {
+            let due = self.latency_stride - self.latency_since_kept;
+            if n - k < due {
+                self.latency_since_kept += n - k;
+                return;
+            }
+            k += due;
             self.latency_since_kept = 0;
-            self.latency_sample_ns.push(lat.as_nanos());
+            self.latency_sample_ns.push(lat(k - 1));
             if self.latency_sample_ns.len() >= LATENCY_RESERVOIR {
                 // Drop every other sample and double the stride.
                 let mut keep = false;
@@ -345,6 +369,29 @@ mod tests {
         }
         assert!(m.latency_sample_ns.len() <= 2048);
         assert!(m.latency_percentile(50.0).is_some());
+    }
+
+    #[test]
+    fn batched_latencies_match_single_records() {
+        // Batches of every size up to 700 with latencies falling in FIFO
+        // order, through several reservoir thinnings.
+        let (mut one, mut batched) = (PairMetrics::new(PairId(0)), PairMetrics::new(PairId(0)));
+        let mut t = 0u64;
+        for n in (0..700u64).chain(0..700).chain([20_000, 1, 3]) {
+            let end = t + 10 * n + 5;
+            let lat = |k: u64| end - (t + 10 * k);
+            for k in 0..n {
+                one.record_latency(SimTime::from_nanos(t + 10 * k), SimTime::from_nanos(end));
+            }
+            let total = (0..n).map(lat).sum::<u64>();
+            batched.record_latencies(n, SimDuration::from_nanos(total), lat);
+            t = end;
+        }
+        assert_eq!(one.total_latency, batched.total_latency);
+        assert_eq!(one.max_latency, batched.max_latency);
+        assert_eq!(one.latency_sample_ns, batched.latency_sample_ns);
+        assert_eq!(one.latency_stride, batched.latency_stride);
+        assert_eq!(one.latency_since_kept, batched.latency_since_kept);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::manager::CoreManager;
 use crate::model::PairId;
 use crate::predict::RatePredictor;
 use crate::resize::{overrun_target, plan_resize, predicted_fill, ResizePlan};
-use pc_queues::ElasticBuffer;
+use pc_queues::ElasticCapacity;
 use pc_sim::{SimDuration, SimTime};
 
 /// One PBPL consumer's decision state.
@@ -111,7 +111,8 @@ impl PbplConsumer {
     }
 
     /// Input 2: plan the next wake at `now` — predict, pick a slot on
-    /// `book` (Eq. 8 backtracking), and resize `buffer` against its pool.
+    /// `book` (Eq. 8 backtracking), and resize the buffer's `ledger`
+    /// against its pool (never below the `occupancy` it holds).
     /// Returns the slot to reserve; its `rate_overrun` is the *initial*
     /// selection's flag, which is what triggered any upsizing.
     ///
@@ -119,11 +120,13 @@ impl PbplConsumer {
     /// prediction just proved too low, so releasing capacity would invite
     /// the next overflow immediately — the paper's resizing exists to
     /// *convert* overflows into scheduled wakeups, not to multiply them.
-    pub fn plan<T>(
+    #[allow(clippy::too_many_arguments)]
+    pub fn plan(
         &mut self,
         now: SimTime,
         book: &CoreManager,
-        buffer: &mut ElasticBuffer<T>,
+        ledger: &mut ElasticCapacity,
+        occupancy: usize,
         base_capacity: usize,
         max_latency: SimDuration,
         allow_shrink: bool,
@@ -141,10 +144,10 @@ impl PbplConsumer {
         // earlier is retried a few plans, then dropped — degrade to
         // current capacity rather than insist.
         if let Some((want, left)) = self.pending_grow {
-            if buffer.capacity() >= want || left == 0 {
+            if ledger.capacity() >= want || left == 0 {
                 self.pending_grow = None;
             } else {
-                let got = buffer.grow_to(want);
+                let got = ledger.grow_to(want);
                 self.pending_grow = (got < want).then_some((want, left - 1));
             }
         }
@@ -170,7 +173,7 @@ impl PbplConsumer {
         // reclaims before the predicted items arrive. Planning with the
         // shrunk size would collapse the fill horizon after every latch
         // and degrade PBPL into per-slot polling.
-        let mut choice = select(buffer.capacity().max(base_capacity));
+        let mut choice = select(ledger.capacity().max(base_capacity));
         let rate_overrun = choice.rate_overrun;
         if self.resizing {
             if choice.rate_overrun {
@@ -182,7 +185,7 @@ impl PbplConsumer {
                 // re-plan with what the pool granted.
                 let next_start = track.slot_start(track.next_slot_after(now) + 1);
                 let want = overrun_target(rate, now, next_start, margin);
-                let granted = buffer.grow_to(want);
+                let granted = ledger.grow_to(want);
                 if self.degrade.enabled && granted < want {
                     self.pending_grow = Some((want, self.degrade.grow_retries));
                 }
@@ -198,12 +201,12 @@ impl PbplConsumer {
             // a genuinely silent producer); sizing to it would shrink the
             // buffer to nothing on bootstrap. Keep the allocation.
             if predicted > 0.0 {
-                match plan_resize(buffer.capacity(), predicted, margin) {
+                match plan_resize(ledger.capacity(), predicted, margin) {
                     ResizePlan::Shrink(target) if allow_shrink => {
-                        buffer.shrink_to(target);
+                        ledger.shrink_to(target, occupancy);
                     }
                     ResizePlan::Grow(target) => {
-                        buffer.grow_to(target);
+                        ledger.grow_to(target);
                     }
                     ResizePlan::Shrink(_) | ResizePlan::Keep => {}
                 }
@@ -223,7 +226,7 @@ mod tests {
     use crate::manager::CoreManager;
     use crate::slot::SlotTrack;
     use pc_power::PowerModel;
-    use pc_queues::GlobalPool;
+    use pc_queues::{ElasticBuffer, GlobalPool};
     use std::sync::Arc;
 
     fn ms(v: u64) -> SimTime {
@@ -256,7 +259,16 @@ mod tests {
         allow_shrink: bool,
     ) -> SlotChoice {
         let max_latency = SimDuration::from_millis(100);
-        c.plan(now, &book(), buf, 10, max_latency, allow_shrink)
+        let occupancy = buf.len();
+        c.plan(
+            now,
+            &book(),
+            buf.ledger_mut(),
+            occupancy,
+            10,
+            max_latency,
+            allow_shrink,
+        )
     }
 
     #[test]
@@ -385,7 +397,7 @@ mod tests {
             Some(PairId(0)),
         );
         assert!(initial.rate_overrun);
-        let choice = c.plan(ms(10), &book, &mut buf, 10, max_latency, true);
+        let choice = c.plan(ms(10), &book, buf.ledger_mut(), 0, 10, max_latency, true);
         assert!(choice.rate_overrun, "the initial selection's flag is kept");
         assert!(buf.capacity() > 10, "overrun upsizes against the pool");
         assert!(c.pending_grow.is_none(), "no pending grow without watchdog");

@@ -1,13 +1,13 @@
 //! One handler per strategy family (§III, §V). Each owns its per-pair
-//! state and reacts to arrivals, its own timer events and the fleet
-//! supervisor's emergency drains; [`Handler`] is the single place a run
-//! dispatches on the strategy.
+//! state, acts at its pairs' decision points and its own timer events,
+//! names the arrival at which each pair next has to act, and answers the
+//! fleet supervisor's emergency drains; [`Handler`] is the single place
+//! a run dispatches on the strategy.
 
 use super::kernel::{Ev, Kernel, Layer};
 use super::pbpl::PbplHandler;
 use crate::strategy::{item_driven_work, YIELD_IDLE_PER_TICK, YIELD_TICK};
-use pc_queues::elastic::Overflow;
-use pc_queues::ElasticBuffer;
+use pc_queues::ElasticCapacity;
 use pc_sim::{SimDuration, SimTime, TimerModel};
 use pc_trace_events::{TraceEvent, Trigger};
 
@@ -53,14 +53,14 @@ impl Handler {
         }
     }
 
-    /// An admitted arrival for pair `i` at `t` (the engine clock).
+    /// Pair `i`'s decision point: its next arrival, admitted, at `t`
+    /// (the engine clock). The arrival is not in the buffer yet.
     #[inline]
-    pub fn produce(&mut self, i: usize, t: SimTime, k: &mut Kernel, l: &mut impl Layer) {
+    pub fn arrive(&mut self, i: usize, t: SimTime, k: &mut Kernel, l: &mut impl Layer) {
         match self {
             Handler::Busy { .. } => {
-                let metrics = &mut k.pairs[i].metrics;
-                metrics.items_consumed += 1;
-                metrics.record_latency(t, t);
+                k.include(i);
+                k.consume_instantly(i);
                 k.trace.record(|| TraceEvent::Invoke {
                     pair: i as u32,
                     trigger: Trigger::Item,
@@ -68,9 +68,30 @@ impl Handler {
                     capacity: 0,
                 });
             }
-            Handler::Item(h) => h.produce(i, t, k, l),
-            Handler::Batch(h) => h.produce(i, t, k, l),
-            Handler::Pbpl(h) => h.produce(i, t, k, l),
+            Handler::Item(h) => {
+                k.include(i);
+                h.wake_if_idle(i, t, k, l);
+            }
+            Handler::Batch(h) => h.arrive(i, t, k, l),
+            Handler::Pbpl(h) => h.arrive(i, t, k, l),
+        }
+    }
+
+    /// The arrival at which pair `i` next has to act, if any, when not
+    /// every arrival is a point: an idle item-driven consumer's next
+    /// arrival (a busy one acts at its drain-done event), the arrival
+    /// that fills a BP buffer or overflows a PBP, SPBP or PBPL buffer at
+    /// its current capacity, and none for the spinning consumers.
+    pub fn next_point(&self, i: usize, k: &Kernel) -> Option<usize> {
+        let pair = &k.pairs[i];
+        match self {
+            Handler::Busy { .. } => None,
+            Handler::Item(h) => (!h.pairs[i].drain_pending).then_some(pair.tail),
+            Handler::Batch(h) => {
+                let fills = usize::from(h.period.is_none());
+                Some(pair.head + h.capacities[i].capacity() - fills)
+            }
+            Handler::Pbpl(h) => Some(pair.head + h.pairs[i].ledger.capacity()),
         }
     }
 
@@ -97,8 +118,9 @@ impl Handler {
             Handler::Busy { .. } => {}
             Handler::Item(h) => h.wake_if_idle(i, now, k, l),
             Handler::Batch(h) => {
-                if !h.buffers[i].is_empty() {
-                    k.batch_drain(i, now, Trigger::Overflow, &mut h.buffers[i], l);
+                if k.len(i) > 0 {
+                    let capacity = h.capacities[i].capacity();
+                    k.batch_drain(i, now, Trigger::Overflow, capacity, l);
                 }
             }
             Handler::Pbpl(h) => h.emergency_drain(i, now, k, l),
@@ -112,32 +134,12 @@ impl Handler {
         }
     }
 
-    /// Items currently buffered at pair `i`.
-    pub fn occupancy(&self, i: usize) -> u64 {
-        match self {
-            Handler::Busy { .. } => 0,
-            Handler::Item(h) => h.pairs[i].backlog.len() as u64,
-            Handler::Batch(h) => h.buffers[i].len() as u64,
-            Handler::Pbpl(h) => h.pairs[i].buffer.len() as u64,
-        }
-    }
-
     /// The end of pair `i`'s consumer busy spell (item-driven strategies;
     /// the batching ones occupy the core directly).
     pub fn busy_until(&self, i: usize) -> SimTime {
         match self {
             Handler::Item(h) => h.pairs[i].busy_until,
             _ => SimTime::ZERO,
-        }
-    }
-
-    /// Moves pair `i`'s buffered items into `out` (end-of-run flush).
-    pub(crate) fn drain_leftovers(&mut self, i: usize, out: &mut Vec<SimTime>) {
-        match self {
-            Handler::Busy { .. } => {}
-            Handler::Item(h) => out.append(&mut h.pairs[i].backlog),
-            Handler::Batch(h) => _ = h.buffers[i].drain_into(out),
-            Handler::Pbpl(h) => _ = h.pairs[i].buffer.drain_into(out),
         }
     }
 
@@ -150,13 +152,12 @@ impl Handler {
     }
 }
 
-/// Item-driven consumer state of one pair (Mutex, Sem).
+/// Item-driven consumer state of one pair (Mutex, Sem). Its backlog is
+/// the pair's buffer in the kernel. Capacity is advisory only: the real
+/// producer would block, which is invisible to consumer-side power (§IV
+/// assumes producers are external processes).
 #[derive(Default)]
 pub(super) struct ItemPair {
-    /// Items awaiting the consumer. Capacity is advisory only: the real
-    /// producer would block, which is invisible to consumer-side power
-    /// (§IV assumes producers are external processes).
-    backlog: Vec<SimTime>,
     /// Consumer-side busy horizon.
     busy_until: SimTime,
     drain_pending: bool,
@@ -169,21 +170,13 @@ pub(super) struct ItemHandler {
 }
 
 impl ItemHandler {
-    fn produce(&mut self, i: usize, t: SimTime, k: &mut Kernel, l: &impl Layer) {
-        // The engine clock just advanced to this arrival's timestamp, so
-        // `t` *is* `now` — reusing it keeps the per-item path free of
-        // engine reads (same in the other `produce` handlers).
-        self.pairs[i].backlog.push(t);
-        self.wake_if_idle(i, t, k, l);
-    }
-
     /// Wakes pair `i`'s consumer for its backlog unless it is busy. A
     /// pending DrainDone owns the wake session: at an exact tie
     /// (now == busy_until) the continuation event drains this item
     /// without a fresh thread wakeup.
     fn wake_if_idle(&mut self, i: usize, now: SimTime, k: &mut Kernel, l: &impl Layer) {
         let pair = &self.pairs[i];
-        if !pair.backlog.is_empty() && now >= pair.busy_until && !pair.drain_pending {
+        if now >= pair.busy_until && !pair.drain_pending && k.len(i) > 0 {
             let metrics = &mut k.pairs[i].metrics;
             metrics.item_wakeups += 1;
             metrics.invocations += 1;
@@ -192,16 +185,13 @@ impl ItemHandler {
     }
 
     fn drain(&mut self, i: usize, now: SimTime, k: &mut Kernel, l: &impl Layer) {
-        let pair = &mut self.pairs[i];
-        let n = pair.backlog.len() as u64;
+        let n = k.len(i) as u64;
         k.trace.record(|| TraceEvent::Invoke {
             pair: i as u32,
             trigger: Trigger::Item,
             batch: n,
             capacity: k.base_capacity as u64,
         });
-        k.scratch.clear();
-        k.scratch.append(&mut pair.backlog);
         // The sleep-entry tail is part of the wake session: the thread
         // re-checks the queue before truly blocking, so arrivals in this
         // window extend the session instead of causing a fresh wakeup.
@@ -209,6 +199,7 @@ impl ItemHandler {
             .inflate(i, item_driven_work(&k.power, n, self.sync_factor))
             .saturating_add(k.power.sleep_entry);
         let end = k.finish_drain(i, now, work, k.base_capacity, l);
+        let pair = &mut self.pairs[i];
         pair.busy_until = end;
         if !pair.drain_pending {
             pair.drain_pending = true;
@@ -218,10 +209,13 @@ impl ItemHandler {
 
     fn drain_done(&mut self, i: usize, now: SimTime, k: &mut Kernel, l: &impl Layer) {
         self.pairs[i].drain_pending = false;
-        if !self.pairs[i].backlog.is_empty() {
+        if k.len(i) > 0 {
             // Same wake session: the core span abuts the previous one, so
             // no wakeup or invocation is counted.
             self.drain(i, now, k, l);
+        } else {
+            // Idle: the next arrival is the pair's decision point.
+            k.touch(i);
         }
     }
 }
@@ -232,7 +226,8 @@ pub(super) struct BatchHandler {
     /// The batch period; `None` is BP.
     pub period: Option<SimDuration>,
     pub timer: TimerModel,
-    pub buffers: Vec<ElasticBuffer<SimTime>>,
+    /// Each pair's buffer capacity, accounted against the pool.
+    pub capacities: Vec<ElasticCapacity>,
     /// Each pair's absolute next nominal fire instant (periodic only).
     pub anchors: Vec<SimTime>,
 }
@@ -240,7 +235,7 @@ pub(super) struct BatchHandler {
 impl BatchHandler {
     fn setup(&mut self, k: &mut Kernel) {
         let Some(period) = self.period else { return };
-        for i in 0..self.buffers.len() {
+        for i in 0..self.capacities.len() {
             self.anchors[i] = SimTime::ZERO + period;
             let fire = self.timer.fire_time(SimTime::ZERO + period, k.engine.rng());
             k.engine.schedule_at(fire, Ev::TimerFire { pair: i });
@@ -248,26 +243,24 @@ impl BatchHandler {
     }
 
     #[inline]
-    fn produce(&mut self, i: usize, t: SimTime, k: &mut Kernel, l: &impl Layer) {
-        let buffer = &mut self.buffers[i];
+    fn arrive(&mut self, i: usize, t: SimTime, k: &mut Kernel, l: &impl Layer) {
+        let capacity = self.capacities[i].capacity();
         if self.period.is_none() {
-            buffer
-                .push(t)
-                .unwrap_or_else(|_| unreachable!("BP drains at full, before overflow"));
-            if buffer.is_full() {
+            k.include(i);
+            if k.len(i) >= capacity {
                 // "The consumer waits until the buffer is full": the
                 // producer signals it — in the paper's terms every BP
                 // wakeup is an overflow.
-                k.batch_drain(i, t, Trigger::Overflow, buffer, l);
+                k.batch_drain(i, t, Trigger::Overflow, capacity, l);
             }
-        } else if let Err(Overflow(item)) = buffer.push(t) {
-            // Buffer filled before the period expired: unscheduled wakeup
-            // ("it requires logic to handle the overflow of the buffer
-            // before a period expires", §III-A).
-            k.batch_drain(i, t, Trigger::Overflow, buffer, l);
-            buffer
-                .push(item)
-                .unwrap_or_else(|_| unreachable!("buffer was just drained"));
+        } else {
+            if k.len(i) >= capacity {
+                // Buffer filled before the period expired: unscheduled
+                // wakeup ("it requires logic to handle the overflow of
+                // the buffer before a period expires", §III-A).
+                k.batch_drain(i, t, Trigger::Overflow, capacity, l);
+            }
+            k.include(i);
         }
     }
 
@@ -277,7 +270,8 @@ impl BatchHandler {
         // but not the clock: the timer chain survives the outage and
         // overflow handling covers the backlog meanwhile.
         if !l.swallow_wake(core) {
-            k.batch_drain(i, now, Trigger::Scheduled, &mut self.buffers[i], l);
+            let capacity = self.capacities[i].capacity();
+            k.batch_drain(i, now, Trigger::Scheduled, capacity, l);
         }
         let period = self
             .period

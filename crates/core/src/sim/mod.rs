@@ -38,7 +38,7 @@ use crate::slot::SlotTrack;
 use crate::strategy::{MUTEX_SYNC_FACTOR, SEM_SYNC_FACTOR};
 use pc_faults::FaultPlan;
 use pc_power::{GovernorKind, PowerModel};
-use pc_queues::{ElasticBuffer, GlobalPool};
+use pc_queues::{ElasticCapacity, GlobalPool};
 use pc_sim::{Core, CoreId, Engine, SimDuration, SimTime};
 use pc_trace::{Trace, WorldCupConfig};
 use pc_trace_events::TraceHandle;
@@ -289,26 +289,25 @@ impl ExperimentBuilder {
             .strategy
             .is_batching()
             .then(|| GlobalPool::new(self.buffer_capacity * self.pairs));
-        // One elastic buffer per pair against the pool, created in pair
+        // One elastic capacity per pair against the pool, created in pair
         // order (each traces its `BufferCreate`). Fixed-size strategies
         // never resize, so their floor is the base capacity.
-        let buffers = |min_cap: usize| -> Vec<ElasticBuffer<SimTime>> {
+        let buffers = |min_cap: usize| -> Vec<ElasticCapacity> {
             let pool = pool.as_ref().expect("batching strategies have a pool");
             (0..self.pairs)
                 .map(|i| {
-                    let mut buf =
-                        ElasticBuffer::with_min(Arc::clone(pool), self.buffer_capacity, min_cap)
+                    let mut ledger =
+                        ElasticCapacity::with_min(Arc::clone(pool), self.buffer_capacity, min_cap)
                             .expect("pool sized as B0*M covers every base reservation");
-                    buf.set_trace(self.trace_events.clone(), i as u32);
-                    buf
+                    ledger.set_trace(self.trace_events.clone(), i as u32);
+                    ledger
                 })
                 .collect()
         };
         let pairs: Vec<Pair> = (0..self.pairs)
-            .map(|i| Pair {
-                next_idx: 0,
-                core: i % self.cores,
-                metrics: PairMetrics::new(PairId(i)),
+            .map(|i| {
+                let limit = fleet[i].times().partition_point(|&t| t < end);
+                Pair::new(i % self.cores, limit, PairMetrics::new(PairId(i)))
             })
             .collect();
         let item = |sync_factor| {
@@ -319,7 +318,7 @@ impl ExperimentBuilder {
             Handler::Batch(BatchHandler {
                 period,
                 timer: self.strategy.timer_model(),
-                buffers: buffers(self.buffer_capacity),
+                capacities: buffers(self.buffer_capacity),
                 anchors: vec![SimTime::ZERO; self.pairs],
             })
         };
@@ -365,8 +364,8 @@ impl ExperimentBuilder {
                     pairs: buffers(min_cap)
                         .into_iter()
                         .enumerate()
-                        .map(|(i, buffer)| PbplPair {
-                            buffer,
+                        .map(|(i, ledger)| PbplPair {
+                            ledger,
                             machine: PbplConsumer::new(PairId(i), cfg, cost, watchdog),
                             max_latency: self
                                 .max_latencies
@@ -398,7 +397,8 @@ impl ExperimentBuilder {
             core_busy_until: vec![SimTime::ZERO; self.cores],
             pairs,
             base_capacity: self.buffer_capacity,
-            scratch: Vec::new(),
+            every_arrival: true,
+            refile: Vec::new(),
             pool,
             trace: self.trace_events,
         };

@@ -6,7 +6,7 @@
 use super::handlers::Handler;
 use super::kernel::{Ev, Kernel, Layer};
 use crate::config::OverloadConfig;
-use pc_sim::SimTime;
+use pc_sim::{SimDuration, SimTime};
 use pc_trace_events::{TraceEvent, TraceHandle};
 
 /// Per-pair admission-controller state. All integer arithmetic at
@@ -97,6 +97,10 @@ impl Layer for OverloadRuntime {
     /// while the lag already exceeds the deadline cannot *start* service
     /// inside the deadline — shedding it sheds a guaranteed miss, never
     /// viable work.
+    fn admits(&self) -> bool {
+        true
+    }
+
     fn admit(&mut self, i: usize, t: SimTime, k: &mut Kernel, h: &Handler) -> bool {
         let horizon = h.busy_until(i).max(k.core_busy_until[k.pairs[i].core]);
         let lag_ns = horizon.saturating_since(t).as_nanos();
@@ -133,7 +137,8 @@ impl Layer for OverloadRuntime {
             }
             if st.consec_over >= cfg.trip_arrivals {
                 // The tripping arrival itself is shed.
-                st.open(i, k, h.occupancy(i), false, 1);
+                let occupancy = k.len(i) as u64;
+                st.open(i, k, occupancy, false, 1);
                 false
             } else {
                 true
@@ -141,12 +146,8 @@ impl Layer for OverloadRuntime {
         }
     }
 
-    fn deadline_misses(&self, end: SimTime, items: &[SimTime]) -> u64 {
-        let d = self.cfg.deadline;
-        items
-            .iter()
-            .filter(|&&t| end.saturating_since(t) > d)
-            .count() as u64
+    fn deadline(&self) -> Option<SimDuration> {
+        Some(self.cfg.deadline)
     }
 
     /// Fleet-supervisor tick: detect stuck pairs (no consume progress
@@ -154,14 +155,14 @@ impl Layer for OverloadRuntime {
     /// handler's emergency drain; escalate shedding fleet-wide when the
     /// self-tripped share reaches `escalate_pct` of the fleet,
     /// de-escalate at half that.
-    fn supervisor_tick(&mut self, _now: SimTime, k: &mut Kernel, h: &Handler) -> Vec<usize> {
+    fn supervisor_tick(&mut self, _now: SimTime, k: &mut Kernel) -> Vec<usize> {
         let m = k.pairs.len();
         let cfg = self.cfg;
         let mut stuck = Vec::new();
         let mut tripped = 0usize;
         for i in 0..m {
             let consumed = k.pairs[i].metrics.items_consumed;
-            if h.occupancy(i) > 0 && consumed == self.last_consumed[i] {
+            if k.len(i) > 0 && consumed == self.last_consumed[i] {
                 self.stuck_ticks[i] += 1;
             } else {
                 self.stuck_ticks[i] = 0;
@@ -183,7 +184,8 @@ impl Layer for OverloadRuntime {
             self.fleet_shed = true;
             for (i, st) in self.admission.iter_mut().enumerate() {
                 if !st.in_overload {
-                    st.open(i, k, h.occupancy(i), true, 0);
+                    let occupancy = k.len(i) as u64;
+                    st.open(i, k, occupancy, true, 0);
                 }
             }
         } else if self.fleet_shed && tripped * 100 * 2 < cfg.escalate_pct as usize * m {

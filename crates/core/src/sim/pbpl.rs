@@ -1,22 +1,24 @@
-//! The PBPL handler (§V): per-pair elastic buffers and
+//! The PBPL handler (§V): per-pair elastic capacities and
 //! [`PbplConsumer`] machines, the per-core slot managers and their
 //! timers, group latching's piggyback drains, and the degraded-floor
-//! rebalance across neighbours.
+//! rebalance across neighbours. A pair's items are its run in the
+//! kernel; every operation that reads their count brings the run up to
+//! the event being handled first.
 
 use super::kernel::{Ev, Kernel, Layer};
 use crate::manager::CoreManager;
 use crate::model::PairId;
 use crate::pbpl::PbplConsumer;
 use crate::slot::SlotIndex;
-use pc_queues::elastic::Overflow;
-use pc_queues::ElasticBuffer;
+use pc_queues::ElasticCapacity;
 use pc_sim::event::EventId;
 use pc_sim::{SimDuration, SimTime, TimerModel};
 use pc_trace_events::{TraceEvent, Trigger};
 
-/// One PBPL pair: its buffer, its decision machine and its latency bound.
+/// One PBPL pair: its buffer's capacity, its decision machine and its
+/// latency bound.
 pub(super) struct PbplPair {
-    pub buffer: ElasticBuffer<SimTime>,
+    pub ledger: ElasticCapacity,
     pub machine: PbplConsumer,
     /// This consumer's maximum acceptable response latency (§IV-A);
     /// bounds how far ahead it may reserve.
@@ -48,18 +50,21 @@ impl PbplHandler {
     /// the core timer.
     fn plan(&mut self, i: usize, now: SimTime, allow_shrink: bool, k: &mut Kernel, l: &impl Layer) {
         if self.pairs[i].machine.degraded() {
-            self.restore_floor(i, k.base_capacity);
+            self.restore_floor(i, k);
         }
         let core = k.pairs[i].core;
+        let occupancy = k.len(i);
         let pair = &mut self.pairs[i];
         let choice = pair.machine.plan(
             now,
             &self.managers[core],
-            &mut pair.buffer,
+            &mut pair.ledger,
+            occupancy,
             k.base_capacity,
             pair.max_latency,
             allow_shrink,
         );
+        k.touch(i);
         k.trace.record(|| TraceEvent::SlotSelect {
             pair: i as u32,
             core: core as u32,
@@ -77,13 +82,14 @@ impl PbplHandler {
     /// overflows, and because slot selection already plans with
     /// `capacity.max(base)`, restoring the entitlement never delays this
     /// pair's scheduled wakeups — it only converts overflows back.
-    fn restore_floor(&mut self, i: usize, base: usize) {
+    fn restore_floor(&mut self, i: usize, k: &mut Kernel) {
+        let base = k.base_capacity;
         let mut cap = {
-            let buffer = &mut self.pairs[i].buffer;
-            if buffer.capacity() < base {
-                buffer.grow_to(base)
+            let ledger = &mut self.pairs[i].ledger;
+            if ledger.capacity() < base {
+                ledger.grow_to(base)
             } else {
-                buffer.capacity()
+                ledger.capacity()
             }
         };
         while cap < base {
@@ -104,16 +110,18 @@ impl PbplHandler {
                 if j == i || p.machine.overflowing() {
                     continue;
                 }
-                let surplus = p.buffer.capacity().saturating_sub(base);
+                let surplus = p.ledger.capacity().saturating_sub(base);
                 if surplus > 0 && victim.is_none_or(|(s, _)| surplus > s) {
                     victim = Some((surplus, j));
                 }
             }
             let Some((surplus, j)) = victim else { break };
             let give = surplus.min(base - cap);
-            let buffer = &mut self.pairs[j].buffer;
-            buffer.shrink_to(buffer.capacity() - give);
-            let regrown = self.pairs[i].buffer.grow_to(base);
+            let occupancy = k.len(j);
+            let ledger = &mut self.pairs[j].ledger;
+            ledger.shrink_to(ledger.capacity() - give, occupancy);
+            k.touch(j);
+            let regrown = self.pairs[i].ledger.grow_to(base);
             if regrown == cap {
                 // The victim's occupancy floor blocked the shrink; no
                 // progress is possible this plan.
@@ -124,28 +132,30 @@ impl PbplHandler {
     }
 
     fn invoke(&mut self, i: usize, now: SimTime, trigger: Trigger, k: &mut Kernel, l: &impl Layer) {
-        let n = k.batch_drain(i, now, trigger, &mut self.pairs[i].buffer, l);
+        let capacity = self.pairs[i].ledger.capacity();
+        let n = k.batch_drain(i, now, trigger, capacity, l);
         let overflow = trigger == Trigger::Overflow;
         self.pairs[i].machine.invoke(n, now, overflow);
         self.plan(i, now, !overflow, k, l);
     }
 
+    /// The pair's decision point: at capacity, the arrival overflows the
+    /// buffer, which drains before it joins.
     #[inline]
-    pub fn produce(&mut self, i: usize, t: SimTime, k: &mut Kernel, l: &impl Layer) {
-        if let Err(Overflow(item)) = self.pairs[i].buffer.push(t) {
-            self.invoke(i, t, Trigger::Overflow, k, l);
-            self.pairs[i]
-                .buffer
-                .push(item)
-                .unwrap_or_else(|_| unreachable!("buffer was just drained"));
-            // The overflow woke the core regardless; let neighbours latch
-            // onto it (§V-A group latching) and re-arm the slot timer.
-            // The overflowing consumer itself just drained — excluding it
-            // avoids a zero-dt double invocation when its buffer is tiny.
-            let core = k.pairs[i].core;
-            self.piggyback(core, t, Some(i), k, l);
-            self.ensure_scheduled(core, t, k, l);
+    pub fn arrive(&mut self, i: usize, t: SimTime, k: &mut Kernel, l: &impl Layer) {
+        if k.len(i) < self.pairs[i].ledger.capacity() {
+            k.include(i);
+            return;
         }
+        self.invoke(i, t, Trigger::Overflow, k, l);
+        k.include(i);
+        // The overflow woke the core regardless; let neighbours latch
+        // onto it (§V-A group latching) and re-arm the slot timer.
+        // The overflowing consumer itself just drained — excluding it
+        // avoids a zero-dt double invocation when its buffer is tiny.
+        let core = k.pairs[i].core;
+        self.piggyback(core, t, Some(i), k, l);
+        self.ensure_scheduled(core, t, k, l);
     }
 
     pub(crate) fn slot_wake(
@@ -179,7 +189,7 @@ impl PbplHandler {
         k: &mut Kernel,
         l: &impl Layer,
     ) {
-        if !self.pairs[i].buffer.is_empty() {
+        if k.len(i) > 0 {
             self.pairs[i].machine.force_degraded();
             self.invoke(i, now, Trigger::Overflow, k, l);
         }
@@ -206,9 +216,8 @@ impl PbplHandler {
         }
         for n in 0..self.pairs_by_core[core].len() {
             let i = self.pairs_by_core[core][n];
-            let buffer = &self.pairs[i].buffer;
             // Skip the excluded pair and batches not worth a dispatch.
-            if Some(i) == exclude || buffer.len() * 8 < buffer.capacity() {
+            if Some(i) == exclude || k.len(i) * 8 < self.pairs[i].ledger.capacity() {
                 continue;
             }
             self.invoke(i, now, Trigger::Scheduled, k, l);

@@ -122,30 +122,16 @@ impl GlobalPool {
 #[derive(Debug, PartialEq, Eq)]
 pub struct Overflow<T>(pub T);
 
-/// A FIFO buffer of elastic capacity, backed by segments so that resizing
-/// never relocates items, with capacity units accounted against a
-/// [`GlobalPool`].
+/// The pool-accounted capacity of one elastic buffer: its current size
+/// `Bᵢ`, its fair share `B₀` and its floor, borrowed from and returned to
+/// a [`GlobalPool`], with the `Buffer*` trace events of each change.
 ///
-/// The initial capacity `B₀` is a *fair share*, not a floor: the paper's
-/// downsizing explicitly shrinks a buffer below its initial allocation so
-/// that "the unused space in the buffer is granted to consumers suffering
-/// from a high production rate" (§VI-C reports a mean allocation of 43
-/// against B₀ = 50). The hard floor is `min_capacity` (default 1) plus
-/// current occupancy.
-/// ```
-/// use pc_queues::{ElasticBuffer, GlobalPool};
-/// use std::sync::Arc;
-///
-/// // The paper's setup: B_g = B0 * M with zero slack.
-/// let pool = GlobalPool::new(50);
-/// let mut slow = ElasticBuffer::<u32>::new(Arc::clone(&pool), 25).unwrap();
-/// let mut fast = ElasticBuffer::<u32>::new(Arc::clone(&pool), 25).unwrap();
-/// slow.shrink_to(10);                   // donate unused capacity
-/// assert_eq!(fast.grow_to(40), 40);     // the burster borrows it
-/// assert_eq!(pool.available(), 0);
-/// ```
+/// The ledger holds no items. [`ElasticBuffer`] pairs it with segment
+/// storage; the simulator pairs it with a run of its pair's pre-sorted
+/// arrival array, so the items already in memory are not stored twice.
+/// Operations whose floor depends on occupancy take it as an argument.
 #[derive(Debug)]
-pub struct ElasticBuffer<T> {
+pub struct ElasticCapacity {
     pool: Arc<GlobalPool>,
     /// Initial fair-share capacity (`B₀`); informational after creation.
     initial: usize,
@@ -153,29 +139,18 @@ pub struct ElasticBuffer<T> {
     min_cap: usize,
     /// Current capacity in items, all accounted against the pool.
     cap: usize,
-    len: usize,
-    segments: VecDeque<VecDeque<T>>,
-    /// Recycled (empty) segments awaiting reuse, capped at
-    /// [`FREE_SEGMENTS_MAX`]. Purely an allocation cache: it never
-    /// affects FIFO order, occupancy, or pool accounting.
-    free: Vec<VecDeque<T>>,
     /// Event-trace handle (disabled by default) and the pair index used
     /// as the `owner` field of emitted `Buffer*` events.
     trace: TraceHandle,
     owner: u32,
 }
 
-impl<T> ElasticBuffer<T> {
-    /// Creates a buffer with initial capacity `initial` (reserved from
-    /// `pool`) and a minimum capacity of 1.
+impl ElasticCapacity {
+    /// Reserves `initial` units from `pool` for a buffer whose capacity
+    /// never drops below `min_capacity`.
     ///
     /// Returns `None` if the pool cannot cover the initial reservation —
     /// construction is the only operation that demands exact units.
-    pub fn new(pool: Arc<GlobalPool>, initial: usize) -> Option<Self> {
-        Self::with_min(pool, initial, 1)
-    }
-
-    /// Creates a buffer whose capacity never drops below `min_capacity`.
     pub fn with_min(pool: Arc<GlobalPool>, initial: usize, min_capacity: usize) -> Option<Self> {
         assert!(
             initial > 0,
@@ -188,14 +163,11 @@ impl<T> ElasticBuffer<T> {
         if !pool.try_reserve_exact(initial) {
             return None;
         }
-        Some(ElasticBuffer {
+        Some(ElasticCapacity {
             pool,
             initial,
             min_cap: min_capacity,
             cap: initial,
-            len: 0,
-            segments: VecDeque::new(),
-            free: Vec::new(),
             trace: TraceHandle::disabled(),
             owner: 0,
         })
@@ -224,6 +196,135 @@ impl<T> ElasticBuffer<T> {
     /// The initial fair-share capacity (`B₀`).
     pub fn base_capacity(&self) -> usize {
         self.initial
+    }
+
+    /// Requests growth to `target` total capacity, borrowing from the
+    /// pool. Grants whatever the pool can spare (the paper's upsizing is explicitly
+    /// best-effort: `min(B_g − ΣB_q, …)`). Returns the new capacity.
+    pub fn grow_to(&mut self, target: usize) -> usize {
+        if target > self.cap {
+            let from = self.cap;
+            self.cap += self.pool.try_reserve(target - self.cap);
+            self.trace.record(|| TraceEvent::BufferGrow {
+                owner: self.owner,
+                from: from as u64,
+                to: self.cap as u64,
+                want: target as u64,
+                pool_available: self.pool.available() as u64,
+            });
+        }
+        self.cap
+    }
+
+    /// Shrinks toward `target` capacity, returning freed units to the
+    /// pool. Capacity never drops below `min_capacity` nor below the
+    /// `occupancy` the buffer holds. Returns the new capacity.
+    pub fn shrink_to(&mut self, target: usize, occupancy: usize) -> usize {
+        let floor = self.min_cap.max(occupancy).max(target);
+        if self.cap > floor {
+            let from = self.cap;
+            let freed = self.cap - floor;
+            self.cap = floor;
+            self.pool.release(freed);
+            self.trace.record(|| TraceEvent::BufferShrink {
+                owner: self.owner,
+                from: from as u64,
+                to: self.cap as u64,
+                pool_available: self.pool.available() as u64,
+            });
+        }
+        self.cap
+    }
+
+    /// Handle to the pool this buffer draws from.
+    pub fn pool(&self) -> &Arc<GlobalPool> {
+        &self.pool
+    }
+}
+
+impl Drop for ElasticCapacity {
+    fn drop(&mut self) {
+        self.pool.release(self.cap);
+        self.trace.record(|| TraceEvent::BufferDestroy {
+            owner: self.owner,
+            released: self.cap as u64,
+            pool_available: self.pool.available() as u64,
+        });
+    }
+}
+
+/// A FIFO buffer of elastic capacity, backed by segments so that resizing
+/// never relocates items, with capacity units accounted against a
+/// [`GlobalPool`] by its [`ElasticCapacity`].
+///
+/// The initial capacity `B₀` is a *fair share*, not a floor: the paper's
+/// downsizing explicitly shrinks a buffer below its initial allocation so
+/// that "the unused space in the buffer is granted to consumers suffering
+/// from a high production rate" (§VI-C reports a mean allocation of 43
+/// against B₀ = 50). The hard floor is `min_capacity` (default 1) plus
+/// current occupancy.
+/// ```
+/// use pc_queues::{ElasticBuffer, GlobalPool};
+/// use std::sync::Arc;
+///
+/// // The paper's setup: B_g = B0 * M with zero slack.
+/// let pool = GlobalPool::new(50);
+/// let mut slow = ElasticBuffer::<u32>::new(Arc::clone(&pool), 25).unwrap();
+/// let mut fast = ElasticBuffer::<u32>::new(Arc::clone(&pool), 25).unwrap();
+/// slow.shrink_to(10);                   // donate unused capacity
+/// assert_eq!(fast.grow_to(40), 40);     // the burster borrows it
+/// assert_eq!(pool.available(), 0);
+/// ```
+#[derive(Debug)]
+pub struct ElasticBuffer<T> {
+    ledger: ElasticCapacity,
+    len: usize,
+    segments: VecDeque<VecDeque<T>>,
+    /// Recycled (empty) segments awaiting reuse, capped at
+    /// [`FREE_SEGMENTS_MAX`]. Purely an allocation cache: it never
+    /// affects FIFO order, occupancy, or pool accounting.
+    free: Vec<VecDeque<T>>,
+}
+
+impl<T> ElasticBuffer<T> {
+    /// Creates a buffer with initial capacity `initial` (reserved from
+    /// `pool`) and a minimum capacity of 1.
+    ///
+    /// Returns `None` if the pool cannot cover the initial reservation —
+    /// construction is the only operation that demands exact units.
+    pub fn new(pool: Arc<GlobalPool>, initial: usize) -> Option<Self> {
+        Self::with_min(pool, initial, 1)
+    }
+
+    /// Creates a buffer whose capacity never drops below `min_capacity`.
+    pub fn with_min(pool: Arc<GlobalPool>, initial: usize, min_capacity: usize) -> Option<Self> {
+        Some(ElasticBuffer {
+            ledger: ElasticCapacity::with_min(pool, initial, min_capacity)?,
+            len: 0,
+            segments: VecDeque::new(),
+            free: Vec::new(),
+        })
+    }
+
+    /// Attaches an event-trace handle (see [`ElasticCapacity::set_trace`]).
+    pub fn set_trace(&mut self, trace: TraceHandle, owner: u32) {
+        self.ledger.set_trace(trace, owner);
+    }
+
+    /// The capacity ledger, for planners that resize against the pool
+    /// (they pass the occupancy from [`len`](Self::len) themselves).
+    pub fn ledger_mut(&mut self) -> &mut ElasticCapacity {
+        &mut self.ledger
+    }
+
+    /// Current capacity in items (`Bᵢ`).
+    pub fn capacity(&self) -> usize {
+        self.ledger.capacity()
+    }
+
+    /// The initial fair-share capacity (`B₀`).
+    pub fn base_capacity(&self) -> usize {
+        self.ledger.base_capacity()
     }
 
     /// Number of buffered items.
@@ -307,59 +408,21 @@ impl<T> ElasticBuffer<T> {
         n
     }
 
-    /// Requests growth to `target` total capacity, borrowing from the
-    /// pool. Grants whatever the pool can spare (the paper's upsizing is explicitly
-    /// best-effort: `min(B_g − ΣB_q, …)`). Returns the new capacity.
+    /// Requests growth to `target` total capacity (see
+    /// [`ElasticCapacity::grow_to`]). Returns the new capacity.
     pub fn grow_to(&mut self, target: usize) -> usize {
-        if target > self.cap {
-            let from = self.cap;
-            self.cap += self.pool.try_reserve(target - self.cap);
-            self.trace.record(|| TraceEvent::BufferGrow {
-                owner: self.owner,
-                from: from as u64,
-                to: self.cap as u64,
-                want: target as u64,
-                pool_available: self.pool.available() as u64,
-            });
-        }
-        self.cap
+        self.ledger.grow_to(target)
     }
 
-    /// Shrinks toward `target` capacity, returning freed units to the
-    /// pool. Capacity never
-    /// drops below `min_capacity` nor below the current occupancy.
-    /// Returns the new capacity.
+    /// Shrinks toward `target` capacity, never below `min_capacity` nor
+    /// the current occupancy. Returns the new capacity.
     pub fn shrink_to(&mut self, target: usize) -> usize {
-        let floor = self.min_cap.max(self.len).max(target);
-        if self.cap > floor {
-            let from = self.cap;
-            let freed = self.cap - floor;
-            self.cap = floor;
-            self.pool.release(freed);
-            self.trace.record(|| TraceEvent::BufferShrink {
-                owner: self.owner,
-                from: from as u64,
-                to: self.cap as u64,
-                pool_available: self.pool.available() as u64,
-            });
-        }
-        self.cap
+        self.ledger.shrink_to(target, self.len)
     }
 
     /// Handle to the pool this buffer draws from.
     pub fn pool(&self) -> &Arc<GlobalPool> {
-        &self.pool
-    }
-}
-
-impl<T> Drop for ElasticBuffer<T> {
-    fn drop(&mut self) {
-        self.pool.release(self.cap);
-        self.trace.record(|| TraceEvent::BufferDestroy {
-            owner: self.owner,
-            released: self.cap as u64,
-            pool_available: self.pool.available() as u64,
-        });
+        self.ledger.pool()
     }
 }
 

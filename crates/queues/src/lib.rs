@@ -44,7 +44,7 @@ mod spsc;
 
 pub use backoff::Backoff;
 pub use bounded::MutexQueue;
-pub use elastic::{ElasticBuffer, GlobalPool};
+pub use elastic::{ElasticBuffer, ElasticCapacity, GlobalPool};
 pub use semaphore::Semaphore;
 pub use semqueue::SemQueue;
 pub use spsc::spsc_ring;

@@ -656,10 +656,12 @@ pub(crate) fn spawn_pbpl(mut ctx: PairContext) -> PairHandle {
             let choice = manager.with_book(|book| {
                 let mut buf = buffer.lock();
                 let max_latency = cfg.max_latency;
+                let occupancy = buf.len();
                 machine.plan(
                     now,
                     book,
-                    &mut buf,
+                    buf.ledger_mut(),
+                    occupancy,
                     base_capacity,
                     max_latency,
                     allow_shrink,

@@ -1,40 +1,48 @@
 //! Arrival calendar: the merge front-end for pre-sorted per-source
 //! event streams (DESIGN.md §14).
 //!
-//! Workload arrivals dominate a simulation's event volume (85–95 % of
-//! all pops at fleet scale), yet they are the *least* dynamic events in
-//! the system: every pair's production times are pre-generated, sorted,
-//! and never cancelled, and each pair has at most one arrival pending
-//! at a time (`schedule_next_produce` arms the next one only when the
-//! previous pops). Routing them through the timer wheel pays a slab
-//! insert, a bucket link and a cascade share per item for flexibility
-//! nothing uses.
+//! Workload arrivals are the *least* dynamic events in the system:
+//! every pair's production times are pre-generated, sorted and never
+//! cancelled. A run files, per source, the one arrival at which that
+//! source's consumer next has to act — its *decision point* — and the
+//! arrivals in between never enter any queue. A run that must see every
+//! arrival (a recorded one, or one that admits each item) files each
+//! arrival as a point.
 //!
-//! [`ArrivalCalendar`] instead keeps one `(time, seq)` key per source
-//! in a loser tree — a k-way merge over M sorted streams, which is
-//! exactly what the workload is. A pop hands out the winner and leaves
-//! its source as the pending *hole*; the refill that the produce path
-//! files next for that same source replays the hole's leaf-to-root path
-//! once, with one compare and two branch-free selects per level. The
-//! engine pops `min(calendar.peek(), wheel.peek())` under the wheel's
-//! own `(time, seq)` total order; because arrivals draw their sequence
-//! numbers from the *same* counter as wheel events (see
-//! [`crate::engine::Engine::schedule_arrival`]), the merged pop stream
-//! is bit-identical to scheduling every arrival through the wheel.
+//! [`ArrivalCalendar`] keeps one `(time, seq)` key per source in a
+//! loser tree — a k-way merge over M sorted streams. A pop hands out
+//! the winner and leaves its source as the pending *hole*; a refill
+//! that the run files next for that same source replays the hole's
+//! leaf-to-root path once, with one compare and two branch-free selects
+//! per level. Filing, moving or withdrawing any other source's point
+//! re-plays that source's path against the winners of the opposing
+//! subtrees, which a top-down pass recovers from the stored losers:
+//! O(log M) either way. The engine pops `min(calendar.peek(),
+//! wheel.peek())` under the wheel's own `(time, seq)` total order;
+//! because points draw their sequence numbers from the *same* counter
+//! as wheel events (see [`crate::engine::Engine::file_point`]), the
+//! merged pop stream is the one of scheduling every arrival through the
+//! wheel. A point whose predecessor was never popped carries no seq; at
+//! an equal time its order is derived by [`crate::lineage`].
 //!
-//! The calendar deliberately supports no cancellation: arrivals are
-//! facts of the workload. Dynamic events (timers, drain completions,
-//! slot wakes, fault edges) stay on the wheel, which is built for them.
+//! Dynamic events (timers, drain completions, slot wakes, fault edges)
+//! stay on the wheel, which is built for them.
 
+use crate::lineage::{self, ArrivalTimes, Births, Event};
+use std::cmp::Ordering;
 use std::hint::select_unpredictable;
+use std::rc::Rc;
 
 /// Packed key of an empty source slot. It loses every match: no real
-/// event carries `u64::MAX` for both time and seq (sequence numbers are
-/// shared with the wheel and bounded by total events scheduled).
+/// event carries `u64::MAX` for its time.
 const EMPTY: u128 = u128::MAX;
 
 /// No-hole marker.
 const NONE: u32 = u32::MAX;
+
+/// The seq of a point filed without one (see [`crate::lineage`]). Drawn
+/// seqs stay below it: they are bounded by the events a run schedules.
+pub(crate) const VIRTUAL: u64 = 1 << 63;
 
 /// Packs `(time_ns, seq)` into one key whose integer order is the
 /// lexicographic `(time, seq)` order.
@@ -52,39 +60,45 @@ struct Node {
 }
 
 /// An M-way merge structure holding at most one pending `(time, seq)`
-/// arrival per source, with O(log M) pop-and-refill.
+/// point per source, with O(log M) pop, refill, filing and withdrawal.
 ///
 /// `peek` is O(1) only when no hole is pending and the tree is clean: a
 /// peek between a pop and that source's refill settles the hole as
 /// exhausted (O(log M)), and the refill that follows then files a
-/// non-hole source.
+/// non-hole source (O(log M)).
 ///
 /// Sources are dense small integers (pair indices). The leaf row grows
-/// on demand; any change the hole protocol does not cover marks the
-/// tree dirty, and the next `peek` rebuilds it bottom-up in O(M).
+/// on demand; growing marks the tree dirty, and the next `peek` rebuilds
+/// it bottom-up in O(M), which amortises arming many sources at once.
 pub struct ArrivalCalendar {
-    /// `keys[s]` = the pending arrival of source `s`, or [`EMPTY`]; the
-    /// input the tree is rebuilt from.
+    /// `keys[s]` = the pending point of source `s`, or [`EMPTY`], for
+    /// every leaf; the input the tree is rebuilt from.
     keys: Vec<u128>,
+    /// `idx[s]` = the arrival index of source `s`'s pending point, which
+    /// orders a same-time point that carries no seq.
+    idx: Vec<u32>,
     /// Loser tree over `cap` leaves: node `n ∈ 1..cap` holds the loser
     /// of the match played there (its children are `2n` and `2n + 1`;
     /// leaf `cap + s` is source `s`), and `tree[0]` holds the winner.
     /// Valid unless `dirty` or a hole is pending.
     tree: Vec<Node>,
-    /// Leaf count; a power of two ≥ `keys.len()` (0 before first use).
+    /// Leaf count, `keys.len()`: a power of two (0 before first use).
     cap: usize,
     /// Source popped last whose path still holds its old key; the next
-    /// `set` for it replays that path, any `peek` first replays it with
-    /// [`EMPTY`]. [`NONE`] when no hole is pending.
+    /// `set` for it replays that path, any other operation first replays
+    /// it with [`EMPTY`]. [`NONE`] when no hole is pending.
     hole: u32,
     /// Whether `tree` must be rebuilt from `keys` before the next peek.
     dirty: bool,
-    /// Sources currently holding a pending arrival.
+    /// Sources currently holding a pending point.
     pending: usize,
-    /// Arrivals accepted since construction.
+    /// Filings (including moves) since construction.
     scheduled: u64,
-    /// Arrivals popped since construction.
+    /// Points popped since construction.
     popped: u64,
+    /// Every source's arrival times; needed once points without seqs
+    /// are filed.
+    times: Option<Rc<dyn ArrivalTimes>>,
 }
 
 impl Default for ArrivalCalendar {
@@ -98,6 +112,7 @@ impl ArrivalCalendar {
     pub fn new() -> Self {
         ArrivalCalendar {
             keys: Vec::new(),
+            idx: Vec::new(),
             tree: Vec::new(),
             cap: 0,
             hole: NONE,
@@ -105,64 +120,101 @@ impl ArrivalCalendar {
             pending: 0,
             scheduled: 0,
             popped: 0,
+            times: None,
         }
     }
 
-    /// Number of sources with a pending arrival.
+    /// Attaches the arrival times that order same-time points filed
+    /// without a seq.
+    pub(crate) fn set_times(&mut self, times: Rc<dyn ArrivalTimes>) {
+        self.times = Some(times);
+    }
+
+    /// Number of sources with a pending point.
     #[inline]
     pub fn len(&self) -> usize {
         self.pending
     }
 
-    /// Whether no arrivals are pending.
+    /// Whether no points are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.pending == 0
     }
 
-    /// Arrivals accepted since construction.
+    /// Filings (including moves of a pending point) since construction.
     #[inline]
     pub fn scheduled(&self) -> u64 {
         self.scheduled
     }
 
-    /// Arrivals popped since construction.
+    /// Points popped since construction.
     #[inline]
     pub fn popped(&self) -> u64 {
         self.popped
     }
 
-    /// Files source `source`'s next arrival. The source must not
-    /// already hold a pending arrival — arrivals are never replaced or
-    /// cancelled, only popped (checked in debug builds).
+    /// The arrival index filed with `source`'s pending (or just popped)
+    /// point.
+    #[inline]
+    pub(crate) fn point_idx(&self, source: u32) -> u32 {
+        self.idx[source as usize]
+    }
+
+    /// Files source `source`'s point at `(at, seq)`, moving it if one is
+    /// already pending.
     ///
     /// Refilling the source popped last costs one leaf-to-root replay;
-    /// filing any other source defers to one O(M) rebuild at the next
-    /// peek, which amortises arming many sources at once.
+    /// filing any other source costs two passes over its path, or
+    /// nothing until the next peek while the tree awaits a rebuild.
     #[inline]
     pub fn set(&mut self, source: usize, at: u64, seq: u64) {
+        self.set_point(source, at, seq, 0);
+    }
+
+    /// [`set`](Self::set) for the point at arrival `idx` of `source`.
+    #[inline]
+    pub(crate) fn set_point(&mut self, source: usize, at: u64, seq: u64, idx: u32) {
         if source >= self.keys.len() {
             self.grow(source + 1);
         }
-        debug_assert_eq!(
-            self.keys[source], EMPTY,
-            "source {source} already holds a pending arrival"
-        );
-        let key = pack(at, seq);
-        self.keys[source] = key;
-        self.pending += 1;
+        // Two seqless points at one time order by their indices, so a
+        // new index moves the point even when its key stays the same.
+        let moved = std::mem::replace(&mut self.idx[source], idx) != idx;
         self.scheduled += 1;
-        if source as u32 == self.hole {
-            self.replay(source, key);
-        } else {
-            // The hole (if any) stays EMPTY in `keys`; the rebuild
-            // settles it together with this source.
-            self.dirty = true;
-        }
-        self.hole = NONE;
+        self.file(source, pack(at, seq), moved);
     }
 
-    /// The earliest pending arrival as `(time_ns, seq, source)`.
+    /// Withdraws `source`'s pending point, if any.
+    pub fn remove(&mut self, source: usize) {
+        if source < self.keys.len() {
+            self.file(source, EMPTY, false);
+        }
+    }
+
+    /// Stores `key` for `source` and brings the tree up to date; `moved`
+    /// forces the update when the key alone did not change.
+    #[inline]
+    fn file(&mut self, source: usize, key: u128, moved: bool) {
+        let was = std::mem::replace(&mut self.keys[source], key);
+        self.pending = self.pending + usize::from(key != EMPTY) - usize::from(was != EMPTY);
+        if self.dirty {
+            // The rebuild at the next peek reads `keys`.
+        } else if source as u32 == self.hole {
+            self.replay(source, key);
+            self.hole = NONE;
+        } else if was != key || moved {
+            if self.hole != NONE {
+                // The popped source filed no refill: its stream is
+                // exhausted until something files it again.
+                self.replay(self.hole as usize, EMPTY);
+                self.hole = NONE;
+            }
+            self.update(source, key);
+        }
+    }
+
+    /// The earliest pending point as `(time_ns, seq, source)`.
     ///
     /// Takes `&mut self` because it first settles deferred work: a
     /// pending hole is replayed as exhausted, a dirty tree is rebuilt.
@@ -173,6 +225,7 @@ impl ArrivalCalendar {
         }
         if self.dirty {
             self.rebuild();
+            self.hole = NONE;
         } else if self.hole != NONE {
             // The popped source filed no refill: its stream is exhausted.
             self.replay(self.hole as usize, EMPTY);
@@ -183,9 +236,9 @@ impl ArrivalCalendar {
         Some(((winner.key >> 64) as u64, winner.key as u64, winner.source))
     }
 
-    /// Removes and returns the earliest pending arrival. The tree is
+    /// Removes and returns the earliest pending point. The tree is
     /// left untouched: the popped source becomes the hole, replayed by
-    /// its refill or by the next peek.
+    /// its refill or by the next other operation.
     #[inline]
     pub fn pop(&mut self) -> Option<(u64, u64, u32)> {
         let head = self.peek()?;
@@ -195,6 +248,34 @@ impl ArrivalCalendar {
         self.popped += 1;
         self.hole = source;
         Some(head)
+    }
+
+    /// Whether `a` pops before `b`. Keys decide unless both sit at one
+    /// time and one of them carries no seq.
+    #[inline]
+    fn less(&self, a: Node, b: Node) -> bool {
+        let same_time = (a.key ^ b.key) >> 64 == 0;
+        if same_time && (a.key | b.key) as u64 & VIRTUAL != 0 {
+            return self.tie_less(a, b);
+        }
+        a.key < b.key
+    }
+
+    /// Same-time order of two points, at least one filed without a seq.
+    #[cold]
+    fn tie_less(&self, a: Node, b: Node) -> bool {
+        if a.key == EMPTY || b.key == EMPTY {
+            return a.key < b.key;
+        }
+        let times = self
+            .times
+            .as_deref()
+            .expect("a point without a seq needs the arrival times");
+        let point = |n: Node| Event::Arrival {
+            source: n.source,
+            idx: self.idx[n.source as usize],
+        };
+        lineage::cmp(point(a), point(b), times, &Births::default()) == Ordering::Less
     }
 
     /// Replays the matches on source `s`'s leaf-to-root path with `s`
@@ -210,10 +291,47 @@ impl ArrivalCalendar {
         let mut node = (self.cap + s) >> 1;
         while node > 0 {
             let stored = self.tree[node];
-            let stored_wins = stored.key < winner.key;
+            let stored_wins = self.less(stored, winner);
             self.tree[node] = select_unpredictable(stored_wins, winner, stored);
             winner = select_unpredictable(stored_wins, stored, winner);
             node >>= 1;
+        }
+        self.tree[0] = winner;
+    }
+
+    /// Replays the matches on any source `s`'s path with `s` now holding
+    /// `key`. A top-down pass recovers, at each node of the path, the
+    /// winner of the subtree off the path: of the node's stored loser and
+    /// its subtree's winner (the root's is `tree[0]`), it is the one
+    /// whose leaf lies off the path, and the other one is the winner of
+    /// the child on it. The bottom-up pass then plays `s` against them.
+    fn update(&mut self, s: usize, key: u128) {
+        let leaf = self.cap + s;
+        let depth = self.cap.trailing_zeros() as usize;
+        // The off-path winners' sources; their keys are in `keys`, which
+        // matches the tree for every source but `s` once the hole is
+        // settled. Both passes select without data-dependent branches.
+        let mut off = [NONE; u32::BITS as usize];
+        let mut winner = self.tree[0].source;
+        for k in (1..=depth).rev() {
+            let stored = self.tree[leaf >> k].source;
+            let on_path = (self.cap + winner as usize) >> (k - 1) == leaf >> (k - 1);
+            off[k] = select_unpredictable(on_path, stored, winner);
+            winner = select_unpredictable(on_path, winner, stored);
+        }
+        debug_assert_eq!(winner as usize, s, "the path ends at its leaf");
+        let mut winner = Node {
+            key,
+            source: s as u32,
+        };
+        for (k, &source) in off.iter().enumerate().take(depth + 1).skip(1) {
+            let opponent = Node {
+                key: self.keys[source as usize],
+                source,
+            };
+            let opponent_wins = self.less(opponent, winner);
+            self.tree[leaf >> k] = select_unpredictable(opponent_wins, winner, opponent);
+            winner = select_unpredictable(opponent_wins, opponent, winner);
         }
         self.tree[0] = winner;
     }
@@ -236,13 +354,13 @@ impl ArrivalCalendar {
         if node >= self.cap {
             let s = node - self.cap;
             return Node {
-                key: self.keys.get(s).copied().unwrap_or(EMPTY),
+                key: self.keys[s],
                 source: s as u32,
             };
         }
         let left = self.play(node << 1);
         let right = self.play((node << 1) | 1);
-        let (winner, loser) = if right.key < left.key {
+        let (winner, loser) = if self.less(right, left) {
             (right, left)
         } else {
             (left, right)
@@ -252,11 +370,13 @@ impl ArrivalCalendar {
     }
 
     /// Grows the source table to hold at least `want` sources, doubling
-    /// the leaf row when it no longer fits. The caller's `set` marks the
-    /// tree dirty, so the next peek rebuilds it at the new size.
+    /// the leaf row (and the per-leaf `keys` and `idx`) when it no longer
+    /// fits, and marks the tree for a rebuild at the new size.
     fn grow(&mut self, want: usize) {
-        self.keys.resize(want, EMPTY);
         self.cap = self.cap.max(want.next_power_of_two());
+        self.keys.resize(self.cap, EMPTY);
+        self.idx.resize(self.cap, 0);
+        self.dirty = true;
     }
 }
 

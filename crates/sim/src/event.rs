@@ -79,21 +79,28 @@ pub struct QueueStats {
     /// counter is retained (and asserted zero in tests) as the proof that
     /// the heap's compaction path is gone.
     pub compactions: u64,
-    /// Workload arrivals filed through the calendar front-end
-    /// (DESIGN.md §14) instead of the wheel. Zero for a bare
-    /// [`EventQueue`]; stamped by `Engine::queue_stats`.
+    /// Workload arrivals a simulation takes in: every arrival of every
+    /// pair before the end of the run (DESIGN.md §14). Zero for a bare
+    /// [`EventQueue`] and [`Engine`](crate::Engine); stamped by the
+    /// simulation at teardown.
     pub arrivals_scheduled: u64,
-    /// Workload arrivals popped from the calendar front-end.
+    /// Workload arrivals the simulation's per-pair cursors consumed,
+    /// whether popped as a decision point or folded into a drain.
     pub arrivals_popped: u64,
-    /// Events (wheel + calendar) still pending when this snapshot was
-    /// taken. Named for its load-bearing reading: a run's end-of-run
+    /// Decision points popped from the arrival calendar. Equals
+    /// `arrivals_popped` when every arrival is a point (a recorded run,
+    /// or one with admission control); otherwise the arrivals at which a
+    /// consumer had to act. A work counter outside the ledger.
+    pub points_popped: u64,
+    /// Events (wheel events, calendar points and unconsumed arrivals)
+    /// still pending when this snapshot was taken. Named for its load-bearing reading: a run's end-of-run
     /// stats count the events it scheduled but never processed (e.g. a
     /// `DrainDone` whose drain window outlives the horizon).
     pub pending_at_teardown: u64,
     /// Arrivals shed by the admission controller (DESIGN.md §15).
     /// Zero for a bare [`EventQueue`] and for every run with overload
     /// control disabled; stamped by the simulation at teardown. A shed
-    /// arrival was still *popped* from the calendar — the rejection
+    /// arrival was still *consumed* by its cursor — the rejection
     /// happens in the produce handler after the pop — so this counter
     /// sits outside the [`ledger_balanced`](Self::ledger_balanced)
     /// equation and the ledger closes with or without sheds.
@@ -102,8 +109,8 @@ pub struct QueueStats {
 
 impl QueueStats {
     /// The scheduler conservation ledger: every event ever accepted —
-    /// through the wheel or the calendar — is popped, cancelled, or
-    /// still pending at the snapshot. The bench harnesses and the
+    /// a wheel event or a workload arrival — is popped (consumed, for an
+    /// arrival), cancelled, or still pending at the snapshot. The bench harnesses and the
     /// replay tooling assert this at end-of-run; a miss means a counter
     /// leak, not a tolerable rounding.
     pub fn ledger_balanced(&self) -> bool {
@@ -228,26 +235,31 @@ impl<E> EventQueue<E> {
     /// overflowed events drop their payload and leave a husk that the
     /// holding vector reclaims when it drains.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(node) = self.nodes.get_mut(id.idx as usize) else {
-            return false;
-        };
+        self.cancel_take(id).is_some()
+    }
+
+    /// [`cancel`](Self::cancel), handing back the cancelled payload.
+    pub(crate) fn cancel_take(&mut self, id: EventId) -> Option<E> {
+        let node = self.nodes.get_mut(id.idx as usize)?;
         if node.gen != id.gen {
-            return false;
+            return None;
         }
-        match node.loc {
+        let payload = match node.loc {
             Loc::Bucket(level, slot) => {
+                let payload = node.payload.take();
                 self.unlink(id.idx, level as usize, slot as usize);
                 self.release(id.idx);
+                payload
             }
             Loc::Staged | Loc::Overflow => {
-                node.payload = None;
                 node.loc = Loc::Dead;
+                node.payload.take()
             }
-            Loc::Free | Loc::Dead => return false,
-        }
+            Loc::Free | Loc::Dead => return None,
+        };
         self.stats.cancelled += 1;
         self.live -= 1;
-        true
+        payload
     }
 
     /// The earliest pending event time, if any.
@@ -260,6 +272,11 @@ impl<E> EventQueue<E> {
     /// (DESIGN.md §14). Like [`EventQueue::peek_time`] this may drain
     /// buckets into staging, but it never pops.
     pub(crate) fn peek_key(&mut self) -> Option<(u64, u64)> {
+        self.peek_entry().map(|(at, seq, _)| (at, seq))
+    }
+
+    /// [`peek_key`](Self::peek_key) plus the pending event's payload.
+    pub(crate) fn peek_entry(&mut self) -> Option<(u64, u64, &E)> {
         loop {
             while let Some(&(at, seq, idx)) = self.staging.last() {
                 if self.nodes[idx as usize].loc == Loc::Dead {
@@ -267,7 +284,8 @@ impl<E> EventQueue<E> {
                     self.release(idx);
                     continue;
                 }
-                return Some((at, seq));
+                let payload = self.nodes[idx as usize].payload.as_ref();
+                return Some((at, seq, payload.expect("staged node has payload")));
             }
             if !self.refill() {
                 return None;
@@ -287,8 +305,14 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_keyed()
+            .map(|(at, _, payload)| (SimTime::from_nanos(at), payload))
+    }
+
+    /// Pops the earliest pending event with its `(time_ns, seq)` key.
+    pub(crate) fn pop_keyed(&mut self) -> Option<(u64, u64, E)> {
         loop {
-            while let Some((at, _, idx)) = self.staging.pop() {
+            while let Some((at, seq, idx)) = self.staging.pop() {
                 if self.nodes[idx as usize].loc == Loc::Dead {
                     self.release(idx);
                     continue;
@@ -301,7 +325,7 @@ impl<E> EventQueue<E> {
                 self.release(idx);
                 self.live -= 1;
                 self.stats.popped += 1;
-                return Some((SimTime::from_nanos(at), payload));
+                return Some((at, seq, payload));
             }
             if !self.refill() {
                 return None;

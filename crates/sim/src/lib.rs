@@ -11,9 +11,12 @@
 //! * [`event`] — a cancellable priority event queue ([`EventQueue`]) with
 //!   stable FIFO ordering for simultaneous events.
 //! * `arrival` — the arrival-calendar merge front-end
-//!   ([`ArrivalCalendar`]): pre-sorted per-source workload arrivals
-//!   merged in O(log M) per item, popped by the engine in one
-//!   `(time, seq)` total order with the wheel (DESIGN.md §14).
+//!   ([`ArrivalCalendar`]): one decision point per source over its
+//!   pre-sorted workload arrivals, filed and popped in O(log M), popped
+//!   by the engine in one `(time, seq)` total order with the wheel
+//!   (DESIGN.md §14).
+//! * `lineage` — the same-time order of a point filed without a
+//!   sequence number, derived from the sources' [`ArrivalTimes`].
 //! * `engine` — a thin driver ([`Engine`]) combining the queue with a
 //!   monotonic clock, used by higher-level system models.
 //! * [`core`] — per-core activity accounting ([`Core`]): merged active
@@ -37,6 +40,7 @@ mod arrival;
 pub mod core;
 mod engine;
 pub mod event;
+mod lineage;
 pub mod model;
 mod rng;
 mod time;
@@ -46,6 +50,7 @@ pub use crate::arrival::ArrivalCalendar;
 pub use crate::core::{Core, CoreId, CoreState};
 pub use crate::engine::{Engine, Popped};
 pub use crate::event::{EventId, EventQueue, QueueStats};
+pub use crate::lineage::ArrivalTimes;
 pub use crate::rng::SimRng;
 pub use crate::time::{SimDuration, SimTime};
 pub use crate::timer::TimerModel;

@@ -1,27 +1,33 @@
 //! Property-based equivalence of the arrival-calendar merge front-end
-//! (`Engine::schedule_arrival` + `next_merged_before`, DESIGN.md §14)
+//! (`Engine::file_point` + `next_merged_before`, DESIGN.md §14)
 //! against the retired all-through-the-wheel design.
 //!
 //! The reference engine below schedules every workload arrival as an
-//! ordinary wheel event, exactly as `System::schedule_next_produce` did
-//! before the calendar existed. The front-end engine routes the same
-//! arrivals through `schedule_arrival` and pops the merged stream. The
-//! two must agree on *every* observable, over arbitrary interleavings
-//! of per-source sorted arrival streams, dynamic timers landing on the
-//! same instants (exact `(time, seq)` ties are the fragile invariant),
-//! timer cancellations, and early deadlines:
+//! ordinary wheel event, as the simulator did before the calendar
+//! existed. The front-end engine files the same arrivals as decision
+//! points and pops the merged stream. The two must agree on *every*
+//! observable, over arbitrary interleavings of per-source sorted
+//! arrival streams, dynamic timers landing on the same instants (exact
+//! `(time, seq)` ties are the fragile invariant), timer cancellations,
+//! and early deadlines:
 //!
 //! * pop order — time, payload kind, and source/timer identity;
 //! * trace digests — both engines stamp a recorder and the FNV digests
 //!   of the recorded streams must match bit-for-bit;
-//! * `QueueStats` — the merged ledger (`scheduled + arrivals_scheduled
-//!   == popped + arrivals_popped + cancelled + pending_at_teardown`)
-//!   must balance on the front end, and its totals must equal the
-//!   reference's wheel-only ledger.
+//! * `QueueStats` — the front end's wheel ledger balances, and its
+//!   wheel and point totals equal the reference's wheel-only ledger.
+//!
+//! A second property files only some arrivals — each source acts at
+//! every `stride`-th one — so most points carry no seq and take their
+//! same-time order from the arrival times and the births of the
+//! timers. The popped stream must be the reference's with the skipped
+//! arrivals left out, and at every pop the engine must say which
+//! same-time skipped arrivals the reference popped first.
 
-use pc_sim::{Engine, Popped, SimTime};
+use pc_sim::{ArrivalTimes, Engine, Popped, SimTime};
 use pc_trace_events::{Recorder, TraceEvent};
 use proptest::prelude::*;
+use std::rc::Rc;
 
 /// What the reference engine carries through the wheel. The front-end
 /// engine carries only `Timer` payloads — its arrivals ride the
@@ -92,7 +98,7 @@ proptest! {
         for s in 0..sources {
             if let Some(at) = arrival_at(s, 0, 0) {
                 if at < end.as_nanos() {
-                    front.schedule_arrival(SimTime::from_nanos(at), s as u32);
+                    front.file_point(SimTime::from_nanos(at), s as u32, 0);
                     refr.schedule_at(SimTime::from_nanos(at), RefEv::Arrival(s as u32));
                 }
             }
@@ -109,7 +115,7 @@ proptest! {
                 (Some((ft, fp)), Some((rt, rp))) => {
                     prop_assert_eq!(ft, rt, "pop time diverged at pop {}", pops);
                     let fp = match fp {
-                        Popped::Arrival(s) => RefEv::Arrival(s),
+                        Popped::Point(s) => RefEv::Arrival(s),
                         Popped::Timer(k) => RefEv::Timer(k),
                     };
                     prop_assert_eq!(fp, rp, "pop payload diverged at pop {}", pops);
@@ -126,7 +132,8 @@ proptest! {
                             next_idx[s] += 1;
                             if let Some(at) = arrival_at(s, next_idx[s], cursor_time[s]) {
                                 if at < end.as_nanos() {
-                                    front.schedule_arrival(SimTime::from_nanos(at), s as u32);
+                                    let idx = next_idx[s] as u32;
+                                    front.file_point(SimTime::from_nanos(at), s as u32, idx);
                                     refr.schedule_at(
                                         SimTime::from_nanos(at),
                                         RefEv::Arrival(s as u32),
@@ -170,28 +177,168 @@ proptest! {
         prop_assert_eq!(refr_log.dropped, 0);
         prop_assert_eq!(front_log.digest(), refr_log.digest(), "trace digests diverged");
 
-        // QueueStats: the merged ledger balances, and wheel + calendar
+        // QueueStats: the wheel ledger balances, and wheel + calendar
         // totals equal the reference's wheel-only totals.
         let fs = front.queue_stats();
         let rs = refr.queue_stats();
         prop_assert!(fs.ledger_balanced(), "front-end ledger out of balance: {:?}", fs);
         prop_assert!(rs.ledger_balanced(), "reference ledger out of balance: {:?}", rs);
         prop_assert_eq!(
-            fs.scheduled + fs.arrivals_scheduled,
-            rs.scheduled,
-            "total scheduled diverged"
-        );
-        prop_assert_eq!(
-            fs.popped + fs.arrivals_popped,
+            fs.popped + fs.points_popped,
             rs.popped,
             "total popped diverged"
         );
         prop_assert_eq!(fs.cancelled, rs.cancelled);
-        prop_assert_eq!(fs.pending_at_teardown, rs.pending_at_teardown);
+        prop_assert_eq!(front.pending() as u64, rs.pending_at_teardown);
         // Arrivals that popped before `end` did so from the calendar,
         // never the wheel: the front-end wheel saw only timers.
         prop_assert_eq!(fs.scheduled, u64::from(next_timer_id));
     }
+}
+
+/// Each source's arrival times, as absolute nanoseconds.
+struct Times(Vec<Vec<u64>>);
+
+impl ArrivalTimes for Times {
+    fn arrival_ns(&self, source: u32, idx: u32) -> u64 {
+        self.0[source as usize][idx as usize]
+    }
+}
+
+fn strided_strategy() -> impl Strategy<Value = (Script, Vec<usize>)> {
+    // Timers never land on the instant they are scheduled at: no
+    // simulator event does, and the same-time order relies on it.
+    let gaps = prop::collection::vec(
+        prop::collection::vec((0u64..12).prop_map(|k| k * 256), 1..40),
+        1..10,
+    );
+    let timers = prop::collection::vec(
+        prop_oneof![
+            Just(None),
+            ((1u64..12).prop_map(|k| k * 256), any::<bool>()).prop_map(Some),
+            ((1u64..12).prop_map(|k| k * 256), Just(false)).prop_map(Some),
+        ],
+        1..64,
+    );
+    // One stride per possible source.
+    let strides = prop::collection::vec(1usize..5, 10..11);
+    (gaps, timers, strides).prop_map(|(gaps, timers, strides)| (Script { gaps, timers }, strides))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    #[test]
+    fn strided_points_keep_the_reference_order(input in strided_strategy()) {
+        check_strided(&input.0, &input.1);
+    }
+}
+
+/// Drives the reference and the strided point engine in lockstep.
+fn check_strided(script: &Script, strides: &[usize]) {
+    let end = 1u64 << 14;
+    let sources = script.gaps.len();
+    let times: Vec<Vec<u64>> = script
+        .gaps
+        .iter()
+        .map(|g| {
+            g.iter()
+                .scan(0, |t, gap| {
+                    *t += gap;
+                    Some(*t)
+                })
+                .take_while(|&t| t < end)
+                .collect()
+        })
+        .collect();
+    // Source `s` acts at every `strides[s]`-th arrival and at its last.
+    let is_point =
+        |s: usize, j: usize| (j + 1).is_multiple_of(strides[s]) || j + 1 == times[s].len();
+    let next_point = |s: usize, from: usize| (from..times[s].len()).find(|&j| is_point(s, j));
+
+    let mut pts: Engine<u32> = Engine::new(7);
+    pts.set_arrival_times(Rc::new(Times(times.clone())));
+    let mut refr: Engine<RefEv> = Engine::new(7);
+    // Both file each source's first arrival (or point) at set-up.
+    for (s, stamps) in times.iter().enumerate() {
+        if let Some(&at) = stamps.first() {
+            refr.schedule_at(SimTime::from_nanos(at), RefEv::Arrival(s as u32));
+        }
+        if let Some(j) = next_point(s, 0) {
+            pts.file_point(SimTime::from_nanos(stamps[j]), s as u32, j as u32);
+        }
+    }
+    let mut popped = vec![0usize; sources];
+    let (mut timer_cursor, mut next_timer_id) = (0usize, 0u32);
+    let deadline = SimTime::from_nanos(end);
+    while let Some((rt, rp)) = refr.next_before(deadline) {
+        if let RefEv::Arrival(s) = rp {
+            let s = s as usize;
+            if !is_point(s, popped[s]) {
+                // Skipped by the point engine: nothing happens.
+                popped[s] += 1;
+                let j = popped[s];
+                if let Some(&at) = times[s].get(j) {
+                    refr.schedule_at(SimTime::from_nanos(at), RefEv::Arrival(s as u32));
+                }
+                continue;
+            }
+        }
+        let (pt, pp) = pts
+            .next_merged_before(deadline)
+            .expect("the point engine pops too");
+        assert_eq!(pt, rt);
+        let pp = match pp {
+            Popped::Point(s) => RefEv::Arrival(s),
+            Popped::Timer(k) => RefEv::Timer(k),
+        };
+        assert_eq!(pp, rp);
+        // Same-time skipped arrivals: the engine must know which of
+        // them the reference popped before this event.
+        for s in 0..sources {
+            for (j, &t) in times[s].iter().enumerate() {
+                let is_current = rp == RefEv::Arrival(s as u32) && j == popped[s];
+                if t == rt.as_nanos() && !is_current {
+                    assert_eq!(
+                        pts.precedes_current(s as u32, j as u32),
+                        j < popped[s],
+                        "source {} arrival {} against {:?} at {}",
+                        s,
+                        j,
+                        rp,
+                        rt
+                    );
+                }
+            }
+        }
+        // The handler's timers, then the arrival's successor.
+        if let Some(&Some((offset, cancel))) = script.timers.get(timer_cursor) {
+            let at = rt.as_nanos() + offset;
+            if at < end {
+                let k = next_timer_id;
+                next_timer_id += 1;
+                let pid = pts.schedule_at(SimTime::from_nanos(at), k);
+                let rid = refr.schedule_at(SimTime::from_nanos(at), RefEv::Timer(k));
+                if cancel {
+                    assert!(pts.cancel(pid));
+                    assert!(refr.cancel(rid));
+                }
+            }
+        }
+        timer_cursor = (timer_cursor + 1) % script.timers.len();
+        if let RefEv::Arrival(s) = rp {
+            let s = s as usize;
+            popped[s] += 1;
+            let j = popped[s];
+            if let Some(&at) = times[s].get(j) {
+                refr.schedule_at(SimTime::from_nanos(at), RefEv::Arrival(s as u32));
+            }
+            if let Some(p) = next_point(s, j) {
+                pts.file_point(SimTime::from_nanos(times[s][p]), s as u32, p as u32);
+            }
+        }
+    }
+    assert_eq!(pts.next_merged_before(deadline), None);
 }
 
 /// Deterministic spot check of the one asymmetry the proptest cannot
@@ -200,7 +347,7 @@ proptest! {
 #[test]
 fn deadline_between_heads_pops_nothing() {
     let mut front: Engine<u32> = Engine::new(1);
-    front.schedule_arrival(SimTime::from_nanos(5_000), 0);
+    front.file_point(SimTime::from_nanos(5_000), 0, 0);
     front.schedule_at(SimTime::from_nanos(2_000), 9);
     // Wheel head (2 µs) pops; calendar head (5 µs) is past the deadline.
     let (t, ev) = front
@@ -215,8 +362,10 @@ fn deadline_between_heads_pops_nothing() {
     );
     assert_eq!(front.pending(), 1);
     let stats = front.queue_stats();
-    assert_eq!(stats.arrivals_scheduled, 1);
-    assert_eq!(stats.arrivals_popped, 0);
-    assert_eq!(stats.pending_at_teardown, 1);
+    assert_eq!(stats.points_popped, 0);
+    assert_eq!(
+        stats.pending_at_teardown, 0,
+        "the pending point is not a wheel event"
+    );
     assert!(stats.ledger_balanced());
 }

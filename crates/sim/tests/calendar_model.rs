@@ -3,13 +3,15 @@
 //!
 //! The calendar defers work: a pop leaves the popped source as a
 //! pending *hole* that its refill replays, a peek settles an unfilled
-//! hole as an exhausted source, and filing any other source (or
-//! growing the leaf row) defers to one rebuild at the next peek. The
-//! scripts below drive every one of those paths in arbitrary order —
-//! many sources armed before the first pop, hole refills, pops without
-//! refill, peeks between a pop and its refill, mid-run filings of other
-//! sources, growth past the leaf capacity, and same-time ties — and
-//! require the identical pop stream, `len`, `scheduled` and `popped`.
+//! hole as an exhausted source, filing any other source re-plays that
+//! source's path against the recovered subtree winners, and growing the
+//! leaf row defers to one rebuild at the next peek. The scripts below
+//! drive every one of those paths in arbitrary order — many sources
+//! armed before the first pop, hole refills, pops without refill, peeks
+//! between a pop and its refill, mid-run filings of other sources,
+//! pending points moved earlier and later, withdrawals, growth past the
+//! leaf capacity, and same-time ties — and require the identical pop
+//! stream, `len`, `scheduled` and `popped`.
 
 use pc_sim::ArrivalCalendar;
 use proptest::prelude::*;
@@ -26,10 +28,15 @@ enum Op {
     PopPeekRefill(u64),
     /// Peek the head.
     Peek,
-    /// File an arrival for `source` if it holds none. Unless `source`
-    /// is the unfilled hole, this is the rebuild path; indices past the
+    /// File a point for `source` if it holds none. Unless `source` is
+    /// the unfilled hole, this is the update path; indices past the
     /// current leaf row grow it.
     Arm(usize, u64),
+    /// Move `source`'s pending point (if any) to `gap` after the last
+    /// pop — earlier or later than where it was — under a fresh seq.
+    Move(usize, u64),
+    /// Withdraw `source`'s pending point, if any.
+    Withdraw(usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -40,7 +47,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => gap.clone().prop_map(Op::PopPeekRefill),
         1 => Just(Op::Peek),
         1 => (0usize..48, gap.clone()).prop_map(|(s, g)| Op::Arm(s, g)),
-        1 => (0usize..600, gap).prop_map(|(s, g)| Op::Arm(s, g)),
+        1 => (0usize..600, gap.clone()).prop_map(|(s, g)| Op::Arm(s, g)),
+        2 => (0usize..48, 0u64..8).prop_map(|(s, g)| Op::Move(s, g)),
+        1 => (0usize..48).prop_map(Op::Withdraw),
     ]
 }
 
@@ -48,9 +57,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 struct Pair {
     cal: ArrivalCalendar,
     model: BTreeSet<(u64, u64, u32)>,
-    /// Sources holding a pending arrival in the model.
-    busy: Vec<bool>,
-    /// Time of the last pop; new arrivals are filed at or after it.
+    /// Each source's pending key in the model.
+    pending: Vec<Option<(u64, u64)>>,
+    /// Time of the last pop; new points are filed at or after it.
     now: u64,
     /// Shared sequence counter, as the engine's.
     seq: u64,
@@ -63,7 +72,7 @@ impl Pair {
         Pair {
             cal: ArrivalCalendar::new(),
             model: BTreeSet::new(),
-            busy: Vec::new(),
+            pending: Vec::new(),
             now: 0,
             seq: 0,
             scheduled: 0,
@@ -71,19 +80,26 @@ impl Pair {
         }
     }
 
-    fn set(&mut self, source: usize, gap: u64) {
-        if source >= self.busy.len() {
-            self.busy.resize(source + 1, false);
+    /// Files `source`'s point `gap` after the last pop, replacing any.
+    fn file(&mut self, source: usize, gap: u64) {
+        if source >= self.pending.len() {
+            self.pending.resize(source + 1, None);
         }
-        if self.busy[source] {
-            return;
+        if let Some((at, seq)) = self.pending[source] {
+            self.model.remove(&(at, seq, source as u32));
         }
         let at = self.now + gap;
         self.cal.set(source, at, self.seq);
         self.model.insert((at, self.seq, source as u32));
-        self.busy[source] = true;
+        self.pending[source] = Some((at, self.seq));
         self.seq += 1;
         self.scheduled += 1;
+    }
+
+    fn set(&mut self, source: usize, gap: u64) {
+        if self.pending.get(source).is_none_or(|p| p.is_none()) {
+            self.file(source, gap);
+        }
     }
 
     fn pop(&mut self) -> Option<u32> {
@@ -92,7 +108,7 @@ impl Pair {
         assert_eq!(got, want, "pop diverged");
         let (at, _, source) = got?;
         self.now = at;
-        self.busy[source as usize] = false;
+        self.pending[source as usize] = None;
         self.popped += 1;
         Some(source)
     }
@@ -121,6 +137,18 @@ impl Pair {
             }
             Op::Peek => self.peek(),
             Op::Arm(source, gap) => self.set(source, gap),
+            Op::Move(source, gap) => {
+                if self.pending.get(source).is_some_and(|p| p.is_some()) {
+                    self.file(source, gap);
+                }
+            }
+            Op::Withdraw(source) => {
+                if let Some(Some((at, seq))) = self.pending.get(source).copied() {
+                    self.model.remove(&(at, seq, source as u32));
+                    self.pending[source] = None;
+                }
+                self.cal.remove(source);
+            }
         }
         assert_eq!(self.cal.len(), self.model.len(), "len diverged");
         assert_eq!(self.cal.is_empty(), self.model.is_empty());
@@ -149,7 +177,6 @@ proptest! {
         prop_assert_eq!(pair.cal.len(), 0);
         prop_assert_eq!(pair.cal.scheduled(), pair.scheduled);
         prop_assert_eq!(pair.cal.popped(), pair.popped);
-        prop_assert_eq!(pair.scheduled, pair.popped);
     }
 }
 
@@ -181,4 +208,37 @@ fn fleet_merge_with_exhausting_streams_matches_sort() {
     }
     assert_eq!(pair.popped, total);
     assert_eq!(pair.cal.scheduled(), pair.cal.popped());
+}
+
+/// A decision-point workload: after every pop, the popped source files
+/// its next point and a few *other* sources move theirs earlier or
+/// later — the non-hole path the simulator takes when a drain or a
+/// capacity change re-files a neighbour. Same-time ties are frequent.
+#[test]
+fn refiling_other_sources_matches_reference() {
+    let sources = 300usize;
+    let mut pair = Pair::new();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = |m: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % m
+    };
+    for s in 0..sources {
+        pair.set(s, next(3));
+    }
+    for _ in 0..20_000 {
+        let Some(s) = pair.pop() else { break };
+        pair.set(s as usize, next(4));
+        for _ in 0..next(4) {
+            let other = next(sources as u64) as usize;
+            match next(5) {
+                0 => pair.apply(Op::Withdraw(other)),
+                _ => pair.file(other, next(6)),
+            }
+        }
+    }
+    while pair.pop().is_some() {}
+    assert_eq!(pair.cal.popped(), pair.popped);
 }

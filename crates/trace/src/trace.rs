@@ -38,11 +38,8 @@ impl Trace {
         &self.times
     }
 
-    /// The `idx`-th production timestamp, if any. Cursor accessor for
-    /// the arrival-calendar front-end (DESIGN.md §14): the sim advances
-    /// a per-pair index through a shared fleet trace one item at a time,
-    /// so this must stay a bounds-checked load with no slice round-trip
-    /// or cloning.
+    /// The `idx`-th production timestamp, if any: a bounds-checked load
+    /// with no slice round-trip or cloning.
     #[inline]
     pub fn get(&self, idx: usize) -> Option<SimTime> {
         self.times.get(idx).copied()

@@ -501,7 +501,7 @@ impl TraceHandle {
 
     /// Whether a recorder is attached.
     #[inline]
-    pub(crate) fn is_enabled(&self) -> bool {
+    pub fn is_enabled(&self) -> bool {
         self.recorder.is_some()
     }
 
