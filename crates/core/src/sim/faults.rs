@@ -123,6 +123,18 @@ impl Layer for FaultRuntime {
         }
     }
 
+    /// The next window edge at or after `now`: an edge may change a
+    /// consumer's service time.
+    fn steady_until(&self, now: SimTime) -> SimTime {
+        let now = now.as_nanos();
+        self.faults
+            .iter()
+            .flat_map(|fault| [fault.start_ns, fault.end_ns])
+            .filter(|&edge| edge >= now)
+            .min()
+            .map_or(SimTime::MAX, SimTime::from_nanos)
+    }
+
     fn timer_delay(&self, core: usize) -> SimDuration {
         SimDuration::from_nanos(self.timer_delay_ns[core])
     }

@@ -192,19 +192,83 @@ impl ItemHandler {
             batch: n,
             capacity: k.base_capacity as u64,
         });
-        // The sleep-entry tail is part of the wake session: the thread
-        // re-checks the queue before truly blocking, so arrivals in this
-        // window extend the session instead of causing a fresh wakeup.
-        let work = l
-            .inflate(i, item_driven_work(&k.power, n, self.sync_factor))
-            .saturating_add(k.power.sleep_entry);
-        let end = k.finish_drain(i, now, work, k.base_capacity, l);
+        let work = self.work(i, n, k, l);
+        let mut end = k.finish_drain(i, now, work, k.base_capacity, l);
+        let idle = !k.every_arrival && self.fold(i, &mut end, k, l);
         let pair = &mut self.pairs[i];
         pair.busy_until = end;
-        if !pair.drain_pending {
+        if !idle && !pair.drain_pending {
             pair.drain_pending = true;
             k.engine.schedule_at(end, Ev::DrainDone { pair: i });
         }
+    }
+
+    /// The consumer's service time for a drain of `n` items. The
+    /// sleep-entry tail is part of the wake session: the thread
+    /// re-checks the queue before truly blocking, so arrivals in this
+    /// window extend the session instead of causing a fresh wakeup.
+    fn work(&self, i: usize, n: u64, k: &Kernel, l: &impl Layer) -> SimDuration {
+        l.inflate(i, item_driven_work(&k.power, n, self.sync_factor))
+            .saturating_add(k.power.sleep_entry)
+    }
+
+    /// Plays the rest of pair `i`'s wake session inside the event being
+    /// handled, in a run that files decision points only; `end` is where
+    /// the session's drain ends. While arrivals came in before it, they
+    /// drain as the session's continuation at `end`, which moves `end`
+    /// on, exactly as a `DrainDone` at `end` would. Returns whether the
+    /// session ended idle at `end`. Otherwise a `DrainDone` at `end`
+    /// takes over, because something else may act there first: another
+    /// pair on the core, a layer event, the end of the run, or an arrival
+    /// of the pair due at `end` itself. The fold also stops short of a
+    /// continuation whose drain would end on an arrival: a `DrainDone`
+    /// scheduled now would meet that arrival in another same-time order
+    /// than the one the continuation's own `DrainDone` schedules.
+    fn fold(&self, i: usize, end: &mut SimTime, k: &mut Kernel, l: &impl Layer) -> bool {
+        let tail = k.pairs[i].tail;
+        let (mut next, tie) = k.arrival_from(i, tail, *end);
+        if tie {
+            return false;
+        }
+        if next == tail {
+            return true;
+        }
+        let horizon = self.horizon(i, k, l);
+        while *end <= k.end && *end < horizon {
+            let work = self.work(i, (next - k.pairs[i].tail) as u64, k, l);
+            let drain_end = end.saturating_add(work);
+            let (after, tie) = k.arrival_from(i, next, drain_end);
+            if tie {
+                return false;
+            }
+            k.catch_up(i, next);
+            *end = k.finish_drain(i, *end, work, k.base_capacity, l);
+            debug_assert_eq!(*end, drain_end, "the core stayed the pair's");
+            if after == next {
+                return true;
+            }
+            next = after;
+        }
+        false
+    }
+
+    /// The first instant at which something other than pair `i` may act
+    /// on its core: another pair's pending `DrainDone` or decision
+    /// point, or a layer event.
+    fn horizon(&self, i: usize, k: &Kernel, l: &impl Layer) -> SimTime {
+        let core = k.pairs[i].core;
+        k.pairs_by_core[core]
+            .iter()
+            .filter(|&&j| j != i)
+            .map(|&j| {
+                let p = &self.pairs[j];
+                if p.drain_pending {
+                    p.busy_until
+                } else {
+                    k.engine.point_at(j as u32).unwrap_or(SimTime::MAX)
+                }
+            })
+            .fold(l.steady_until(k.engine.now()), SimTime::min)
     }
 
     fn drain_done(&mut self, i: usize, now: SimTime, k: &mut Kernel, l: &impl Layer) {

@@ -34,7 +34,8 @@ use std::sync::Arc;
 /// surfaces as [`Popped::Point`] in the main loop, keyed by pair index.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Ev {
-    /// An item-driven consumer finishes its current drain window.
+    /// An item-driven consumer finishes a drain window that its wake
+    /// session could not fold into the event that opened it.
     DrainDone { pair: usize },
     /// A PBP/SPBP periodic timer fires for `pair`.
     TimerFire { pair: usize },
@@ -130,6 +131,12 @@ pub(super) trait Layer {
     fn admits(&self) -> bool {
         false
     }
+    /// The first instant at or after `now` at which one of the layer's
+    /// events may fire: a wake session folds only the drains that end
+    /// before it. Never, for a layer without events.
+    fn steady_until(&self, _now: SimTime) -> SimTime {
+        SimTime::MAX
+    }
     /// Whether the arrival of `pair` at `t` is admitted.
     fn admit(&mut self, _pair: usize, _t: SimTime, _k: &mut Kernel, _h: &Handler) -> bool {
         true
@@ -180,6 +187,9 @@ impl<A: Layer, B: Layer> Layer for (A, B) {
     fn admits(&self) -> bool {
         self.0.admits() || self.1.admits()
     }
+    fn steady_until(&self, now: SimTime) -> SimTime {
+        self.0.steady_until(now).min(self.1.steady_until(now))
+    }
     fn admit(&mut self, pair: usize, t: SimTime, k: &mut Kernel, h: &Handler) -> bool {
         self.0.admit(pair, t, k, h) && self.1.admit(pair, t, k, h)
     }
@@ -224,6 +234,8 @@ pub(super) struct Kernel {
     pub cores: Vec<Core>,
     pub core_busy_until: Vec<SimTime>,
     pub pairs: Vec<Pair>,
+    /// Pair indices hosted on each core (fixed assignment).
+    pub pairs_by_core: Vec<Vec<usize>>,
     /// Per-pair base buffer capacity B₀.
     pub base_capacity: usize,
     /// Whether every arrival is a decision point (stride 1); set from
@@ -260,13 +272,25 @@ impl Kernel {
 
     /// Takes arrivals up to `to` (exclusive) into pair `i`'s buffer.
     #[inline]
-    fn catch_up(&mut self, i: usize, to: usize) {
+    pub fn catch_up(&mut self, i: usize, to: usize) {
         let pair = &mut self.pairs[i];
         for t in &self.fleet[i].times()[pair.tail..to] {
             pair.stamps += u128::from(t.as_nanos());
         }
         pair.metrics.items_produced += (to - pair.tail) as u64;
         pair.tail = to;
+    }
+
+    /// Pair `i`'s first arrival at or after `t` before the end, scanning
+    /// from arrival `from`, and whether it is due exactly at `t`.
+    #[inline]
+    pub fn arrival_from(&self, i: usize, from: usize, t: SimTime) -> (usize, bool) {
+        let times = &self.fleet[i].times()[..self.pairs[i].limit];
+        let mut a = from;
+        while a < times.len() && times[a] < t {
+            a += 1;
+        }
+        (a, times.get(a) == Some(&t))
     }
 
     /// Takes the next arrival into pair `i`'s buffer.

@@ -345,10 +345,6 @@ impl ExperimentBuilder {
                 // Overload control reuses the watchdog as its degrade arm
                 // (DESIGN.md §15), whatever `degrade.enabled` says.
                 let watchdog = cfg.degrade.enabled || self.admission.enabled;
-                let mut pairs_by_core = vec![Vec::new(); self.cores];
-                for (i, p) in pairs.iter().enumerate() {
-                    pairs_by_core[p.core].push(i);
-                }
                 Handler::Pbpl(PbplHandler {
                     piggyback: cfg.latching && cfg.piggyback,
                     timer: self.strategy.timer_model(),
@@ -360,7 +356,6 @@ impl ExperimentBuilder {
                         })
                         .collect(),
                     slot_timer: vec![None; self.cores],
-                    pairs_by_core,
                     pairs: buffers(min_cap)
                         .into_iter()
                         .enumerate()
@@ -376,6 +371,10 @@ impl ExperimentBuilder {
                 })
             }
         };
+        let mut pairs_by_core = vec![Vec::new(); self.cores];
+        for (i, p) in pairs.iter().enumerate() {
+            pairs_by_core[p.core].push(i);
+        }
         let k = Kernel {
             strategy: self.strategy.name(),
             power: self.power,
@@ -396,6 +395,7 @@ impl ExperimentBuilder {
                 .collect(),
             core_busy_until: vec![SimTime::ZERO; self.cores],
             pairs,
+            pairs_by_core,
             base_capacity: self.buffer_capacity,
             every_arrival: true,
             refile: Vec::new(),

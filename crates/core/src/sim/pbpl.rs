@@ -33,8 +33,6 @@ pub(super) struct PbplHandler {
     pub managers: Vec<CoreManager>,
     /// Each core's armed slot timer.
     pub slot_timer: Vec<Option<(EventId, SlotIndex)>>,
-    /// Pair indices hosted on each core (fixed assignment).
-    pub pairs_by_core: Vec<Vec<usize>>,
     pub pairs: Vec<PbplPair>,
 }
 
@@ -214,8 +212,8 @@ impl PbplHandler {
         if !self.piggyback {
             return;
         }
-        for n in 0..self.pairs_by_core[core].len() {
-            let i = self.pairs_by_core[core][n];
+        for n in 0..k.pairs_by_core[core].len() {
+            let i = k.pairs_by_core[core][n];
             // Skip the excluded pair and batches not worth a dispatch.
             if Some(i) == exclude || k.len(i) * 8 < self.pairs[i].ledger.capacity() {
                 continue;

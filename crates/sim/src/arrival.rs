@@ -161,6 +161,15 @@ impl ArrivalCalendar {
         self.idx[source as usize]
     }
 
+    /// The time of `source`'s pending point, read from the key row.
+    #[inline]
+    pub(crate) fn point_at(&self, source: usize) -> Option<u64> {
+        self.keys
+            .get(source)
+            .filter(|&&key| key != EMPTY)
+            .map(|&key| (key >> 64) as u64)
+    }
+
     /// Files source `source`'s point at `(at, seq)`, moving it if one is
     /// already pending.
     ///

@@ -238,6 +238,14 @@ impl<E> Engine<E> {
         self.points.remove(source as usize);
     }
 
+    /// When `source`'s pending decision point is due, if it has one.
+    #[inline]
+    pub fn point_at(&self, source: u32) -> Option<SimTime> {
+        self.points
+            .point_at(source as usize)
+            .map(SimTime::from_nanos)
+    }
+
     /// Whether arrival `idx` of `source`, due at the current time, pops
     /// before the event being handled when every arrival is a point.
     /// Needs [`set_arrival_times`](Self::set_arrival_times).
@@ -475,6 +483,9 @@ mod tests {
         eng.file_point(SimTime::from_nanos(12), 0, 1);
         eng.withdraw_point(0);
         assert_eq!(eng.pending(), 1);
+        assert_eq!(eng.point_at(0), None);
+        assert_eq!(eng.point_at(1), Some(SimTime::from_nanos(15)));
+        assert_eq!(eng.point_at(9), None, "a source never filed");
         eng.file_point(SimTime::from_nanos(40), 0, 2);
         let order: Vec<_> = std::iter::from_fn(|| eng.next_merged_before(SimTime::from_secs(1)))
             .map(|(t, ev)| (t.as_nanos(), ev))

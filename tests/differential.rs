@@ -4,22 +4,25 @@
 //!
 //! The two engines are *not* bit-comparable: the simulator is
 //! deterministic virtual time while the runtime schedules real threads
-//! against the wall clock, and each generates its own workload instance
-//! (same `WorldCupConfig`, different internal seeds/phases). What must
+//! against the wall clock. Both generate the same workload: the same
+//! `WorldCupConfig` from `seed + 0x7ace`, with pair `i` phase-shifted by
+//! `i / pairs` (`ExperimentBuilder`, `NativeHarness::run`), so the
+//! arrival stamps agree; what differs is when the native producers
+//! actually push them and how real threads interleave. What must
 //! agree:
 //!
 //! * **Item conservation, exactly** — on either engine, every produced
 //!   item is consumed by end-of-run flush. This is the invariant; no
 //!   tolerance.
-//! * **Volume and invocation counts, statistically** — both engines draw
-//!   from the same arrival process at the same mean rate, so totals may
-//!   only differ by generator phase and scheduling noise. The documented
-//!   tolerance is a factor of 2 on items produced and a factor of 8 on
-//!   invocations. Invocation *sessions* are where engine semantics
-//!   legitimately diverge most: under Mutex the native consumer often
-//!   wakes once per pushed item (producer and consumer interleave
-//!   tightly on real cores, observed ~4.4x more sessions), while the
-//!   simulator dispatches one session per arrival cluster.
+//! * **Volume and invocation counts, statistically** — both engines
+//!   replay the same arrival stamps, so totals may only differ by where
+//!   the native run's stop cuts its replay and by scheduling noise. The
+//!   documented tolerance is a factor of 2 on items produced and a
+//!   factor of 8 on invocations. Invocation *sessions* are where engine
+//!   semantics legitimately diverge most: under Mutex the native
+//!   consumer often wakes once per pushed item (producer and consumer
+//!   interleave tightly on real cores, observed ~4.4x more sessions),
+//!   while the simulator dispatches one session per arrival cluster.
 //! * **The replay oracle** — traces recorded on either engine replay
 //!   clean. Native traces carry no `Buffer*`, `CoreSpan` or `Slot*`
 //!   events (the runtime attaches no trace handle to its core managers'
