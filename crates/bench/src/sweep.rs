@@ -360,16 +360,6 @@ where
     )
 }
 
-/// [`parallel_map_costed`] with uniform costs (input-order claims).
-pub(crate) fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_costed(items, threads, &vec![0; items.len()], f).0
-}
-
 /// Timing of one [`execute`] call — sidecar material only.
 #[derive(Debug, Clone)]
 pub struct Timing {
@@ -394,20 +384,21 @@ fn fleet_key(meta: &CellMeta) -> FleetKey {
     )
 }
 
-/// Generates, on `threads` workers, the planet fleets `cells` need —
-/// once per (workload, seed, M, horizon), however many strategies share
-/// it.
-fn fleets(cells: &[CellMeta], threads: usize) -> BTreeMap<FleetKey, Arc<Vec<Trace>>> {
+/// Generates the planet fleets `cells` need — once per (workload, seed,
+/// M, horizon), however many strategies share it. The fleets come one
+/// after another: each generation already runs on every core.
+fn fleets(cells: &[CellMeta]) -> BTreeMap<FleetKey, Arc<Vec<Trace>>> {
     let mut firsts: BTreeMap<FleetKey, &CellMeta> = BTreeMap::new();
     for meta in cells.iter().filter(|m| m.workload.starts_with("planet")) {
         firsts.entry(fleet_key(meta)).or_insert(meta);
     }
-    let metas: Vec<&CellMeta> = firsts.values().copied().collect();
-    let generated = parallel_map(&metas, threads, |meta| {
-        let fleet = replay::fleet(meta).unwrap_or_else(|e| panic!("{}: {e}", meta.label()));
-        Arc::new(fleet.expect("planet workload"))
-    });
-    firsts.into_keys().zip(generated).collect()
+    firsts
+        .into_iter()
+        .map(|(key, meta)| {
+            let fleet = replay::fleet(meta).unwrap_or_else(|e| panic!("{}: {e}", meta.label()));
+            (key, Arc::new(fleet.expect("planet workload")))
+        })
+        .collect()
 }
 
 /// Runs `cells` on `protocol.threads` workers with LPT dispatch (cost =
@@ -418,7 +409,7 @@ fn fleets(cells: &[CellMeta], threads: usize) -> BTreeMap<FleetKey, Arc<Vec<Trac
 /// misattribute it.
 pub fn execute(protocol: &Protocol, cells: &[CellMeta], record: bool) -> (Vec<CellRun>, Timing) {
     let gen_started = Instant::now();
-    let fleets = fleets(cells, protocol.threads);
+    let fleets = fleets(cells);
     let fleet_gen_ms = gen_started.elapsed().as_millis() as u64;
 
     let costs: Vec<u64> = cells
@@ -689,14 +680,17 @@ mod tests {
     fn parallel_map_preserves_input_order_under_any_costs() {
         let items: Vec<usize> = (0..97).collect();
         let doubled: Vec<usize> = items.iter().map(|&x| x * 2).collect();
-        assert_eq!(parallel_map(&items, 8, |&x| x * 2), doubled);
+        let (uniform, _) = parallel_map_costed(&items, 8, &[0; 97], |&x| x * 2);
+        assert_eq!(uniform, doubled);
         let costs: Vec<u64> = items.iter().map(|&x| (x as u64 * 37) % 11).collect();
         let (costed, stats) = parallel_map_costed(&items, 3, &costs, |&x| x * 2);
         assert_eq!(costed, doubled);
         assert_eq!((stats.threads, stats.cell_wall_ms.len()), (3, 97));
         // Degenerate shapes.
-        assert!(parallel_map(&Vec::<usize>::new(), 4, |&x| x).is_empty());
-        assert_eq!(parallel_map(&[41usize], 16, |&x| x + 1), vec![42]);
+        let (empty, _) = parallel_map_costed(&Vec::<usize>::new(), 4, &[], |&x| x);
+        assert!(empty.is_empty());
+        let (single, stats) = parallel_map_costed(&[41usize], 16, &[0], |&x| x + 1);
+        assert_eq!((single, stats.threads), (vec![42], 1));
     }
 
     #[test]
@@ -725,14 +719,11 @@ mod tests {
         let cells = Family::Scale.cells(&quick_protocol(20, 2, 1));
         let m10: Vec<CellMeta> = cells.into_iter().filter(|c| c.pairs == 10).collect();
         assert_eq!(m10.len(), 4 * 2);
-        let shared = fleets(&m10, 2);
+        let shared = fleets(&m10);
         assert_eq!(shared.len(), 2, "4 strategies share each seed's fleet");
         assert!(shared.values().all(|fleet| fleet.len() == 10));
         let suite = Family::Suite.cells(&quick_protocol(20, 1, 1));
-        assert!(
-            fleets(&suite, 1).is_empty(),
-            "World-Cup cells need no fleet"
-        );
+        assert!(fleets(&suite).is_empty(), "World-Cup cells need no fleet");
     }
 
     /// Every family's live cells, exported and re-executed from their

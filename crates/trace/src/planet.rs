@@ -24,6 +24,9 @@
 //! Generation is deterministic per `(config, seed, pairs)`: each pair
 //! derives its own sub-seed with a SplitMix64 finaliser, so traces are
 //! independent of each other and of the pair count of *other* runs.
+//! That independence is what lets [`PlanetConfig::traces`] generate the
+//! pairs on every available core and still return the same fleet, bit
+//! for bit, as a one-pair-at-a-time loop.
 
 use crate::trace::Trace;
 use crate::worldcup::WorldCupConfig;
@@ -116,18 +119,58 @@ impl PlanetConfig {
         self.flash_every != usize::MAX && i.is_multiple_of(self.flash_every.max(1))
     }
 
-    /// Generates the per-pair trace fleet for `seed`. The same
-    /// `(config, seed, pairs)` always produces the identical fleet, and
-    /// pair `i`'s trace does not depend on `pairs`.
+    /// Generates the per-pair trace fleet for `seed`, one worker per
+    /// available core. The same `(config, seed, pairs)` always produces
+    /// the identical fleet, whatever the core count, and pair `i`'s trace
+    /// does not depend on `pairs` beyond its phase shift.
     pub fn traces(&self, seed: u64, pairs: usize) -> Vec<Trace> {
-        (0..pairs)
-            .map(|i| self.pair_trace(seed, i, pairs))
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.traces_on(seed, pairs, cores)
+    }
+
+    /// [`Self::traces`] on `workers` threads (clamped to `1..=pairs`):
+    /// each takes a contiguous run of pairs, the calling thread the
+    /// first. Workers return the unshifted traces and the calling thread
+    /// applies the phase shifts in pair order, so the fleet's final
+    /// buffers are allocated on the caller's thread, as in a serial loop.
+    pub(crate) fn traces_on(&self, seed: u64, pairs: usize, workers: usize) -> Vec<Trace> {
+        let workers = workers.clamp(1, pairs.max(1));
+        let generate = |w: usize| -> Vec<Trace> {
+            (w * pairs / workers..(w + 1) * pairs / workers)
+                .map(|i| self.unshifted_pair_trace(seed, i))
+                .collect()
+        };
+        let chunks: Vec<Vec<Trace>> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers)
+                .map(|w| scope.spawn(move || generate(w)))
+                .collect();
+            std::iter::once(generate(0))
+                .chain(
+                    spawned
+                        .into_iter()
+                        .map(|h| h.join().expect("fleet generation worker panicked")),
+                )
+                .collect()
+        });
+        chunks
+            .into_iter()
+            .flatten()
+            .enumerate()
+            .map(|(i, trace)| Self::time_zone(trace, i, pairs))
             .collect()
     }
 
-    /// Generates pair `i`'s trace alone (used by [`Self::traces`] and by
-    /// tests that probe single pairs out of a large fleet).
+    /// Generates pair `i`'s trace alone: the serial reference
+    /// [`Self::traces`] must match, and a probe of single pairs out of
+    /// a large fleet.
+    #[cfg(test)]
     pub(crate) fn pair_trace(&self, seed: u64, i: usize, pairs: usize) -> Trace {
+        Self::time_zone(self.unshifted_pair_trace(seed, i), i, pairs)
+    }
+
+    /// Pair `i`'s trace before its time-zone rotation: a function of
+    /// `(config, seed, i)` alone.
+    fn unshifted_pair_trace(&self, seed: u64, i: usize) -> Trace {
         let mut cfg = self.base.clone();
         cfg.mean_rate = self.pair_rate(i);
         if self.is_flash_pair(i) {
@@ -137,8 +180,12 @@ impl PlanetConfig {
             cfg.bursts = 0;
         }
         let sub_seed = splitmix64(seed ^ splitmix64(0x9D2C_5680_i64 as u64 ^ i as u64));
-        let trace = cfg.generate(sub_seed);
-        // Time zones: rotate each pair's diurnal phase around the clock.
+        cfg.generate(sub_seed)
+    }
+
+    /// Time zones: rotates pair `i`'s diurnal phase `i / pairs` of the
+    /// way around the clock.
+    fn time_zone(trace: Trace, i: usize, pairs: usize) -> Trace {
         trace.phase_shift(i as f64 / pairs.max(1) as f64)
     }
 }
@@ -251,6 +298,44 @@ mod tests {
             ..PlanetConfig::quick_test()
         };
         assert!((0..8).all(|i| cfg.is_flash_pair(i)));
+    }
+
+    /// FNV-1a over every pair's length and timestamps, in pair order.
+    fn fleet_digest(fleet: &[Trace]) -> u64 {
+        let words = fleet.iter().flat_map(|trace| {
+            std::iter::once(trace.len() as u64).chain(trace.times().iter().map(|t| t.as_nanos()))
+        });
+        words
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn scale_fleet_digest_is_pinned() {
+        // Taken from the serial generator this parallel one replaced.
+        let fleet = PlanetConfig::scale_default().traces(1, 100);
+        let arrivals: usize = fleet.iter().map(Trace::len).sum();
+        assert_eq!(
+            (arrivals, fleet_digest(&fleet)),
+            (927_106, 0xa204_a52a_a2c1_0734)
+        );
+    }
+
+    #[test]
+    fn any_worker_count_yields_the_serial_fleet() {
+        let cfg = PlanetConfig::quick_test();
+        for pairs in [0, 1, 2, 3, 7, 64] {
+            let serial: Vec<Trace> = (0..pairs).map(|i| cfg.pair_trace(5, i, pairs)).collect();
+            for workers in [1, 2, 3, 8] {
+                assert_eq!(
+                    cfg.traces_on(5, pairs, workers),
+                    serial,
+                    "{pairs} pairs on {workers} workers"
+                );
+            }
+        }
     }
 
     #[test]

@@ -147,9 +147,10 @@ impl WorldCupConfig {
         let grid = 4096;
         let mut integral = 0.0;
         let mut shape_max: f64 = 0.0;
+        let mut cursor = ModulationCursor::new(&modulation);
         for k in 0..grid {
             let t = (k as f64 + 0.5) / grid as f64 * horizon_s;
-            let v = shape(t, modulation_at(&modulation, t));
+            let v = shape(t, cursor.at(t));
             integral += v * horizon_s / grid as f64;
             shape_max = shape_max.max(v);
         }
@@ -173,13 +174,14 @@ impl WorldCupConfig {
         // expanded into a geometric train of requests.
         let mut times = Vec::with_capacity((self.mean_rate * horizon_s) as usize);
         let gap_s = self.cluster_gap.as_secs_f64().max(1e-9);
+        let mut cursor = ModulationCursor::new(&modulation);
         let mut t = 0.0;
         while t < horizon_s {
             t += rng.exponential(lambda_max);
             if t >= horizon_s {
                 break;
             }
-            let lambda = shape(t, modulation_at(&modulation, t)) * scale;
+            let lambda = shape(t, cursor.at(t)) * scale;
             if rng.next_f64() < lambda / lambda_max {
                 // Cluster size uniform in [0.5, 1.5]·mean: web page loads
                 // have a characteristic object count; a bounded spread
@@ -204,8 +206,11 @@ impl WorldCupConfig {
             }
         }
         // Cluster trains from nearby starts can interleave; restore order.
-        // Nanosecond collisions are kept — simultaneous items are valid.
-        times.sort_unstable();
+        // The trains leave the times nearly sorted, which the run-adaptive
+        // stable sort exploits; on plain integers it orders exactly as an
+        // unstable sort would. Nanosecond collisions are kept —
+        // simultaneous items are valid.
+        times.sort();
         Trace::new(times, self.horizon)
     }
 
@@ -234,16 +239,43 @@ impl WorldCupConfig {
     }
 }
 
+/// The multiplier of the last switch at or before `t` (the first
+/// state's before the first switch; 1.0 on an empty timeline). Ties
+/// between equal switch times resolve to the last of them.
 fn modulation_at(timeline: &[(f64, f64)], t: f64) -> f64 {
-    match timeline.binary_search_by(|probe| {
-        probe
-            .0
-            .partial_cmp(&t)
-            .expect("modulation times are finite")
-    }) {
-        Ok(i) => timeline[i].1,
-        Err(0) => timeline.first().map(|s| s.1).unwrap_or(1.0),
-        Err(i) => timeline[i - 1].1,
+    let i = timeline.partition_point(|s| s.0 <= t);
+    state_before(timeline, i)
+}
+
+/// The multiplier in force before switch `next`.
+fn state_before(timeline: &[(f64, f64)], next: usize) -> f64 {
+    match next.checked_sub(1) {
+        Some(i) => timeline[i].1,
+        None => timeline.first().map_or(1.0, |s| s.1),
+    }
+}
+
+/// [`modulation_at`] for probes that never move backwards: the cursor
+/// only steps forward over the switches, so a pass over a whole
+/// timeline costs one walk instead of a binary search per probe.
+struct ModulationCursor<'a> {
+    timeline: &'a [(f64, f64)],
+    /// The first switch strictly after the last probe.
+    next: usize,
+}
+
+impl<'a> ModulationCursor<'a> {
+    fn new(timeline: &'a [(f64, f64)]) -> Self {
+        ModulationCursor { timeline, next: 0 }
+    }
+
+    /// The multiplier at `t`, which must be at or after every earlier
+    /// probe.
+    fn at(&mut self, t: f64) -> f64 {
+        while self.timeline.get(self.next).is_some_and(|s| s.0 <= t) {
+            self.next += 1;
+        }
+        state_before(self.timeline, self.next)
     }
 }
 
@@ -368,6 +400,37 @@ mod tests {
         let trace = short.generate(3);
         let rate = trace.mean_rate();
         assert!(rate > 600.0 && rate < 5_000.0, "rate {rate}");
+    }
+
+    #[test]
+    fn cursor_matches_the_binary_search() {
+        let cfg = WorldCupConfig::paper_default();
+        let horizon_s = cfg.horizon.as_secs_f64();
+        let mut rng = SimRng::new(9);
+        let drawn = cfg.modulation_timeline(&mut rng, horizon_s);
+        // Two equal switch times (an exponential draw of exactly 0), a
+        // probe before the first switch, and the empty timeline.
+        let tied = [(0.5, 2.0), (1.0, 3.0), (1.0, 4.0), (2.0, 5.0)];
+        assert_eq!(modulation_at(&tied, 1.0), 4.0);
+        assert_eq!(modulation_at(&tied, 0.0), 2.0);
+        assert_eq!(modulation_at(&[], 3.0), 1.0);
+        for timeline in [&drawn[..], &tied, &[]] {
+            let end = timeline.last().map_or(1.0, |s| s.0) * 1.1;
+            let grid = 4096;
+            let mut cursor = ModulationCursor::new(timeline);
+            for k in 0..grid {
+                let t = (k as f64 + 0.5) / grid as f64 * end;
+                assert_eq!(cursor.at(t), modulation_at(timeline, t), "grid t = {t}");
+            }
+            // Sorted random probes, plus every switch time itself.
+            let mut probes: Vec<f64> = (0..2000).map(|_| rng.uniform(0.0, end)).collect();
+            probes.extend(timeline.iter().map(|s| s.0));
+            probes.sort_by(f64::total_cmp);
+            let mut cursor = ModulationCursor::new(timeline);
+            for t in probes {
+                assert_eq!(cursor.at(t), modulation_at(timeline, t), "probe t = {t}");
+            }
+        }
     }
 
     #[test]
